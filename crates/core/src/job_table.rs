@@ -82,6 +82,15 @@ pub struct JobTable {
     /// advance it, so refresh storms can be deduplicated by comparing
     /// revisions.
     revision: u64,
+    /// A lower bound on the `last_heartbeat_ns` of every *active* entry
+    /// (`u64::MAX` when none is active): no entry can expire before this
+    /// plus the timeout, so [`JobTable::expire`] returns without touching
+    /// the map until then. Heartbeats lower it when they (re)activate an
+    /// entry with an older clock and otherwise leave it — a later heartbeat
+    /// only moves the true minimum up, which keeps the bound valid; the scan
+    /// that runs once the bound is reached makes it exact again. Merges
+    /// rewrite clocks and statuses wholesale and reset it to 0 ("unknown").
+    active_heartbeat_floor_ns: u64,
 }
 
 /// Default heartbeat timeout (5 seconds, in nanoseconds).
@@ -95,16 +104,15 @@ impl JobTable {
             heartbeat_timeout_ns: DEFAULT_HEARTBEAT_TIMEOUT_NS,
             viewpoint: None,
             revision: 0,
+            active_heartbeat_floor_ns: u64::MAX,
         }
     }
 
     /// Creates an empty table with an explicit heartbeat timeout.
     pub fn with_heartbeat_timeout(timeout_ns: u64) -> Self {
         JobTable {
-            entries: BTreeMap::new(),
             heartbeat_timeout_ns: timeout_ns,
-            viewpoint: None,
-            revision: 0,
+            ..JobTable::new()
         }
     }
 
@@ -184,6 +192,7 @@ impl JobTable {
         match self.entries.entry(meta.job) {
             std::collections::btree_map::Entry::Vacant(slot) => {
                 slot.insert(JobEntry::new(meta, now_ns));
+                self.active_heartbeat_floor_ns = self.active_heartbeat_floor_ns.min(now_ns);
                 self.revision = next_revision();
             }
             std::collections::btree_map::Entry::Occupied(mut slot) => {
@@ -195,6 +204,10 @@ impl JobTable {
                 entry.meta = meta;
                 entry.status = JobStatus::Active;
                 entry.last_heartbeat_ns = entry.last_heartbeat_ns.max(now_ns);
+                // Only a revived entry can sit below the floor; an already
+                // active one was at or above it and has not moved down.
+                self.active_heartbeat_floor_ns =
+                    self.active_heartbeat_floor_ns.min(entry.last_heartbeat_ns);
                 if share_relevant {
                     self.revision = next_revision();
                 }
@@ -238,21 +251,44 @@ impl JobTable {
 
     /// Marks jobs whose last heartbeat is older than the timeout as inactive
     /// and returns how many transitions happened.
+    ///
+    /// Costs nothing until the earliest possible expiry
+    /// ([`JobTable::next_expiry_ns`]); the scan that runs from then on flips
+    /// exactly the entries a scan on every call would have.
     pub fn expire(&mut self, now_ns: u64) -> usize {
         let timeout = self.heartbeat_timeout_ns;
+        if now_ns.saturating_sub(self.active_heartbeat_floor_ns) <= timeout {
+            return 0;
+        }
         let mut flipped = 0;
+        let mut floor = u64::MAX;
         for entry in self.entries.values_mut() {
-            if entry.status == JobStatus::Active
-                && now_ns.saturating_sub(entry.last_heartbeat_ns) > timeout
-            {
+            if entry.status != JobStatus::Active {
+                continue;
+            }
+            if now_ns.saturating_sub(entry.last_heartbeat_ns) > timeout {
                 entry.status = JobStatus::Inactive;
                 flipped += 1;
+            } else {
+                floor = floor.min(entry.last_heartbeat_ns);
             }
         }
+        self.active_heartbeat_floor_ns = floor;
         if flipped > 0 {
             self.revision = next_revision();
         }
         flipped
+    }
+
+    /// The first `now_ns` at which [`JobTable::expire`] may flip an entry
+    /// (it may also turn out to flip none: the bound behind it is only made
+    /// exact by the scan). `None` while no entry is active.
+    pub fn next_expiry_ns(&self) -> Option<u64> {
+        (self.active_heartbeat_floor_ns != u64::MAX).then(|| {
+            self.active_heartbeat_floor_ns
+                .saturating_add(self.heartbeat_timeout_ns)
+                .saturating_add(1)
+        })
     }
 
     /// Looks up a single entry.
@@ -320,6 +356,7 @@ impl JobTable {
     /// *not* summed — they are per-server observations — the maximum is kept
     /// as a conservative indicator.
     pub fn merge_from(&mut self, other: &JobTable) {
+        self.active_heartbeat_floor_ns = 0;
         let mut changed = false;
         for (job, remote) in other.entries.iter() {
             match self.entries.get_mut(job) {
@@ -506,6 +543,107 @@ mod tests {
         assert_eq!(snapshot.revision(), t.revision());
         t.remove(JobId(1));
         assert_ne!(t.revision(), snapshot.revision());
+    }
+
+    /// What `expire` was before it kept a floor: every call scans.
+    fn expire_by_full_scan(t: &mut JobTable, now_ns: u64) -> usize {
+        let mut flipped = 0;
+        for entry in t.entries.values_mut() {
+            if entry.status == JobStatus::Active
+                && now_ns.saturating_sub(entry.last_heartbeat_ns) > t.heartbeat_timeout_ns
+            {
+                entry.status = JobStatus::Inactive;
+                flipped += 1;
+            }
+        }
+        if flipped > 0 {
+            t.revision = next_revision();
+        }
+        flipped
+    }
+
+    /// Random interleavings of every mutation, applied to a table that
+    /// expires through the floor and to one that scans on every call: the
+    /// same entries must flip at the same `now_ns`, and the revision must
+    /// move on exactly the same steps.
+    #[test]
+    fn bounded_expire_matches_the_full_scan_on_random_interleavings() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..200u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let timeout = rng.gen_range(1u64..2_000);
+            let mut bounded = JobTable::with_heartbeat_timeout(timeout);
+            let mut scanned = JobTable::with_heartbeat_timeout(timeout);
+            let mut peer = JobTable::with_heartbeat_timeout(timeout);
+            bounded.set_viewpoint(0).unwrap();
+            scanned.set_viewpoint(0).unwrap();
+            peer.set_viewpoint(1).unwrap();
+            let mut now = 0u64;
+            for step in 0..400 {
+                // Mostly forwards, sometimes a stale clock or a long silence.
+                now = match rng.gen_range(0u32..10) {
+                    0 => now.saturating_sub(rng.gen_range(0u64..timeout)),
+                    1 => now + rng.gen_range(0u64..3 * timeout),
+                    _ => now + rng.gen_range(0u64..timeout / 4 + 2),
+                };
+                let m = meta(rng.gen_range(1u64..12), 1, 1, rng.gen_range(1u32..3));
+                let before = (bounded.revision(), scanned.revision());
+                let flips = match rng.gen_range(0u32..12) {
+                    0..=2 => {
+                        bounded.heartbeat(m, now);
+                        scanned.heartbeat(m, now);
+                        None
+                    }
+                    3..=4 => {
+                        bounded.observe_request(m, now);
+                        scanned.observe_request(m, now);
+                        None
+                    }
+                    5 => {
+                        assert_eq!(
+                            bounded.remove(m.job).is_some(),
+                            scanned.remove(m.job).is_some()
+                        );
+                        None
+                    }
+                    6 => {
+                        peer.observe_request(m, now.saturating_sub(rng.gen_range(0u64..timeout)));
+                        if rng.gen_bool(0.3) {
+                            peer.expire(now);
+                        }
+                        bounded.merge_from(&peer);
+                        scanned.merge_from(&peer);
+                        None
+                    }
+                    _ => Some((bounded.expire(now), expire_by_full_scan(&mut scanned, now))),
+                };
+                let ctx = format!("seed {seed} step {step} now {now}");
+                if let Some((b, s)) = flips {
+                    assert_eq!(b, s, "flip count, {ctx}");
+                }
+                assert_eq!(
+                    bounded.revision() != before.0,
+                    scanned.revision() != before.1,
+                    "revision bump, {ctx}"
+                );
+                assert!(bounded.iter().eq(scanned.iter()), "entries diverged, {ctx}");
+                // The advertised expiry is never later than the first `now`
+                // at which a scan would flip something.
+                let first_flip = scanned
+                    .iter()
+                    .filter(|(_, e)| e.status.is_active())
+                    .map(|(_, e)| e.last_heartbeat_ns + timeout + 1)
+                    .min();
+                match (bounded.next_expiry_ns(), first_flip) {
+                    (Some(advertised), Some(actual)) => {
+                        assert!(advertised <= actual, "{advertised} > {actual}, {ctx}")
+                    }
+                    (None, Some(actual)) => panic!("no expiry advertised, due {actual}, {ctx}"),
+                    (_, None) => {}
+                }
+            }
+        }
     }
 
     #[test]

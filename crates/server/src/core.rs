@@ -63,6 +63,16 @@ impl Default for ServerConfig {
     }
 }
 
+/// Longest a server with staging sleeps between polls, whatever else
+/// [`ServerCore::next_deadline_ns`] finds. Most of what the staging tick
+/// reacts to carries no timestamp the core could wait for: a peer server's
+/// write dirties an extent on *this* server's shard through the shared file
+/// system, a restore is queued by the poll that parked its reader, a reshard
+/// or a forced scrub arrives from outside. Those are found by looking, so a
+/// staged server keeps looking — at the interval the old loop slept for —
+/// while an unstaged one sleeps until its next real deadline.
+pub const STAGE_TICK_NS: u64 = 100_000;
+
 /// A staging reply that became ready during a poll (or synchronously while
 /// handling a staging message), to be routed back by its request id.
 #[derive(Debug, Clone)]
@@ -258,6 +268,15 @@ pub struct ServerCore {
     policy_epoch: u64,
     engine: Box<dyn PolicyEngine>,
     jobs: JobTable,
+    /// The job table moved (hello, heartbeat, bye, expiry) since the engine
+    /// last derived its allocation from it. The reconfigure is owed, and
+    /// paid by [`ServerCore::settle_shares`] before anything looks at the
+    /// engine or touches the table again — so a burst of hellos costs one
+    /// share computation instead of one each. What the engine runs on is the
+    /// allocation the last of the skipped reconfigures would have produced;
+    /// the statistical-token engine derives it from the table alone, so
+    /// nothing is lost by skipping the ones before it.
+    shares_stale: bool,
     lambda: LambdaClock,
     device: DeviceTimeline,
     fs: BurstBufferFs,
@@ -419,6 +438,7 @@ impl ServerCore {
             policy_epoch: 0,
             engine,
             jobs,
+            shares_stale: false,
             lambda: LambdaClock::new(config.sync),
             device: DeviceTimeline::new(DeviceModel::new(config.device)),
             fs,
@@ -487,6 +507,7 @@ impl ServerCore {
         {
             staged.set_trace_epoch(self.policy_epoch);
         }
+        self.shares_stale = false;
         self.engine.reconfigure(&self.jobs, &self.policy);
         Ok(self.policy_epoch)
     }
@@ -507,8 +528,16 @@ impl ServerCore {
     }
 
     /// The scheduler's current nominal share assignment.
-    pub fn shares(&self) -> ShareMap {
+    pub fn shares(&mut self) -> ShareMap {
+        self.settle_shares();
         self.engine.shares()
+    }
+
+    /// Pays the reconfigure owed since the job table last moved, if any.
+    fn settle_shares(&mut self) {
+        if std::mem::take(&mut self.shares_stale) {
+            self.engine.reconfigure(&self.jobs, &self.policy);
+        }
     }
 
     /// The shared file system this server operates on.
@@ -521,19 +550,20 @@ impl ServerCore {
     /// Handles a client hello or heartbeat (§4.1 job monitor).
     pub fn heartbeat(&mut self, meta: JobMeta, now_ns: u64) {
         self.jobs.heartbeat(meta, now_ns);
-        self.engine.reconfigure(&self.jobs, &self.policy);
+        self.shares_stale = true;
     }
 
     /// Handles a clean client disconnect.
     pub fn client_bye(&mut self, meta: JobMeta, _now_ns: u64) {
         self.jobs.remove(meta.job);
-        self.engine.reconfigure(&self.jobs, &self.policy);
+        self.shares_stale = true;
     }
 
-    /// Expires silent jobs and refreshes shares if anything changed.
+    /// Expires silent jobs and refreshes shares if anything changed. Free
+    /// until the earliest possible expiry (see [`JobTable::expire`]).
     pub fn expire_jobs(&mut self, now_ns: u64) {
         if self.jobs.expire(now_ns) > 0 {
-            self.engine.reconfigure(&self.jobs, &self.policy);
+            self.shares_stale = true;
         }
     }
 
@@ -554,11 +584,52 @@ impl ServerCore {
         tables: impl IntoIterator<Item = &'a JobTable>,
         now_ns: u64,
     ) {
+        // The merge must not leak into a reconfigure owed from before it.
+        self.settle_shares();
         for t in tables {
             self.jobs.merge_from(t);
         }
         self.lambda.mark(now_ns);
         self.engine.reconfigure(&self.jobs, &self.policy);
+    }
+
+    /// The earliest time this server needs the processor again if no new
+    /// message arrives: whoever drives the core may sleep until then (or
+    /// until input) without delaying anything. `None`: only input can make
+    /// work. Never later than the first `now` at which
+    /// [`poll`](Self::poll), [`expire_jobs`](Self::expire_jobs) or
+    /// [`sync_due`](Self::sync_due) would do something; it may be earlier
+    /// (the expiry bound is a lower bound), in which case the caller finds
+    /// nothing to do and asks again.
+    ///
+    /// The sources: replies already waiting to be collected and a
+    /// reconfigure owed (now); the first possible heartbeat expiry; the next
+    /// λ round; with requests queued, the later of the device's next free
+    /// worker and the engine's own throttle; and with staging, the earliest
+    /// finish among the five in-flight lists and [`STAGE_TICK_NS`] from now.
+    pub fn next_deadline_ns(&self, now_ns: u64) -> Option<u64> {
+        if self.shares_stale || !self.rejected.is_empty() || !self.stage_replies.is_empty() {
+            return Some(now_ns);
+        }
+        let mut deadline = self.lambda.next_round_ns();
+        if let Some(expiry) = self.jobs.next_expiry_ns() {
+            deadline = deadline.min(expiry);
+        }
+        if self.engine.queued() > 0 {
+            let eligible = self.engine.next_eligible_ns(now_ns).unwrap_or(now_ns);
+            deadline = deadline.min(self.device.next_free_ns().max(eligible));
+        }
+        if let Some(st) = &self.staging {
+            let finishes = (st.inflight_backing.iter().map(|f| f.0))
+                .chain(st.inflight_restores.iter().map(|f| f.0))
+                .chain(st.inflight_scrubs.iter().map(|f| f.0))
+                .chain(st.inflight_rebalances.iter().map(|f| f.0))
+                .chain(st.inflight_replicates.iter().map(|f| f.0));
+            deadline = finishes.fold(deadline.min(now_ns.saturating_add(STAGE_TICK_NS)), u64::min);
+        }
+        // A λ interval that saturates the clock is the one way to have no
+        // deadline at all.
+        (deadline != u64::MAX).then_some(deadline)
     }
 
     // --------------------------------------------------------------- the IO path
@@ -593,6 +664,7 @@ impl ServerCore {
             });
             return;
         }
+        self.settle_shares();
         self.jobs.observe_request(meta, now_ns);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -620,6 +692,7 @@ impl ServerCore {
     /// arbitrated exactly like everything else instead of being stolen on
     /// the read path.
     pub fn poll(&mut self, now_ns: u64) -> Vec<ReadyReply> {
+        self.settle_shares();
         let mut ready = std::mem::take(&mut self.rejected);
         self.stage_tick(now_ns, &mut ready);
         while self.device.has_idle_worker(now_ns) {
@@ -826,6 +899,7 @@ impl ServerCore {
         if self.reject_reserved_stage(request_id, &meta) {
             return;
         }
+        self.settle_shares();
         self.jobs.observe_request(meta, now_ns);
         let path = match themis_fs::path::normalize(path) {
             Ok(p) => p,
@@ -873,6 +947,7 @@ impl ServerCore {
         if self.reject_reserved_stage(request_id, &meta) {
             return;
         }
+        self.settle_shares();
         self.jobs.observe_request(meta, now_ns);
         let path = match themis_fs::path::normalize(path) {
             Ok(p) => p,
@@ -3541,5 +3616,252 @@ mod tests {
         // And the ack was genuinely deferred past the write's own
         // completion poll.
         assert!(acked_at.unwrap() > 1_000);
+    }
+
+    // ------------------------------------------------ next_deadline_ns
+
+    /// A hello burst is one share computation, and what it computes is what
+    /// a reconfigure per hello would have.
+    #[test]
+    fn a_hello_burst_settles_shares_once_and_identically() {
+        let mut lazy = server(Policy::size_fair());
+        let mut eager = server(Policy::size_fair());
+        for job in 1..=64u64 {
+            let m = meta(job, 1 << (job % 4));
+            lazy.heartbeat(m, job);
+            eager.heartbeat(m, job);
+            // Reading the shares is an observer: it pays the owed
+            // reconfigure on the spot, as every heartbeat used to.
+            eager.shares();
+        }
+        assert!(lazy.shares_stale);
+        assert_eq!(lazy.next_deadline_ns(100), Some(100));
+        assert_eq!(lazy.shares(), eager.shares());
+        assert!(!lazy.shares_stale);
+    }
+
+    enum Input {
+        Io(JobMeta, FsOp),
+        Flush(JobMeta, &'static str),
+        Heartbeat(JobMeta),
+    }
+
+    /// A core driven the way `server_loop` drives it — inputs, `poll` until
+    /// nothing moves, λ round, expiry — at times the test chooses.
+    struct Driven {
+        core: ServerCore,
+        script: Vec<(u64, Input)>,
+        next_input: usize,
+        now: u64,
+        /// Every time `settle` was called at, for replaying onto a twin.
+        visited: Vec<u64>,
+    }
+
+    const STRIPE: u64 = 64 << 10;
+
+    impl Driven {
+        /// Two tenants on short heartbeat and λ clocks, so expiries and
+        /// rounds fall inside a few milliseconds; with `staging`, watermarks
+        /// small enough that the read at the end finds its extents evicted.
+        fn new(staging: bool) -> Self {
+            let config = ServerConfig {
+                sync: SyncConfig {
+                    interval_ns: 700_000,
+                },
+                heartbeat_timeout_ns: 900_000,
+                staging: staging.then(|| StagingConfig {
+                    drain: themis_stage::DrainConfig {
+                        high_watermark_bytes: 3 * STRIPE,
+                        low_watermark_bytes: STRIPE,
+                        ..themis_stage::DrainConfig::default()
+                    },
+                    ..fast_staging()
+                }),
+                ..ServerConfig::default()
+            };
+            let (a, b) = (meta(1, 4), meta(2, 1));
+            let write = |m: JobMeta, path: &str, stripes: u64| {
+                Input::Io(
+                    m,
+                    FsOp::WriteAt {
+                        path: path.into(),
+                        offset: 0,
+                        data: vec![m.job.0 as u8; (stripes * STRIPE) as usize],
+                    },
+                )
+            };
+            let create = |m: JobMeta, path: &str| {
+                Input::Io(
+                    m,
+                    FsOp::CreateStriped {
+                        path: path.into(),
+                        stripe: themis_fs::StripeConfig::new(STRIPE, 1),
+                    },
+                )
+            };
+            let read = |m: JobMeta, path: &str| {
+                Input::Io(
+                    m,
+                    FsOp::ReadAt {
+                        path: path.into(),
+                        offset: 0,
+                        len: 2 * STRIPE,
+                    },
+                )
+            };
+            let script = vec![
+                (0, Input::Heartbeat(a)),
+                (0, Input::Heartbeat(b)),
+                (1_000, create(a, "/a")),
+                (1_000, create(b, "/b")),
+                (2_000, write(a, "/a", 4)),
+                (2_000, write(b, "/b", 1)),
+                (2_000, write(a, "/a", 2)),
+                (40_000, Input::Flush(a, "/a")),
+                (300_000, write(b, "/b", 4)),
+                (600_000, Input::Flush(b, "/b")),
+                (1_200_000, read(a, "/a")),
+                (1_300_000, Input::Heartbeat(b)),
+                (1_500_000, read(b, "/b")),
+            ];
+            Driven {
+                core: ServerCore::new(0, BurstBufferFs::new(1), config),
+                script,
+                next_input: 0,
+                now: 0,
+                visited: Vec::new(),
+            }
+        }
+
+        fn next_input_ns(&self) -> Option<u64> {
+            self.script.get(self.next_input).map(|(t, _)| *t)
+        }
+
+        /// Everything a poll, an expiry or a λ round can move.
+        fn fingerprint(&self) -> String {
+            let c = &self.core;
+            let stage = c.staging.as_ref().map(|st| {
+                (
+                    (
+                        st.inflight_backing.len(),
+                        st.inflight_restores.len(),
+                        st.inflight_scrubs.len(),
+                        st.inflight_rebalances.len(),
+                        st.inflight_replicates.len(),
+                    ),
+                    (st.pending_flushes.len(), st.parked_ops.len()),
+                    c.drain_status_snapshot(),
+                    c.scrub_status_snapshot(),
+                )
+            });
+            format!(
+                "{:?}",
+                (
+                    c.completions,
+                    c.next_seq,
+                    c.engine.queued(),
+                    // Not the revision: those are unique per process, and
+                    // twins must agree.
+                    c.jobs.iter().map(|(_, e)| e.status).collect::<Vec<_>>(),
+                    c.lambda.rounds(),
+                    stage
+                )
+            )
+        }
+
+        /// One `server_loop` visit at `t`; whether anything happened.
+        fn settle(&mut self, t: u64) -> bool {
+            self.now = t;
+            self.visited.push(t);
+            let before = self.fingerprint();
+            let mut events = 0;
+            while self.next_input_ns().is_some_and(|due| due <= t) {
+                let id = self.next_input as u64;
+                match &self.script[self.next_input].1 {
+                    Input::Io(m, op) => self.core.submit(id, *m, op.clone(), t),
+                    Input::Flush(m, path) => self.core.flush(id, *m, path, t),
+                    Input::Heartbeat(m) => self.core.heartbeat(*m, t),
+                }
+                self.next_input += 1;
+                events += 1;
+            }
+            loop {
+                let moved = self.fingerprint();
+                events += self.core.poll(t).len() + self.core.take_stage_replies().len();
+                if self.fingerprint() == moved {
+                    break;
+                }
+            }
+            if self.core.sync_due(t) {
+                self.core.absorb_peer_tables(std::iter::empty(), t);
+            }
+            self.core.expire_jobs(t);
+            events > 0 || self.fingerprint() != before
+        }
+    }
+
+    /// From every state a deadline-driven run passes through, a twin stepped
+    /// in 1 µs ticks must see nothing happen before the advertised deadline:
+    /// sleeping until `next_deadline_ns` delays nothing. The deadline-driven
+    /// run must also get through the scenario in a small number of visits —
+    /// a deadline of "now" every time would pass the first check.
+    #[test]
+    fn nothing_happens_before_the_advertised_deadline() {
+        const HORIZON: u64 = 4_000_000;
+        for staging in [false, true] {
+            let mut run = Driven::new(staging);
+            run.settle(0);
+            let mut stuck = 0;
+            while run.now < HORIZON {
+                let deadline = run
+                    .core
+                    .next_deadline_ns(run.now)
+                    .expect("the λ clock always has a next round");
+                if deadline <= run.now {
+                    // Work left over for the next turn (an expiry owes a
+                    // reconfigure): one more visit at the same instant.
+                    stuck += 1;
+                    assert!(stuck < 3, "no progress at {} (staging {staging})", run.now);
+                    run.settle(run.now);
+                    continue;
+                }
+                stuck = 0;
+                let wake = deadline.min(run.next_input_ns().unwrap_or(u64::MAX));
+
+                let mut twin = Driven::new(staging);
+                for &t in &run.visited {
+                    twin.settle(t);
+                }
+                assert_eq!(twin.fingerprint(), run.fingerprint());
+                let mut t = run.now + 1_000;
+                while t < wake.min(HORIZON) {
+                    assert!(
+                        !twin.settle(t),
+                        "state moved at {t}, before the deadline {deadline} \
+                         advertised at {} (staging {staging})",
+                        run.now
+                    );
+                    t += 1_000;
+                }
+                run.settle(wake);
+            }
+            assert_eq!(run.next_input, run.script.len());
+            assert_eq!(
+                run.core.completions(),
+                8,
+                "every scripted request was served"
+            );
+            let visits = run.visited.len() as u64;
+            let bound = if staging {
+                // The staging tick alone is one visit per STAGE_TICK_NS.
+                HORIZON / STAGE_TICK_NS + 60
+            } else {
+                40
+            };
+            assert!(
+                visits <= bound,
+                "{visits} visits for {HORIZON} ns (staging {staging})"
+            );
+        }
     }
 }

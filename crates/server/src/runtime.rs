@@ -7,9 +7,10 @@
 //! clock by `themis-sim` using the same scheduler, device and policy code.
 
 use crate::core::{ServerConfig, ServerCore};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -18,29 +19,29 @@ use themis_net::message::{ClientMessage, ServerMessage};
 use themis_net::transport::{channel_pair, Endpoint, PeerFabric};
 use themis_net::PeerMessage;
 use themis_stage::{BackingStore, CapacityTier};
-use themis_telemetry::MetricsRegistry;
+use themis_telemetry::{MetricsRegistry, SeriesKey};
 
-/// A registrar message: a new connection id plus the server-side reply
-/// endpoint for it.
-type Registration = (usize, Endpoint<ServerMessage>);
-/// An inbound client message tagged with its connection id.
-type TaggedMessage = (usize, ClientMessage);
+/// Everything that can wake a server thread travels through its one inbox,
+/// so a parked server sleeps on a single channel and wakes for all of it.
+#[derive(Debug)]
+enum Inbound {
+    /// A new connection: its id plus the server-side reply endpoint. Sent by
+    /// [`Deployment::connect`] before the connection is handed out, so it
+    /// precedes every message of that connection in the inbox.
+    Register(usize, Endpoint<ServerMessage>),
+    /// A client message tagged with its connection id.
+    Client(usize, ClientMessage),
+    /// [`Deployment::shutdown`].
+    Stop,
+}
 
 /// A deployment of one or more ThemisIO servers over a shared burst-buffer
 /// file system.
 pub struct Deployment {
     fs: BurstBufferFs,
-    registrars: Vec<Sender<Registration>>,
-    /// Paired with `registrars`: the client-facing endpoints handed to the
-    /// registrar are created by `connect`.
-    inboxes: Vec<Sender<TaggedMessage>>,
-    stop: Arc<AtomicBool>,
+    inboxes: Vec<Sender<Inbound>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     n_servers: usize,
-}
-
-struct ClientSlot {
-    endpoint: Endpoint<ServerMessage>,
 }
 
 impl Deployment {
@@ -52,8 +53,6 @@ impl Deployment {
         let n = n_servers.max(1);
         let fs = BurstBufferFs::new(n);
         let fabric = Arc::new(PeerFabric::<PeerMessage>::new(n));
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut registrars = Vec::with_capacity(n);
         let mut inboxes = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
 
@@ -67,9 +66,7 @@ impl Deployment {
         let registry = MetricsRegistry::new();
 
         for idx in 0..n {
-            let (reg_tx, reg_rx): (Sender<Registration>, Receiver<Registration>) = unbounded();
-            let (in_tx, in_rx): (Sender<TaggedMessage>, Receiver<TaggedMessage>) = unbounded();
-            registrars.push(reg_tx);
+            let (in_tx, in_rx) = unbounded();
             inboxes.push(in_tx);
             let config = config_for(idx);
             let backing = config.staging.as_ref().map(|sc| {
@@ -80,17 +77,14 @@ impl Deployment {
             let core =
                 ServerCore::with_telemetry(idx, fs.clone(), config, backing, registry.clone());
             let fabric = Arc::clone(&fabric);
-            let stop = Arc::clone(&stop);
             threads.push(std::thread::spawn(move || {
-                server_loop(core, reg_rx, in_rx, fabric, stop);
+                server_loop(core, in_rx, fabric);
             }));
         }
 
         Deployment {
             fs,
-            registrars,
             inboxes,
-            stop,
             threads: Mutex::new(threads),
             n_servers: n,
         }
@@ -113,13 +107,12 @@ impl Deployment {
     pub fn connect(&self, server_index: usize) -> ClientConnection {
         let idx = server_index % self.n_servers;
         let (client_end, server_end) = channel_pair::<ServerMessage>();
-        // The server thread learns about the new client and its reply
-        // endpoint through the registrar channel; requests flow through the
-        // shared inbox, tagged with the connection id.
         static NEXT_CONN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
         let conn_id = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
-        self.registrars[idx]
-            .send((conn_id, server_end))
+        // The registration goes through the same inbox the connection's
+        // requests will, ahead of them.
+        self.inboxes[idx]
+            .send(Inbound::Register(conn_id, server_end))
             .expect("server thread alive");
         ClientConnection {
             server_index: idx,
@@ -131,8 +124,10 @@ impl Deployment {
 
     /// Stops every server thread and waits for them to exit.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
         let mut threads = self.threads.lock();
+        for inbox in &self.inboxes {
+            let _ = inbox.send(Inbound::Stop);
+        }
         for t in threads.drain(..) {
             let _ = t.join();
         }
@@ -150,14 +145,14 @@ pub struct ClientConnection {
     /// Index of the server this connection talks to.
     pub server_index: usize,
     conn_id: usize,
-    to_server: Sender<TaggedMessage>,
+    to_server: Sender<Inbound>,
     from_server: Endpoint<ServerMessage>,
 }
 
 impl ClientConnection {
     /// Sends a message to the server.
     pub fn send(&self, msg: ClientMessage) {
-        let _ = self.to_server.send((self.conn_id, msg));
+        let _ = self.to_server.send(Inbound::Client(self.conn_id, msg));
     }
 
     /// Blocks until the next message from the server arrives (or the server
@@ -176,34 +171,26 @@ fn now_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// Resolves `conn_id` to its reply endpoint, draining any registrations
-/// still queued in the registrar first. A client may register and send its
-/// first message back-to-back; without the re-drain the server could process
-/// the message while the registration is still in flight and silently drop
-/// the reply.
-fn ensure_client<'a>(
-    clients: &'a mut std::collections::HashMap<usize, ClientSlot>,
-    registrar: &Receiver<Registration>,
-    conn_id: usize,
-) -> Option<&'a ClientSlot> {
-    if !clients.contains_key(&conn_id) {
-        while let Ok((id, endpoint)) = registrar.try_recv() {
-            clients.insert(id, ClientSlot { endpoint });
-        }
-    }
-    clients.get(&conn_id)
-}
-
+/// One server thread. Each turn takes whatever the inbox holds, lets the
+/// core serve what the device has room for, sends the replies, and runs the
+/// housekeeping that is due. A turn that found nothing to do ends by
+/// sleeping *on the inbox* until [`ServerCore::next_deadline_ns`] — so the
+/// thread wakes for a message at once, for a deadline on time, and
+/// otherwise not at all.
 fn server_loop(
     mut core: ServerCore,
-    registrar: Receiver<Registration>,
-    inbox: Receiver<TaggedMessage>,
+    inbox: Receiver<Inbound>,
     fabric: Arc<PeerFabric<PeerMessage>>,
-    stop: Arc<AtomicBool>,
 ) {
     let epoch = Instant::now();
-    let mut clients: std::collections::HashMap<usize, ClientSlot> =
-        std::collections::HashMap::new();
+    // Reply endpoints by connection id. A reply to a connection that never
+    // registered (none can, see `Inbound::Register`) is dropped.
+    let mut clients: HashMap<usize, Endpoint<ServerMessage>> = HashMap::new();
+    let reply = |clients: &HashMap<usize, Endpoint<ServerMessage>>, conn_id, msg| {
+        if let Some(endpoint) = clients.get(&conn_id) {
+            let _ = endpoint.send(msg);
+        }
+    };
     // Request ids are only unique per connection (every client numbers its
     // own requests from zero), so a route keyed by the raw id would collide
     // as soon as two clients talk to this server concurrently — one side's
@@ -211,46 +198,55 @@ fn server_loop(
     // The loop therefore re-tickets each request with a server-unique id
     // before it enters the core and translates back when replying.
     let mut next_ticket: u64 = 0;
-    let mut reply_route: std::collections::HashMap<u64, (usize, u64)> =
-        std::collections::HashMap::new();
-    let mut ticket = move |route: &mut std::collections::HashMap<u64, (usize, u64)>,
-                           conn_id: usize,
-                           request_id: u64| {
-        let t = next_ticket;
-        next_ticket += 1;
-        route.insert(t, (conn_id, request_id));
-        t
-    };
+    let mut reply_route: HashMap<u64, (usize, u64)> = HashMap::new();
+    let mut ticket =
+        move |route: &mut HashMap<u64, (usize, u64)>, conn_id: usize, request_id: u64| {
+            let t = next_ticket;
+            next_ticket += 1;
+            route.insert(t, (conn_id, request_id));
+            t
+        };
     let my_index = core.server_index();
+    let turns = core
+        .metrics_registry()
+        .counter(SeriesKey::class(my_index, "runtime"), "loop_turns");
+    // The message that cut the last turn's sleep short, if one did.
+    let mut woken_by: Option<Inbound> = None;
 
-    while !stop.load(Ordering::SeqCst) {
+    loop {
+        turns.inc();
         let now = now_ns(epoch);
         let mut did_work = false;
 
-        // Accept new connections.
-        while let Ok((conn_id, endpoint)) = registrar.try_recv() {
-            clients.insert(conn_id, ClientSlot { endpoint });
+        // Everything that has arrived, the waker first.
+        let arrived = std::iter::from_fn(|| inbox.try_recv().ok());
+        for inbound in woken_by.take().into_iter().chain(arrived) {
             did_work = true;
-        }
-
-        // Drain client messages.
-        while let Ok((conn_id, msg)) = inbox.try_recv() {
-            did_work = true;
+            let (conn_id, msg) = match inbound {
+                Inbound::Register(conn_id, endpoint) => {
+                    clients.insert(conn_id, endpoint);
+                    continue;
+                }
+                Inbound::Client(conn_id, msg) => (conn_id, msg),
+                Inbound::Stop => return,
+            };
             match msg {
                 ClientMessage::Hello { meta } | ClientMessage::Heartbeat { meta, .. } => {
                     core.heartbeat(meta, now);
-                    if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                        let _ = c.endpoint.send(ServerMessage::Ack {
+                    reply(
+                        &clients,
+                        conn_id,
+                        ServerMessage::Ack {
                             policy: core.policy().to_string(),
                             epoch: core.policy_epoch(),
-                        });
-                    }
+                        },
+                    );
                 }
                 ClientMessage::Bye { meta } => {
                     core.client_bye(meta, now);
                 }
                 ClientMessage::SetPolicy { request_id, policy } => {
-                    let reply = match core.set_policy(policy) {
+                    let policy_reply = match core.set_policy(policy) {
                         Ok(epoch) => ServerMessage::PolicyChanged {
                             request_id,
                             policy: core.policy().clone(),
@@ -261,18 +257,18 @@ fn server_loop(
                             reason: e.to_string(),
                         },
                     };
-                    if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                        let _ = c.endpoint.send(reply);
-                    }
+                    reply(&clients, conn_id, policy_reply);
                 }
                 ClientMessage::GetPolicy { request_id } => {
-                    if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                        let _ = c.endpoint.send(ServerMessage::PolicyChanged {
+                    reply(
+                        &clients,
+                        conn_id,
+                        ServerMessage::PolicyChanged {
                             request_id,
                             policy: core.policy().clone(),
                             epoch: core.policy_epoch(),
-                        });
-                    }
+                        },
+                    );
                 }
                 ClientMessage::Io {
                     request_id,
@@ -337,12 +333,14 @@ fn server_loop(
         for ready in core.poll(now) {
             did_work = true;
             if let Some((conn_id, request_id)) = reply_route.remove(&ready.request_id) {
-                if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                    let _ = c.endpoint.send(ServerMessage::IoReply {
+                reply(
+                    &clients,
+                    conn_id,
+                    ServerMessage::IoReply {
                         request_id,
                         reply: ready.reply,
-                    });
-                }
+                    },
+                );
             }
         }
 
@@ -350,37 +348,60 @@ fn server_loop(
         for stage in core.take_stage_replies() {
             did_work = true;
             if let Some((conn_id, request_id)) = reply_route.remove(&stage.request_id) {
-                if let Some(c) = ensure_client(&mut clients, &registrar, conn_id) {
-                    let _ = c.endpoint.send(ServerMessage::Stage {
+                reply(
+                    &clients,
+                    conn_id,
+                    ServerMessage::Stage {
                         request_id,
                         reply: stage.reply,
-                    });
-                }
+                    },
+                );
             }
         }
 
-        // Job monitor timeout scan + λ-sync.
-        core.expire_jobs(now);
+        // λ-sync, then the job monitor's timeout check (after the merge, so
+        // the turn ends with the expiry bound the merge reset made exact
+        // again). Alone in the fabric there is nobody to tell and nothing to
+        // hear: the round is only marked.
         if core.sync_due(now) {
-            fabric.broadcast(
-                my_index,
-                PeerMessage::JobTable {
-                    from_server: my_index,
-                    table: core.local_table(),
-                    sent_ns: now,
-                },
-            );
-            let peer_tables: Vec<_> = fabric
-                .drain(my_index)
-                .into_iter()
-                .map(|PeerMessage::JobTable { table, .. }| table)
-                .collect();
-            core.absorb_peer_tables(peer_tables.iter(), now);
+            if fabric.len() == 1 {
+                core.absorb_peer_tables(std::iter::empty(), now);
+            } else {
+                fabric.broadcast(
+                    my_index,
+                    PeerMessage::JobTable {
+                        from_server: my_index,
+                        table: core.local_table(),
+                        sent_ns: now,
+                    },
+                );
+                let peer_tables: Vec<_> = fabric
+                    .drain(my_index)
+                    .into_iter()
+                    .map(|PeerMessage::JobTable { table, .. }| table)
+                    .collect();
+                core.absorb_peer_tables(peer_tables.iter(), now);
+            }
         }
+        core.expire_jobs(now);
 
-        if !did_work {
-            std::thread::sleep(Duration::from_micros(100));
+        if did_work {
+            continue;
         }
+        // Nothing to do: sleep on the inbox until the core next needs the
+        // processor. The message that ends the sleep early opens the next
+        // turn.
+        let woken = match core.next_deadline_ns(now) {
+            Some(deadline) => {
+                inbox.recv_timeout(Duration::from_nanos(deadline.saturating_sub(now_ns(epoch))))
+            }
+            None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        woken_by = match woken {
+            Ok(inbound) => Some(inbound),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
     }
 }
 
@@ -388,7 +409,179 @@ fn server_loop(
 mod tests {
     use super::*;
     use themis_core::entity::JobMeta;
-    use themis_net::message::{FsOp, FsReply};
+    use themis_core::sync::SyncConfig;
+    use themis_device::DeviceConfig;
+    use themis_fs::StripeConfig;
+    use themis_net::message::{FsOp, FsReply, StageReply};
+    use themis_stage::StagingConfig;
+
+    const REPLY: Duration = Duration::from_secs(5);
+
+    /// A configuration whose only self-made deadline is a minute away, so a
+    /// test can tell a server that wakes for its input from one that is
+    /// merely woken by the next λ round.
+    fn quiet_config() -> ServerConfig {
+        ServerConfig {
+            sync: SyncConfig::from_millis(60_000),
+            ..ServerConfig::default()
+        }
+    }
+
+    /// Waits out `quiet` on a connection nothing should arrive on.
+    fn stay_idle(conn: &ClientConnection, quiet: Duration) {
+        let unexpected = conn.recv_timeout(quiet);
+        assert!(unexpected.is_none(), "unprompted {unexpected:?}");
+    }
+
+    /// `loop_turns` of every server, read through server 0's control plane.
+    fn loop_turns(conn: &ClientConnection, servers: usize) -> Vec<u64> {
+        conn.send(ClientMessage::MetricsSnapshot { request_id: 0 });
+        match conn.recv_timeout(REPLY) {
+            Some(ServerMessage::Stage {
+                reply: StageReply::Metrics(snap),
+                ..
+            }) => (0..servers as u32)
+                .map(|s| snap.counter(s, 0, "runtime", "loop_turns"))
+                .collect(),
+            other => panic!("expected a metrics snapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_idle_deployment_makes_next_to_no_loop_turns() {
+        let dep = Deployment::start(4, |_| quiet_config());
+        let conn = dep.connect(0);
+        let before = loop_turns(&conn, 4);
+        stay_idle(&conn, Duration::from_millis(300));
+        let after = loop_turns(&conn, 4);
+        // The sleeping loop of old made some 2 000 turns per server in this
+        // window. Server 0 is allowed the turns the two snapshots cost it.
+        for (server, (b, a)) in before.iter().zip(&after).enumerate() {
+            assert!(
+                a - b <= 4,
+                "server {server} made {} turns while idle",
+                a - b
+            );
+        }
+        dep.shutdown();
+    }
+
+    #[test]
+    fn shutdown_of_an_idle_deployment_is_prompt() {
+        let dep = Deployment::start(4, |_| quiet_config());
+        let conn = dep.connect(0);
+        // Long enough for every server to have gone to sleep on its inbox,
+        // a minute away from its next deadline.
+        stay_idle(&conn, Duration::from_millis(50));
+        let t0 = Instant::now();
+        dep.shutdown();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+        assert!(conn.recv().is_none(), "a stopped server hangs up");
+    }
+
+    #[test]
+    fn a_connection_opened_after_idleness_is_answered() {
+        let dep = Deployment::start(2, |_| quiet_config());
+        stay_idle(&dep.connect(0), Duration::from_millis(200));
+        for server in 0..2 {
+            let conn = dep.connect(server);
+            let meta = JobMeta::new(1u64, 1u32, 1u32, 4);
+            conn.send(ClientMessage::Hello { meta });
+            assert!(
+                matches!(conn.recv_timeout(REPLY), Some(ServerMessage::Ack { .. })),
+                "server {server} slept through a registration and its hello"
+            );
+        }
+        dep.shutdown();
+    }
+
+    /// Once a flush is in the server's hands nothing else arrives: the
+    /// drain's admission, its device slot and its capacity-tier write must
+    /// all be waited for by the server itself. With two servers the writer's
+    /// server is not the owner of every stripe, and the owner — which is
+    /// never sent a single request before its shard is clean — has to notice
+    /// the peer's write on its own.
+    #[test]
+    fn staged_servers_finish_a_flush_with_no_further_traffic() {
+        const STRIPE: u64 = 64 << 10;
+        const FILE: u64 = 4 * STRIPE;
+        for servers in [1usize, 2] {
+            let dep = Deployment::start(servers, |_| ServerConfig {
+                staging: Some(StagingConfig {
+                    backing_device: DeviceConfig::capacity_hdd(),
+                    ..StagingConfig::default()
+                }),
+                ..quiet_config()
+            });
+            let meta = JobMeta::new(1u64, 1u32, 1u32, 4);
+            let writer = dep.connect(0);
+            let io = |request_id: u64, op: FsOp| {
+                writer.send(ClientMessage::Io {
+                    request_id,
+                    meta,
+                    op,
+                });
+                match writer.recv_timeout(REPLY) {
+                    Some(ServerMessage::IoReply { reply, .. }) => reply,
+                    other => panic!("request {request_id}: {other:?}"),
+                }
+            };
+            let path = "/ckpt".to_string();
+            let stripe = StripeConfig::new(STRIPE, servers);
+            let created = io(
+                1,
+                FsOp::CreateStriped {
+                    path: path.clone(),
+                    stripe,
+                },
+            );
+            assert!(matches!(created, FsReply::Ok), "{created:?}");
+            let wrote = io(
+                2,
+                FsOp::WriteAt {
+                    path: path.clone(),
+                    offset: 0,
+                    data: vec![7u8; FILE as usize],
+                },
+            );
+            assert!(matches!(wrote, FsReply::Count(n) if n == FILE), "{wrote:?}");
+
+            if servers == 2 {
+                let layout = dep.fs().layout_of(&path).unwrap();
+                let owners: Vec<_> = (0..4).map(|s| layout.server_for_stripe(s)).collect();
+                assert!(
+                    owners.iter().any(|o| o.map(|id| id.0) == Some(1)),
+                    "no stripe landed on the peer's shard: {owners:?}"
+                );
+                let t0 = Instant::now();
+                while dep.fs().dirty_bytes_on(1) > 0 {
+                    assert!(t0.elapsed() < REPLY, "server 1 never drained its shard");
+                    stay_idle(&writer, Duration::from_millis(1));
+                }
+            }
+
+            let conns: Vec<_> = (0..servers).map(|s| dep.connect(s)).collect();
+            for conn in &conns {
+                conn.send(ClientMessage::Flush {
+                    request_id: 9,
+                    meta,
+                    path: path.clone(),
+                });
+            }
+            for (server, conn) in conns.iter().enumerate() {
+                match conn.recv_timeout(REPLY) {
+                    Some(ServerMessage::Stage {
+                        request_id: 9,
+                        reply: StageReply::Flushed { .. },
+                    }) => {}
+                    other => panic!("server {server} of {servers}: {other:?}"),
+                }
+                assert_eq!(dep.fs().dirty_bytes_on(server), 0);
+            }
+            dep.shutdown();
+        }
+    }
 
     #[test]
     fn deployment_serves_io_end_to_end() {
