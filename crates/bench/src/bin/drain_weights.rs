@@ -12,7 +12,7 @@
 //!
 //! Run with `cargo run --release -p themis-bench --bin drain_weights`. The
 //! machine-readable summary of this experiment (plus the restore-side one)
-//! is emitted by the `restore_interference` bin's `--json` flag.
+//! is emitted by the `sched_scaling` bin's `--json` flag.
 
 use themis_bench::experiments::run_drain;
 use themis_device::DeviceConfig;

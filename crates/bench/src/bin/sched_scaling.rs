@@ -36,9 +36,8 @@
 //! [`BenchReport`]: themis_bench::experiments::BenchReport
 
 use themis_bench::experiments::{
-    drain_experiment, emit_and_gate, flag_value, rebalance_experiment, replicate_experiment,
-    restore_experiment, sched_cardinality_point, scrub_experiment, select_flatness_pair,
-    staged_select_at_cardinality, staged_select_wallclock_pair, BenchReport, ScalingNumbers,
+    emit_and_gate, flag_value, sched_cardinality_point, select_flatness_pair,
+    staged_select_at_cardinality, BenchReport, ScalingNumbers,
 };
 
 fn main() {
@@ -90,24 +89,14 @@ fn main() {
     // pair still need measuring. The gated select keys come from the
     // interleaved pair, not the sweep table: the flatness gate divides
     // them, so they must share thermal/frequency conditions.
-    let scaling = ScalingNumbers {
+    let report = BenchReport::measure_with(ScalingNumbers {
         select_ns_1e3_jobs: pair_1e3,
         select_ns_1e4_jobs: sweep[1].1.select_ns,
         select_ns_1e5_jobs: pair_1e5,
         refresh_ns_1e5_jobs: sweep[2].1.refresh_ns,
         enqueue_ns_1e5_jobs: sweep[2].1.enqueue_ns,
         staged_select_ns_1e5_jobs: staged_1e5,
-    };
-    let (select_ns, telemetry_ns) = staged_select_wallclock_pair();
-    let report = BenchReport::from_parts(
-        drain_experiment(),
-        restore_experiment(),
-        scrub_experiment(),
-        rebalance_experiment(),
-        replicate_experiment(),
-        scaling,
-        (select_ns, telemetry_ns),
-    );
+    });
     std::process::exit(emit_and_gate(
         &report,
         json_path.as_deref(),

@@ -1,14 +1,13 @@
 //! Shared perf-trajectory experiments and their machine-readable report.
 //!
-//! Six bins consume this module: `drain_weights` (stage-out
-//! interference), `restore_interference` (stage-in interference),
-//! `scrub_interference` (maintenance-class interference),
-//! `rebalance_interference` (shard-migration interference),
-//! `replicate_interference` (durability-replication interference) and
-//! `sched_scaling` (production-cardinality scheduler latency); all but
-//! the first can emit the combined [`BenchReport`] as flat JSON
-//! (`BENCH_pr10.json`) and gate themselves against a committed baseline
-//! (`crates/bench/baseline.json`) — the CI `bench` job's regression check.
+//! Three bins consume this module: `drain_weights` (stage-out
+//! interference), `class_interference --class <name>` (stage-in,
+//! maintenance-class, shard-migration and durability-replication
+//! interference, one [`CLASS_INTERFERENCE`] row each) and `sched_scaling`
+//! (production-cardinality scheduler latency), which emits the combined
+//! [`BenchReport`] as flat JSON (`BENCH_pr10.json`) and gates it against a
+//! committed baseline (`crates/bench/baseline.json`) — the CI `bench` job's
+//! regression check.
 //! The interference numbers are driven by the deterministic simulator, so
 //! they are bit-stable for a given code revision and a regression is
 //! attributable to a code change, not noise. The report also carries
@@ -16,7 +15,7 @@
 //! the three-lane [`StagedEngine`](themis_stage::StagedEngine)
 //! select/complete hot path ([`staged_select_wallclock_pair`]) and the
 //! per-op scheduler cost at 10³/10⁴/10⁵ backlogged jobs
-//! ([`scaling_experiment`]). Wall-clock numbers are machine-dependent, so
+//! ([`ScalingNumbers`]). Wall-clock numbers are machine-dependent, so
 //! most are reported but not gated against the baseline; the exceptions
 //! are `select_ns_1e5_jobs` (gated with an absolute-nanosecond floor wide
 //! enough for machine drift — an O(n) scan sneaking back into `next()`
@@ -31,6 +30,7 @@ use themis_core::policy::Policy;
 use themis_device::DeviceConfig;
 use themis_sim::metrics::NS_PER_SEC;
 use themis_sim::{OpPattern, SimConfig, SimJob, SimStagingConfig, Simulation};
+use themis_stage::TrafficClass;
 
 /// The machine-readable perf snapshot of one revision: foreground slowdown
 /// under weighted drain and restore pressure, sustained class bandwidth,
@@ -142,53 +142,40 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Runs every experiment (sim-derived interference numbers plus the
-    /// wall-clock scheduler micro-benchmark).
-    pub fn measure() -> Self {
-        Self::from_parts(
-            drain_experiment(),
-            restore_experiment(),
-            scrub_experiment(),
-            rebalance_experiment(),
-            replicate_experiment(),
-            scaling_experiment(),
-            staged_select_wallclock_pair(),
-        )
-    }
-
-    /// Assembles the report from already-measured parts — for bins that ran
-    /// (and printed) some experiments themselves and must not run them a
-    /// second time. `staged_wallclock` is the `(plain, telemetry)` ns/op
-    /// pair exactly as [`staged_select_wallclock_pair`] returns it — the
-    /// two halves gate against each other, so they travel together.
-    pub fn from_parts(
-        drain: DrainNumbers,
-        restore: RestoreNumbers,
-        scrub: ScrubNumbers,
-        rebalance: RebalanceNumbers,
-        replicate: ReplicateNumbers,
-        scaling: ScalingNumbers,
-        staged_wallclock: (f64, f64),
-    ) -> Self {
-        let (staged_select_ns, staged_select_telemetry_ns) = staged_wallclock;
+    /// Runs every sim-derived interference experiment and the wall-clock
+    /// `(plain, telemetry)` staged-select pair, and joins them with the
+    /// cardinality `scaling` numbers the caller already measured (the
+    /// `sched_scaling` bin prints its sweep first and must not run it twice).
+    pub fn measure_with(scaling: ScalingNumbers) -> Self {
+        let drain = drain_experiment();
+        let restore = restore_experiment();
+        let [scrub, rebalance, replicate] = [
+            TrafficClass::Scrub,
+            TrafficClass::Rebalance,
+            TrafficClass::Replicate,
+        ]
+        .map(|class| ClassInterference::of(class).experiment());
+        // The two halves gate against each other, so they are measured
+        // together.
+        let (staged_select_ns, staged_select_telemetry_ns) = staged_select_wallclock_pair();
         BenchReport {
             drain_fg_slowdown_pct_1_1: drain.fg_slowdown_pct_1_1,
             drain_fg_slowdown_pct_8_1: drain.fg_slowdown_pct_8_1,
             drain_drained_mib_s_8_1: drain.drained_mib_s_8_1,
-            restore_fg_slowdown_pct_1_1: restore.fg_slowdown_pct_1_1,
-            restore_fg_slowdown_pct_8_1: restore.fg_slowdown_pct_8_1,
-            restore_restored_mib_s_8_1: restore.restored_mib_s_8_1,
+            restore_fg_slowdown_pct_1_1: restore.interference.fg_slowdown_pct_1_1,
+            restore_fg_slowdown_pct_8_1: restore.interference.fg_slowdown_pct_8_1,
+            restore_restored_mib_s_8_1: restore.interference.moved_mib_s_8_1,
             restore_fg_p99_ms_8_1: restore.fg_p99_ms_8_1,
             restore_reader_p99_ms_8_1: restore.reader_p99_ms_8_1,
             scrub_fg_slowdown_pct_1_1: scrub.fg_slowdown_pct_1_1,
             scrub_fg_slowdown_pct_8_1: scrub.fg_slowdown_pct_8_1,
-            scrub_scrubbed_mib_s_8_1: scrub.scrubbed_mib_s_8_1,
+            scrub_scrubbed_mib_s_8_1: scrub.moved_mib_s_8_1,
             rebalance_fg_slowdown_pct_1_1: rebalance.fg_slowdown_pct_1_1,
             rebalance_fg_slowdown_pct_8_1: rebalance.fg_slowdown_pct_8_1,
-            rebalance_migrated_mib_s_8_1: rebalance.migrated_mib_s_8_1,
+            rebalance_migrated_mib_s_8_1: rebalance.moved_mib_s_8_1,
             replicate_fg_slowdown_pct_1_1: replicate.fg_slowdown_pct_1_1,
             replicate_fg_slowdown_pct_8_1: replicate.fg_slowdown_pct_8_1,
-            replicate_replicated_mib_s_8_1: replicate.replicated_mib_s_8_1,
+            replicate_replicated_mib_s_8_1: replicate.moved_mib_s_8_1,
             staged_select_ns,
             staged_select_telemetry_ns,
             select_ns_1e3_jobs: scaling.select_ns_1e3_jobs,
@@ -514,28 +501,44 @@ pub fn drain_experiment() -> DrainNumbers {
     }
 }
 
-/// Stage-in interference numbers: a checkpointer against a reader whose
-/// working set was fully evicted (every read waits on a policy-admitted
-/// restore).
-pub struct RestoreNumbers {
-    /// Checkpoint time with the reader hitting resident data (seconds).
+/// Interference numbers of one background class: a premium checkpointer
+/// against the class at foreground:class 1:1 and 8:1, relative to the run
+/// with the class idle.
+pub struct InterferenceNumbers {
+    /// Checkpoint time with the class idle (seconds).
     pub baseline_secs: f64,
-    /// Slowdown (%) at foreground:restore 1:1.
+    /// Slowdown (%) at foreground:class 1:1.
     pub fg_slowdown_pct_1_1: f64,
-    /// Slowdown (%) at foreground:restore 8:1.
+    /// Slowdown (%) at foreground:class 8:1.
     pub fg_slowdown_pct_8_1: f64,
-    /// Restored MiB/s over the 8:1 storm run.
-    pub restored_mib_s_8_1: f64,
+    /// MiB/s the class moved over the 8:1 run.
+    pub moved_mib_s_8_1: f64,
+}
+
+/// Stage-in interference numbers: the restore class's
+/// [`InterferenceNumbers`] plus the tail latencies of the storm — the only
+/// experiment with a second, deliberately gated tenant.
+pub struct RestoreNumbers {
+    /// Slowdowns and restored MiB/s.
+    pub interference: InterferenceNumbers,
     /// Checkpointer p99 (ms) under the 8:1 storm.
     pub fg_p99_ms_8_1: f64,
     /// Gated reader p99 (ms) under the 8:1 storm.
     pub reader_p99_ms_8_1: f64,
 }
 
-/// Runs the restore workload: 1 GiB of checkpoint writes racing 512 MiB of
-/// reads that miss at `miss_rate`, both classes weighted `weight`:1.
-pub fn run_restore(weight: u32, miss_rate: f64) -> themis_sim::SimResult {
-    let checkpointer = SimJob::new(
+/// The standing backlog of the maintenance-class experiments: 4 GiB of
+/// extents left by *previous* runs — unverified (scrub), on the wrong side
+/// of a shard-map split (rebalance), or acked `local_plus_one` with their
+/// replicas still owed (replicate). A standing backlog is what makes the
+/// foreground:class weight bind — with only this run's drains to chase, the
+/// lane empties between trickle-fed chunks and rides the idle-expansion
+/// path, and the weight never engages.
+pub const CLASS_BACKLOG_BYTES: u64 = 4 << 30;
+
+/// The 16-rank, 1 GiB checkpoint writer every class experiment protects.
+fn checkpointer() -> SimJob {
+    SimJob::new(
         JobMeta::new(1u64, 1u32, 1u32, 8),
         16,
         OpPattern::WriteOnly {
@@ -543,7 +546,44 @@ pub fn run_restore(weight: u32, miss_rate: f64) -> themis_sim::SimResult {
         },
     )
     .with_max_ops(64)
-    .with_queue_depth(4);
+    .with_queue_depth(4)
+}
+
+/// Runs `jobs` on one server under `staging`.
+///
+/// The checkpointer (user 1) is the premium tenant at 8:1, so the measured
+/// slowdown isolates what the background *class* costs the protected
+/// foreground — with an even split, a second tenant's shed share would make
+/// a storm run *faster* than baseline and the slowdown number would never
+/// bind.
+fn run_class(jobs: Vec<SimJob>, staging: SimStagingConfig) -> themis_sim::SimResult {
+    let config = SimConfig {
+        staging: Some(staging),
+        ..SimConfig::new(
+            1,
+            Algorithm::Themis("user[8]-fair".parse().expect("valid DSL")),
+        )
+    };
+    Simulation::new(config, jobs).run()
+}
+
+/// The staging configuration the class experiments share: a capacity tier
+/// as fast as the burst buffer (so the weight, not the tier, is the binding
+/// constraint), drain at 8:1, 8 MiB chunks four deep.
+fn class_staging() -> SimStagingConfig {
+    SimStagingConfig {
+        backing_device: DeviceConfig::optane_ssd(),
+        drain_weight: 8,
+        drain_chunk_bytes: 8 << 20,
+        max_inflight: 4,
+        ..SimStagingConfig::default()
+    }
+}
+
+/// The restore workload: the checkpoint racing 512 MiB of reads whose
+/// working set was fully evicted when `active` (every read waits on a
+/// policy-admitted restore), drain and restore both at `weight`:1.
+fn run_restore(weight: u32, active: bool) -> themis_sim::SimResult {
     let reader = SimJob::new(
         JobMeta::new(2u64, 2u32, 1u32, 8),
         8,
@@ -553,290 +593,201 @@ pub fn run_restore(weight: u32, miss_rate: f64) -> themis_sim::SimResult {
     )
     .with_max_ops(64)
     .with_queue_depth(4);
-    let config = SimConfig {
-        staging: Some(SimStagingConfig {
-            backing_device: DeviceConfig::optane_ssd(),
-            drain_weight: weight,
-            restore_weight: weight,
-            restore_miss_rate: miss_rate,
-            drain_chunk_bytes: 8 << 20,
-            max_inflight: 4,
-            ..SimStagingConfig::default()
-        }),
-        // The checkpointer (user 1) is the premium tenant at 8:1, so the
-        // reader's foreground competition is small in the no-restore
-        // baseline and the measured slowdown isolates what the restore
-        // *class* costs the protected foreground — with an even split the
-        // gated reader's shed share would make the storm run *faster* than
-        // baseline and the slowdown number would never bind.
-        ..SimConfig::new(
-            1,
-            Algorithm::Themis("user[8]-fair".parse().expect("valid DSL")),
-        )
+    let staging = SimStagingConfig {
+        drain_weight: weight,
+        restore_weight: weight,
+        restore_miss_rate: if active { 1.0 } else { 0.0 },
+        ..class_staging()
     };
-    Simulation::new(config, vec![checkpointer, reader]).run()
+    run_class(vec![checkpointer(), reader], staging)
 }
 
-/// Maintenance-class interference numbers: a premium checkpointer against
-/// the background checksum scrubber verifying every drained byte.
-pub struct ScrubNumbers {
-    /// Checkpoint time with scrubbing disabled (seconds).
-    pub baseline_secs: f64,
-    /// Slowdown (%) at foreground:scrub 1:1.
-    pub fg_slowdown_pct_1_1: f64,
-    /// Slowdown (%) at foreground:scrub 8:1.
-    pub fg_slowdown_pct_8_1: f64,
-    /// Verified MiB/s over the 8:1 run.
-    pub scrubbed_mib_s_8_1: f64,
+/// The scrub workload: the checkpoint racing one pass over the
+/// [backlog](CLASS_BACKLOG_BYTES) plus this run's drained bytes.
+fn run_scrub(weight: u32, active: bool) -> themis_sim::SimResult {
+    let staging = SimStagingConfig {
+        scrub_weight: weight,
+        scrub_enabled: active,
+        scrub_backlog_bytes: CLASS_BACKLOG_BYTES,
+        ..class_staging()
+    };
+    run_class(vec![checkpointer()], staging)
 }
 
-/// The deep-tier boot backlog of the scrub experiments: 4 GiB of extents
-/// drained by *previous* runs that this run's pass must also verify. A
-/// standing backlog is what makes the foreground:scrub weight bind — with
-/// only this run's drains to chase, the lane empties between trickle-fed
-/// chunks and rides the idle-expansion path, and the weight never engages.
-pub const SCRUB_DEEP_TIER_BYTES: u64 = 4 << 30;
+/// The rebalance workload: the checkpoint racing the migration of the
+/// [backlog](CLASS_BACKLOG_BYTES). The reshard fires at t=0 so the migration
+/// competes for the whole checkpoint window — the worst-case phase
+/// alignment.
+fn run_rebalance(weight: u32, active: bool) -> themis_sim::SimResult {
+    let staging = SimStagingConfig {
+        rebalance_weight: weight,
+        rebalance_enabled: active,
+        rebalance_backlog_bytes: CLASS_BACKLOG_BYTES,
+        reshard_at_ns: 0,
+        ..class_staging()
+    };
+    run_class(vec![checkpointer()], staging)
+}
 
-/// Runs the scrub workload: a 1 GiB premium checkpoint racing a scrub pass
-/// over a [deep tier](SCRUB_DEEP_TIER_BYTES) (boot backlog plus this run's
-/// drained bytes), scrub at `scrub_weight`:1 when `enabled`.
-pub fn run_scrub(scrub_weight: u32, enabled: bool) -> themis_sim::SimResult {
-    let checkpointer = SimJob::new(
-        JobMeta::new(1u64, 1u32, 1u32, 8),
-        16,
-        OpPattern::WriteOnly {
-            bytes_per_op: 1 << 20,
+/// The replicate workload: the checkpoint, every byte of which owes a
+/// replica, racing the pay-down of the [backlog](CLASS_BACKLOG_BYTES).
+fn run_replicate(weight: u32, active: bool) -> themis_sim::SimResult {
+    let staging = SimStagingConfig {
+        replicate_weight: weight,
+        replicate_enabled: active,
+        replicate_fraction: 1.0,
+        replicate_backlog_bytes: CLASS_BACKLOG_BYTES,
+        ..class_staging()
+    };
+    run_class(vec![checkpointer()], staging)
+}
+
+/// One row of the interference table: how to run a class's experiment, which
+/// counter it moved, and how the `class_interference` bin words its report.
+pub struct ClassInterference {
+    /// The class under test (`--class` matches its registry name).
+    pub class: TrafficClass,
+    /// Runs the workload at foreground:class `weight`:1; with `active` false
+    /// the class has nothing to do (the baseline).
+    pub run: fn(weight: u32, active: bool) -> themis_sim::SimResult,
+    /// The bytes the class moved in a run.
+    pub moved_bytes: fn(&themis_sim::SimResult) -> u64,
+    /// Verb of the moved bytes, as the report key spells it
+    /// (`<class>_<verb>_mib_s_8_1`).
+    pub verb: &'static str,
+    /// What the experiment sets against the checkpoint.
+    pub setup: &'static str,
+    /// Label of the baseline row.
+    pub baseline: &'static str,
+    /// What else a table row reports about a run.
+    pub detail: fn(&themis_sim::SimResult) -> String,
+    /// The conclusion the numbers support.
+    pub takeaway: &'static str,
+}
+
+fn finished_at(result: &themis_sim::SimResult) -> f64 {
+    result.sim_end_ns as f64 / 1e9
+}
+
+/// The interference experiments, one row per class, in registry order.
+pub const CLASS_INTERFERENCE: [ClassInterference; 4] = [
+    ClassInterference {
+        class: TrafficClass::Restore,
+        run: run_restore,
+        moved_bytes: |r| r.restored_bytes,
+        verb: "restored",
+        setup: "an 8-rank reader streaming 512 MiB whose working set was fully evicted:\n\
+                every read waits for a policy-admitted restore of equal size",
+        baseline: "no restores (reads all hit)",
+        detail: |r| {
+            format!(
+                "reader done at {:>7.3} s  reader p99 {:>7.2} ms",
+                r.job_finish_ns[&JobId(2)] as f64 / 1e9,
+                r.tenant_latency(JobId(2)).p99_ns as f64 / 1e6
+            )
         },
-    )
-    .with_max_ops(64)
-    .with_queue_depth(4);
-    let config = SimConfig {
-        staging: Some(SimStagingConfig {
-            backing_device: DeviceConfig::optane_ssd(),
-            drain_weight: 8,
-            scrub_weight,
-            scrub_enabled: enabled,
-            scrub_backlog_bytes: SCRUB_DEEP_TIER_BYTES,
-            drain_chunk_bytes: 8 << 20,
-            max_inflight: 4,
-            ..SimStagingConfig::default()
-        }),
-        // The checkpointer is the premium tenant, as in the restore
-        // experiment, so the slowdown number isolates what the maintenance
-        // class costs the protected foreground.
-        ..SimConfig::new(
-            1,
-            Algorithm::Themis("user[8]-fair".parse().expect("valid DSL")),
-        )
-    };
-    Simulation::new(config, vec![checkpointer]).run()
-}
+        takeaway: "the reader is deliberately gated to restore bandwidth; at 1:1 the storm\n  \
+                   legitimately takes half the device. Before stage-in was policy-admitted,\n  \
+                   the same storm dispatched raw on the DeviceTimeline and was unbounded.",
+    },
+    ClassInterference {
+        class: TrafficClass::Scrub,
+        run: run_scrub,
+        moved_bytes: |r| r.scrubbed_bytes,
+        verb: "scrubbed",
+        setup: "a scrub pass over a deep tier: a 4 GiB boot backlog plus this run's\n\
+                drains, every byte re-read and verified against its write-back checksum",
+        baseline: "scrubbing disabled",
+        detail: |r| {
+            format!(
+                "{} mismatches  pass done at {:>7.3} s",
+                r.scrub_errors,
+                finished_at(r)
+            )
+        },
+        takeaway: "every drained byte is still verified before the run quiesces. Scrub is\n  \
+                   synthesized from *tier state* rather than client traffic — the same\n  \
+                   two-level WFQ bounds it without any new mechanism.",
+    },
+    ClassInterference {
+        class: TrafficClass::Rebalance,
+        run: run_rebalance,
+        moved_bytes: |r| r.migrated_bytes,
+        verb: "migrated",
+        setup: "the migration of a 4 GiB backlog whose range changed owner when the shard\n\
+                map split at t=0: each chunk read verified off its old holder and\n\
+                rewritten onto the new replica set",
+        baseline: "rebalancing disabled",
+        detail: |r| format!("pass done at {:>7.3} s", finished_at(r)),
+        takeaway: "the whole backlog still lands on its new replica set before the run\n  \
+                   quiesces: resharding is bounded by its policy weight like every\n  \
+                   other class.",
+    },
+    ClassInterference {
+        class: TrafficClass::Replicate,
+        run: run_replicate,
+        moved_bytes: |r| r.replicated_bytes,
+        verb: "replicated",
+        setup: "the pay-down of a 4 GiB boot debt plus this run's writes, all acked\n\
+                local_plus_one: each copy read verified off the burst tier and written\n\
+                onto the replica tier",
+        baseline: "replication disabled",
+        detail: |r| format!("lag zero at {:>7.3} s", finished_at(r)),
+        takeaway: "the whole durability debt still lands on the replica tier before the\n  \
+                   run quiesces. Replication is policy, not mechanism: a write's\n  \
+                   durability class only decides which bytes owe a copy.",
+    },
+];
 
-/// Distils three already-run scrub workloads (scrub-disabled baseline, 1:1,
-/// 8:1) into the report numbers — shared with the `scrub_interference` bin,
-/// which prints its table from the same runs and must not run them twice.
-pub fn scrub_numbers(
-    baseline: &themis_sim::SimResult,
-    even: &themis_sim::SimResult,
-    weighted: &themis_sim::SimResult,
-) -> ScrubNumbers {
-    let baseline_secs = baseline.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let even_secs = even.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let weighted_secs = weighted.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let weighted_span_secs = weighted.sim_end_ns as f64 / 1e9;
-    ScrubNumbers {
-        baseline_secs,
-        fg_slowdown_pct_1_1: (even_secs / baseline_secs - 1.0) * 100.0,
-        fg_slowdown_pct_8_1: (weighted_secs / baseline_secs - 1.0) * 100.0,
-        scrubbed_mib_s_8_1: weighted.scrubbed_bytes as f64 / (1 << 20) as f64 / weighted_span_secs,
+impl ClassInterference {
+    /// The row of `class`; drain has its own experiment ([`drain_experiment`]).
+    pub fn of(class: TrafficClass) -> &'static ClassInterference {
+        CLASS_INTERFERENCE
+            .iter()
+            .find(|row| row.class == class)
+            .expect("every class but drain has an interference row")
+    }
+
+    /// Distils three already-run workloads (baseline, 1:1, 8:1) into the
+    /// report numbers — shared with the `class_interference` bin, which
+    /// prints its table from the same runs and must not run them twice.
+    pub fn numbers(
+        &self,
+        baseline: &themis_sim::SimResult,
+        even: &themis_sim::SimResult,
+        weighted: &themis_sim::SimResult,
+    ) -> InterferenceNumbers {
+        let secs = |r: &themis_sim::SimResult| r.job_finish_ns[&JobId(1)] as f64 / 1e9;
+        let baseline_secs = secs(baseline);
+        InterferenceNumbers {
+            baseline_secs,
+            fg_slowdown_pct_1_1: (secs(even) / baseline_secs - 1.0) * 100.0,
+            fg_slowdown_pct_8_1: (secs(weighted) / baseline_secs - 1.0) * 100.0,
+            moved_mib_s_8_1: (self.moved_bytes)(weighted) as f64
+                / (1 << 20) as f64
+                / finished_at(weighted),
+        }
+    }
+
+    /// Runs the three workloads and distils them.
+    pub fn experiment(&self) -> InterferenceNumbers {
+        self.numbers(
+            &(self.run)(8, false),
+            &(self.run)(1, true),
+            &(self.run)(8, true),
+        )
     }
 }
 
-/// The scrub half of the report.
-pub fn scrub_experiment() -> ScrubNumbers {
-    scrub_numbers(
-        &run_scrub(8, false),
-        &run_scrub(1, true),
-        &run_scrub(8, true),
-    )
-}
-
-/// Shard-migration interference numbers: a premium checkpointer against the
-/// rebalance pass a mid-run reshard triggers.
-pub struct RebalanceNumbers {
-    /// Checkpoint time with rebalancing disabled (seconds).
-    pub baseline_secs: f64,
-    /// Slowdown (%) at foreground:rebalance 1:1.
-    pub fg_slowdown_pct_1_1: f64,
-    /// Slowdown (%) at foreground:rebalance 8:1.
-    pub fg_slowdown_pct_8_1: f64,
-    /// Migrated MiB/s over the 8:1 run.
-    pub migrated_mib_s_8_1: f64,
-}
-
-/// The migration backlog of the rebalance experiments: 4 GiB of extents
-/// whose range changed owner when the shard map split. Like the scrub's
-/// deep tier, a standing backlog keeps the rebalance lane continuously
-/// backlogged against the eligible foreground — the regime where the
-/// weight binds.
-pub const REBALANCE_BACKLOG_BYTES: u64 = 4 << 30;
-
-/// Runs the rebalance workload: a 1 GiB premium checkpoint racing the
-/// migration of a [resharded backlog](REBALANCE_BACKLOG_BYTES), the
-/// rebalance class at `weight`:1 when `enabled`. The reshard fires at t=0
-/// so the migration competes for the whole checkpoint window — the
-/// worst-case phase alignment.
-pub fn run_rebalance(weight: u32, enabled: bool) -> themis_sim::SimResult {
-    let checkpointer = SimJob::new(
-        JobMeta::new(1u64, 1u32, 1u32, 8),
-        16,
-        OpPattern::WriteOnly {
-            bytes_per_op: 1 << 20,
-        },
-    )
-    .with_max_ops(64)
-    .with_queue_depth(4);
-    let config = SimConfig {
-        staging: Some(SimStagingConfig {
-            backing_device: DeviceConfig::optane_ssd(),
-            drain_weight: 8,
-            rebalance_weight: weight,
-            rebalance_enabled: enabled,
-            rebalance_backlog_bytes: REBALANCE_BACKLOG_BYTES,
-            reshard_at_ns: 0,
-            drain_chunk_bytes: 8 << 20,
-            max_inflight: 4,
-            ..SimStagingConfig::default()
-        }),
-        // The checkpointer is the premium tenant, as in the scrub
-        // experiment, so the slowdown number isolates what the migration
-        // costs the protected foreground.
-        ..SimConfig::new(
-            1,
-            Algorithm::Themis("user[8]-fair".parse().expect("valid DSL")),
-        )
-    };
-    Simulation::new(config, vec![checkpointer]).run()
-}
-
-/// Distils three already-run rebalance workloads (disabled baseline, 1:1,
-/// 8:1) into the report numbers — shared with the `rebalance_interference`
-/// bin, which prints its table from the same runs and must not run them
-/// twice.
-pub fn rebalance_numbers(
-    baseline: &themis_sim::SimResult,
-    even: &themis_sim::SimResult,
-    weighted: &themis_sim::SimResult,
-) -> RebalanceNumbers {
-    let baseline_secs = baseline.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let even_secs = even.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let weighted_secs = weighted.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let weighted_span_secs = weighted.sim_end_ns as f64 / 1e9;
-    RebalanceNumbers {
-        baseline_secs,
-        fg_slowdown_pct_1_1: (even_secs / baseline_secs - 1.0) * 100.0,
-        fg_slowdown_pct_8_1: (weighted_secs / baseline_secs - 1.0) * 100.0,
-        migrated_mib_s_8_1: weighted.migrated_bytes as f64 / (1 << 20) as f64 / weighted_span_secs,
+/// The restore half of the report.
+pub fn restore_experiment() -> RestoreNumbers {
+    let row = ClassInterference::of(TrafficClass::Restore);
+    let storm = (row.run)(8, true);
+    RestoreNumbers {
+        interference: row.numbers(&(row.run)(8, false), &(row.run)(1, true), &storm),
+        fg_p99_ms_8_1: storm.tenant_latency(JobId(1)).p99_ns as f64 / 1e6,
+        reader_p99_ms_8_1: storm.tenant_latency(JobId(2)).p99_ns as f64 / 1e6,
     }
-}
-
-/// The rebalance half of the report.
-pub fn rebalance_experiment() -> RebalanceNumbers {
-    rebalance_numbers(
-        &run_rebalance(8, false),
-        &run_rebalance(1, true),
-        &run_rebalance(8, true),
-    )
-}
-
-/// Durability-replication interference numbers: a premium checkpointer
-/// whose every write owes an asynchronous replica, racing the replicate
-/// class through a deep boot backlog of copies owed by previous runs.
-pub struct ReplicateNumbers {
-    /// Checkpoint time with replication disabled (seconds).
-    pub baseline_secs: f64,
-    /// Slowdown (%) at foreground:replicate 1:1.
-    pub fg_slowdown_pct_1_1: f64,
-    /// Slowdown (%) at foreground:replicate 8:1.
-    pub fg_slowdown_pct_8_1: f64,
-    /// Replicated MiB/s over the 8:1 run.
-    pub replicated_mib_s_8_1: f64,
-}
-
-/// The boot replication debt of the replicate experiments: 4 GiB of dirty
-/// extents acked `local_plus_one` by *previous* runs whose replicas are
-/// still owed. Like the scrub deep tier and the rebalance backlog, a
-/// standing debt keeps the replicate lane continuously backlogged against
-/// the eligible foreground — the regime where the weight binds.
-pub const REPLICATE_BACKLOG_BYTES: u64 = 4 << 30;
-
-/// Runs the replicate workload: a 1 GiB premium checkpoint whose every byte
-/// owes a replica (`replicate_fraction` 1.0), racing the pay-down of a
-/// [boot debt](REPLICATE_BACKLOG_BYTES), the replicate class at `weight`:1
-/// when `enabled`.
-pub fn run_replicate(weight: u32, enabled: bool) -> themis_sim::SimResult {
-    let checkpointer = SimJob::new(
-        JobMeta::new(1u64, 1u32, 1u32, 8),
-        16,
-        OpPattern::WriteOnly {
-            bytes_per_op: 1 << 20,
-        },
-    )
-    .with_max_ops(64)
-    .with_queue_depth(4);
-    let config = SimConfig {
-        staging: Some(SimStagingConfig {
-            backing_device: DeviceConfig::optane_ssd(),
-            drain_weight: 8,
-            replicate_weight: weight,
-            replicate_enabled: enabled,
-            replicate_fraction: 1.0,
-            replicate_backlog_bytes: REPLICATE_BACKLOG_BYTES,
-            drain_chunk_bytes: 8 << 20,
-            max_inflight: 4,
-            ..SimStagingConfig::default()
-        }),
-        // The checkpointer is the premium tenant, as in the scrub and
-        // rebalance experiments, so the slowdown number isolates what paying
-        // the durability debt costs the protected foreground.
-        ..SimConfig::new(
-            1,
-            Algorithm::Themis("user[8]-fair".parse().expect("valid DSL")),
-        )
-    };
-    Simulation::new(config, vec![checkpointer]).run()
-}
-
-/// Distils three already-run replicate workloads (disabled baseline, 1:1,
-/// 8:1) into the report numbers — shared with the `replicate_interference`
-/// bin, which prints its table from the same runs and must not run them
-/// twice.
-pub fn replicate_numbers(
-    baseline: &themis_sim::SimResult,
-    even: &themis_sim::SimResult,
-    weighted: &themis_sim::SimResult,
-) -> ReplicateNumbers {
-    let baseline_secs = baseline.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let even_secs = even.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let weighted_secs = weighted.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let weighted_span_secs = weighted.sim_end_ns as f64 / 1e9;
-    ReplicateNumbers {
-        baseline_secs,
-        fg_slowdown_pct_1_1: (even_secs / baseline_secs - 1.0) * 100.0,
-        fg_slowdown_pct_8_1: (weighted_secs / baseline_secs - 1.0) * 100.0,
-        replicated_mib_s_8_1: weighted.replicated_bytes as f64
-            / (1 << 20) as f64
-            / weighted_span_secs,
-    }
-}
-
-/// The replicate half of the report.
-pub fn replicate_experiment() -> ReplicateNumbers {
-    replicate_numbers(
-        &run_replicate(8, false),
-        &run_replicate(1, true),
-        &run_replicate(8, true),
-    )
 }
 
 /// Production-cardinality scheduler numbers: wall-clock ns/op for the
@@ -1055,10 +1006,7 @@ pub fn staged_select_at_cardinality(jobs: usize) -> f64 {
     use themis_core::engine::PolicyEngine;
     use themis_core::job_table::JobTable;
     use themis_core::request::{Completion, IoRequest, OpKind};
-    use themis_stage::{
-        drain_meta, rebalance_meta, replicate_meta, restore_meta, scrub_meta, ClassWeights,
-        StagedEngine,
-    };
+    use themis_stage::{ClassWeights, StagedEngine};
 
     let policy = Policy::job_fair();
     let mut engine = StagedEngine::with_weights(
@@ -1077,11 +1025,11 @@ pub fn staged_select_at_cardinality(jobs: usize) -> f64 {
         seq += 1;
     }
     for bg in [
-        drain_meta(0),
-        restore_meta(0),
-        scrub_meta(0),
-        rebalance_meta(0),
-        replicate_meta(0),
+        TrafficClass::Drain.meta(0),
+        TrafficClass::Restore.meta(0),
+        TrafficClass::Scrub.meta(0),
+        TrafficClass::Rebalance.meta(0),
+        TrafficClass::Replicate.meta(0),
     ] {
         engine.admit(IoRequest::new(seq, bg, OpKind::Read, 1 << 20, 0));
         seq += 1;
@@ -1097,25 +1045,6 @@ pub fn staged_select_at_cardinality(jobs: usize) -> f64 {
         });
         engine.admit(request);
     })
-}
-
-/// The production-cardinality half of the report: the 10³/10⁴/10⁵ sweep
-/// plus the staged round at 10⁵ tenants. The gated 10³/10⁵ select pair is
-/// measured interleaved (see [`select_flatness_pair`]) so the flatness
-/// ratio is drift-free; the 10⁴ point and the enqueue/refresh columns are
-/// independent measurements.
-pub fn scaling_experiment() -> ScalingNumbers {
-    let p4 = sched_cardinality_point(10_000);
-    let p5 = sched_cardinality_point(100_000);
-    let (select_ns_1e3_jobs, select_ns_1e5_jobs) = select_flatness_pair();
-    ScalingNumbers {
-        select_ns_1e3_jobs,
-        select_ns_1e4_jobs: p4.select_ns,
-        select_ns_1e5_jobs,
-        refresh_ns_1e5_jobs: p5.refresh_ns,
-        enqueue_ns_1e5_jobs: p5.enqueue_ns,
-        staged_select_ns_1e5_jobs: staged_select_at_cardinality(100_000),
-    }
 }
 
 /// Builds the three-lane scheduler fixture the hot-path measurements run
@@ -1154,26 +1083,25 @@ pub fn staged_round(
 ) {
     use themis_core::engine::PolicyEngine;
     use themis_core::request::{Completion, IoRequest, OpKind};
-    use themis_stage::{drain_meta, restore_meta, scrub_meta};
 
     engine.admit(IoRequest::write(*seq, fg, 1 << 20, 0));
     engine.admit(IoRequest::new(
         *seq + 1,
-        drain_meta(0),
+        TrafficClass::Drain.meta(0),
         OpKind::Read,
         1 << 20,
         0,
     ));
     engine.admit(IoRequest::new(
         *seq + 2,
-        restore_meta(0),
+        TrafficClass::Restore.meta(0),
         OpKind::Write,
         1 << 20,
         0,
     ));
     engine.admit(IoRequest::new(
         *seq + 3,
-        scrub_meta(0),
+        TrafficClass::Scrub.meta(0),
         OpKind::Read,
         1 << 20,
         0,
@@ -1230,25 +1158,6 @@ pub fn staged_select_wallclock_pair() -> (f64, f64) {
         || staged_round(&mut et, &mut rt, fgt, &mut st),
     );
     (plain / 4.0, telemetry / 4.0)
-}
-
-/// The restore half of the report.
-pub fn restore_experiment() -> RestoreNumbers {
-    let baseline = run_restore(8, 0.0);
-    let baseline_secs = baseline.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let storm_even = run_restore(1, 1.0);
-    let storm = run_restore(8, 1.0);
-    let storm_secs = storm.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let storm_even_secs = storm_even.job_finish_ns[&JobId(1)] as f64 / 1e9;
-    let storm_span_secs = storm.sim_end_ns as f64 / 1e9;
-    RestoreNumbers {
-        baseline_secs,
-        fg_slowdown_pct_1_1: (storm_even_secs / baseline_secs - 1.0) * 100.0,
-        fg_slowdown_pct_8_1: (storm_secs / baseline_secs - 1.0) * 100.0,
-        restored_mib_s_8_1: storm.restored_bytes as f64 / (1 << 20) as f64 / storm_span_secs,
-        fg_p99_ms_8_1: storm.tenant_latency(JobId(1)).p99_ns as f64 / 1e6,
-        reader_p99_ms_8_1: storm.tenant_latency(JobId(2)).p99_ns as f64 / 1e6,
-    }
 }
 
 #[cfg(test)]

@@ -61,6 +61,21 @@ pub fn fixtures() -> Vec<Fixture> {
             expect: Some(Rule::L3),
         },
         Fixture {
+            // Pipelines keep the ledger; charging a device timeline stays
+            // with the server, which owns policy admission.
+            name: "L3 device dispatch from a stage pipeline",
+            path: "crates/stage/src/lifecycle.rs",
+            src: r#"
+                impl<T> ClassQueue<T> {
+                    fn charge(&mut self, timeline: &mut DeviceTimeline, req: &IoRequest) {
+                        let (_, finish) = timeline.dispatch(req, 0);
+                        self.dispatched(req.seq, finish);
+                    }
+                }
+            "#,
+            expect: Some(Rule::L3),
+        },
+        Fixture {
             name: "L4 unwrap in a server hot path",
             path: "crates/server/src/fixture.rs",
             src: "fn hot(x: Option<u32>) -> u32 { x.unwrap() }",

@@ -5,7 +5,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use themis_baselines::Algorithm;
 use themis_core::durability::DurabilitySpec;
@@ -19,11 +19,12 @@ use themis_core::sync::{LambdaClock, SyncConfig};
 use themis_device::{DeviceConfig, DeviceModel, DeviceTimeline};
 use themis_fs::{BurstBufferFs, FsError, OpenFlags, Whence};
 use themis_net::message::{FsOp, FsReply, StageReply};
+use themis_stage::shard::MigrationPlan;
 use themis_stage::{
-    extent_checksum, write_back_guarded, BackingStore, CapacityTier, DrainPipeline, DrainStatus,
-    MigrationOutcome, RebalancePipeline, RebalanceStatus, ReplicatePipeline, ReplicateStatus,
-    RestorePipeline, RestoreTarget, ScrubPipeline, ScrubStatus, StagedEngine, StagingConfig,
-    TrafficClass,
+    extent_checksum, write_back_guarded, AdmitContext, BackingStore, CapacityTier, ClassLifecycle,
+    DrainPipeline, DrainStatus, MigrationOutcome, RebalancePipeline, RebalanceStatus,
+    ReplicaTarget, ReplicatePipeline, ReplicateStatus, RestorePipeline, RestoreTarget,
+    ScrubPipeline, ScrubStatus, ScrubTarget, StagedEngine, StagingConfig, TrafficClass,
 };
 use themis_telemetry::{
     Counter, DecisionTrace, Gauge, Histogram, MetricsRegistry, SeriesKey, TraceDump, TraceEvent,
@@ -83,46 +84,6 @@ pub struct StageReady {
     pub reply: StageReply,
 }
 
-/// What a read-through read targets: a descriptor cursor or an absolute
-/// position.
-enum ReadTarget<'a> {
-    Fd(u64),
-    At(&'a str, u64),
-}
-
-/// A foreground operation parked behind policy-admitted restore traffic:
-/// the request was released by the engine, found its target extents
-/// evicted, and now waits for the restore pipeline to bring them back
-/// before it executes (and is charged device time).
-struct ParkedOp {
-    request_id: u64,
-    request: IoRequest,
-    op: FsOp,
-    /// When the op was parked, so the wake path can record the park
-    /// duration (`park_ns`) it spent waiting behind arbitrated restores.
-    parked_at_ns: u64,
-    /// `(shard, path, stripe)` keys of the restores this op still waits on.
-    /// Empty for an op parked purely for ordering (blocked-only): it queued
-    /// no restores and waits only for the earlier overlapping ops ahead of
-    /// it to execute.
-    keys: std::collections::HashSet<(usize, String, u64)>,
-    /// Every extent key the op targets — resident or evicted, not just the
-    /// keys it queued restores for. Two parked ops whose full key sets
-    /// intersect target overlapping extents, so the later one must not
-    /// execute before the earlier one even if its own remaining keys empty
-    /// first (their restores may land in different ticks), and a later
-    /// foreground op whose extents are all resident must still park behind
-    /// a parked op it overlaps ([`ServerCore::park_if_overlaps_parked`]).
-    all_keys: std::collections::HashSet<(usize, String, u64)>,
-}
-
-/// An explicit `StageIn` request waiting for its queued restores.
-struct PendingStageIn {
-    request_id: u64,
-    keys: std::collections::HashSet<(usize, String, u64)>,
-    restored_bytes: u64,
-}
-
 /// Pre-resolved per-tenant instrument handles, interned on a tenant's first
 /// completion so the completion path never touches the registry lock again.
 struct TenantStats {
@@ -141,19 +102,19 @@ struct TenantStats {
 /// Park/wake series live on the foreground class series
 /// (`SeriesKey::class(server, "foreground")`); residency counters and the
 /// instantaneous capacity gauges live on the `"fs"` layer series.
-struct CoreTelemetry {
+pub(crate) struct CoreTelemetry {
     registry: MetricsRegistry,
     tenants: HashMap<u64, TenantStats>,
-    parked_ops: Counter,
-    wakes: Counter,
-    park_ns: Histogram,
-    residency_hit_ops: Counter,
-    residency_hit_bytes: Counter,
-    residency_miss_ops: Counter,
-    residency_miss_bytes: Counter,
-    resident_bytes: Gauge,
-    dirty_bytes: Gauge,
-    backing_bytes: Gauge,
+    pub(crate) parked_ops: Counter,
+    pub(crate) wakes: Counter,
+    pub(crate) park_ns: Histogram,
+    pub(crate) residency_hit_ops: Counter,
+    pub(crate) residency_hit_bytes: Counter,
+    pub(crate) residency_miss_ops: Counter,
+    pub(crate) residency_miss_bytes: Counter,
+    pub(crate) resident_bytes: Gauge,
+    pub(crate) dirty_bytes: Gauge,
+    pub(crate) backing_bytes: Gauge,
     trace: DecisionTrace,
 }
 
@@ -193,55 +154,6 @@ impl CoreTelemetry {
     }
 }
 
-/// The server-side staging state: the drain and restore pipelines, the
-/// capacity tier and its device timeline, plus work waiting on either
-/// pipeline.
-struct StageState {
-    pipeline: DrainPipeline,
-    restore: RestorePipeline,
-    scrub: ScrubPipeline,
-    rebalance: RebalancePipeline,
-    replicate: ReplicatePipeline,
-    backing: Arc<dyn BackingStore>,
-    backing_device: DeviceTimeline,
-    /// The replica tier absorbing durability copies, with its own timeline:
-    /// replication contends with the capacity tier for nothing but the
-    /// burst-device slots the engine grants the replicate lane.
-    replica: CapacityTier,
-    replica_device: DeviceTimeline,
-    /// The durability policy in force (`None`: every write is local-only).
-    durability: Option<DurabilitySpec>,
-    /// `(capacity_write_finish_ns, seq, drained_generation)` of drains whose
-    /// burst-buffer read completed.
-    inflight_backing: Vec<(u64, u64, u64)>,
-    /// `(finish_ns, seq)` of restores the engine released, completing when
-    /// both the capacity-tier read and the burst-buffer write are done.
-    inflight_restores: Vec<(u64, u64)>,
-    /// `(finish_ns, seq)` of scrub verifications the engine released; the
-    /// checksum is judged when the capacity-tier read completes.
-    inflight_scrubs: Vec<(u64, u64)>,
-    /// `(finish_ns, seq)` of shard migrations the engine released; the
-    /// migration is applied to the sharded tier when its capacity-tier
-    /// transfers complete.
-    inflight_rebalances: Vec<(u64, u64)>,
-    /// `(replica_write_finish_ns, seq)` of replicate copies the engine
-    /// released; the extent's *current* bytes land on the replica tier when
-    /// the transfers complete.
-    inflight_replicates: Vec<(u64, u64)>,
-    /// Foreground `sync` write acks parked until the replicas of every
-    /// stripe they dirtied land.
-    pending_sync_acks: Vec<(ReadyReply, std::collections::HashSet<(String, u64)>)>,
-    /// Flushes waiting for their path's local extents to become clean.
-    pending_flushes: Vec<(u64, String)>,
-    /// Foreground operations waiting on restores.
-    parked_ops: Vec<ParkedOp>,
-    /// Explicit `StageIn` requests waiting on restores.
-    pending_stage_ins: Vec<PendingStageIn>,
-    /// Explicit `Scrub` requests waiting for their pass to complete, as
-    /// `(request_id, pass_id)`.
-    pending_scrubs: Vec<(u64, u64)>,
-}
-
 /// A reply that became ready during a [`ServerCore::poll`] call, tagged with
 /// the service interval so callers can deliver it at the right (virtual or
 /// real) time.
@@ -259,15 +171,15 @@ pub struct ReadyReply {
 /// operating on a shared [`BurstBufferFs`].
 pub struct ServerCore {
     /// Index of this server within the deployment.
-    server_index: usize,
+    pub(crate) server_index: usize,
     config: ServerConfig,
     policy: Policy,
     /// Monotonic counter bumped by every accepted [`ServerCore::set_policy`];
     /// reported in control-plane acknowledgements so clients can tell which
     /// allocation epoch their traffic is arbitrated under.
     policy_epoch: u64,
-    engine: Box<dyn PolicyEngine>,
-    jobs: JobTable,
+    pub(crate) engine: Box<dyn PolicyEngine>,
+    pub(crate) jobs: JobTable,
     /// The job table moved (hello, heartbeat, bye, expiry) since the engine
     /// last derived its allocation from it. The reconfigure is owed, and
     /// paid by [`ServerCore::settle_shares`] before anything looks at the
@@ -278,17 +190,17 @@ pub struct ServerCore {
     /// nothing is lost by skipping the ones before it.
     shares_stale: bool,
     lambda: LambdaClock,
-    device: DeviceTimeline,
-    fs: BurstBufferFs,
+    pub(crate) device: DeviceTimeline,
+    pub(crate) fs: BurstBufferFs,
     rng: SmallRng,
     /// Operations queued with the scheduler but not yet executed, keyed by
     /// request sequence number.
     pending: HashMap<u64, (u64, FsOp)>,
-    next_seq: u64,
+    pub(crate) next_seq: u64,
     completions: u64,
-    staging: Option<StageState>,
-    telemetry: CoreTelemetry,
-    stage_replies: Vec<StageReady>,
+    pub(crate) staging: Option<StageState>,
+    pub(crate) telemetry: CoreTelemetry,
+    pub(crate) stage_replies: Vec<StageReady>,
     /// Requests rejected at submission (e.g. a job id in the reserved drain
     /// range), answered by the next poll.
     rejected: Vec<ReadyReply>,
@@ -323,8 +235,9 @@ impl ServerCore {
     /// caller-supplied [`MetricsRegistry`]. A multi-server deployment passes
     /// one shared registry to every server so a single
     /// [`ServerCore::metrics_snapshot`] (answered by any server) covers the
-    /// cluster. The policy engine and every staging pipeline are attached at
-    /// construction, so their counters are live from the first request.
+    /// cluster. The policy engine is attached and every staging pipeline is
+    /// built over the registry at construction, so their counters are live
+    /// from the first request.
     pub fn with_telemetry(
         server_index: usize,
         fs: BurstBufferFs,
@@ -351,80 +264,10 @@ impl ServerCore {
         {
             staged.attach_telemetry(&registry, server_index);
         }
-        let staging = config.staging.as_ref().map(|sc| {
-            let mut pipeline = DrainPipeline::new(server_index, sc.drain);
-            pipeline.attach_telemetry(&registry);
-            let mut restore = RestorePipeline::new(server_index, sc.drain.max_inflight);
-            restore.attach_telemetry(&registry);
-            let mut scrub = ScrubPipeline::new(
-                server_index,
-                sc.drain.classes.is_enabled(TrafficClass::Scrub),
-                sc.drain.scrub_interval_ns,
-                sc.drain.max_inflight,
-            );
-            scrub.attach_telemetry(&registry);
-            let mut rebalance = RebalancePipeline::new(
-                server_index,
-                sc.drain.classes.is_enabled(TrafficClass::Rebalance),
-                sc.drain.max_inflight,
-            );
-            rebalance.attach_telemetry(&registry);
-            // Replication runs only when the durability policy actually owes
-            // replicas somewhere (and the class is not disabled outright);
-            // otherwise the pipeline is constructed inert and takes no debt.
-            let mut replicate = ReplicatePipeline::new(
-                server_index,
-                sc.drain.classes.is_enabled(TrafficClass::Replicate)
-                    && sc.durability.as_ref().is_some_and(|d| d.any_replicated()),
-                sc.drain.max_inflight,
-            );
-            replicate.attach_telemetry(&registry);
-            let backing = backing.unwrap_or_else(|| match &sc.sharding {
-                Some(spec) => {
-                    let store = spec.build().expect("staging shard spec must be valid");
-                    Arc::new(store) as Arc<dyn BackingStore>
-                }
-                None => Arc::new(CapacityTier::new(sc.backing_device)) as Arc<dyn BackingStore>,
-            });
-            // Per-child health/latency series for a sharded tier, whether the
-            // router was built here or handed in by the deployment (idempotent
-            // for stores another server already attached to the same registry).
-            if let Some(sharded) = backing.as_sharded() {
-                sharded.attach_telemetry(&registry);
-            }
-            // The timeline models the tier the drains actually land on: a
-            // sharded router advertises its slowest child.
-            let backing_model = if backing.as_sharded().is_some() {
-                backing.device()
-            } else {
-                sc.backing_device
-            };
-            StageState {
-                pipeline,
-                restore,
-                scrub,
-                rebalance,
-                replicate,
-                backing,
-                backing_device: DeviceTimeline::new(DeviceModel::new(backing_model)),
-                // The replica tier is deliberately *not* the capacity tier:
-                // a copy that survives losing the burst buffer must live on
-                // independent media, modelled with its own timeline.
-                replica: CapacityTier::new(sc.backing_device),
-                replica_device: DeviceTimeline::new(DeviceModel::new(sc.backing_device)),
-                durability: sc.durability.clone(),
-                inflight_backing: Vec::new(),
-                inflight_restores: Vec::new(),
-                inflight_scrubs: Vec::new(),
-                inflight_rebalances: Vec::new(),
-                inflight_replicates: Vec::new(),
-                pending_sync_acks: Vec::new(),
-                pending_flushes: Vec::new(),
-                parked_ops: Vec::new(),
-                pending_stage_ins: Vec::new(),
-                pending_scrubs: Vec::new(),
-            }
-        });
+        let staging = config
+            .staging
+            .as_ref()
+            .map(|sc| StageState::new(server_index, sc, backing, &registry));
         let telemetry = CoreTelemetry::new(registry, server_index);
         let mut jobs = JobTable::with_heartbeat_timeout(config.heartbeat_timeout_ns);
         // A server index past the presence mask's capacity cannot be
@@ -534,7 +377,7 @@ impl ServerCore {
     }
 
     /// Pays the reconfigure owed since the job table last moved, if any.
-    fn settle_shares(&mut self) {
+    pub(crate) fn settle_shares(&mut self) {
         if std::mem::take(&mut self.shares_stale) {
             self.engine.reconfigure(&self.jobs, &self.policy);
         }
@@ -606,7 +449,8 @@ impl ServerCore {
     /// reconfigure owed (now); the first possible heartbeat expiry; the next
     /// λ round; with requests queued, the later of the device's next free
     /// worker and the engine's own throttle; and with staging, the earliest
-    /// finish among the five in-flight lists and [`STAGE_TICK_NS`] from now.
+    /// finish any traffic class has in flight
+    /// ([`ClassLifecycle::next_finish_ns`]) and [`STAGE_TICK_NS`] from now.
     pub fn next_deadline_ns(&self, now_ns: u64) -> Option<u64> {
         if self.shares_stale || !self.rejected.is_empty() || !self.stage_replies.is_empty() {
             return Some(now_ns);
@@ -620,11 +464,9 @@ impl ServerCore {
             deadline = deadline.min(self.device.next_free_ns().max(eligible));
         }
         if let Some(st) = &self.staging {
-            let finishes = (st.inflight_backing.iter().map(|f| f.0))
-                .chain(st.inflight_restores.iter().map(|f| f.0))
-                .chain(st.inflight_scrubs.iter().map(|f| f.0))
-                .chain(st.inflight_rebalances.iter().map(|f| f.0))
-                .chain(st.inflight_replicates.iter().map(|f| f.0));
+            let finishes = TrafficClass::ALL
+                .into_iter()
+                .filter_map(|class| st.lifecycle(class).next_finish_ns());
             deadline = finishes.fold(deadline.min(now_ns.saturating_add(STAGE_TICK_NS)), u64::min);
         }
         // A λ interval that saturates the clock is the one way to have no
@@ -699,28 +541,9 @@ impl ServerCore {
             let Some(request) = self.engine.select(now_ns, &mut self.rng) else {
                 break;
             };
-            match TrafficClass::of(request.meta.job) {
-                Some(TrafficClass::Drain) => {
-                    self.execute_drain(&request, now_ns);
-                    continue;
-                }
-                Some(TrafficClass::Restore) => {
-                    self.execute_restore(&request, now_ns);
-                    continue;
-                }
-                Some(TrafficClass::Scrub) => {
-                    self.execute_scrub(&request, now_ns);
-                    continue;
-                }
-                Some(TrafficClass::Rebalance) => {
-                    self.execute_rebalance(&request, now_ns);
-                    continue;
-                }
-                Some(TrafficClass::Replicate) => {
-                    self.execute_replicate(&request, now_ns);
-                    continue;
-                }
-                None => {}
+            if let Some(class) = TrafficClass::of(request.meta.job) {
+                self.execute_class(class, &request, now_ns);
+                continue;
             }
             let (request_id, op) = self
                 .pending
@@ -739,37 +562,48 @@ impl ServerCore {
                 // (admission order), with no restores of its own.
                 continue;
             }
-            // The stripes a write dirties are computed *before* execution:
-            // cursor writes move their descriptor's cursor when they run.
-            let spans = self.write_spans(&op);
-            let (start_ns, finish_ns) = self.device.dispatch(&request, now_ns);
-            let reply = self.execute(&op, finish_ns);
-            let completion = Completion {
-                request,
-                start_ns,
-                finish_ns,
-            };
-            self.engine.complete(&completion);
-            self.completions += 1;
-            self.record_completion(&completion);
-            self.note_durable_write(
-                spans,
-                ReadyReply {
-                    request_id,
-                    reply,
-                    completion,
-                },
-                &mut ready,
-                now_ns,
-            );
+            self.run_foreground(request_id, request, &op, now_ns, &mut ready);
         }
         ready
+    }
+
+    /// Executes a foreground operation whose extents are resident — fresh
+    /// from the scheduler or woken from parking: charges the device,
+    /// performs the file system work, completes the request with the engine
+    /// and delivers (or, for a `sync` write, parks) the reply.
+    pub(crate) fn run_foreground(
+        &mut self,
+        request_id: u64,
+        request: IoRequest,
+        op: &FsOp,
+        now_ns: u64,
+        ready: &mut Vec<ReadyReply>,
+    ) {
+        // The stripes a write dirties are computed *before* execution:
+        // cursor writes move their descriptor's cursor when they run.
+        let spans = self.write_spans(op);
+        let (start_ns, finish_ns) = self.device.dispatch(&request, now_ns);
+        let reply = self.execute(op, finish_ns);
+        let completion = Completion {
+            request,
+            start_ns,
+            finish_ns,
+        };
+        self.engine.complete(&completion);
+        self.completions += 1;
+        self.record_completion(&completion);
+        let reply = ReadyReply {
+            request_id,
+            reply,
+            completion,
+        };
+        self.note_durable_write(spans, reply, ready, now_ns);
     }
 
     /// Records one foreground completion into its tenant's series: the op
     /// and byte totals the conformance oracle cross-checks against
     /// reply-derived accounting, plus queue-delay and service histograms.
-    fn record_completion(&mut self, completion: &Completion) {
+    pub(crate) fn record_completion(&mut self, completion: &Completion) {
         let stats = self
             .telemetry
             .tenant(self.server_index, completion.request.meta.job.0);
@@ -782,7 +616,7 @@ impl ServerCore {
     /// Records a park or wake decision into the core's trace ring. The
     /// virtual times are 0: parking happens outside the engine, after the
     /// slot was already granted.
-    fn trace_park_event(&mut self, now_ns: u64, kind: TraceKind, request: &IoRequest) {
+    pub(crate) fn trace_park_event(&mut self, now_ns: u64, kind: TraceKind, request: &IoRequest) {
         self.telemetry.trace.record(TraceEvent {
             now_ns,
             server: self.server_index as u32,
@@ -796,77 +630,6 @@ impl ServerCore {
         });
     }
 
-    // ------------------------------------------------------------- staging
-
-    /// Whether this server runs the staging subsystem.
-    pub fn staging_enabled(&self) -> bool {
-        self.staging.is_some()
-    }
-
-    /// The capacity tier behind this server (for tests and inspection).
-    pub fn backing(&self) -> Option<&Arc<dyn BackingStore>> {
-        self.staging.as_ref().map(|s| &s.backing)
-    }
-
-    /// Refreshes the instantaneous capacity gauges (`fs` layer series) from
-    /// the file system and capacity tier. Called before every status or
-    /// metrics snapshot: gauges describe *now*, so they are sampled at read
-    /// time rather than maintained on the write path.
-    fn refresh_gauges(&self) {
-        self.telemetry
-            .resident_bytes
-            .set(self.fs.resident_bytes_on(self.server_index) as i64);
-        self.telemetry
-            .dirty_bytes
-            .set(self.fs.dirty_bytes_on(self.server_index) as i64);
-        let backing = self
-            .staging
-            .as_ref()
-            .map_or(0, |st| st.backing.bytes_stored());
-        self.telemetry.backing_bytes.set(backing as i64);
-    }
-
-    /// A point-in-time staging status snapshot, `None` when staging is
-    /// disabled. Includes the restore backlog
-    /// ([`DrainStatus::pending_restore_bytes`]) so clients can observe the
-    /// stage-in queue delay their reads of evicted data will land behind.
-    ///
-    /// The status is a **view over the metrics registry**: every monotonic
-    /// counter comes from one sorted-order registry read (see
-    /// `MetricsRegistry::snapshot`), so the derived restore backlog
-    /// (`requested - completed`) can never go negative even when a snapshot
-    /// is cut mid-restore; only the instantaneous fields (gauges, inflight
-    /// depth) are sampled from the live structures.
-    pub fn drain_status_snapshot(&self) -> Option<DrainStatus> {
-        let st = self.staging.as_ref()?;
-        self.refresh_gauges();
-        let snap = self.telemetry.registry.snapshot(0);
-        let s = self.server_index as u32;
-        let drain = TrafficClass::Drain.name();
-        let restore = TrafficClass::Restore.name();
-        let requested = snap.counter(s, 0, restore, "requested_bytes");
-        let completed = snap.counter(s, 0, restore, "completed_bytes");
-        debug_assert!(completed <= requested);
-        Some(DrainStatus {
-            resident_bytes: snap.gauge(s, 0, "fs", "resident_bytes") as u64,
-            dirty_bytes: snap.gauge(s, 0, "fs", "dirty_bytes") as u64,
-            backing_bytes: snap.gauge(s, 0, "fs", "backing_bytes") as u64,
-            inflight_extents: st.pipeline.inflight_len(),
-            drained_bytes: snap.counter(s, 0, drain, "drained_bytes"),
-            drained_ops: snap.counter(s, 0, drain, "drained_ops"),
-            evicted_bytes: snap.counter(s, 0, drain, "evicted_bytes"),
-            evicted_extents: snap.counter(s, 0, drain, "evicted_extents"),
-            // `completed_bytes` sorts (and is loaded) before
-            // `requested_bytes` in *this* snapshot, but the two counters are
-            // still maintained independently — saturate rather than betting
-            // the status message on a load-order invariant a future metric
-            // rename would silently break.
-            pending_restore_bytes: requested.saturating_sub(completed),
-            restored_bytes: snap.counter(s, 0, restore, "restored_bytes"),
-            restored_ops: snap.counter(s, 0, restore, "restored_ops"),
-        })
-    }
-
     /// Takes the staging replies that became ready (flush acknowledgements,
     /// stage-in results, status snapshots).
     pub fn take_stage_replies(&mut self) -> Vec<StageReady> {
@@ -876,7 +639,7 @@ impl ServerCore {
     /// Rejects staging-message metadata that claims a reserved job id (same
     /// boundary as [`ServerCore::submit`]): observing it would register the
     /// drain identity as a live tenant and dilute every real tenant's share.
-    fn reject_reserved_stage(&mut self, request_id: u64, meta: &JobMeta) -> bool {
+    pub(crate) fn reject_reserved_stage(&mut self, request_id: u64, meta: &JobMeta) -> bool {
         if !meta.is_reserved() {
             return false;
         }
@@ -889,139 +652,6 @@ impl ServerCore {
             )),
         });
         true
-    }
-
-    /// Handles a `Flush` request: acknowledge immediately when the path has
-    /// no dirty local extents (the no-op case), otherwise wait for the
-    /// background drain — which the flush does not bypass; it is ordinary
-    /// policy-arbitrated drain traffic — to make the path clean.
-    pub fn flush(&mut self, request_id: u64, meta: JobMeta, path: &str, now_ns: u64) {
-        if self.reject_reserved_stage(request_id, &meta) {
-            return;
-        }
-        self.settle_shares();
-        self.jobs.observe_request(meta, now_ns);
-        let path = match themis_fs::path::normalize(path) {
-            Ok(p) => p,
-            Err(e) => {
-                self.stage_replies.push(StageReady {
-                    request_id,
-                    reply: StageReply::Error(e.to_string()),
-                });
-                return;
-            }
-        };
-        let server = self.server_index;
-        let Some(st) = self.staging.as_mut() else {
-            self.stage_replies.push(StageReady {
-                request_id,
-                reply: StageReply::Error("staging is not enabled on this server".into()),
-            });
-            return;
-        };
-        let busy = self.fs.path_dirty_on(server, &path).unwrap_or(false)
-            || st.pipeline.has_inflight_for(&path);
-        if busy {
-            st.pending_flushes.push((request_id, path));
-        } else {
-            let backing_bytes = st.backing.bytes_for(&path);
-            self.stage_replies.push(StageReady {
-                request_id,
-                reply: StageReply::Flushed { backing_bytes },
-            });
-        }
-    }
-
-    /// Handles a `StageIn` request: restores the evicted extents of the path
-    /// on **this server's shard** from the capacity tier. Like dirty state,
-    /// evicted state is server-local — the client broadcasts `StageIn` so
-    /// every shard restores its own stripes exactly once (no duplicated
-    /// restore work, exact byte counts).
-    ///
-    /// The restores are synthesized as policy-admitted
-    /// [`TrafficClass::Restore`] requests — a large stage-in no longer
-    /// bypasses the engine and cannot starve policy-arbitrated foreground
-    /// traffic — so the acknowledgement is deferred until every queued
-    /// extent has landed (delivered by a later [`ServerCore::poll`]).
-    pub fn stage_in(&mut self, request_id: u64, meta: JobMeta, path: &str, now_ns: u64) {
-        if self.reject_reserved_stage(request_id, &meta) {
-            return;
-        }
-        self.settle_shares();
-        self.jobs.observe_request(meta, now_ns);
-        let path = match themis_fs::path::normalize(path) {
-            Ok(p) => p,
-            Err(e) => {
-                self.stage_replies.push(StageReady {
-                    request_id,
-                    reply: StageReply::Error(e.to_string()),
-                });
-                return;
-            }
-        };
-        let shard = self.server_index;
-        let evicted = self.fs.evicted_extents_on(shard, Some(&path));
-        let Some(st) = self.staging.as_mut() else {
-            self.stage_replies.push(StageReady {
-                request_id,
-                reply: StageReply::Error("staging is not enabled on this server".into()),
-            });
-            return;
-        };
-        if evicted.is_empty() {
-            // Everything already resident: an immediate no-op ack.
-            self.stage_replies.push(StageReady {
-                request_id,
-                reply: StageReply::StagedIn { restored_bytes: 0 },
-            });
-            return;
-        }
-        let mut keys = std::collections::HashSet::new();
-        for (p, stripe, len) in evicted {
-            let target = RestoreTarget {
-                shard,
-                path: p,
-                stripe,
-                bytes: len,
-                pin_dirty: false,
-            };
-            keys.insert(target.key());
-            st.restore.request(target);
-        }
-        st.pending_stage_ins.push(PendingStageIn {
-            request_id,
-            keys,
-            restored_bytes: 0,
-        });
-    }
-
-    /// Handles a `DrainStatus` request.
-    pub fn drain_status(&mut self, request_id: u64) {
-        let reply = match self.drain_status_snapshot() {
-            Some(status) => StageReply::Status(status),
-            None => StageReply::Error("staging is not enabled on this server".into()),
-        };
-        self.stage_replies.push(StageReady { request_id, reply });
-    }
-
-    /// A point-in-time scrub status snapshot, `None` when staging is
-    /// disabled. Like [`ServerCore::drain_status_snapshot`], the monotonic
-    /// verification counters are a view over one sorted registry read;
-    /// structural state (pass progress, quarantine list) comes from the
-    /// pipeline.
-    pub fn scrub_status_snapshot(&self) -> Option<ScrubStatus> {
-        let st = self.staging.as_ref()?;
-        let mut status = st.scrub.status();
-        let snap = self.telemetry.registry.snapshot(0);
-        let s = self.server_index as u32;
-        let lane = TrafficClass::Scrub.name();
-        status.passes_completed = snap.counter(s, 0, lane, "passes_completed");
-        status.scrubbed_extents = snap.counter(s, 0, lane, "scrubbed_extents");
-        status.scrubbed_bytes = snap.counter(s, 0, lane, "scrubbed_bytes");
-        status.errors_detected = snap.counter(s, 0, lane, "errors_detected");
-        status.repaired_extents = snap.counter(s, 0, lane, "repaired_extents");
-        status.superseded_extents = snap.counter(s, 0, lane, "superseded_extents");
-        Some(status)
     }
 
     /// Handles a `MetricsSnapshot` request: refreshes this server's gauges
@@ -1070,6 +700,697 @@ impl ServerCore {
         }
     }
 
+    /// Executes one file system operation (the data path of §4.3). With
+    /// staging enabled, foreground I/O never observes staged-out data as
+    /// zeros or errors: operations targeting evicted extents are normally
+    /// parked behind policy-admitted restores before execution
+    /// ([`ServerCore::park_if_needs_restore`]), so by the time this runs the
+    /// extents are resident. The read-through fetcher and the synchronous
+    /// restore below remain as the fallback for the cross-server race —
+    /// a peer evicting a shared-shard extent after the parking pre-check.
+    pub(crate) fn execute(&mut self, op: &FsOp, now_ns: u64) -> FsReply {
+        match self.try_execute(op, now_ns) {
+            Ok(reply) => reply,
+            Err(FsError::NotResident(path)) if self.staging.is_some() => {
+                let targets = self.write_target_stripes(op);
+                let shards = 0..self.fs.server_count();
+                self.restore_extents(shards, &path, now_ns, targets.as_ref());
+                match self.try_execute(op, now_ns) {
+                    Ok(reply) => reply,
+                    Err(e) => FsReply::Error(e.to_string()),
+                }
+            }
+            Err(e) => FsReply::Error(e.to_string()),
+        }
+    }
+
+    fn try_execute(&mut self, op: &FsOp, now_ns: u64) -> Result<FsReply, FsError> {
+        match op {
+            FsOp::Open {
+                path,
+                create,
+                truncate,
+                append,
+            } => {
+                let fd = self.fs.open(
+                    path,
+                    OpenFlags {
+                        create: *create,
+                        truncate: *truncate,
+                        append: *append,
+                    },
+                    now_ns,
+                )?;
+                if *truncate {
+                    self.drop_backing_copies(path);
+                }
+                Ok(FsReply::Fd(fd))
+            }
+            FsOp::Close { fd } => self.fs.close(*fd).map(|_| FsReply::Ok),
+            FsOp::Write { fd, data } => self.fs.write(*fd, data, now_ns).map(FsReply::Count),
+            FsOp::WriteAt { path, offset, data } => self
+                .fs
+                .write_at(path, *offset, data, now_ns)
+                .map(FsReply::Count),
+            FsOp::Read { fd, len } => self
+                .read_through(ReadTarget::Fd(*fd), *len, now_ns)
+                .map(FsReply::Data),
+            FsOp::ReadAt { path, offset, len } => self
+                .read_through(ReadTarget::At(path, *offset), *len, now_ns)
+                .map(FsReply::Data),
+            FsOp::Seek { fd, offset, whence } => {
+                let whence = match whence {
+                    0 => Whence::Set,
+                    1 => Whence::Cur,
+                    _ => Whence::End,
+                };
+                self.fs.lseek(*fd, *offset, whence).map(FsReply::Count)
+            }
+            FsOp::Stat { path } => self.fs.stat(path).map(FsReply::Stat),
+            FsOp::Mkdir { path } => self.fs.mkdir_all(path, now_ns).map(|_| FsReply::Ok),
+            FsOp::Readdir { path } => self.fs.readdir(path).map(FsReply::Entries),
+            FsOp::Unlink { path } => {
+                self.fs.unlink(path, now_ns)?;
+                self.drop_backing_copies(path);
+                Ok(FsReply::Ok)
+            }
+            FsOp::CreateStriped { path, stripe } => self
+                .fs
+                .create_striped(path, *stripe, now_ns)
+                .map(|_| FsReply::Ok),
+        }
+    }
+}
+
+// ------------------------------------------------------------- staging
+
+/// What a read-through read targets: a descriptor cursor or an absolute
+/// position.
+pub(crate) enum ReadTarget<'a> {
+    Fd(u64),
+    At(&'a str, u64),
+}
+
+/// A foreground operation parked behind policy-admitted restore traffic:
+/// the request was released by the engine, found its target extents
+/// evicted, and now waits for the restore pipeline to bring them back
+/// before it executes (and is charged device time).
+pub(crate) struct ParkedOp {
+    request_id: u64,
+    request: IoRequest,
+    op: FsOp,
+    /// When the op was parked, so the wake path can record the park
+    /// duration (`park_ns`) it spent waiting behind arbitrated restores.
+    parked_at_ns: u64,
+    /// `(shard, path, stripe)` keys of the restores this op still waits on.
+    /// Empty for an op parked purely for ordering (blocked-only): it queued
+    /// no restores and waits only for the earlier overlapping ops ahead of
+    /// it to execute.
+    keys: HashSet<(usize, String, u64)>,
+    /// Every extent key the op targets — resident or evicted, not just the
+    /// keys it queued restores for. Two parked ops whose full key sets
+    /// intersect target overlapping extents, so the later one must not
+    /// execute before the earlier one even if its own remaining keys empty
+    /// first (their restores may land in different ticks), and a later
+    /// foreground op whose extents are all resident must still park behind
+    /// a parked op it overlaps ([`ServerCore::park_if_overlaps_parked`]).
+    all_keys: HashSet<(usize, String, u64)>,
+}
+
+/// An explicit `StageIn` request waiting for its queued restores.
+struct PendingStageIn {
+    request_id: u64,
+    keys: HashSet<(usize, String, u64)>,
+    restored_bytes: u64,
+}
+
+/// How a class's released request is charged beyond the burst-device slot
+/// the engine granted it: which second timeline it occupies, with which
+/// transfers back to back, and whether they run beside the burst slot or
+/// behind it.
+struct Charge {
+    /// The replica tier's timeline instead of the capacity tier's.
+    on_replica: bool,
+    /// The transfers start when the burst slot finishes (they move the bytes
+    /// the slot read) instead of at release time (they feed the slot).
+    after_burst: bool,
+    /// The transfers, each costed at the request's bytes; a write is costed
+    /// once per copy it places.
+    legs: &'static [OpKind],
+}
+
+impl Charge {
+    /// The charge row of `class`. Every class's burst slot is what its
+    /// foreground:class weight bounds; the row is what the tier behind it
+    /// pays at its own speed.
+    fn of(class: TrafficClass) -> Charge {
+        let (on_replica, after_burst, legs): (bool, bool, &'static [OpKind]) = match class {
+            // Read the snapshot off the burst device, then write it to the
+            // capacity tier.
+            TrafficClass::Drain => (false, true, &[OpKind::Write]),
+            // The capacity tier is read while the burst device takes the
+            // extent write (restore) or the verification slot (scrub).
+            TrafficClass::Restore | TrafficClass::Scrub => (false, false, &[OpKind::Read]),
+            // The verified source read, then one write per copy the plan
+            // places, all on the capacity tier.
+            TrafficClass::Rebalance => (false, false, &[OpKind::Read, OpKind::Write]),
+            // Read the source off the burst device, then write the copy to
+            // the replica tier.
+            TrafficClass::Replicate => (true, true, &[OpKind::Write]),
+        };
+        Charge {
+            on_replica,
+            after_burst,
+            legs,
+        }
+    }
+}
+
+/// The server-side staging state: one pipeline per traffic class, the
+/// capacity and replica tiers with their device timelines, plus work waiting
+/// on a class's landings.
+pub(crate) struct StageState {
+    pub(crate) drain: DrainPipeline,
+    pub(crate) restore: RestorePipeline,
+    pub(crate) scrub: ScrubPipeline,
+    pub(crate) rebalance: RebalancePipeline,
+    pub(crate) replicate: ReplicatePipeline,
+    pub(crate) backing: Arc<dyn BackingStore>,
+    backing_device: DeviceTimeline,
+    /// The replica tier absorbing durability copies, with its own timeline:
+    /// replication contends with the capacity tier for nothing but the
+    /// burst-device slots the engine grants the replicate lane.
+    replica: CapacityTier,
+    replica_device: DeviceTimeline,
+    /// The durability policy in force (`None`: every write is local-only).
+    durability: Option<DurabilitySpec>,
+    /// Foreground `sync` write acks parked until the replicas of every
+    /// stripe they dirtied land.
+    pending_sync_acks: Vec<(ReadyReply, HashSet<(String, u64)>)>,
+    /// Flushes waiting for their path's local extents to become clean.
+    pub(crate) pending_flushes: Vec<(u64, String)>,
+    /// Foreground operations waiting on restores.
+    pub(crate) parked_ops: Vec<ParkedOp>,
+    /// Explicit `StageIn` requests waiting on restores.
+    pending_stage_ins: Vec<PendingStageIn>,
+    /// Explicit `Scrub` requests waiting for their pass to complete, as
+    /// `(request_id, pass_id)`.
+    pending_scrubs: Vec<(u64, u64)>,
+}
+
+impl StageState {
+    /// Builds the staging state of `server` under `sc`, draining into
+    /// `backing` when the deployment supplies a shared tier and counting
+    /// into `registry`.
+    pub(crate) fn new(
+        server: usize,
+        sc: &StagingConfig,
+        backing: Option<Arc<dyn BackingStore>>,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        let depth = sc.drain.max_inflight;
+        let enabled = |class| sc.drain.classes.is_enabled(class);
+        let backing = backing.unwrap_or_else(|| match &sc.sharding {
+            Some(spec) => {
+                let store = spec.build().expect("staging shard spec must be valid");
+                Arc::new(store) as Arc<dyn BackingStore>
+            }
+            None => Arc::new(CapacityTier::new(sc.backing_device)) as Arc<dyn BackingStore>,
+        });
+        // Per-child health/latency series for a sharded tier, whether the
+        // router was built here or handed in by the deployment (idempotent
+        // for stores another server already attached to the same registry).
+        if let Some(sharded) = backing.as_sharded() {
+            sharded.attach_telemetry(registry);
+        }
+        // The timeline models the tier the drains actually land on: a
+        // sharded router advertises its slowest child.
+        let backing_model = if backing.as_sharded().is_some() {
+            backing.device()
+        } else {
+            sc.backing_device
+        };
+        StageState {
+            drain: DrainPipeline::new(server, sc.drain, registry),
+            restore: RestorePipeline::new(server, depth, registry),
+            scrub: ScrubPipeline::new(
+                server,
+                enabled(TrafficClass::Scrub),
+                sc.drain.scrub_interval_ns,
+                depth,
+                registry,
+            ),
+            rebalance: RebalancePipeline::new(
+                server,
+                enabled(TrafficClass::Rebalance),
+                depth,
+                registry,
+            ),
+            // Replication runs only when the durability policy actually owes
+            // replicas somewhere (and the class is not disabled outright);
+            // otherwise the pipeline is constructed inert and takes no debt.
+            replicate: ReplicatePipeline::new(
+                server,
+                enabled(TrafficClass::Replicate)
+                    && sc.durability.as_ref().is_some_and(|d| d.any_replicated()),
+                depth,
+                registry,
+            ),
+            backing,
+            backing_device: DeviceTimeline::new(DeviceModel::new(backing_model)),
+            // The replica tier is deliberately *not* the capacity tier:
+            // a copy that survives losing the burst buffer must live on
+            // independent media, modelled with its own timeline.
+            replica: CapacityTier::new(sc.backing_device),
+            replica_device: DeviceTimeline::new(DeviceModel::new(sc.backing_device)),
+            durability: sc.durability.clone(),
+            pending_sync_acks: Vec::new(),
+            pending_flushes: Vec::new(),
+            parked_ops: Vec::new(),
+            pending_stage_ins: Vec::new(),
+            pending_scrubs: Vec::new(),
+        }
+    }
+
+    /// The lifecycle view of `class`'s pipeline.
+    pub(crate) fn lifecycle(&self, class: TrafficClass) -> &dyn ClassLifecycle {
+        match class {
+            TrafficClass::Drain => &self.drain,
+            TrafficClass::Restore => &self.restore,
+            TrafficClass::Scrub => &self.scrub,
+            TrafficClass::Rebalance => &self.rebalance,
+            TrafficClass::Replicate => &self.replicate,
+        }
+    }
+
+    fn lifecycle_mut(&mut self, class: TrafficClass) -> &mut dyn ClassLifecycle {
+        match class {
+            TrafficClass::Drain => &mut self.drain,
+            TrafficClass::Restore => &mut self.restore,
+            TrafficClass::Scrub => &mut self.scrub,
+            TrafficClass::Rebalance => &mut self.rebalance,
+            TrafficClass::Replicate => &mut self.replicate,
+        }
+    }
+
+    /// The drain half of execution that no charge row describes: snapshot
+    /// the extent and write it back to the capacity tier under the
+    /// delete-wins guard. Returns the bytes written back, or `None` when
+    /// nothing was left to write and the drain completed as a no-op.
+    fn write_back_snapshot(&mut self, fs: &BurstBufferFs, server: usize, seq: u64) -> Option<u64> {
+        let d = self.drain.inflight(seq)?;
+        let (path, stripe) = (d.path.clone(), d.stripe);
+        // Snapshot at service time — the extent may have been overwritten
+        // (or drained and unlinked) since admission.
+        let Some((data, generation)) = fs.snapshot_extent_on(server, &path, stripe) else {
+            // Nothing dirty any more (unlinked or already clean): the
+            // drain is a no-op.
+            self.drain.complete(seq);
+            return None;
+        };
+        // Delete-wins: a peer's unlink or truncate can land between
+        // the snapshot above and this write-back; the guarded write
+        // re-probes afterwards so the shared tier never keeps a
+        // stale copy. The probe checks *size*, not bare existence —
+        // a truncated path still exists, but its size drops below
+        // the drained stripe's start, which is how the probe tells
+        // "this extent can no longer legitimately exist" for both
+        // races.
+        let stripe_size = fs
+            .layout_of(&path)
+            .map_or(1, |l| l.config.stripe_size.max(1));
+        let stripe_start = stripe * stripe_size;
+        let kept = write_back_guarded(self.backing.as_ref(), &path, stripe, &data, || {
+            fs.stat(&path).is_ok_and(|s| s.size > stripe_start)
+        });
+        if !kept {
+            self.drain.complete(seq);
+            return None;
+        }
+        // The write-back recomputed the extent's checksum, so a
+        // previously quarantined copy is sound again.
+        self.scrub.unquarantine(&path, stripe);
+        self.drain.snapshotted(seq, generation);
+        Some(data.len() as u64)
+    }
+
+    /// Lands a restore: copies the tier's extent back into the shard and
+    /// returns the landed key with the bytes restored.
+    fn land_restore(
+        &mut self,
+        fs: &BurstBufferFs,
+        target: RestoreTarget,
+    ) -> ((usize, String, u64), u64) {
+        // Read the tier copy at completion time, not admission time:
+        // if the path was unlinked while the restore was in flight
+        // the copy is gone and the restore degrades to a no-op
+        // (delete wins here too). The read is *verified*: a corrupt
+        // tier copy must never be restored into the burst buffer,
+        // where it would pass for a clean repair source and launder
+        // the damage past every future scrub (the scrub pass
+        // quarantines it instead).
+        let data =
+            themis_stage::verified_read_back(self.backing.as_ref(), &target.path, target.stripe);
+        let actual = data.as_ref().map_or(0, |d| d.len() as u64);
+        self.restore.record_restored(actual);
+        if let Some(data) = data {
+            fs.restore_extent_on(
+                target.shard,
+                &target.path,
+                target.stripe,
+                &data,
+                target.pin_dirty,
+            );
+        }
+        (target.key(), actual)
+    }
+
+    /// Lands a scrub verification: judges the tier copy against the
+    /// checksum recorded at drain write-back time. On a mismatch, repair
+    /// from a clean resident burst copy; defer to the pending drain when a
+    /// concurrent foreground write re-dirtied the extent (the generation
+    /// guard — the scrubber must never push unflushed data into the tier);
+    /// quarantine when no repair source remains.
+    fn land_scrub(
+        &mut self,
+        fs: &BurstBufferFs,
+        device: &mut DeviceTimeline,
+        server: usize,
+        target: ScrubTarget,
+        now_ns: u64,
+    ) {
+        // Unlinked mid-scrub (delete-wins): nothing to verify.
+        let Some((data, stored)) = self
+            .backing
+            .read_back_with_checksum(&target.path, target.stripe)
+        else {
+            return;
+        };
+        let bytes = data.len() as u64;
+        if extent_checksum(&data) == stored {
+            self.scrub.record_clean(bytes);
+        } else if fs
+            .snapshot_extent_on(server, &target.path, target.stripe)
+            .is_some()
+        {
+            // The shard copy is dirty: a foreground write moved the
+            // generation mid-scrub, so the pending drain — which will
+            // rewrite copy and checksum together — owns the tier copy's
+            // next contents.
+            self.scrub.record_superseded(bytes);
+        } else if let Some(good) = fs.resident_extent_on(server, &target.path, target.stripe) {
+            // A clean resident burst copy is byte-identical to what the
+            // tier should hold: repair. Charge the burst device the copy's
+            // read and the capacity tier the rewrite.
+            let meta = TrafficClass::Scrub.meta(server);
+            let cost = good.len().max(1) as u64;
+            let read = IoRequest::new(0, meta, OpKind::Read, cost, now_ns);
+            let (_, read_finish) = device.dispatch(&read, now_ns);
+            let write = IoRequest::new(0, meta, OpKind::Write, cost, read_finish);
+            self.backing_device.dispatch(&write, read_finish);
+            self.backing.write_back(&target.path, target.stripe, &good);
+            self.scrub.record_repaired(bytes);
+        } else {
+            // No repair source (evicted or never resident here): the tier
+            // copy was the only one, and it is damaged. Quarantine and
+            // surface it.
+            self.scrub
+                .record_quarantined(target.path, target.stripe, bytes);
+        }
+    }
+
+    /// Lands a shard migration: applies the plan against the sharded tier.
+    /// The plan is re-derived at apply time from the *current* map — a
+    /// migration admitted under a since-superseded map or for a
+    /// since-unlinked extent degrades to `Superseded` (delete wins) — and
+    /// every copy re-verifies against its write-back checksum, so a
+    /// migration can heal an under-replicated range but never launder a
+    /// corrupt extent: with no healthy replica it is refused (`Failed`) and
+    /// the extent left in place for the scrubber to quarantine.
+    fn land_rebalance(&mut self, plan: MigrationPlan) {
+        let Some(sharded) = self.backing.as_sharded() else {
+            return;
+        };
+        match sharded.apply_migration(&plan) {
+            MigrationOutcome::Migrated {
+                bytes,
+                copies,
+                removed,
+            } => self.rebalance.record_migrated(bytes, copies, removed),
+            MigrationOutcome::Superseded => self.rebalance.record_superseded(),
+            MigrationOutcome::Failed => self.rebalance.record_failed(),
+        }
+    }
+
+    /// Lands a replicate copy: writes the extent's *current* bytes — a copy
+    /// admitted before a re-dirtying write still replicates the newest
+    /// contents — to the replica tier and returns the landed key. The source
+    /// is the resident burst extent when one exists, else the capacity
+    /// tier's copy through the verified seam: unverifiable bytes are never
+    /// replicated; the copy fails visibly instead.
+    fn land_replicate(
+        &mut self,
+        fs: &BurstBufferFs,
+        server: usize,
+        target: ReplicaTarget,
+    ) -> (String, u64) {
+        // The extent lives on the shard its stripe hashes to, which
+        // may not be the server that executed the write.
+        let shard = fs
+            .layout_of(&target.path)
+            .ok()
+            .and_then(|l| l.server_for_stripe(target.stripe))
+            .map_or(server, |id| id.0);
+        let data = fs
+            .resident_extent_on(shard, &target.path, target.stripe)
+            .or_else(|| {
+                themis_stage::verified_read_back(self.backing.as_ref(), &target.path, target.stripe)
+            });
+        match data {
+            Some(data) => {
+                self.replica.write_back(&target.path, target.stripe, &data);
+                self.replicate.record_replicated(data.len() as u64);
+            }
+            // Unlinked mid-copy (delete wins) or no verifiable
+            // source: the debt retires without a replica.
+            None => self.replicate.record_failed(),
+        }
+        target.key()
+    }
+
+    /// Releases the `sync` acks whose every awaited replica is among
+    /// `replicated`.
+    fn release_sync_acks(&mut self, replicated: &[(String, u64)], ready: &mut Vec<ReadyReply>) {
+        let mut j = 0;
+        while j < self.pending_sync_acks.len() {
+            for key in replicated {
+                self.pending_sync_acks[j].1.remove(key);
+            }
+            if self.pending_sync_acks[j].1.is_empty() {
+                let (reply, _) = self.pending_sync_acks.swap_remove(j);
+                self.replicate.record_sync_released();
+                ready.push(reply);
+            } else {
+                j += 1;
+            }
+        }
+    }
+}
+
+impl ServerCore {
+    /// Whether this server runs the staging subsystem.
+    pub fn staging_enabled(&self) -> bool {
+        self.staging.is_some()
+    }
+
+    /// The capacity tier behind this server (for tests and inspection).
+    pub fn backing(&self) -> Option<&Arc<dyn BackingStore>> {
+        self.staging.as_ref().map(|s| &s.backing)
+    }
+
+    /// Refreshes the instantaneous capacity gauges (`fs` layer series) from
+    /// the file system and capacity tier, returning the sampled `(resident,
+    /// dirty, backing)` bytes. Called before every status or metrics
+    /// snapshot: gauges describe *now*, so they are sampled at read time
+    /// rather than maintained on the write path.
+    pub(crate) fn refresh_gauges(&self) -> (u64, u64, u64) {
+        let resident = self.fs.resident_bytes_on(self.server_index);
+        let dirty = self.fs.dirty_bytes_on(self.server_index);
+        let backing = self
+            .staging
+            .as_ref()
+            .map_or(0, |st| st.backing.bytes_stored());
+        self.telemetry.resident_bytes.set(resident as i64);
+        self.telemetry.dirty_bytes.set(dirty as i64);
+        self.telemetry.backing_bytes.set(backing as i64);
+        (resident, dirty, backing)
+    }
+
+    /// A point-in-time staging status snapshot, `None` when staging is
+    /// disabled. Includes the restore backlog
+    /// ([`DrainStatus::pending_restore_bytes`]) so clients can observe the
+    /// stage-in queue delay their reads of evicted data will land behind.
+    ///
+    /// Like every class status, this reads the pipelines' own registry
+    /// counters — the one home of each count — so it agrees with a
+    /// [`metrics_snapshot`](Self::metrics_snapshot) by construction, and the
+    /// derived backlogs saturate rather than trust update order.
+    pub fn drain_status_snapshot(&self) -> Option<DrainStatus> {
+        let st = self.staging.as_ref()?;
+        let (resident, dirty, backing) = self.refresh_gauges();
+        Some(st.drain.status(&st.restore, resident, dirty, backing))
+    }
+
+    /// A point-in-time scrub status snapshot, `None` when staging is
+    /// disabled.
+    pub fn scrub_status_snapshot(&self) -> Option<ScrubStatus> {
+        self.staging.as_ref().map(|st| st.scrub.status())
+    }
+
+    /// A point-in-time rebalance status snapshot, `None` when staging is
+    /// disabled. On an unsharded tier the snapshot reports `sharded: false`
+    /// with every counter zero.
+    pub fn rebalance_status_snapshot(&self) -> Option<RebalanceStatus> {
+        let st = self.staging.as_ref()?;
+        Some(st.rebalance.status(st.backing.as_sharded()))
+    }
+
+    /// A point-in-time replication status snapshot, `None` when staging is
+    /// disabled.
+    pub fn replicate_status_snapshot(&self) -> Option<ReplicateStatus> {
+        self.staging.as_ref().map(|st| st.replicate.status())
+    }
+
+    /// Queues `reply` for `request_id`, or the staging-disabled error when
+    /// there is none to give.
+    fn push_stage_reply(&mut self, request_id: u64, reply: Option<StageReply>) {
+        let reply = reply
+            .unwrap_or_else(|| StageReply::Error("staging is not enabled on this server".into()));
+        self.stage_replies.push(StageReady { request_id, reply });
+    }
+
+    /// Handles a `DrainStatus` request: an immediate snapshot reply.
+    pub fn drain_status(&mut self, request_id: u64) {
+        let reply = self.drain_status_snapshot().map(StageReply::Status);
+        self.push_stage_reply(request_id, reply);
+    }
+
+    /// Handles a `ScrubStatus` request: an immediate snapshot reply.
+    pub fn scrub_status(&mut self, request_id: u64) {
+        let reply = self.scrub_status_snapshot().map(StageReply::Scrub);
+        self.push_stage_reply(request_id, reply);
+    }
+
+    /// Handles a `RebalanceStatus` request: an immediate snapshot reply.
+    pub fn rebalance_status(&mut self, request_id: u64) {
+        let reply = self.rebalance_status_snapshot().map(StageReply::Rebalance);
+        self.push_stage_reply(request_id, reply);
+    }
+
+    /// Handles a `ReplicateStatus` request: an immediate snapshot reply.
+    pub fn replicate_status(&mut self, request_id: u64) {
+        let reply = self.replicate_status_snapshot().map(StageReply::Replicate);
+        self.push_stage_reply(request_id, reply);
+    }
+
+    /// Handles a `Flush` request: acknowledge immediately when the path has
+    /// no dirty local extents (the no-op case), otherwise wait for the
+    /// background drain — which the flush does not bypass; it is ordinary
+    /// policy-arbitrated drain traffic — to make the path clean.
+    pub fn flush(&mut self, request_id: u64, meta: JobMeta, path: &str, now_ns: u64) {
+        if self.reject_reserved_stage(request_id, &meta) {
+            return;
+        }
+        self.settle_shares();
+        self.jobs.observe_request(meta, now_ns);
+        let path = match themis_fs::path::normalize(path) {
+            Ok(p) => p,
+            Err(e) => {
+                self.stage_replies.push(StageReady {
+                    request_id,
+                    reply: StageReply::Error(e.to_string()),
+                });
+                return;
+            }
+        };
+        let server = self.server_index;
+        let Some(st) = self.staging.as_mut() else {
+            self.push_stage_reply(request_id, None);
+            return;
+        };
+        let busy = self.fs.path_dirty_on(server, &path).unwrap_or(false)
+            || st.drain.has_inflight_for(&path);
+        if busy {
+            st.pending_flushes.push((request_id, path));
+        } else {
+            let backing_bytes = st.backing.bytes_for(&path);
+            self.stage_replies.push(StageReady {
+                request_id,
+                reply: StageReply::Flushed { backing_bytes },
+            });
+        }
+    }
+
+    /// Handles a `StageIn` request: restores the evicted extents of the path
+    /// on **this server's shard** from the capacity tier. Like dirty state,
+    /// evicted state is server-local — the client broadcasts `StageIn` so
+    /// every shard restores its own stripes exactly once (no duplicated
+    /// restore work, exact byte counts).
+    ///
+    /// The restores are synthesized as policy-admitted
+    /// [`TrafficClass::Restore`] requests — a large stage-in no longer
+    /// bypasses the engine and cannot starve policy-arbitrated foreground
+    /// traffic — so the acknowledgement is deferred until every queued
+    /// extent has landed (delivered by a later [`ServerCore::poll`]).
+    pub fn stage_in(&mut self, request_id: u64, meta: JobMeta, path: &str, now_ns: u64) {
+        if self.reject_reserved_stage(request_id, &meta) {
+            return;
+        }
+        self.settle_shares();
+        self.jobs.observe_request(meta, now_ns);
+        let path = match themis_fs::path::normalize(path) {
+            Ok(p) => p,
+            Err(e) => {
+                self.stage_replies.push(StageReady {
+                    request_id,
+                    reply: StageReply::Error(e.to_string()),
+                });
+                return;
+            }
+        };
+        let shard = self.server_index;
+        let evicted = self.fs.evicted_extents_on(shard, Some(&path));
+        let Some(st) = self.staging.as_mut() else {
+            self.push_stage_reply(request_id, None);
+            return;
+        };
+        if evicted.is_empty() {
+            // Everything already resident: an immediate no-op ack.
+            self.stage_replies.push(StageReady {
+                request_id,
+                reply: StageReply::StagedIn { restored_bytes: 0 },
+            });
+            return;
+        }
+        let mut keys = HashSet::new();
+        for (p, stripe, len) in evicted {
+            let target = RestoreTarget {
+                shard,
+                path: p,
+                stripe,
+                bytes: len,
+                pin_dirty: false,
+            };
+            keys.insert(target.key());
+            st.restore.request(target);
+        }
+        st.pending_stage_ins.push(PendingStageIn {
+            request_id,
+            keys,
+            restored_bytes: 0,
+        });
+    }
+
     /// Handles a `Scrub` request: demands a full checksum pass over this
     /// server's share of the capacity tier — forced even when the
     /// continuous background scrubber is disabled. The acknowledgement
@@ -1080,95 +1401,11 @@ impl ServerCore {
     /// foreground tenants.
     pub fn scrub(&mut self, request_id: u64) {
         let Some(st) = self.staging.as_mut() else {
-            self.stage_replies.push(StageReady {
-                request_id,
-                reply: StageReply::Error("staging is not enabled on this server".into()),
-            });
+            self.push_stage_reply(request_id, None);
             return;
         };
         let pass = st.scrub.force_pass();
         st.pending_scrubs.push((request_id, pass));
-    }
-
-    /// Handles a `ScrubStatus` request: an immediate snapshot reply.
-    pub fn scrub_status(&mut self, request_id: u64) {
-        let reply = match self.scrub_status_snapshot() {
-            Some(status) => StageReply::Scrub(status),
-            None => StageReply::Error("staging is not enabled on this server".into()),
-        };
-        self.stage_replies.push(StageReady { request_id, reply });
-    }
-
-    /// A point-in-time rebalance status snapshot, `None` when staging is
-    /// disabled. Like [`ServerCore::scrub_status_snapshot`], the monotonic
-    /// migration counters are a view over one sorted registry read;
-    /// structural state (map, generations, inflight depth) comes from the
-    /// pipeline and the sharded tier. On an unsharded tier the snapshot
-    /// reports `sharded: false` with every counter zero.
-    pub fn rebalance_status_snapshot(&self) -> Option<RebalanceStatus> {
-        let st = self.staging.as_ref()?;
-        let mut status = st.rebalance.status(st.backing.as_sharded());
-        let snap = self.telemetry.registry.snapshot(0);
-        let s = self.server_index as u32;
-        let lane = TrafficClass::Rebalance.name();
-        let requested = snap.counter(s, 0, lane, "rebalance_requested_bytes");
-        let migrated = snap.counter(s, 0, lane, "rebalance_migrated_bytes");
-        status.requested_bytes = requested;
-        status.migrated_bytes = migrated;
-        // Independently-loaded counters: saturate, never trust load order
-        // (the same hazard as `DrainStatus::pending_restore_bytes`).
-        status.pending_bytes = requested.saturating_sub(migrated);
-        status.migrated_extents = snap.counter(s, 0, lane, "migrated_extents");
-        status.copies_written = snap.counter(s, 0, lane, "copies_written");
-        status.removed_extents = snap.counter(s, 0, lane, "removed_extents");
-        status.superseded_extents = snap.counter(s, 0, lane, "superseded_extents");
-        status.failed_extents = snap.counter(s, 0, lane, "failed_extents");
-        status.passes_completed = snap.counter(s, 0, lane, "passes_completed");
-        Some(status)
-    }
-
-    /// Handles a `RebalanceStatus` request: an immediate snapshot reply.
-    pub fn rebalance_status(&mut self, request_id: u64) {
-        let reply = match self.rebalance_status_snapshot() {
-            Some(status) => StageReply::Rebalance(status),
-            None => StageReply::Error("staging is not enabled on this server".into()),
-        };
-        self.stage_replies.push(StageReady { request_id, reply });
-    }
-
-    /// A point-in-time replication status snapshot, `None` when staging is
-    /// disabled. Like [`ServerCore::rebalance_status_snapshot`], the
-    /// monotonic counters are a view over one sorted registry read;
-    /// structural state (queue depth, inflight, enablement) comes from the
-    /// pipeline.
-    pub fn replicate_status_snapshot(&self) -> Option<ReplicateStatus> {
-        let st = self.staging.as_ref()?;
-        let mut status = st.replicate.status();
-        let snap = self.telemetry.registry.snapshot(0);
-        let s = self.server_index as u32;
-        let lane = TrafficClass::Replicate.name();
-        let requested = snap.counter(s, 0, lane, "replicate_requested_bytes");
-        let completed = snap.counter(s, 0, lane, "replicate_completed_bytes");
-        status.requested_bytes = requested;
-        status.completed_bytes = completed;
-        // Independently-loaded counters: saturate, never trust load order
-        // (the same hazard as `DrainStatus::pending_restore_bytes`).
-        status.lag_bytes = requested.saturating_sub(completed);
-        status.replicated_bytes = snap.counter(s, 0, lane, "replicate_replicated_bytes");
-        status.replicated_extents = snap.counter(s, 0, lane, "replicated_extents");
-        status.failed_replications = snap.counter(s, 0, lane, "failed_replications");
-        status.sync_acks_deferred = snap.counter(s, 0, lane, "sync_acks_deferred");
-        status.sync_acks_released = snap.counter(s, 0, lane, "sync_acks_released");
-        Some(status)
-    }
-
-    /// Handles a `ReplicateStatus` request: an immediate snapshot reply.
-    pub fn replicate_status(&mut self, request_id: u64) {
-        let reply = match self.replicate_status_snapshot() {
-            Some(status) => StageReply::Replicate(status),
-            None => StageReply::Error("staging is not enabled on this server".into()),
-        };
-        self.stage_replies.push(StageReady { request_id, reply });
     }
 
     /// The replica tier's **verified** copy of `(path, stripe)` — `None`
@@ -1208,12 +1445,12 @@ impl ServerCore {
     /// anyway, and untouched evicted extents stay in the tier — reads serve
     /// them by read-through). With `targets = None` every evicted extent of
     /// the path is restored clean (the tier still holds identical copies).
-    fn restore_extents(
+    pub(crate) fn restore_extents(
         &mut self,
         shards: std::ops::Range<usize>,
         path: &str,
         now_ns: u64,
-        targets: Option<&std::collections::HashSet<u64>>,
+        targets: Option<&HashSet<u64>>,
     ) -> u64 {
         let Some(st) = self.staging.as_mut() else {
             return 0;
@@ -1233,7 +1470,7 @@ impl ServerCore {
                 };
                 // Charge the capacity tier the read and the burst buffer the
                 // write-back.
-                let meta = st.pipeline.meta();
+                let meta = st.drain.meta();
                 let read = IoRequest::new(0, meta, OpKind::Read, data.len() as u64, now_ns);
                 let (_, read_finish) = st.backing_device.dispatch(&read, now_ns);
                 let write = IoRequest::new(0, meta, OpKind::Write, data.len() as u64, read_finish);
@@ -1246,356 +1483,52 @@ impl ServerCore {
         restored
     }
 
-    /// One staging maintenance pass: complete capacity-tier writes and
-    /// restores (waking parked foreground operations and pending stage-in
-    /// acks), evict under watermark pressure, admit fresh drain and restore
-    /// traffic, acknowledge finished flushes.
-    fn stage_tick(&mut self, now_ns: u64, ready: &mut Vec<ReadyReply>) {
+    /// One staging maintenance pass, the same three phases for every traffic
+    /// class in [`TrafficClass::ALL`] order: land the requests whose device
+    /// charges finished (waking parked foreground operations and deferred
+    /// acks), evict under watermark pressure, admit fresh class traffic —
+    /// then close finished passes and acknowledge finished flushes.
+    pub(crate) fn stage_tick(&mut self, now_ns: u64, ready: &mut Vec<ReadyReply>) {
+        if self.staging.is_none() {
+            return;
+        }
         let server = self.server_index;
+
+        // 1. Landings, every class before the eviction pass: a freshly
+        //    restored extent cannot be reclaimed out from under the parked
+        //    op it was restored for, and a scrub repair's burst-copy source
+        //    cannot be reclaimed in the same tick it is needed.
+        for class in TrafficClass::ALL {
+            self.land_due(class, now_ns, ready);
+        }
         let Some(st) = self.staging.as_mut() else {
             return;
         };
-
-        // 1. Drains whose capacity-tier write finished: mark clean (unless a
-        //    concurrent write re-dirtied the extent — the generation check).
-        let mut i = 0;
-        while i < st.inflight_backing.len() {
-            if st.inflight_backing[i].0 <= now_ns {
-                let (_, seq, generation) = st.inflight_backing.swap_remove(i);
-                if let Some(d) = st.pipeline.complete(seq) {
-                    self.fs.mark_clean_on(server, &d.path, d.stripe, generation);
-                }
-            } else {
-                i += 1;
-            }
-        }
-
-        // 1b. Restores whose device charges finished: copy the tier's
-        //     extent back into the shard and note the landed keys. This runs
-        //     *before* the eviction pass so a freshly restored extent cannot
-        //     be reclaimed out from under the parked op it was restored for.
-        let mut landed: Vec<(usize, String, u64, u64)> = Vec::new();
-        let mut i = 0;
-        while i < st.inflight_restores.len() {
-            if st.inflight_restores[i].0 <= now_ns {
-                let (_, seq) = st.inflight_restores.swap_remove(i);
-                // Read the tier copy at completion time, not admission time:
-                // if the path was unlinked while the restore was in flight
-                // the copy is gone and the restore degrades to a no-op
-                // (delete wins here too). The read is *verified*: a corrupt
-                // tier copy must never be restored into the burst buffer,
-                // where it would pass for a clean repair source and launder
-                // the damage past every future scrub (the scrub pass
-                // quarantines it instead).
-                let data = st.restore.inflight(seq).and_then(|t| {
-                    themis_stage::verified_read_back(st.backing.as_ref(), &t.path, t.stripe)
-                });
-                let actual = data.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-                let Some(target) = st.restore.complete(seq, actual) else {
-                    continue;
-                };
-                if let Some(data) = data {
-                    self.fs.restore_extent_on(
-                        target.shard,
-                        &target.path,
-                        target.stripe,
-                        &data,
-                        target.pin_dirty,
-                    );
-                }
-                landed.push((target.shard, target.path, target.stripe, actual));
-            } else {
-                i += 1;
-            }
-        }
-
-        // 1c. Wake waiters of the landed extents: pending stage-in acks
-        //     accumulate restored bytes, parked foreground ops whose last
-        //     restore landed execute now (charged device time from `now`).
-        if !landed.is_empty() {
-            let mut j = 0;
-            while j < st.pending_stage_ins.len() {
-                let pending = &mut st.pending_stage_ins[j];
-                for (shard, path, stripe, actual) in &landed {
-                    if pending.keys.remove(&(*shard, path.clone(), *stripe)) {
-                        pending.restored_bytes += actual;
-                    }
-                }
-                if pending.keys.is_empty() {
-                    let done = st.pending_stage_ins.swap_remove(j);
-                    self.stage_replies.push(StageReady {
-                        request_id: done.request_id,
-                        reply: StageReply::StagedIn {
-                            restored_bytes: done.restored_bytes,
-                        },
-                    });
-                } else {
-                    j += 1;
-                }
-            }
-            // Order-preserving wake: parked ops execute in admission order,
-            // and an op whose restores all landed still waits while an
-            // *earlier* parked op targeting overlapping extents (full key
-            // sets intersect) is parked — otherwise two writes to the same
-            // stripe could swap when their restores land in different
-            // ticks. `Vec::remove`, not `swap_remove`, keeps the order.
-            let mut unparked: Vec<ParkedOp> = Vec::new();
-            let mut blocked: std::collections::HashSet<(usize, String, u64)> =
-                std::collections::HashSet::new();
-            let mut j = 0;
-            while j < st.parked_ops.len() {
-                let parked = &mut st.parked_ops[j];
-                for (shard, path, stripe, _) in &landed {
-                    parked.keys.remove(&(*shard, path.clone(), *stripe));
-                }
-                let held_up =
-                    !parked.keys.is_empty() || parked.all_keys.iter().any(|k| blocked.contains(k));
-                if held_up {
-                    blocked.extend(parked.all_keys.iter().cloned());
-                    j += 1;
-                } else {
-                    unparked.push(st.parked_ops.remove(j));
-                }
-            }
-            for parked in unparked {
-                self.telemetry.wakes.inc();
-                self.telemetry
-                    .park_ns
-                    .record(now_ns.saturating_sub(parked.parked_at_ns));
-                self.trace_park_event(now_ns, TraceKind::Wake, &parked.request);
-                let spans = self.write_spans(&parked.op);
-                let (start_ns, finish_ns) = self.device.dispatch(&parked.request, now_ns);
-                let reply = self.execute(&parked.op, finish_ns);
-                let completion = Completion {
-                    request: parked.request,
-                    start_ns,
-                    finish_ns,
-                };
-                self.engine.complete(&completion);
-                self.completions += 1;
-                self.record_completion(&completion);
-                self.note_durable_write(
-                    spans,
-                    ReadyReply {
-                        request_id: parked.request_id,
-                        reply,
-                        completion,
-                    },
-                    ready,
-                    now_ns,
-                );
-            }
-        }
-
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-
-        // 1d. Scrub verifications whose capacity-tier read finished: judge
-        //     the copy against the checksum recorded at drain write-back
-        //     time. On a mismatch, repair from a clean resident burst copy;
-        //     defer to the pending drain when a concurrent foreground write
-        //     re-dirtied the extent (the generation guard — the scrubber
-        //     must never push unflushed data into the tier); quarantine when
-        //     no repair source remains. This runs *before* the eviction pass
-        //     so a repair's burst-copy source cannot be reclaimed in the
-        //     same tick it is needed.
-        let mut i = 0;
-        while i < st.inflight_scrubs.len() {
-            if st.inflight_scrubs[i].0 <= now_ns {
-                let (_, seq) = st.inflight_scrubs.swap_remove(i);
-                let Some(target) = st.scrub.complete(seq) else {
-                    continue;
-                };
-                match st
-                    .backing
-                    .read_back_with_checksum(&target.path, target.stripe)
-                {
-                    // Unlinked mid-scrub (delete-wins): nothing to verify.
-                    None => {}
-                    Some((data, stored)) => {
-                        let bytes = data.len() as u64;
-                        if extent_checksum(&data) == stored {
-                            st.scrub.record_clean(bytes);
-                        } else if self
-                            .fs
-                            .snapshot_extent_on(server, &target.path, target.stripe)
-                            .is_some()
-                        {
-                            // The shard copy is dirty: a foreground write
-                            // moved the generation mid-scrub, so the pending
-                            // drain — which will rewrite copy and checksum
-                            // together — owns the tier copy's next contents.
-                            st.scrub.record_superseded(bytes);
-                        } else if let Some(good) =
-                            self.fs
-                                .resident_extent_on(server, &target.path, target.stripe)
-                        {
-                            // A clean resident burst copy is byte-identical
-                            // to what the tier should hold: repair. Charge
-                            // the burst device the copy's read and the
-                            // capacity tier the rewrite.
-                            let meta = st.scrub.meta();
-                            let cost = good.len().max(1) as u64;
-                            let read = IoRequest::new(0, meta, OpKind::Read, cost, now_ns);
-                            let (_, read_finish) = self.device.dispatch(&read, now_ns);
-                            let write = IoRequest::new(0, meta, OpKind::Write, cost, read_finish);
-                            st.backing_device.dispatch(&write, read_finish);
-                            st.backing.write_back(&target.path, target.stripe, &good);
-                            st.scrub.record_repaired(bytes);
-                        } else {
-                            // No repair source (evicted or never resident
-                            // here): the tier copy was the only one, and it
-                            // is damaged. Quarantine and surface it.
-                            st.scrub
-                                .record_quarantined(target.path, target.stripe, bytes);
-                        }
-                    }
-                }
-            } else {
-                i += 1;
-            }
-        }
-
-        // 1e. Shard migrations whose capacity-tier transfers finished: apply
-        //     the plan against the sharded tier. The plan is re-derived at
-        //     apply time from the *current* map — a migration admitted under
-        //     a since-superseded map or for a since-unlinked extent degrades
-        //     to `Superseded` (delete wins) — and every copy re-verifies
-        //     against its write-back checksum, so a migration can heal an
-        //     under-replicated range but never launder a corrupt extent: with
-        //     no healthy replica it is refused (`Failed`) and the extent left
-        //     in place for the scrubber to quarantine.
-        let mut i = 0;
-        while i < st.inflight_rebalances.len() {
-            if st.inflight_rebalances[i].0 <= now_ns {
-                let (_, seq) = st.inflight_rebalances.swap_remove(i);
-                let Some(plan) = st.rebalance.complete(seq) else {
-                    continue;
-                };
-                let Some(sharded) = st.backing.as_sharded() else {
-                    continue;
-                };
-                match sharded.apply_migration(&plan) {
-                    MigrationOutcome::Migrated {
-                        bytes,
-                        copies,
-                        removed,
-                    } => st.rebalance.record_migrated(bytes, copies, removed),
-                    MigrationOutcome::Superseded => st.rebalance.record_superseded(),
-                    MigrationOutcome::Failed => st.rebalance.record_failed(),
-                }
-            } else {
-                i += 1;
-            }
-        }
-
-        // 1f. Replicate copies whose replica-tier write finished: land the
-        //     extent's *current* bytes — a copy admitted before a re-dirtying
-        //     write still replicates the newest contents — and release any
-        //     `sync` acks parked on the landed keys. The source is the
-        //     resident burst extent when one exists, else the capacity
-        //     tier's copy through the verified seam: unverifiable bytes are
-        //     never replicated; the copy fails visibly instead.
-        let mut replicated: Vec<(String, u64)> = Vec::new();
-        let mut i = 0;
-        while i < st.inflight_replicates.len() {
-            if st.inflight_replicates[i].0 <= now_ns {
-                let (_, seq) = st.inflight_replicates.swap_remove(i);
-                let Some(target) = st.replicate.complete(seq) else {
-                    continue;
-                };
-                // The extent lives on the shard its stripe hashes to, which
-                // may not be the server that executed the write.
-                let shard = self
-                    .fs
-                    .layout_of(&target.path)
-                    .ok()
-                    .and_then(|l| l.server_for_stripe(target.stripe))
-                    .map(|id| id.0)
-                    .unwrap_or(server);
-                let data = self
-                    .fs
-                    .resident_extent_on(shard, &target.path, target.stripe)
-                    .or_else(|| {
-                        themis_stage::verified_read_back(
-                            st.backing.as_ref(),
-                            &target.path,
-                            target.stripe,
-                        )
-                    });
-                match data {
-                    Some(data) => {
-                        st.replica.write_back(&target.path, target.stripe, &data);
-                        st.replicate.record_replicated(data.len() as u64);
-                    }
-                    // Unlinked mid-copy (delete wins) or no verifiable
-                    // source: the debt retires without a replica.
-                    None => st.replicate.record_failed(),
-                }
-                replicated.push(target.key());
-            } else {
-                i += 1;
-            }
-        }
-        if !replicated.is_empty() {
-            let mut j = 0;
-            while j < st.pending_sync_acks.len() {
-                for key in &replicated {
-                    st.pending_sync_acks[j].1.remove(key);
-                }
-                if st.pending_sync_acks[j].1.is_empty() {
-                    let (reply, _) = st.pending_sync_acks.swap_remove(j);
-                    st.replicate.record_sync_released();
-                    ready.push(reply);
-                } else {
-                    j += 1;
-                }
-            }
-        }
 
         // 2. Watermark eviction: reclaim clean extents down to the low
         //    watermark. Dirty extents are never touched.
-        let cfg = *st.pipeline.config();
+        let cfg = *st.drain.config();
         if self.fs.resident_bytes_on(server) > cfg.high_watermark_bytes {
             let evicted = self.fs.evict_clean_on(server, cfg.low_watermark_bytes);
             let bytes: u64 = evicted.iter().map(|(_, _, len)| len).sum();
             if !evicted.is_empty() {
-                st.pipeline.record_eviction(evicted.len() as u64, bytes);
+                st.drain.record_eviction(evicted.len() as u64, bytes);
             }
         }
 
-        // 3. Background drain admission: synthesize policy-arbitrated drain
-        //    requests for dirty extents, up to the pipelining depth.
-        let capacity = st.pipeline.admission_capacity();
-        if capacity > 0 {
-            let candidates =
-                self.fs
-                    .dirty_extents_on(server, capacity, st.pipeline.inflight_keys());
-            for (path, stripe, generation, len) in candidates {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                let request = st
-                    .pipeline
-                    .admit(seq, path, stripe, generation, len.max(1), now_ns);
-                self.engine.admit(request);
-            }
-        }
-
-        // 3b. Restore admission: queued restore targets become policy-
-        //     arbitrated restore requests, up to the pipelining depth.
-        self.admit_restores(now_ns);
-
-        // 3c. Scrub admission: when a pass is due (continuous scrubbing or
-        //     an explicit `Scrub` demand), walk the capacity tier's extents
-        //     this server owns and synthesize policy-arbitrated verification
-        //     requests — then resolve any deferred `Scrub` acknowledgements
-        //     whose pass just completed (including the trivially complete
-        //     pass over an empty tier).
-        self.admit_scrubs(now_ns);
+        // 3. Admission: each class synthesizes policy-arbitrated requests
+        //    for the work it has due — dirty extents, queued restores, the
+        //    scrub and rebalance passes' next extents, replica debt — up to
+        //    its pipelining depth.
+        self.admit_classes(&TrafficClass::ALL, now_ns);
         let Some(st) = self.staging.as_mut() else {
             return;
         };
+
+        // 3b. Close the passes whose cursor and in-flight set both drained,
+        //     and resolve the deferred `Scrub` acknowledgements waiting on
+        //     one (including the trivially complete pass over an empty
+        //     tier).
         if let Some(pass) = st.scrub.finish_pass_if_idle(now_ns) {
             let status = st.scrub.status();
             let mut j = 0;
@@ -1611,31 +1544,14 @@ impl ServerCore {
                 }
             }
         }
-
-        // 3d. Rebalance admission: when the sharded tier's map generation
-        //     moved past the last converged one (or a heal pass was forced),
-        //     walk the misplaced extents this server's shard owns and
-        //     synthesize policy-arbitrated migration requests — then close
-        //     the pass once the cursor and the inflight set both drain.
-        self.admit_rebalances(now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
         st.rebalance.finish_pass_if_idle();
-
-        // 3e. Replicate admission: queued replica debt becomes policy-
-        //     arbitrated copy requests, up to the pipelining depth.
-        self.admit_replicates(now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
 
         // 4. Flushes whose path became clean locally.
         let mut j = 0;
         while j < st.pending_flushes.len() {
             let path = &st.pending_flushes[j].1;
             let busy = self.fs.path_dirty_on(server, path).unwrap_or(false)
-                || st.pipeline.has_inflight_for(path);
+                || st.drain.has_inflight_for(path);
             if busy {
                 j += 1;
             } else {
@@ -1649,85 +1565,210 @@ impl ServerCore {
         }
     }
 
-    /// Feeds queued restore targets to the policy engine, up to the restore
-    /// pipeline's depth.
-    fn admit_restores(&mut self, now_ns: u64) {
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        while let Some(request) = st.restore.admit_next(self.next_seq, now_ns) {
-            self.next_seq += 1;
-            self.engine.admit(request);
-        }
-    }
-
-    /// Feeds due scrub verifications to the policy engine, up to the scrub
-    /// pipeline's depth. Each server verifies exactly the tier extents whose
-    /// stripes its shard owns, so a multi-server deployment scrubs the
-    /// shared tier once; orphaned extents (no live layout) fall to server 0.
-    fn admit_scrubs(&mut self, now_ns: u64) {
-        let fs = self.fs.clone();
+    /// Lands every request of `class` whose device charges finished by
+    /// `now_ns`. What landing *means* is the one thing the classes do not
+    /// share: a drain marks its extent clean (unless a concurrent write
+    /// re-dirtied it — the generation check), a restore puts the extent
+    /// back and wakes its waiters, a scrub judges a checksum, a migration
+    /// re-places an extent, a replica releases `sync` acks.
+    fn land_due(&mut self, class: TrafficClass, now_ns: u64, ready: &mut Vec<ReadyReply>) {
         let server = self.server_index;
         let Some(st) = self.staging.as_mut() else {
             return;
         };
-        let owns = |path: &str, stripe: u64| match fs.layout_of(path) {
-            Ok(layout) => layout.server_for_stripe(stripe).map(|id| id.0) == Some(server),
-            Err(_) => server == 0,
-        };
-        while let Some(request) =
-            st.scrub
-                .admit_next(self.next_seq, now_ns, st.backing.as_ref(), owns)
-        {
-            self.next_seq += 1;
-            self.engine.admit(request);
+        match class {
+            TrafficClass::Drain => {
+                while let Some(d) = st.drain.pop_due(now_ns) {
+                    self.fs
+                        .mark_clean_on(server, &d.path, d.stripe, d.generation);
+                }
+            }
+            TrafficClass::Restore => {
+                let mut landed = Vec::new();
+                while let Some(target) = st.restore.pop_due(now_ns) {
+                    landed.push(st.land_restore(&self.fs, target));
+                }
+                if !landed.is_empty() {
+                    self.wake_restored(&landed, now_ns, ready);
+                }
+            }
+            TrafficClass::Scrub => {
+                while let Some(target) = st.scrub.pop_due(now_ns) {
+                    st.land_scrub(&self.fs, &mut self.device, server, target, now_ns);
+                }
+            }
+            TrafficClass::Rebalance => {
+                while let Some(plan) = st.rebalance.pop_due(now_ns) {
+                    st.land_rebalance(plan);
+                }
+            }
+            TrafficClass::Replicate => {
+                let mut replicated = Vec::new();
+                while let Some(target) = st.replicate.pop_due(now_ns) {
+                    replicated.push(st.land_replicate(&self.fs, server, target));
+                }
+                st.release_sync_acks(&replicated, ready);
+            }
         }
     }
 
-    /// Feeds due shard migrations to the policy engine, up to the rebalance
-    /// pipeline's depth. The same ownership split as scrubbing: each server
-    /// migrates exactly the tier extents whose stripes its layout shard
-    /// owns, so a multi-server deployment re-places the shared tier once;
-    /// orphaned extents fall to server 0. A no-op on an unsharded tier.
-    fn admit_rebalances(&mut self, now_ns: u64) {
-        let fs = self.fs.clone();
+    /// Wakes the waiters of freshly landed extents: pending stage-in acks
+    /// accumulate restored bytes, parked foreground ops whose last restore
+    /// landed execute now (charged device time from `now_ns`).
+    fn wake_restored(
+        &mut self,
+        landed: &[((usize, String, u64), u64)],
+        now_ns: u64,
+        ready: &mut Vec<ReadyReply>,
+    ) {
+        let Some(st) = self.staging.as_mut() else {
+            return;
+        };
+        let mut j = 0;
+        while j < st.pending_stage_ins.len() {
+            let pending = &mut st.pending_stage_ins[j];
+            for (key, actual) in landed {
+                if pending.keys.remove(key) {
+                    pending.restored_bytes += actual;
+                }
+            }
+            if pending.keys.is_empty() {
+                let done = st.pending_stage_ins.swap_remove(j);
+                self.stage_replies.push(StageReady {
+                    request_id: done.request_id,
+                    reply: StageReply::StagedIn {
+                        restored_bytes: done.restored_bytes,
+                    },
+                });
+            } else {
+                j += 1;
+            }
+        }
+        // Order-preserving wake: parked ops execute in admission order,
+        // and an op whose restores all landed still waits while an
+        // *earlier* parked op targeting overlapping extents (full key
+        // sets intersect) is parked — otherwise two writes to the same
+        // stripe could swap when their restores land in different
+        // ticks. `Vec::remove`, not `swap_remove`, keeps the order.
+        let mut unparked: Vec<ParkedOp> = Vec::new();
+        let mut blocked: HashSet<(usize, String, u64)> = HashSet::new();
+        let mut j = 0;
+        while j < st.parked_ops.len() {
+            let parked = &mut st.parked_ops[j];
+            for (key, _) in landed {
+                parked.keys.remove(key);
+            }
+            let held_up =
+                !parked.keys.is_empty() || parked.all_keys.iter().any(|k| blocked.contains(k));
+            if held_up {
+                blocked.extend(parked.all_keys.iter().cloned());
+                j += 1;
+            } else {
+                unparked.push(st.parked_ops.remove(j));
+            }
+        }
+        for parked in unparked {
+            self.telemetry.wakes.inc();
+            self.telemetry
+                .park_ns
+                .record(now_ns.saturating_sub(parked.parked_at_ns));
+            self.trace_park_event(now_ns, TraceKind::Wake, &parked.request);
+            self.run_foreground(parked.request_id, parked.request, &parked.op, now_ns, ready);
+        }
+    }
+
+    /// Feeds the due work of `classes` to the policy engine, in order, each
+    /// up to its pipelining depth. Runs over every class each tick, and for
+    /// one class on the spot when a poll creates work for it (a parked
+    /// reader's restores, a write's replica debt) so it competes in that
+    /// same poll.
+    ///
+    /// The tier-walking classes split a shared tier by ownership: each
+    /// server scrubs and migrates exactly the extents whose stripes its
+    /// shard owns, so a multi-server deployment covers the tier once;
+    /// orphaned extents (no live layout) fall to server 0.
+    pub(crate) fn admit_classes(&mut self, classes: &[TrafficClass], now_ns: u64) {
         let server = self.server_index;
         let Some(st) = self.staging.as_mut() else {
             return;
         };
-        let Some(sharded) = st.backing.as_sharded() else {
-            return;
-        };
+        let fs = &self.fs;
+        let backing = Arc::clone(&st.backing);
         let owns = |path: &str, stripe: u64| match fs.layout_of(path) {
             Ok(layout) => layout.server_for_stripe(stripe).map(|id| id.0) == Some(server),
             Err(_) => server == 0,
         };
-        while let Some(request) = st
-            .rebalance
-            .admit_next(self.next_seq, now_ns, sharded, owns)
-        {
-            self.next_seq += 1;
-            self.engine.admit(request);
+        let ctx = AdmitContext {
+            fs,
+            backing: backing.as_ref(),
+            owns: &owns,
+        };
+        for &class in classes {
+            let pipeline = st.lifecycle_mut(class);
+            while let Some(request) = pipeline.admit_next(self.next_seq, now_ns, &ctx) {
+                self.next_seq += 1;
+                self.engine.admit(request);
+            }
         }
     }
 
-    /// Feeds queued replicate copies to the policy engine, up to the
-    /// replicate pipeline's depth.
-    fn admit_replicates(&mut self, now_ns: u64) {
+    /// Executes a class request the engine released. The burst-buffer
+    /// device is charged the request itself — the slot the engine granted,
+    /// which is what keeps every class bounded by its foreground:class
+    /// weight — and the tier behind it is charged the class's [`Charge`]
+    /// row at its own speed. The request lands when both finish (in a later
+    /// [`ServerCore::poll`]), and whatever bytes it moves are read *then*,
+    /// so an extent re-dirtied meanwhile lands its latest contents.
+    pub(crate) fn execute_class(&mut self, class: TrafficClass, request: &IoRequest, now_ns: u64) {
+        let (_, burst_finish) = self.device.dispatch(request, now_ns);
         let Some(st) = self.staging.as_mut() else {
             return;
         };
-        while let Some(request) = st.replicate.admit_next(self.next_seq, now_ns) {
-            self.next_seq += 1;
-            self.engine.admit(request);
+        let (bytes, copies) = match class {
+            TrafficClass::Drain => {
+                match st.write_back_snapshot(&self.fs, self.server_index, request.seq) {
+                    Some(written) => (written, 1),
+                    None => return,
+                }
+            }
+            TrafficClass::Rebalance => {
+                let plan = st.rebalance.inflight(request.seq);
+                (
+                    request.bytes,
+                    plan.map_or(1, |p| p.copy_to.len().max(1) as u64),
+                )
+            }
+            _ => (request.bytes, 1),
+        };
+        let charge = Charge::of(class);
+        let timeline = if charge.on_replica {
+            &mut st.replica_device
+        } else {
+            &mut st.backing_device
+        };
+        let mut at = if charge.after_burst {
+            burst_finish
+        } else {
+            now_ns
+        };
+        for &kind in charge.legs {
+            let cost = if kind == OpKind::Write {
+                bytes * copies
+            } else {
+                bytes
+            };
+            let leg = IoRequest::new(request.seq, request.meta, kind, cost, at);
+            (_, at) = timeline.dispatch(&leg, at);
         }
+        st.lifecycle_mut(class)
+            .dispatched(request.seq, burst_finish.max(at));
     }
 
     /// The `(stripe, bytes-written-into-it)` spans a write operation dirties,
     /// with the normalized target path — `None` for non-writes and writes the
     /// layout cannot resolve. Cursor writes read the descriptor's *current*
     /// cursor, so this must run before the write executes.
-    fn write_spans(&self, op: &FsOp) -> Option<(String, Vec<(u64, u64)>)> {
+    pub(crate) fn write_spans(&self, op: &FsOp) -> Option<(String, Vec<(u64, u64)>)> {
         self.staging.as_ref()?;
         let (path, offset, len) = match op {
             FsOp::WriteAt { path, offset, data } => (path.clone(), *offset, data.len() as u64),
@@ -1762,9 +1803,9 @@ impl ServerCore {
     /// the durability policy, then delivers the reply — immediately for
     /// `local_only`/`local_plus_one` writes (and every non-write), or parked
     /// on the replicate pipeline for `sync` writes, whose acks wait until
-    /// the replicas of every stripe they dirtied land
-    /// ([`ServerCore::stage_tick`] releases them).
-    fn note_durable_write(
+    /// the replicas of every stripe they dirtied land (the replicate
+    /// landing in [`ServerCore::stage_tick`] releases them).
+    pub(crate) fn note_durable_write(
         &mut self,
         spans: Option<(String, Vec<(u64, u64)>)>,
         reply: ReadyReply,
@@ -1815,7 +1856,7 @@ impl ServerCore {
         }
         // Give the engine the fresh copy work immediately so it competes in
         // this same poll.
-        self.admit_replicates(now_ns);
+        self.admit_classes(&[TrafficClass::Replicate], now_ns);
     }
 
     /// The evicted extents a foreground operation's byte range touches, as
@@ -1907,8 +1948,8 @@ impl ServerCore {
     /// even when its own extents are all resident. Empty for non-offset ops
     /// (cursor I/O keeps per-descriptor order by never parking) and when
     /// staging is disabled.
-    fn target_extent_keys(&self, op: &FsOp) -> std::collections::HashSet<(usize, String, u64)> {
-        let mut keys = std::collections::HashSet::new();
+    fn target_extent_keys(&self, op: &FsOp) -> HashSet<(usize, String, u64)> {
+        let mut keys = HashSet::new();
         if self.staging.is_none() {
             return keys;
         }
@@ -1954,7 +1995,7 @@ impl ServerCore {
     /// Parks a foreground request behind policy-admitted restores when its
     /// target extents are evicted. Returns whether the request was parked
     /// (the caller must not execute it).
-    fn park_if_needs_restore(
+    pub(crate) fn park_if_needs_restore(
         &mut self,
         request_id: u64,
         request: &IoRequest,
@@ -1973,7 +2014,7 @@ impl ServerCore {
         let Some(st) = self.staging.as_mut() else {
             return false;
         };
-        let mut keys = std::collections::HashSet::new();
+        let mut keys = HashSet::new();
         for target in targets {
             keys.insert(target.key());
             st.restore.request(target);
@@ -1991,7 +2032,7 @@ impl ServerCore {
         self.trace_park_event(now_ns, TraceKind::Park, request);
         // Give the engine the new restore work immediately so it competes in
         // this same poll.
-        self.admit_restores(now_ns);
+        self.admit_classes(&[TrafficClass::Restore], now_ns);
         true
     }
 
@@ -2005,7 +2046,7 @@ impl ServerCore {
     /// queues no restores of its own; it wakes (strictly after the ops it
     /// is ordered behind) in the same restore-landing pass that releases
     /// them. Returns whether the request was parked.
-    fn park_if_overlaps_parked(
+    pub(crate) fn park_if_overlaps_parked(
         &mut self,
         request_id: u64,
         request: &IoRequest,
@@ -2038,7 +2079,7 @@ impl ServerCore {
             request: *request,
             op: op.clone(),
             parked_at_ns: now_ns,
-            keys: std::collections::HashSet::new(),
+            keys: HashSet::new(),
             all_keys: keys,
         });
         self.telemetry.parked_ops.inc();
@@ -2046,204 +2087,9 @@ impl ServerCore {
         true
     }
 
-    /// Executes a restore request the engine released: the burst-buffer
-    /// device is charged the extent write (the slot the engine granted) and
-    /// the capacity tier is charged the read in parallel; the extent lands
-    /// in the shard when both finish (in a later [`ServerCore::poll`]).
-    fn execute_restore(&mut self, request: &IoRequest, now_ns: u64) {
-        let (_, burst_finish) = self.device.dispatch(request, now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(target) = st.restore.inflight(request.seq) else {
-            return;
-        };
-        let read = IoRequest::new(
-            request.seq,
-            st.restore.meta(),
-            OpKind::Read,
-            target.bytes.max(1),
-            now_ns,
-        );
-        let (_, backing_finish) = st.backing_device.dispatch(&read, now_ns);
-        st.inflight_restores
-            .push((burst_finish.max(backing_finish), request.seq));
-    }
-
-    /// Executes a scrub request the engine released: the burst-buffer
-    /// device is charged the verification's service slot (the slot the
-    /// engine granted, which is what keeps scrubbing bounded by its
-    /// foreground:scrub weight) and the capacity tier is charged the read
-    /// that actually fetches the copy, in parallel. The checksum is judged
-    /// when both finish (in a later [`ServerCore::poll`]).
-    fn execute_scrub(&mut self, request: &IoRequest, now_ns: u64) {
-        let (_, burst_finish) = self.device.dispatch(request, now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(target) = st.scrub.inflight(request.seq) else {
-            return;
-        };
-        let read = IoRequest::new(
-            request.seq,
-            st.scrub.meta(),
-            OpKind::Read,
-            target.bytes.max(1),
-            now_ns,
-        );
-        let (_, backing_finish) = st.backing_device.dispatch(&read, now_ns);
-        st.inflight_scrubs
-            .push((burst_finish.max(backing_finish), request.seq));
-    }
-
-    /// Executes a shard migration the engine released: the burst-buffer
-    /// device is charged the migration's service slot (what keeps
-    /// rebalancing bounded by its foreground:rebalance weight) and the
-    /// capacity tier is charged the verified source read followed by the
-    /// replica writes — one write per copy the plan places — at the tier's
-    /// own speed. The migration is applied when the transfers finish (in a
-    /// later [`ServerCore::poll`]).
-    fn execute_rebalance(&mut self, request: &IoRequest, now_ns: u64) {
-        let (_, burst_finish) = self.device.dispatch(request, now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(plan) = st.rebalance.inflight(request.seq) else {
-            return;
-        };
-        let meta = st.rebalance.meta();
-        let bytes = plan.bytes.max(1);
-        let copies = plan.copy_to.len().max(1) as u64;
-        let read = IoRequest::new(request.seq, meta, OpKind::Read, bytes, now_ns);
-        let (_, read_finish) = st.backing_device.dispatch(&read, now_ns);
-        let write = IoRequest::new(
-            request.seq,
-            meta,
-            OpKind::Write,
-            bytes * copies,
-            read_finish,
-        );
-        let (_, write_finish) = st.backing_device.dispatch(&write, read_finish);
-        st.inflight_rebalances
-            .push((burst_finish.max(write_finish), request.seq));
-    }
-
-    /// Executes a replicate copy the engine released: the burst-buffer
-    /// device is charged the source read (the slot the engine granted —
-    /// what keeps replication bounded by its foreground:replicate weight)
-    /// and the replica tier is charged the copy's write at its own speed,
-    /// sequenced after the read. The copy's bytes are fetched when the
-    /// transfers finish (in a later [`ServerCore::poll`]), so a re-dirtied
-    /// extent replicates its latest contents.
-    fn execute_replicate(&mut self, request: &IoRequest, now_ns: u64) {
-        let (_, burst_finish) = self.device.dispatch(request, now_ns);
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(target) = st.replicate.inflight(request.seq) else {
-            return;
-        };
-        let write = IoRequest::new(
-            request.seq,
-            st.replicate.meta(),
-            OpKind::Write,
-            target.bytes.max(1),
-            burst_finish,
-        );
-        let (_, replica_finish) = st.replica_device.dispatch(&write, burst_finish);
-        st.inflight_replicates.push((replica_finish, request.seq));
-    }
-
-    /// Executes a drain request the engine released: read the extent
-    /// snapshot off the burst-buffer device, then write it to the capacity
-    /// tier at the tier's own speed. The extent is marked clean when the
-    /// capacity-tier write completes (in a later [`ServerCore::poll`]).
-    fn execute_drain(&mut self, request: &IoRequest, now_ns: u64) {
-        let (_, finish_ns) = self.device.dispatch(request, now_ns);
-        let server = self.server_index;
-        let fs = self.fs.clone();
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let Some(d) = st.pipeline.inflight(request.seq) else {
-            return;
-        };
-        // Snapshot at service time — the extent may have been overwritten
-        // (or drained and unlinked) since admission.
-        match self.fs.snapshot_extent_on(server, &d.path, d.stripe) {
-            Some((data, generation)) => {
-                // Delete-wins: a peer's unlink or truncate can land between
-                // the snapshot above and this write-back; the guarded write
-                // re-probes afterwards so the shared tier never keeps a
-                // stale copy. The probe checks *size*, not bare existence —
-                // a truncated path still exists, but its size drops below
-                // the drained stripe's start, which is how the probe tells
-                // "this extent can no longer legitimately exist" for both
-                // races.
-                let path = d.path.clone();
-                let stripe_start = d.stripe
-                    * self
-                        .fs
-                        .layout_of(&path)
-                        .map(|l| l.config.stripe_size.max(1))
-                        .unwrap_or(1);
-                let stripe = d.stripe;
-                let kept = write_back_guarded(st.backing.as_ref(), &path, stripe, &data, || {
-                    fs.stat(&path).is_ok_and(|s| s.size > stripe_start)
-                });
-                if !kept {
-                    st.pipeline.complete(request.seq);
-                    return;
-                }
-                // The write-back recomputed the extent's checksum, so a
-                // previously quarantined copy is sound again.
-                st.scrub.unquarantine(&path, stripe);
-                let write = IoRequest::new(
-                    request.seq,
-                    st.pipeline.meta(),
-                    OpKind::Write,
-                    data.len() as u64,
-                    finish_ns,
-                );
-                let (_, backing_finish) = st.backing_device.dispatch(&write, finish_ns);
-                st.inflight_backing
-                    .push((backing_finish, request.seq, generation));
-            }
-            None => {
-                // Nothing dirty any more (unlinked or already clean): the
-                // drain is a no-op.
-                st.pipeline.complete(request.seq);
-            }
-        }
-    }
-
-    /// Executes one file system operation (the data path of §4.3). With
-    /// staging enabled, foreground I/O never observes staged-out data as
-    /// zeros or errors: operations targeting evicted extents are normally
-    /// parked behind policy-admitted restores before execution
-    /// ([`ServerCore::park_if_needs_restore`]), so by the time this runs the
-    /// extents are resident. The read-through fetcher and the synchronous
-    /// restore below remain as the fallback for the cross-server race —
-    /// a peer evicting a shared-shard extent after the parking pre-check.
-    fn execute(&mut self, op: &FsOp, now_ns: u64) -> FsReply {
-        match self.try_execute(op, now_ns) {
-            Ok(reply) => reply,
-            Err(FsError::NotResident(path)) if self.staging.is_some() => {
-                let targets = self.write_target_stripes(op);
-                let shards = 0..self.fs.server_count();
-                self.restore_extents(shards, &path, now_ns, targets.as_ref());
-                match self.try_execute(op, now_ns) {
-                    Ok(reply) => reply,
-                    Err(e) => FsReply::Error(e.to_string()),
-                }
-            }
-            Err(e) => FsReply::Error(e.to_string()),
-        }
-    }
-
     /// The stripes a write operation targets (`None` for non-writes) — the
     /// extents that must be pinned dirty by a restore-for-write.
-    fn write_target_stripes(&self, op: &FsOp) -> Option<std::collections::HashSet<u64>> {
+    pub(crate) fn write_target_stripes(&self, op: &FsOp) -> Option<HashSet<u64>> {
         let (path, offset, len) = match op {
             FsOp::WriteAt { path, offset, data } => (path.clone(), *offset, data.len() as u64),
             FsOp::Write { fd, data } => {
@@ -2255,7 +2101,7 @@ impl ServerCore {
             _ => return None,
         };
         if len == 0 {
-            return Some(std::collections::HashSet::new());
+            return Some(HashSet::new());
         }
         let stripe_size = self.fs.layout_of(&path).ok()?.config.stripe_size.max(1);
         // Saturating end, as in `restore_targets_for`: never overflow on a
@@ -2270,7 +2116,7 @@ impl ServerCore {
     /// time still comes from the burst-buffer dispatch alone, so per-request
     /// latency of staged reads is optimistic — capacity-tier congestion
     /// shows up in the backing timeline's utilisation, not in reply times.
-    fn read_through(
+    pub(crate) fn read_through(
         &mut self,
         target: ReadTarget<'_>,
         len: u64,
@@ -2298,7 +2144,7 @@ impl ServerCore {
             ReadTarget::At(path, offset) => self.fs.read_at_with(path, offset, len, &fetch),
         };
         if fetched.get() > 0 {
-            let read = IoRequest::new(0, st.pipeline.meta(), OpKind::Read, fetched.get(), now_ns);
+            let read = IoRequest::new(0, st.drain.meta(), OpKind::Read, fetched.get(), now_ns);
             st.backing_device.dispatch(&read, now_ns);
         }
         // Residency accounting: a read that pulled anything through the
@@ -2322,67 +2168,10 @@ impl ServerCore {
         result
     }
 
-    fn try_execute(&mut self, op: &FsOp, now_ns: u64) -> Result<FsReply, FsError> {
-        match op {
-            FsOp::Open {
-                path,
-                create,
-                truncate,
-                append,
-            } => {
-                let fd = self.fs.open(
-                    path,
-                    OpenFlags {
-                        create: *create,
-                        truncate: *truncate,
-                        append: *append,
-                    },
-                    now_ns,
-                )?;
-                if *truncate {
-                    self.drop_backing_copies(path);
-                }
-                Ok(FsReply::Fd(fd))
-            }
-            FsOp::Close { fd } => self.fs.close(*fd).map(|_| FsReply::Ok),
-            FsOp::Write { fd, data } => self.fs.write(*fd, data, now_ns).map(FsReply::Count),
-            FsOp::WriteAt { path, offset, data } => self
-                .fs
-                .write_at(path, *offset, data, now_ns)
-                .map(FsReply::Count),
-            FsOp::Read { fd, len } => self
-                .read_through(ReadTarget::Fd(*fd), *len, now_ns)
-                .map(FsReply::Data),
-            FsOp::ReadAt { path, offset, len } => self
-                .read_through(ReadTarget::At(path, *offset), *len, now_ns)
-                .map(FsReply::Data),
-            FsOp::Seek { fd, offset, whence } => {
-                let whence = match whence {
-                    0 => Whence::Set,
-                    1 => Whence::Cur,
-                    _ => Whence::End,
-                };
-                self.fs.lseek(*fd, *offset, whence).map(FsReply::Count)
-            }
-            FsOp::Stat { path } => self.fs.stat(path).map(FsReply::Stat),
-            FsOp::Mkdir { path } => self.fs.mkdir_all(path, now_ns).map(|_| FsReply::Ok),
-            FsOp::Readdir { path } => self.fs.readdir(path).map(FsReply::Entries),
-            FsOp::Unlink { path } => {
-                self.fs.unlink(path, now_ns)?;
-                self.drop_backing_copies(path);
-                Ok(FsReply::Ok)
-            }
-            FsOp::CreateStriped { path, stripe } => self
-                .fs
-                .create_striped(path, *stripe, now_ns)
-                .map(|_| FsReply::Ok),
-        }
-    }
-
     /// Drops the capacity tier's copies of a path that was unlinked or
     /// truncated, so stale snapshots cannot be staged back in — and lifts
     /// any scrub quarantine on them (the damaged copies are gone).
-    fn drop_backing_copies(&mut self, path: &str) {
+    pub(crate) fn drop_backing_copies(&mut self, path: &str) {
         if let (Some(st), Ok(p)) = (self.staging.as_mut(), themis_fs::path::normalize(path)) {
             st.backing.remove_path(&p);
             // Delete wins on the replica tier too: a stale durability copy
@@ -2394,7 +2183,7 @@ impl ServerCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use themis_core::entity::JobId;
 
@@ -2410,7 +2199,7 @@ mod tests {
         )
     }
 
-    fn meta(job: u64, nodes: u32) -> JobMeta {
+    pub(crate) fn meta(job: u64, nodes: u32) -> JobMeta {
         JobMeta::new(job, job as u32, 1u32, nodes)
     }
 
@@ -2581,7 +2370,7 @@ mod tests {
         }
     }
 
-    fn staged_server(staging: StagingConfig) -> ServerCore {
+    pub(crate) fn staged_server(staging: StagingConfig) -> ServerCore {
         let fs = BurstBufferFs::new(1);
         ServerCore::new(
             0,
@@ -2594,7 +2383,7 @@ mod tests {
         )
     }
 
-    fn fast_staging() -> StagingConfig {
+    pub(crate) fn fast_staging() -> StagingConfig {
         StagingConfig {
             // A fast backing tier so tests drain in microseconds of virtual
             // time.
@@ -2611,7 +2400,7 @@ mod tests {
 
     /// Polls until the staging pipeline reports clean, returning the virtual
     /// time reached.
-    fn poll_until_clean(s: &mut ServerCore, mut t: u64) -> u64 {
+    pub(crate) fn poll_until_clean(s: &mut ServerCore, mut t: u64) -> u64 {
         loop {
             s.poll(t);
             let status = s.drain_status_snapshot().expect("staging enabled");
@@ -2623,7 +2412,7 @@ mod tests {
         }
     }
 
-    fn write_file(s: &mut ServerCore, path: &str, bytes: usize, t: u64) {
+    pub(crate) fn write_file(s: &mut ServerCore, path: &str, bytes: usize, t: u64) {
         s.submit(
             9000,
             meta(1, 1),
@@ -2916,7 +2705,7 @@ mod tests {
                     ..ServerConfig::default()
                 },
             );
-            let evil = JobMeta::new(themis_stage::DRAIN_JOB_BASE + 1, 1u32, 1u32, 1);
+            let evil = JobMeta::new(TrafficClass::Drain.meta(1).job, 1u32, 1u32, 1);
             s.submit(31, evil, FsOp::Mkdir { path: "/d".into() }, 0);
             let replies = s.poll(0);
             assert_eq!(replies.len(), 1);
@@ -3465,6 +3254,164 @@ mod tests {
         assert!(report.extents > 0);
     }
 
+    /// A staged server over a tier the test keeps a handle to.
+    fn staged_over(staging: StagingConfig, tier: Arc<dyn BackingStore>) -> ServerCore {
+        let config = ServerConfig {
+            staging: Some(staging),
+            ..ServerConfig::default()
+        };
+        ServerCore::with_backing(0, BurstBufferFs::new(1), config, Some(tier))
+    }
+
+    fn fs_counter(s: &ServerCore, name: &str) -> u64 {
+        s.metrics_registry().snapshot(0).counter(0, 0, "fs", name)
+    }
+
+    /// The heal pass README advertises: with the map unchanged, a replica
+    /// lost behind the router's back is re-created by
+    /// `force_rebalance_pass`, as ordinary rebalance-class traffic.
+    #[test]
+    fn forced_rebalance_pass_heals_a_lost_replica() {
+        let children = [CapacityTier::hdd(), CapacityTier::hdd()].map(Arc::new);
+        let store = themis_stage::ShardedStore::new(
+            children
+                .iter()
+                .map(|c| Arc::clone(c) as Arc<dyn BackingStore>)
+                .collect(),
+            themis_stage::ShardMap::uniform(2),
+            2,
+        );
+        let mut s = staged_over(fast_staging(), Arc::new(store));
+        s.heartbeat(meta(1, 1), 0);
+        write_file(&mut s, "/heal", 2 << 20, 0);
+        let mut t = poll_until_clean(&mut s, 1_000_000);
+        let placement = |s: &ServerCore| {
+            let tier = s.backing().unwrap().as_sharded().unwrap();
+            tier.verify_placement()
+        };
+        assert!(placement(&s).converged(), "k = 2 drains place both copies");
+        let before = s.rebalance_status_snapshot().unwrap();
+        assert_eq!(before.copies_written, 0);
+
+        assert!(children[0].remove_extent("/heal", 0) > 0);
+        assert_eq!(placement(&s).under_replicated, 1);
+        // The map did not move, so nothing heals on its own.
+        s.poll(t);
+        assert!(s.rebalance_status_snapshot().unwrap().is_converged());
+        assert_eq!(placement(&s).under_replicated, 1);
+
+        s.force_rebalance_pass();
+        loop {
+            s.poll(t);
+            let status = s.rebalance_status_snapshot().unwrap();
+            if status.passes_completed > before.passes_completed && status.is_converged() {
+                break;
+            }
+            t += 100_000;
+            assert!(t < 60_000_000_000, "heal pass never finished");
+        }
+        assert!(placement(&s).converged(), "{:?}", placement(&s));
+        let after = s.rebalance_status_snapshot().unwrap();
+        assert_eq!(after.copies_written, 1, "{after:?}");
+        assert_eq!(after.failed_extents, 0);
+        assert!(children[0].contains("/heal", 0));
+    }
+
+    /// Same-tick ordering, restore side: the restore that takes resident
+    /// bytes over the high watermark lands, wakes its parked reader and is
+    /// evicted again all in one tick — in that order, so the reader is
+    /// served from the shard, not through the synchronous fallback.
+    #[test]
+    fn restore_landing_that_crosses_the_watermark_still_serves_its_reader() {
+        let mut staging = fast_staging();
+        staging.drain.high_watermark_bytes = 3 << 19; // 1.5 extents
+        staging.drain.low_watermark_bytes = 0;
+        let mut s = staged_server(staging);
+        s.heartbeat(meta(1, 1), 0);
+        write_file(&mut s, "/r", 2 << 20, 0);
+        poll_until_clean(&mut s, 1_000_000);
+        s.poll(60_000_000);
+        assert_eq!(s.drain_status_snapshot().unwrap().resident_bytes, 0);
+        let op = FsOp::ReadAt {
+            path: "/r".into(),
+            offset: 0,
+            len: 2 << 20,
+        };
+        s.submit(500, meta(1, 1), op, 70_000_000);
+        let mut t = 70_000_000;
+        let (reply, evicted_in_wake_tick) = loop {
+            let evicted_before = s.drain_status_snapshot().unwrap().evicted_bytes;
+            let replies = s.poll(t);
+            if let Some(r) = replies.into_iter().find(|r| r.request_id == 500) {
+                let evicted = s.drain_status_snapshot().unwrap().evicted_bytes;
+                break (r.reply, evicted - evicted_before);
+            }
+            t += 1_000;
+            assert!(t < 120_000_000_000, "read never completed");
+        };
+        assert!(matches!(reply, FsReply::Data(d) if d == vec![0xAB; 2 << 20]));
+        assert_eq!(
+            evicted_in_wake_tick,
+            2 << 20,
+            "the landing tick did not cross the watermark"
+        );
+        assert_eq!(fs_counter(&s, "residency_miss_ops"), 0);
+        assert_eq!(fs_counter(&s, "residency_hit_bytes"), 2 << 20);
+    }
+
+    /// Same-tick ordering, scrub side: a repair whose clean burst-copy
+    /// source is evicted in the very tick the verification lands still
+    /// repairs, because every landing runs before the eviction pass.
+    #[test]
+    fn scrub_repair_source_survives_the_same_ticks_eviction() {
+        let mut staging = fast_staging();
+        staging.drain.high_watermark_bytes = 3 << 19; // 1.5 extents
+        staging.drain.low_watermark_bytes = 0;
+        let tier = Arc::new(CapacityTier::new(staging.backing_device));
+        let mut s = staged_over(staging, Arc::clone(&tier) as Arc<dyn BackingStore>);
+        s.heartbeat(meta(1, 1), 0);
+        write_file(&mut s, "/x", 1 << 20, 0);
+        let t = poll_until_clean(&mut s, 1_000_000);
+        assert!(tier.corrupt_extent("/x", 0, 7));
+
+        // One poll admits and releases the demanded verification and runs a
+        // second file's write: resident bytes now exceed the watermark, but
+        // no eviction pass has seen them yet.
+        s.scrub(600);
+        let op = FsOp::CreateStriped {
+            path: "/y".into(),
+            stripe: themis_fs::StripeConfig::new(1 << 20, 1),
+        };
+        s.submit(601, meta(1, 1), op, t);
+        s.poll(t);
+        let op = FsOp::WriteAt {
+            path: "/y".into(),
+            offset: 0,
+            data: vec![0xCD; 1 << 20],
+        };
+        s.submit(602, meta(1, 1), op, t);
+        assert!(s.poll(t).iter().any(|r| r.request_id == 602));
+        let status = s.drain_status_snapshot().unwrap();
+        assert_eq!((status.resident_bytes, status.evicted_bytes), (2 << 20, 0));
+        let st = s.staging.as_ref().unwrap();
+        let lands_at = st.scrub.next_finish_ns().expect("verification released");
+        assert!(lands_at > t);
+
+        // The landing tick: judge, repair from the resident copy, then evict
+        // that copy.
+        s.poll(lands_at);
+        let status = s.scrub_status_snapshot().unwrap();
+        assert_eq!(
+            (status.errors_detected, status.repaired_extents),
+            (1, 1),
+            "{status:?}"
+        );
+        assert!(status.is_healthy());
+        assert_eq!(s.drain_status_snapshot().unwrap().evicted_bytes, 1 << 20);
+        let repaired = themis_stage::verified_read_back(tier.as_ref(), "/x", 0);
+        assert_eq!(repaired, Some(vec![0xAB; 1 << 20]));
+    }
+
     #[test]
     fn fifo_server_works_through_same_interface() {
         let fs = BurstBufferFs::new(1);
@@ -3644,6 +3591,23 @@ mod tests {
         Io(JobMeta, FsOp),
         Flush(JobMeta, &'static str),
         Heartbeat(JobMeta),
+        /// Installs a new shard map (and replication factor) on the sharded
+        /// capacity tier behind the core.
+        Reshard(&'static str, usize),
+        /// Demands a scrub pass.
+        Scrub,
+    }
+
+    /// What the driven core runs behind its burst buffer.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Rig {
+        /// No staging: only the λ clock, expiry and the device wake the core.
+        Unstaged,
+        /// Drain and restore, as `staged_ckpt` runs them.
+        Staged,
+        /// Every class with work in flight: scrub passes, a sharded tier
+        /// resharded to k = 2 mid-script, and `sync` durability.
+        AllClasses,
     }
 
     /// A core driven the way `server_loop` drives it — inputs, `poll` until
@@ -3661,22 +3625,48 @@ mod tests {
 
     impl Driven {
         /// Two tenants on short heartbeat and λ clocks, so expiries and
-        /// rounds fall inside a few milliseconds; with `staging`, watermarks
+        /// rounds fall inside a few milliseconds; with staging, watermarks
         /// small enough that the read at the end finds its extents evicted.
-        fn new(staging: bool) -> Self {
+        fn new(rig: Rig) -> Self {
+            let drain = themis_stage::DrainConfig {
+                high_watermark_bytes: 3 * STRIPE,
+                low_watermark_bytes: STRIPE,
+                ..themis_stage::DrainConfig::default()
+            };
+            let staging = match rig {
+                Rig::Unstaged => None,
+                Rig::Staged => Some(StagingConfig {
+                    drain,
+                    ..fast_staging()
+                }),
+                Rig::AllClasses => Some(StagingConfig {
+                    drain: themis_stage::DrainConfig {
+                        classes: drain
+                            .classes
+                            .enable(TrafficClass::Scrub, 16)
+                            .enable(TrafficClass::Replicate, 16),
+                        // Passes start on demand only. The pass timer is not a
+                        // deadline source: a paced pass starts at the first
+                        // staging tick after it falls due, which a 1 µs twin
+                        // would see as movement before the deadline.
+                        scrub_interval_ns: u64::MAX,
+                        ..drain
+                    },
+                    sharding: Some(themis_stage::ShardSpec {
+                        map: "00-ff=0".into(),
+                        replication: 1,
+                        backends: vec![DeviceConfig::default(); 2],
+                    }),
+                    durability: Some(DurabilitySpec::new(DurabilityMode::Sync)),
+                    ..fast_staging()
+                }),
+            };
             let config = ServerConfig {
                 sync: SyncConfig {
                     interval_ns: 700_000,
                 },
                 heartbeat_timeout_ns: 900_000,
-                staging: staging.then(|| StagingConfig {
-                    drain: themis_stage::DrainConfig {
-                        high_watermark_bytes: 3 * STRIPE,
-                        low_watermark_bytes: STRIPE,
-                        ..themis_stage::DrainConfig::default()
-                    },
-                    ..fast_staging()
-                }),
+                staging,
                 ..ServerConfig::default()
             };
             let (a, b) = (meta(1, 4), meta(2, 1));
@@ -3709,7 +3699,7 @@ mod tests {
                     },
                 )
             };
-            let script = vec![
+            let mut script = vec![
                 (0, Input::Heartbeat(a)),
                 (0, Input::Heartbeat(b)),
                 (1_000, create(a, "/a")),
@@ -3724,6 +3714,14 @@ mod tests {
                 (1_300_000, Input::Heartbeat(b)),
                 (1_500_000, read(b, "/b")),
             ];
+            if rig == Rig::AllClasses {
+                // After the first drains landed on child 0: every extent now
+                // owes a copy on a second child, and a scrub pass before and
+                // after has a populated tier to walk.
+                script.insert(10, (1_000_000, Input::Scrub));
+                script.insert(10, (700_000, Input::Reshard("00-7f=0,80-ff=1", 2)));
+                script.insert(9, (450_000, Input::Scrub));
+            }
             Driven {
                 core: ServerCore::new(0, BurstBufferFs::new(1), config),
                 script,
@@ -3742,16 +3740,15 @@ mod tests {
             let c = &self.core;
             let stage = c.staging.as_ref().map(|st| {
                 (
-                    (
-                        st.inflight_backing.len(),
-                        st.inflight_restores.len(),
-                        st.inflight_scrubs.len(),
-                        st.inflight_rebalances.len(),
-                        st.inflight_replicates.len(),
-                    ),
+                    TrafficClass::ALL.map(|class| {
+                        let pipeline = st.lifecycle(class);
+                        (pipeline.is_busy(), pipeline.next_finish_ns())
+                    }),
                     (st.pending_flushes.len(), st.parked_ops.len()),
                     c.drain_status_snapshot(),
                     c.scrub_status_snapshot(),
+                    c.rebalance_status_snapshot(),
+                    c.replicate_status_snapshot(),
                 )
             });
             format!(
@@ -3781,6 +3778,13 @@ mod tests {
                     Input::Io(m, op) => self.core.submit(id, *m, op.clone(), t),
                     Input::Flush(m, path) => self.core.flush(id, *m, path, t),
                     Input::Heartbeat(m) => self.core.heartbeat(*m, t),
+                    Input::Reshard(map, replication) => {
+                        let st = self.core.staging.as_ref().expect("staged rig");
+                        let tier = st.backing.as_sharded().expect("sharded rig");
+                        let map = themis_stage::ShardMap::parse(map).unwrap();
+                        tier.install_map(map, *replication).unwrap();
+                    }
+                    Input::Scrub => self.core.scrub(id),
                 }
                 self.next_input += 1;
                 events += 1;
@@ -3805,13 +3809,20 @@ mod tests {
     /// sleeping until `next_deadline_ns` delays nothing. The deadline-driven
     /// run must also get through the scenario in a small number of visits —
     /// a deadline of "now" every time would pass the first check.
+    ///
+    /// The 100 µs staging tick would hide a class whose finish times the
+    /// deadline forgot (the twin finds the landing at the tick instead), so
+    /// the deadline is also held to every in-flight finish directly, on a
+    /// rig where all five classes have one.
     #[test]
     fn nothing_happens_before_the_advertised_deadline() {
         const HORIZON: u64 = 4_000_000;
-        for staging in [false, true] {
-            let mut run = Driven::new(staging);
+        for rig in [Rig::Unstaged, Rig::Staged, Rig::AllClasses] {
+            let mut run = Driven::new(rig);
             run.settle(0);
             let mut stuck = 0;
+            let mut in_flight = [false; TrafficClass::COUNT];
+            let mut woke_for_a_finish = 0;
             while run.now < HORIZON {
                 let deadline = run
                     .core
@@ -3821,14 +3832,29 @@ mod tests {
                     // Work left over for the next turn (an expiry owes a
                     // reconfigure): one more visit at the same instant.
                     stuck += 1;
-                    assert!(stuck < 3, "no progress at {} (staging {staging})", run.now);
+                    assert!(stuck < 3, "no progress at {} ({rig:?})", run.now);
                     run.settle(run.now);
                     continue;
                 }
                 stuck = 0;
+                if let Some(st) = run.core.staging.as_ref() {
+                    for class in TrafficClass::ALL {
+                        let Some(finish) = st.lifecycle(class).next_finish_ns() else {
+                            continue;
+                        };
+                        in_flight[class as usize] = true;
+                        assert!(
+                            deadline <= finish,
+                            "deadline {deadline} advertised at {} sleeps past the {class} \
+                             landing due at {finish} ({rig:?})",
+                            run.now
+                        );
+                        woke_for_a_finish += u64::from(deadline == finish);
+                    }
+                }
                 let wake = deadline.min(run.next_input_ns().unwrap_or(u64::MAX));
 
-                let mut twin = Driven::new(staging);
+                let mut twin = Driven::new(rig);
                 for &t in &run.visited {
                     twin.settle(t);
                 }
@@ -3838,7 +3864,7 @@ mod tests {
                     assert!(
                         !twin.settle(t),
                         "state moved at {t}, before the deadline {deadline} \
-                         advertised at {} (staging {staging})",
+                         advertised at {} ({rig:?})",
                         run.now
                     );
                     t += 1_000;
@@ -3852,15 +3878,19 @@ mod tests {
                 "every scripted request was served"
             );
             let visits = run.visited.len() as u64;
-            let bound = if staging {
+            let bound = match rig {
+                Rig::Unstaged => 40,
                 // The staging tick alone is one visit per STAGE_TICK_NS.
-                HORIZON / STAGE_TICK_NS + 60
-            } else {
-                40
+                Rig::Staged => HORIZON / STAGE_TICK_NS + 60,
+                Rig::AllClasses => {
+                    assert_eq!(in_flight, [true; TrafficClass::COUNT], "{in_flight:?}");
+                    assert!(woke_for_a_finish > 0, "no finish was ever the deadline");
+                    HORIZON / STAGE_TICK_NS + 200
+                }
             };
             assert!(
                 visits <= bound,
-                "{visits} visits for {HORIZON} ns (staging {staging})"
+                "{visits} visits for {HORIZON} ns ({rig:?})"
             );
         }
     }

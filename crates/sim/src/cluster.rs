@@ -24,10 +24,7 @@ use themis_core::policy::Policy;
 use themis_core::request::{IoRequest, OpKind};
 use themis_core::sync::SyncConfig;
 use themis_device::{DeviceConfig, DeviceModel, DeviceTimeline};
-use themis_stage::{
-    drain_meta, rebalance_meta, replicate_meta, restore_meta, scrub_meta, ClassWeights,
-    StagedEngine, TrafficClass,
-};
+use themis_stage::{ClassWeights, StagedEngine, TrafficClass};
 
 /// Simulator configuration.
 #[derive(Debug, Clone)]
@@ -703,7 +700,7 @@ impl Simulation {
                         st.restore_inflight += 1;
                         let restore = IoRequest::new(
                             restore_seq,
-                            restore_meta(server_idx),
+                            TrafficClass::Restore.meta(server_idx),
                             OpKind::Write,
                             bytes,
                             now,
@@ -731,8 +728,13 @@ impl Simulation {
                         .drain_chunk_bytes
                         .min(st.dirty_bytes - st.queued_bytes)
                         .max(1);
-                    let req =
-                        IoRequest::new(next_seq, drain_meta(server_idx), OpKind::Read, chunk, now);
+                    let req = IoRequest::new(
+                        next_seq,
+                        TrafficClass::Drain.meta(server_idx),
+                        OpKind::Read,
+                        chunk,
+                        now,
+                    );
                     next_seq += 1;
                     st.queued_bytes += chunk;
                     st.inflight += 1;
@@ -760,8 +762,13 @@ impl Simulation {
                         .drain_chunk_bytes
                         .min(st.scrub_target() - st.scrub_cursor_bytes)
                         .max(1);
-                    let req =
-                        IoRequest::new(next_seq, scrub_meta(server_idx), OpKind::Read, chunk, now);
+                    let req = IoRequest::new(
+                        next_seq,
+                        TrafficClass::Scrub.meta(server_idx),
+                        OpKind::Read,
+                        chunk,
+                        now,
+                    );
                     next_seq += 1;
                     st.scrub_cursor_bytes += chunk;
                     st.scrub_inflight += 1;
@@ -791,7 +798,7 @@ impl Simulation {
                         .max(1);
                     let req = IoRequest::new(
                         next_seq,
-                        rebalance_meta(server_idx),
+                        TrafficClass::Rebalance.meta(server_idx),
                         OpKind::Write,
                         chunk,
                         now,
@@ -826,7 +833,7 @@ impl Simulation {
                         .max(1);
                     let req = IoRequest::new(
                         next_seq,
-                        replicate_meta(server_idx),
+                        TrafficClass::Replicate.meta(server_idx),
                         OpKind::Read,
                         chunk,
                         now,

@@ -19,11 +19,23 @@
 //! Every per-class fact — the reserved sub-range index, the display name,
 //! the telemetry lane key, the default foreground:class weight, and whether
 //! the class's pipeline synthesizes traffic without being asked — lives in
-//! one table, [`TRAFFIC_CLASSES`]. The first four classes were carved by
-//! hand across N call sites; adding the fifth (Replicate) made that a
-//! registry: a new class is one [`TrafficClassDef`] row, and `index()`,
-//! `name()`, [`ClassWeights::default`] and the engine's lane construction
-//! all follow the table.
+//! one table, [`TRAFFIC_CLASSES`]: `index()`, `name()`,
+//! [`ClassWeights::default`] and the engine's lane construction all follow
+//! it. The registry holds a class's *facts*; its *behaviour* is three more
+//! pieces, so adding a class is this checklist:
+//!
+//! 1. a [`TrafficClassDef`] row here (and the enum variant);
+//! 2. a pipeline embedding a [`ClassQueue`](crate::lifecycle::ClassQueue)
+//!    and implementing
+//!    [`ClassLifecycle`](crate::lifecycle::ClassLifecycle) — what the class
+//!    wants moved, and when;
+//! 3. one `land_*` body in the server's `staging` module — what a landed
+//!    request does to the file system, the tiers and the waiting foreground;
+//! 4. one `Charge` row there — what the request costs the tier behind the
+//!    burst device.
+//!
+//! The server's per-class `match`es are exhaustive, so a missing piece is a
+//! compile error, not a silently idle class.
 //!
 //! | class | job-id sub-range | direction | default weight |
 //! |-------|------------------|-----------|----------------|
@@ -81,10 +93,9 @@ pub enum TrafficClass {
 /// The row owns the class's reserved sub-range assignment (`index`), its
 /// display name, the telemetry lane key its [`MetricsRegistry`] series and
 /// trace slots carry, its default foreground:class WFQ weight, and whether
-/// the class's pipeline synthesizes traffic by default. Call sites read the
-/// table through [`TrafficClass::def`] instead of matching on the enum, so
-/// registering a future class touches this table and the enum — nothing
-/// else.
+/// the class's pipeline synthesizes traffic by default. Call sites read
+/// these facts through [`TrafficClass::def`] instead of matching on the
+/// enum (the module docs list what else a new class needs).
 ///
 /// [`MetricsRegistry`]: themis_telemetry::MetricsRegistry
 #[derive(Debug, Clone, Copy)]

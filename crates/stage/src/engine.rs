@@ -530,11 +530,22 @@ impl PolicyEngine for StagedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{drain_meta, is_drain, restore_meta};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use themis_core::request::OpKind;
     use themis_core::sched::ThemisScheduler;
+
+    fn drain() -> JobMeta {
+        TrafficClass::Drain.meta(0)
+    }
+
+    fn restore() -> JobMeta {
+        TrafficClass::Restore.meta(0)
+    }
+
+    fn is_drain(meta: &JobMeta) -> bool {
+        TrafficClass::of(meta.job) == Some(TrafficClass::Drain)
+    }
 
     fn staged(weight: u32) -> StagedEngine {
         StagedEngine::new(Box::new(ThemisScheduler::new(Policy::job_fair())), weight)
@@ -587,7 +598,7 @@ mod tests {
             seq += 1;
         }
         for _ in 0..360 {
-            e.admit(IoRequest::new(seq, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(seq, drain(), OpKind::Read, 1 << 20, 0));
             seq += 1;
         }
         let mut rng = SmallRng::seed_from_u64(7);
@@ -622,15 +633,9 @@ mod tests {
             seq += 1;
         }
         for _ in 0..200 {
-            e.admit(IoRequest::new(seq, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(seq, drain(), OpKind::Read, 1 << 20, 0));
             seq += 1;
-            e.admit(IoRequest::new(
-                seq,
-                restore_meta(0),
-                OpKind::Write,
-                1 << 20,
-                0,
-            ));
+            e.admit(IoRequest::new(seq, restore(), OpKind::Write, 1 << 20, 0));
             seq += 1;
         }
         let mut rng = SmallRng::seed_from_u64(11);
@@ -670,15 +675,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let mut seq = 0;
         for _ in 0..300 {
-            e.admit(IoRequest::new(seq, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(seq, drain(), OpKind::Read, 1 << 20, 0));
             seq += 1;
-            e.admit(IoRequest::new(
-                seq,
-                restore_meta(0),
-                OpKind::Write,
-                1 << 20,
-                0,
-            ));
+            e.admit(IoRequest::new(seq, restore(), OpKind::Write, 1 << 20, 0));
             seq += 1;
         }
         let (mut dr, mut re) = (0u64, 0u64);
@@ -699,7 +698,7 @@ mod tests {
         let mut e = staged(8);
         let mut rng = SmallRng::seed_from_u64(1);
         for s in 0..10 {
-            e.admit(IoRequest::new(s, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(s, drain(), OpKind::Read, 1 << 20, 0));
         }
         // No foreground work at all: every select yields drain.
         for _ in 0..10 {
@@ -718,7 +717,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut seq = 0u64;
         for _ in 0..100 {
-            e.admit(IoRequest::new(seq, drain_meta(0), OpKind::Read, 1 << 20, 0));
+            e.admit(IoRequest::new(seq, drain(), OpKind::Read, 1 << 20, 0));
             seq += 1;
         }
         for _ in 0..50 {
@@ -753,7 +752,7 @@ mod tests {
         e.reconfigure(&table_with_fg(), &Policy::job_fair());
         let mut rng = SmallRng::seed_from_u64(9);
         e.admit(IoRequest::write(0, fg_meta(), 4096, 10));
-        e.admit(IoRequest::new(1, drain_meta(0), OpKind::Read, 8192, 20));
+        e.admit(IoRequest::new(1, drain(), OpKind::Read, 8192, 20));
         // Foreground wins the first slot (tie goes to the foreground); the
         // drain lane is then behind on virtual time and served *charged*.
         let first = e.select(100, &mut rng).expect("fg queued");
@@ -781,7 +780,7 @@ mod tests {
     fn detached_engine_records_nothing_and_downcast_reaches_it() {
         let mut boxed: Box<dyn PolicyEngine> = Box::new(staged(8));
         let mut rng = SmallRng::seed_from_u64(1);
-        boxed.admit(IoRequest::new(0, drain_meta(0), OpKind::Read, 4096, 0));
+        boxed.admit(IoRequest::new(0, drain(), OpKind::Read, 4096, 0));
         boxed.select(0, &mut rng).expect("drain queued");
         // The downcast seam the server uses to reach the concrete engine
         // through its Box<dyn PolicyEngine>.
@@ -801,19 +800,19 @@ mod tests {
         assert!(e.honors_policy());
         e.reconfigure(&table_with_fg(), &Policy::job_fair());
         e.admit(IoRequest::write(0, fg_meta(), 4096, 0));
-        e.admit(IoRequest::new(1, drain_meta(0), OpKind::Read, 4096, 0));
-        e.admit(IoRequest::new(2, restore_meta(0), OpKind::Write, 4096, 0));
+        e.admit(IoRequest::new(1, drain(), OpKind::Read, 4096, 0));
+        e.admit(IoRequest::new(2, restore(), OpKind::Write, 4096, 0));
         assert_eq!(e.queued(), 3);
         assert_eq!(e.queued_for(fg_meta().job), 1);
-        assert_eq!(e.queued_for(drain_meta(0).job), 1);
-        assert_eq!(e.queued_for(restore_meta(0).job), 1);
+        assert_eq!(e.queued_for(drain().job), 1);
+        assert_eq!(e.queued_for(restore().job), 1);
         assert_eq!(e.queued_class(TrafficClass::Drain), 1);
         assert_eq!(e.queued_class(TrafficClass::Restore), 1);
         assert_eq!(e.queued_class(TrafficClass::Scrub), 0);
         let backlogged = e.backlogged_jobs();
         assert!(backlogged.contains(&fg_meta().job));
-        assert!(backlogged.contains(&drain_meta(0).job));
-        assert!(backlogged.contains(&restore_meta(0).job));
+        assert!(backlogged.contains(&drain().job));
+        assert!(backlogged.contains(&restore().job));
         // Reconfigure (a live SetPolicy) leaves every queue intact.
         e.reconfigure(&table_with_fg(), &Policy::size_fair());
         assert_eq!(e.queued(), 3);

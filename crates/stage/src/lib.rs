@@ -22,7 +22,9 @@
 //!   direction (plus the background checksum verification of the capacity
 //!   tier) and the synthesis of that traffic as ordinary
 //!   [`IoRequest`](themis_core::request::IoRequest)s under the class's
-//!   [job identity](drain_meta).
+//!   [job identity](TrafficClass::meta). Each embeds one [`ClassQueue`], the
+//!   single in-flight ledger of a synthesized request's lifecycle, and the
+//!   server drives all of them through [`ClassLifecycle`].
 //! * [`StagedEngine`] — a [`PolicyEngine`](themis_core::engine::PolicyEngine)
 //!   decorator that schedules the synthesized class requests *alongside*
 //!   foreground traffic with configurable foreground:class weights. The
@@ -42,6 +44,7 @@
 pub mod backing;
 pub mod class;
 pub mod engine;
+pub mod lifecycle;
 pub mod pipeline;
 pub mod rebalance;
 pub mod replicate;
@@ -51,11 +54,10 @@ pub mod shard;
 pub use backing::{extent_checksum, verified_read_back, BackingStore, CapacityTier};
 pub use class::{ClassWeights, ClassWeightsError, TrafficClass, TrafficClassDef, TRAFFIC_CLASSES};
 pub use engine::StagedEngine;
+pub use lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
 pub use pipeline::{
-    class_of, drain_meta, is_drain, is_rebalance, is_replicate, is_restore, is_scrub,
-    rebalance_meta, replicate_meta, restore_meta, scrub_meta, write_back_guarded, DrainConfig,
-    DrainPipeline, DrainStatus, RestorePipeline, RestoreTarget, StagingConfig, DRAIN_GROUP_ID,
-    DRAIN_JOB_BASE, DRAIN_USER_ID,
+    write_back_guarded, DrainConfig, DrainPipeline, DrainStatus, InflightDrain, RestorePipeline,
+    RestoreTarget, StagingConfig,
 };
 pub use rebalance::{RebalancePipeline, RebalanceStatus};
 pub use replicate::{ReplicaTarget, ReplicatePipeline, ReplicateStatus};

@@ -1,113 +1,34 @@
-//! The per-server drain pipeline: configuration, the reserved drain job
-//! identity, and the bookkeeping of extents in flight between the
+//! The per-server drain and restore pipelines: configuration, the status
+//! snapshot, and the bookkeeping of extents in flight between the
 //! burst-buffer shard and the capacity tier.
 //!
-//! The pipeline does not move bytes itself — the server core (or the
+//! The pipelines do not move bytes themselves — the server core (or the
 //! simulator) reads the extent snapshot from the shard, charges the
 //! burst-buffer and capacity devices, and writes to the
-//! [`BackingStore`]. The pipeline's job is to
+//! [`BackingStore`]. The pipelines' job is to
 //! make that flow *policy-visible*: every drain is an ordinary
-//! [`IoRequest`] under the [drain job identity](drain_meta), admitted to the
+//! [`IoRequest`] under the drain job identity
+//! ([`TrafficClass::Drain`]`.meta(server)`), admitted to the
 //! server's [`PolicyEngine`](themis_core::engine::PolicyEngine) (wrapped in a
 //! [`StagedEngine`](crate::engine::StagedEngine)), so drain bandwidth is
 //! arbitrated exactly like foreground bandwidth.
 
 use crate::backing::BackingStore;
 use crate::class::TrafficClass;
+use crate::lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use themis_core::entity::JobMeta;
 use themis_core::request::{IoRequest, OpKind};
 use themis_device::DeviceConfig;
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
-
-/// First job id of the reserved drain-job range (class 0 of the internal
-/// traffic-class layout). Each server's drain traffic runs under
-/// `DRAIN_JOB_BASE + server_index`, so per-server drain streams stay
-/// distinguishable in telemetry.
-///
-/// This is the workspace-wide reserved range exported by the core crate
-/// ([`themis_core::entity::RESERVED_JOB_BASE`]), sub-divided per class by
-/// [`themis_core::entity::RESERVED_CLASS_SPAN`]; the client and server use
-/// the core constant to reject client traffic inside it, so the boundary
-/// cannot drift between the layers.
-pub const DRAIN_JOB_BASE: u64 = themis_core::entity::RESERVED_JOB_BASE;
-
-/// Reserved user id of drain traffic.
-pub const DRAIN_USER_ID: u32 = u32::MAX;
-
-/// Reserved group id of drain traffic.
-pub const DRAIN_GROUP_ID: u32 = u32::MAX;
-
-/// The job identity drain requests are issued under on `server`.
-pub fn drain_meta(server: usize) -> JobMeta {
-    TrafficClass::Drain.meta(server)
-}
-
-/// The job identity restore (stage-in) requests are issued under on
-/// `server`.
-pub fn restore_meta(server: usize) -> JobMeta {
-    TrafficClass::Restore.meta(server)
-}
-
-/// The job identity scrub (capacity-tier integrity verification) requests
-/// are issued under on `server`.
-pub fn scrub_meta(server: usize) -> JobMeta {
-    TrafficClass::Scrub.meta(server)
-}
-
-/// The job identity rebalance (shard-map migration) requests are issued
-/// under on `server`.
-pub fn rebalance_meta(server: usize) -> JobMeta {
-    TrafficClass::Rebalance.meta(server)
-}
-
-/// The job identity replicate (durability replication) requests are issued
-/// under on `server`.
-pub fn replicate_meta(server: usize) -> JobMeta {
-    TrafficClass::Replicate.meta(server)
-}
-
-/// The internal traffic class of a request's job metadata (`None` for
-/// foreground client traffic).
-pub fn class_of(meta: &JobMeta) -> Option<TrafficClass> {
-    TrafficClass::of(meta.job)
-}
-
-/// Whether a request (by its job metadata) is synthesized drain traffic.
-pub fn is_drain(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Drain)
-}
-
-/// Whether a request (by its job metadata) is synthesized restore traffic.
-pub fn is_restore(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Restore)
-}
-
-/// Whether a request (by its job metadata) is synthesized scrub traffic.
-pub fn is_scrub(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Scrub)
-}
-
-/// Whether a request (by its job metadata) is synthesized rebalance
-/// traffic.
-pub fn is_rebalance(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Rebalance)
-}
-
-/// Whether a request (by its job metadata) is synthesized durability
-/// replication traffic.
-pub fn is_replicate(meta: &JobMeta) -> bool {
-    class_of(meta) == Some(TrafficClass::Replicate)
-}
 
 /// Configuration of one server's drain pipeline.
 ///
 /// Per-class weight and enablement knobs used to accrete here one field
 /// pair per class (`scrub_weight` + `scrub_enabled`, …); they are unified
 /// into the [`ClassWeights`](crate::class::ClassWeights) builder carried by
-/// [`DrainConfig::classes`]. The old field names survive as deprecated
-/// accessor shims so out-of-tree callers migrate at their own pace.
+/// [`DrainConfig::classes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DrainConfig {
     /// When the shard's resident bytes exceed this watermark, clean (already
@@ -165,42 +86,6 @@ impl DrainConfig {
             return Err("max_inflight must be >= 1".to_string());
         }
         Ok(())
-    }
-
-    /// Legacy accessor for the drain weight.
-    #[deprecated(note = "read `classes.weight(TrafficClass::Drain)` instead")]
-    pub fn drain_weight(&self) -> u32 {
-        self.classes.weight(TrafficClass::Drain)
-    }
-
-    /// Legacy accessor for the restore weight.
-    #[deprecated(note = "read `classes.weight(TrafficClass::Restore)` instead")]
-    pub fn restore_weight(&self) -> u32 {
-        self.classes.weight(TrafficClass::Restore)
-    }
-
-    /// Legacy accessor for the scrub weight.
-    #[deprecated(note = "read `classes.weight(TrafficClass::Scrub)` instead")]
-    pub fn scrub_weight(&self) -> u32 {
-        self.classes.weight(TrafficClass::Scrub)
-    }
-
-    /// Legacy accessor for the scrub enablement flag.
-    #[deprecated(note = "read `classes.is_enabled(TrafficClass::Scrub)` instead")]
-    pub fn scrub_enabled(&self) -> bool {
-        self.classes.is_enabled(TrafficClass::Scrub)
-    }
-
-    /// Legacy accessor for the rebalance weight.
-    #[deprecated(note = "read `classes.weight(TrafficClass::Rebalance)` instead")]
-    pub fn rebalance_weight(&self) -> u32 {
-        self.classes.weight(TrafficClass::Rebalance)
-    }
-
-    /// Legacy accessor for the rebalance enablement flag.
-    #[deprecated(note = "read `classes.is_enabled(TrafficClass::Rebalance)` instead")]
-    pub fn rebalance_enabled(&self) -> bool {
-        self.classes.is_enabled(TrafficClass::Rebalance)
     }
 }
 
@@ -287,69 +172,44 @@ pub struct InflightDrain {
     pub path: String,
     /// Stripe index of the extent.
     pub stripe: u64,
-    /// Dirty generation captured when the drain was admitted; the shard only
-    /// marks the extent clean if the generation still matches at completion
-    /// (a concurrent overwrite re-dirties it).
+    /// The extent's dirty generation: captured at admission, then replaced
+    /// by the generation of the snapshot actually written back
+    /// ([`DrainPipeline::snapshotted`]). The shard only marks the extent
+    /// clean if the generation still matches at landing (a concurrent
+    /// overwrite re-dirties it).
     pub generation: u64,
     /// Extent length at admission time.
     pub bytes: u64,
 }
 
-/// Pre-resolved registry handles mirroring [`DrainPipeline`]'s cumulative
-/// counters (attached by the server so `DrainStatus` can be built as a view
-/// over one registry snapshot).
+/// Per-server drain bookkeeping: the in-flight ledger, the keys it excludes
+/// from re-admission, and the cumulative drain/eviction counters (lane
+/// `"drain"` of the registry handed in at construction).
 #[derive(Debug)]
-struct DrainStats {
+pub struct DrainPipeline {
+    config: DrainConfig,
+    queue: ClassQueue<InflightDrain>,
+    inflight_keys: HashSet<(String, u64)>,
     drained_bytes: Counter,
     drained_ops: Counter,
     evicted_bytes: Counter,
     evicted_extents: Counter,
 }
 
-/// Per-server drain bookkeeping: which extents are in flight, cumulative
-/// drain/eviction counters, and admission capacity.
-#[derive(Debug)]
-pub struct DrainPipeline {
-    server: usize,
-    config: DrainConfig,
-    inflight: HashMap<u64, InflightDrain>,
-    inflight_keys: HashSet<(String, u64)>,
-    drained_bytes: u64,
-    drained_ops: u64,
-    evicted_bytes: u64,
-    evicted_extents: u64,
-    stats: Option<DrainStats>,
-}
-
 impl DrainPipeline {
-    /// Creates the pipeline of `server` under `config`.
-    pub fn new(server: usize, config: DrainConfig) -> Self {
+    /// Creates the pipeline of `server` under `config`, counting into
+    /// `registry`.
+    pub fn new(server: usize, config: DrainConfig, registry: &MetricsRegistry) -> Self {
+        let key = SeriesKey::class(server, TrafficClass::Drain.name());
         DrainPipeline {
-            server,
             config,
-            inflight: HashMap::new(),
+            queue: ClassQueue::new(TrafficClass::Drain, server, config.max_inflight),
             inflight_keys: HashSet::new(),
-            drained_bytes: 0,
-            drained_ops: 0,
-            evicted_bytes: 0,
-            evicted_extents: 0,
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles for the pipeline's cumulative counters, so
-    /// every subsequent mutation is mirrored into `registry` (lane `"drain"`
-    /// on this pipeline's server) and a status snapshot can be assembled
-    /// from one consistent registry read. Call before any traffic flows —
-    /// counts recorded while detached are not back-filled.
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, TrafficClass::Drain.name());
-        self.stats = Some(DrainStats {
             drained_bytes: registry.counter(key, "drained_bytes"),
             drained_ops: registry.counter(key, "drained_ops"),
             evicted_bytes: registry.counter(key, "evicted_bytes"),
             evicted_extents: registry.counter(key, "evicted_extents"),
-        });
+        }
     }
 
     /// The pipeline configuration.
@@ -359,22 +219,17 @@ impl DrainPipeline {
 
     /// The drain job identity of this server.
     pub fn meta(&self) -> JobMeta {
-        drain_meta(self.server)
+        self.queue.meta()
     }
 
     /// How many more drains may be admitted right now.
     pub fn admission_capacity(&self) -> usize {
-        self.config.max_inflight.saturating_sub(self.inflight.len())
+        self.queue.capacity()
     }
 
     /// Extent keys currently in flight (excluded from re-admission).
     pub fn inflight_keys(&self) -> &HashSet<(String, u64)> {
         &self.inflight_keys
-    }
-
-    /// Number of extents in flight.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
     }
 
     /// Whether any in-flight extent belongs to `path`.
@@ -397,65 +252,105 @@ impl DrainPipeline {
         now_ns: u64,
     ) -> IoRequest {
         self.inflight_keys.insert((path.clone(), stripe));
-        self.inflight.insert(
-            seq,
-            InflightDrain {
-                path,
-                stripe,
-                generation,
-                bytes,
-            },
-        );
-        IoRequest::new(seq, self.meta(), OpKind::Read, bytes, now_ns)
+        let target = InflightDrain {
+            path,
+            stripe,
+            generation,
+            bytes,
+        };
+        self.queue.admit(seq, target, OpKind::Read, bytes, now_ns)
     }
 
     /// Looks up an in-flight drain by request sequence number.
     pub fn inflight(&self, seq: u64) -> Option<&InflightDrain> {
-        self.inflight.get(&seq)
+        self.queue.get(seq)
     }
 
-    /// Completes a drain: removes it from the in-flight set and accounts the
-    /// drained bytes. Returns the completed record.
-    pub fn complete(&mut self, seq: u64) -> Option<InflightDrain> {
-        let d = self.inflight.remove(&seq)?;
-        self.inflight_keys.remove(&(d.path.clone(), d.stripe));
-        self.drained_bytes += d.bytes;
-        self.drained_ops += 1;
-        if let Some(s) = &self.stats {
-            s.drained_bytes.add(d.bytes);
-            s.drained_ops.inc();
+    /// Records the dirty generation of the snapshot that was written back
+    /// for `seq` — taken at service time, so it may be newer than the one
+    /// seen at admission.
+    pub fn snapshotted(&mut self, seq: u64, generation: u64) {
+        if let Some(d) = self.queue.get_mut(seq) {
+            d.generation = generation;
         }
-        Some(d)
+    }
+
+    /// Completes a drain that had nothing left to write when the engine
+    /// released it (unlinked, truncated or already clean), accounting it
+    /// like a landed one.
+    pub fn complete(&mut self, seq: u64) -> Option<InflightDrain> {
+        self.queue.remove(seq).map(|d| self.retire(d))
+    }
+
+    /// The next drain whose capacity-tier write finished at or before
+    /// `now_ns`, removed from flight and accounted.
+    pub fn pop_due(&mut self, now_ns: u64) -> Option<InflightDrain> {
+        self.queue.pop_due(now_ns).map(|d| self.retire(d))
+    }
+
+    fn retire(&mut self, d: InflightDrain) -> InflightDrain {
+        self.inflight_keys.remove(&(d.path.clone(), d.stripe));
+        self.drained_bytes.add(d.bytes);
+        self.drained_ops.inc();
+        d
     }
 
     /// Accounts a watermark eviction of `bytes` across `extents` extents.
     pub fn record_eviction(&mut self, extents: u64, bytes: u64) {
-        self.evicted_extents += extents;
-        self.evicted_bytes += bytes;
-        if let Some(s) = &self.stats {
-            s.evicted_extents.add(extents);
-            s.evicted_bytes.add(bytes);
-        }
+        self.evicted_extents.add(extents);
+        self.evicted_bytes.add(bytes);
     }
 
-    /// Builds the status snapshot given the shard-side numbers the pipeline
-    /// itself does not track. Restore-side counters are zero; the caller
-    /// merges them from its [`RestorePipeline`] via
-    /// [`RestorePipeline::fill_status`].
-    pub fn status(&self, resident_bytes: u64, dirty_bytes: u64, backing_bytes: u64) -> DrainStatus {
+    /// Builds the staging status snapshot: this pipeline's counters, the
+    /// restore side from `restore`, and the shard-side numbers neither
+    /// pipeline tracks.
+    pub fn status(
+        &self,
+        restore: &RestorePipeline,
+        resident_bytes: u64,
+        dirty_bytes: u64,
+        backing_bytes: u64,
+    ) -> DrainStatus {
         DrainStatus {
             resident_bytes,
             dirty_bytes,
             backing_bytes,
-            inflight_extents: self.inflight.len(),
-            drained_bytes: self.drained_bytes,
-            drained_ops: self.drained_ops,
-            evicted_bytes: self.evicted_bytes,
-            evicted_extents: self.evicted_extents,
-            pending_restore_bytes: 0,
-            restored_bytes: 0,
-            restored_ops: 0,
+            inflight_extents: self.queue.len(),
+            drained_bytes: self.drained_bytes.get(),
+            drained_ops: self.drained_ops.get(),
+            evicted_bytes: self.evicted_bytes.get(),
+            evicted_extents: self.evicted_extents.get(),
+            pending_restore_bytes: restore.pending_bytes(),
+            restored_bytes: restore.restored_bytes.get(),
+            restored_ops: restore.restored_ops.get(),
         }
+    }
+}
+
+impl ClassLifecycle for DrainPipeline {
+    /// Synthesizes a drain for the next dirty extent of this server's shard
+    /// that is not already in flight.
+    fn admit_next(&mut self, seq: u64, now_ns: u64, ctx: &AdmitContext<'_>) -> Option<IoRequest> {
+        if self.queue.capacity() == 0 {
+            return None;
+        }
+        let (path, stripe, generation, len) = ctx
+            .fs
+            .dirty_extents_on(self.queue.server(), 1, &self.inflight_keys)
+            .pop()?;
+        Some(self.admit(seq, path, stripe, generation, len.max(1), now_ns))
+    }
+
+    fn dispatched(&mut self, seq: u64, finish_ns: u64) {
+        self.queue.dispatched(seq, finish_ns);
+    }
+
+    fn next_finish_ns(&self) -> Option<u64> {
+        self.queue.next_finish_ns()
+    }
+
+    fn is_busy(&self) -> bool {
+        !self.queue.is_empty()
     }
 }
 
@@ -520,7 +415,14 @@ impl RestoreTarget {
     }
 }
 
-/// Pre-resolved registry handles mirroring [`RestorePipeline`]'s counters.
+/// Per-server restore bookkeeping: the queue of extents waiting for
+/// admission, the in-flight ledger, and cumulative stage-in counters (lane
+/// `"restore"`).
+///
+/// Mirrors [`DrainPipeline`] for the opposite direction: the pipeline
+/// decides *what* needs to come back and synthesizes the policy-visible
+/// [`IoRequest`]s (under the [`TrafficClass::Restore`] identity); the server
+/// core moves the bytes when the engine releases each request.
 ///
 /// The backlog is **derived**, not stored: `requested_bytes` grows when a
 /// restore is queued and `completed_bytes` grows (by the same admitted cost)
@@ -530,186 +432,138 @@ impl RestoreTarget {
 /// `requested_bytes` (the follower-sorts-first naming convention, see
 /// `MetricsRegistry::snapshot`).
 #[derive(Debug)]
-struct RestoreStats {
+pub struct RestorePipeline {
+    waiting: VecDeque<RestoreTarget>,
+    queue: ClassQueue<RestoreTarget>,
+    /// Keys waiting or in flight, for deduplication: many waiters may need
+    /// the same extent, which must be restored exactly once.
+    pending_keys: HashSet<(usize, String, u64)>,
     requested_bytes: Counter,
     completed_bytes: Counter,
     restored_bytes: Counter,
     restored_ops: Counter,
 }
 
-/// Per-server restore bookkeeping: the queue of extents waiting for
-/// admission, the extents in flight, and cumulative stage-in counters.
-///
-/// Mirrors [`DrainPipeline`] for the opposite direction: the pipeline
-/// decides *what* needs to come back and synthesizes the policy-visible
-/// [`IoRequest`]s (under the [`TrafficClass::Restore`] identity); the server
-/// core moves the bytes when the engine releases each request.
-#[derive(Debug)]
-pub struct RestorePipeline {
-    server: usize,
-    max_inflight: usize,
-    queue: VecDeque<RestoreTarget>,
-    inflight: HashMap<u64, RestoreTarget>,
-    /// Keys queued or in flight, for deduplication: many waiters may need
-    /// the same extent, which must be restored exactly once.
-    pending_keys: HashSet<(usize, String, u64)>,
-    queued_bytes: u64,
-    inflight_bytes: u64,
-    restored_bytes: u64,
-    restored_ops: u64,
-    stats: Option<RestoreStats>,
-}
-
 impl RestorePipeline {
     /// Creates the restore pipeline of `server` admitting at most
-    /// `max_inflight` extents at a time.
-    pub fn new(server: usize, max_inflight: usize) -> Self {
+    /// `max_inflight` extents at a time, counting into `registry`.
+    pub fn new(server: usize, max_inflight: usize, registry: &MetricsRegistry) -> Self {
+        let key = SeriesKey::class(server, TrafficClass::Restore.name());
         RestorePipeline {
-            server,
-            max_inflight: max_inflight.max(1),
-            queue: VecDeque::new(),
-            inflight: HashMap::new(),
+            waiting: VecDeque::new(),
+            queue: ClassQueue::new(TrafficClass::Restore, server, max_inflight),
             pending_keys: HashSet::new(),
-            queued_bytes: 0,
-            inflight_bytes: 0,
-            restored_bytes: 0,
-            restored_ops: 0,
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles (lane `"restore"` on this pipeline's
-    /// server) so every subsequent mutation is mirrored into `registry` —
-    /// see [`DrainPipeline::attach_telemetry`].
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, TrafficClass::Restore.name());
-        self.stats = Some(RestoreStats {
             requested_bytes: registry.counter(key, "requested_bytes"),
             completed_bytes: registry.counter(key, "completed_bytes"),
             restored_bytes: registry.counter(key, "restored_bytes"),
             restored_ops: registry.counter(key, "restored_ops"),
-        });
+        }
     }
 
-    /// The restore job identity of this server.
-    pub fn meta(&self) -> JobMeta {
-        restore_meta(self.server)
-    }
-
-    /// Whether `target`'s extent is already queued or in flight.
+    /// Whether `key`'s extent is already waiting or in flight.
     pub fn is_pending(&self, key: &(usize, String, u64)) -> bool {
         self.pending_keys.contains(key)
     }
 
     /// Enqueues a restore target. Deduplicates by `(shard, path, stripe)`;
-    /// a pin-dirty request upgrades an already-queued clean restore (a
+    /// a pin-dirty request upgrades an already-pending clean restore (a
     /// writer is now waiting on it), never the reverse. Returns whether a
     /// new entry was queued.
     pub fn request(&mut self, target: RestoreTarget) -> bool {
         let key = target.key();
         if self.pending_keys.contains(&key) {
             if target.pin_dirty {
-                for queued in self.queue.iter_mut() {
-                    if queued.key() == key {
-                        queued.pin_dirty = true;
-                    }
-                }
-                for inflight in self.inflight.values_mut() {
-                    if inflight.key() == key {
-                        inflight.pin_dirty = true;
-                    }
+                let pending = self.waiting.iter_mut().chain(self.queue.targets_mut());
+                for t in pending.filter(|t| t.key() == key) {
+                    t.pin_dirty = true;
                 }
             }
             return false;
         }
         self.pending_keys.insert(key);
-        self.queued_bytes += target.bytes.max(1);
-        if let Some(s) = &self.stats {
-            s.requested_bytes.add(target.bytes.max(1));
-        }
-        self.queue.push_back(target);
+        self.requested_bytes.add(target.bytes.max(1));
+        self.waiting.push_back(target);
         true
-    }
-
-    /// Admits the next queued restore under sequence number `seq`,
-    /// returning the [`IoRequest`] to feed to the policy engine — a *write*
-    /// of the burst-buffer device (the restore's cost on the contended
-    /// resource); the matching capacity-tier read is charged by the caller
-    /// when the engine releases the request. `None` when the queue is empty
-    /// or the pipelining depth is reached.
-    pub fn admit_next(&mut self, seq: u64, now_ns: u64) -> Option<IoRequest> {
-        if self.inflight.len() >= self.max_inflight {
-            return None;
-        }
-        let target = self.queue.pop_front()?;
-        let bytes = target.bytes.max(1);
-        self.queued_bytes -= bytes;
-        self.inflight_bytes += bytes;
-        let request = IoRequest::new(seq, self.meta(), OpKind::Write, bytes, now_ns);
-        self.inflight.insert(seq, target);
-        Some(request)
     }
 
     /// Looks up an in-flight restore by request sequence number.
     pub fn inflight(&self, seq: u64) -> Option<&RestoreTarget> {
-        self.inflight.get(&seq)
+        self.queue.get(seq)
     }
 
-    /// Completes a restore: removes it from the in-flight set, accounts
-    /// `actual_bytes` restored (the tier copy's true length — `0` when the
-    /// tier no longer held the extent), and returns the target so the caller
-    /// can notify waiters.
-    pub fn complete(&mut self, seq: u64, actual_bytes: u64) -> Option<RestoreTarget> {
-        let target = self.inflight.remove(&seq)?;
+    /// The next restore whose device charges finished at or before
+    /// `now_ns`: removed from flight, its key released, and its debt retired
+    /// at the *admitted* cost (matching `requested_bytes`' unit, so the
+    /// derived backlog nets out exactly). The caller moves the bytes and
+    /// reports the tier copy's true length through
+    /// [`record_restored`](Self::record_restored).
+    pub fn pop_due(&mut self, now_ns: u64) -> Option<RestoreTarget> {
+        let target = self.queue.pop_due(now_ns)?;
         self.pending_keys.remove(&target.key());
-        self.inflight_bytes -= target.bytes.max(1);
-        self.restored_bytes += actual_bytes;
-        self.restored_ops += 1;
-        if let Some(s) = &self.stats {
-            // Completed at the *admitted* cost, matching `requested_bytes`'
-            // unit, so the derived backlog nets out exactly; the tier copy's
-            // true length is accounted separately.
-            s.completed_bytes.add(target.bytes.max(1));
-            s.restored_bytes.add(actual_bytes);
-            s.restored_ops.inc();
-        }
+        self.completed_bytes.add(target.bytes.max(1));
         Some(target)
     }
 
-    /// Bytes of restore work admitted and not yet completed (queued plus in
-    /// flight) — the backlog surfaced as
-    /// [`DrainStatus::pending_restore_bytes`].
-    pub fn pending_bytes(&self) -> u64 {
-        self.queued_bytes + self.inflight_bytes
+    /// Accounts one landed restore of `actual_bytes` (`0` when the tier no
+    /// longer held a verifiable copy of the extent).
+    pub fn record_restored(&mut self, actual_bytes: u64) {
+        self.restored_bytes.add(actual_bytes);
+        self.restored_ops.inc();
     }
 
-    /// Whether any restore work is queued or in flight.
-    pub fn is_busy(&self) -> bool {
-        !self.queue.is_empty() || !self.inflight.is_empty()
+    /// Bytes of restore work requested and not yet landed (waiting plus in
+    /// flight) — the backlog surfaced as
+    /// [`DrainStatus::pending_restore_bytes`]. Independently-maintained
+    /// totals: saturate instead of trusting update order.
+    pub fn pending_bytes(&self) -> u64 {
+        let completed = self.completed_bytes.get();
+        self.requested_bytes.get().saturating_sub(completed)
     }
 
     /// Total bytes restored since boot.
     pub fn restored_bytes(&self) -> u64 {
-        self.restored_bytes
+        self.restored_bytes.get()
+    }
+}
+
+impl ClassLifecycle for RestorePipeline {
+    /// Admits the next waiting restore — a *write* of the burst-buffer
+    /// device (the restore's cost on the contended resource); the matching
+    /// capacity-tier read is charged by the caller when the engine releases
+    /// the request.
+    fn admit_next(&mut self, seq: u64, now_ns: u64, _: &AdmitContext<'_>) -> Option<IoRequest> {
+        if self.queue.capacity() == 0 {
+            return None;
+        }
+        let target = self.waiting.pop_front()?;
+        let bytes = target.bytes.max(1);
+        Some(self.queue.admit(seq, target, OpKind::Write, bytes, now_ns))
     }
 
-    /// Merges this pipeline's counters into a status snapshot.
-    pub fn fill_status(&self, status: &mut DrainStatus) {
-        status.pending_restore_bytes = self.pending_bytes();
-        status.restored_bytes = self.restored_bytes;
-        status.restored_ops = self.restored_ops;
+    fn dispatched(&mut self, seq: u64, finish_ns: u64) {
+        self.queue.dispatched(seq, finish_ns);
+    }
+
+    fn next_finish_ns(&self) -> Option<u64> {
+        self.queue.next_finish_ns()
+    }
+
+    fn is_busy(&self) -> bool {
+        !self.waiting.is_empty() || !self.queue.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class::ClassWeights;
+    use crate::backing::CapacityTier;
+    use themis_fs::BurstBufferFs;
 
     #[test]
     fn drain_identity_is_reserved_and_per_server() {
-        let a = drain_meta(0);
-        let b = drain_meta(3);
+        let is_drain = |m: &JobMeta| TrafficClass::of(m.job) == Some(TrafficClass::Drain);
+        let a = TrafficClass::Drain.meta(0);
+        let b = TrafficClass::Drain.meta(3);
         assert!(is_drain(&a));
         assert!(is_drain(&b));
         assert_ne!(a.job, b.job);
@@ -759,37 +613,28 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_field_shims_read_the_unified_weights() {
-        let config = DrainConfig {
-            classes: ClassWeights::default()
-                .enable(TrafficClass::Scrub, 12)
-                .disable(TrafficClass::Rebalance),
-            ..DrainConfig::default()
-        };
-        assert_eq!(config.drain_weight(), 8);
-        assert_eq!(config.restore_weight(), 8);
-        assert_eq!(config.scrub_weight(), 12);
-        assert!(config.scrub_enabled());
-        assert_eq!(config.rebalance_weight(), 16);
-        assert!(!config.rebalance_enabled());
-    }
-
-    #[test]
     fn restore_identity_is_a_distinct_reserved_class() {
-        let d = drain_meta(2);
-        let r = restore_meta(2);
-        assert!(is_drain(&d) && !is_restore(&d));
-        assert!(is_restore(&r) && !is_drain(&r));
-        assert_eq!(class_of(&d), Some(TrafficClass::Drain));
-        assert_eq!(class_of(&r), Some(TrafficClass::Restore));
-        assert_eq!(class_of(&JobMeta::new(1u64, 1u32, 1u32, 4)), None);
+        let d = TrafficClass::Drain.meta(2);
+        let r = TrafficClass::Restore.meta(2);
+        assert_eq!(TrafficClass::of(d.job), Some(TrafficClass::Drain));
+        assert_eq!(TrafficClass::of(r.job), Some(TrafficClass::Restore));
+        assert_eq!(
+            TrafficClass::of(JobMeta::new(1u64, 1u32, 1u32, 4).job),
+            None
+        );
         assert_ne!(d.job, r.job);
     }
 
     #[test]
     fn restore_pipeline_dedups_upgrades_and_accounts() {
-        let mut p = RestorePipeline::new(1, 2);
+        let registry = MetricsRegistry::new();
+        let (fs, tier) = (BurstBufferFs::new(1), CapacityTier::hdd());
+        let ctx = AdmitContext {
+            fs: &fs,
+            backing: &tier,
+            owns: &|_, _| true,
+        };
+        let mut p = RestorePipeline::new(1, 2, &registry);
         let clean = RestoreTarget {
             shard: 1,
             path: "/f".into(),
@@ -816,33 +661,43 @@ mod tests {
         assert_eq!(p.pending_bytes(), 3 << 20);
         assert!(p.is_busy());
         // Admission respects the pipelining depth.
-        let r0 = p.admit_next(10, 0).expect("first admit");
-        assert!(is_restore(&r0.meta));
+        let r0 = p.admit_next(10, 0, &ctx).expect("first admit");
+        assert_eq!(r0.meta, TrafficClass::Restore.meta(1));
         // A restore's cost on the contended burst device is the write-back
         // of the extent into the shard.
         assert_eq!(r0.kind, OpKind::Write);
         assert_eq!(r0.bytes, 1 << 20);
-        let _r1 = p.admit_next(11, 0).expect("second admit");
-        assert!(p.admit_next(12, 0).is_none(), "depth 2 reached");
+        let _r1 = p.admit_next(11, 0, &ctx).expect("second admit");
+        assert!(p.admit_next(12, 0, &ctx).is_none(), "depth 2 reached");
         // The upgraded pin survives into flight.
         assert!(p.inflight(10).unwrap().pin_dirty);
         assert_eq!(p.pending_bytes(), 3 << 20);
-        // Completion frees depth, re-allows the key, and accounts actuals.
-        let done = p.complete(10, 1 << 20).unwrap();
+        // Nothing lands before the engine released it and its charges
+        // finished; landing frees depth, re-allows the key, and accounts
+        // actuals.
+        assert!(p.pop_due(u64::MAX).is_none());
+        p.dispatched(10, 500);
+        assert_eq!(p.next_finish_ns(), Some(500));
+        assert!(p.pop_due(499).is_none());
+        let done = p.pop_due(500).unwrap();
+        p.record_restored(1 << 20);
         assert_eq!(done.stripe, 0);
         assert_eq!(p.restored_bytes(), 1 << 20);
         assert!(!p.is_pending(&(1, "/f".to_string(), 0)));
-        assert!(p.admit_next(12, 0).is_some());
-        let mut status = DrainStatus::default();
-        p.fill_status(&mut status);
+        assert!(p.admit_next(12, 0, &ctx).is_some());
+        let drain = DrainPipeline::new(1, DrainConfig::default(), &registry);
+        let status = drain.status(&p, 0, 0, 0);
         assert_eq!(status.restored_ops, 1);
         assert_eq!(status.pending_restore_bytes, 2 << 20);
         assert!(!status.restore_idle());
+        // The status is a view over the registry series, not a second count.
+        let snap = registry.snapshot(0);
+        assert_eq!(snap.counter(1, 0, "restore", "requested_bytes"), 3 << 20);
+        assert_eq!(snap.counter(1, 0, "restore", "completed_bytes"), 1 << 20);
     }
 
     #[test]
     fn write_back_guarded_applies_delete_wins() {
-        use crate::backing::CapacityTier;
         let tier = CapacityTier::hdd();
         // Normal drain: the path exists after the write-back, the copy
         // stays.
@@ -867,11 +722,12 @@ mod tests {
                 max_inflight: 2,
                 ..DrainConfig::default()
             },
+            &MetricsRegistry::new(),
         );
         assert_eq!(p.admission_capacity(), 2);
         let r = p.admit(7, "/ckpt".into(), 0, 42, 1 << 20, 100);
         assert_eq!(r.seq, 7);
-        assert!(is_drain(&r.meta));
+        assert_eq!(r.meta, TrafficClass::Drain.meta(1));
         assert_eq!(r.kind, OpKind::Read);
         assert_eq!(r.bytes, 1 << 20);
         assert_eq!(p.admission_capacity(), 1);
@@ -882,21 +738,59 @@ mod tests {
         assert_eq!(p.admission_capacity(), 2);
         assert!(!p.has_inflight_for("/ckpt"));
         assert!(p.complete(7).is_none());
+        // A drain that was written back lands with the generation of the
+        // snapshot actually written, once its capacity-tier write is done.
+        p.admit(8, "/ckpt".into(), 1, 42, 1 << 20, 100);
+        p.snapshotted(8, 43);
+        p.dispatched(8, 900);
+        assert!(p.pop_due(899).is_none());
+        assert_eq!(p.pop_due(900).unwrap().generation, 43);
+        assert!(!p.is_busy());
+    }
+
+    #[test]
+    fn admit_next_walks_the_dirty_set_once_per_extent() {
+        let fs = BurstBufferFs::new(1);
+        fs.create_striped("/d", themis_fs::StripeConfig::new(1 << 20, 1), 0)
+            .unwrap();
+        fs.write_at("/d", 0, &[1u8; 3 << 20], 0).unwrap();
+        let tier = CapacityTier::hdd();
+        let ctx = AdmitContext {
+            fs: &fs,
+            backing: &tier,
+            owns: &|_, _| true,
+        };
+        let config = DrainConfig {
+            max_inflight: 2,
+            ..DrainConfig::default()
+        };
+        let mut p = DrainPipeline::new(0, config, &MetricsRegistry::new());
+        let r0 = p.admit_next(1, 0, &ctx).expect("first dirty extent");
+        p.admit_next(2, 0, &ctx).expect("second dirty extent");
+        assert_eq!((r0.kind, r0.bytes), (OpKind::Read, 1 << 20));
+        assert_ne!(p.inflight(1).unwrap().stripe, p.inflight(2).unwrap().stripe);
+        assert!(p.admit_next(3, 0, &ctx).is_none(), "depth 2 reached");
+        // A freed slot is refilled, never with the extent still in flight.
+        p.complete(1);
+        assert!(p.admit_next(3, 0, &ctx).is_some());
+        assert_ne!(p.inflight(3).unwrap().stripe, p.inflight(2).unwrap().stripe);
     }
 
     #[test]
     fn status_aggregates_counters() {
-        let mut p = DrainPipeline::new(0, DrainConfig::default());
+        let registry = MetricsRegistry::new();
+        let restore = RestorePipeline::new(0, 4, &registry);
+        let mut p = DrainPipeline::new(0, DrainConfig::default(), &registry);
         p.admit(1, "/a".into(), 0, 1, 100, 0);
         p.complete(1);
         p.record_eviction(2, 300);
-        let s = p.status(1_000, 400, 100);
+        let s = p.status(&restore, 1_000, 400, 100);
         assert_eq!(s.drained_bytes, 100);
         assert_eq!(s.drained_ops, 1);
         assert_eq!(s.evicted_bytes, 300);
         assert_eq!(s.evicted_extents, 2);
         assert_eq!(s.resident_bytes, 1_000);
         assert!(!s.is_clean());
-        assert!(p.status(0, 0, 100).is_clean());
+        assert!(p.status(&restore, 0, 0, 100).is_clean());
     }
 }

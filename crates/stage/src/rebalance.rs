@@ -1,6 +1,6 @@
 //! The per-server rebalance pipeline: extent migration after a shard-map
 //! change, admitted through the policy engine as
-//! [`TrafficClass::Rebalance`](crate::TrafficClass::Rebalance) traffic —
+//! [`TrafficClass::Rebalance`] traffic —
 //! the last reserved class.
 //!
 //! Where drain is driven by dirty foreground writes, restore by foreground
@@ -17,17 +17,16 @@
 //! an under-replicated range but can never launder a corrupt extent past
 //! the scrubber.
 //!
-//! The lane runs at
-//! [`DrainConfig::rebalance_weight`](crate::pipeline::DrainConfig::rebalance_weight)
-//! against the foreground like every other class: a reshard behind a busy
+//! The lane runs at the rebalance weight of
+//! [`DrainConfig::classes`](crate::pipeline::DrainConfig::classes) against
+//! the foreground like every other class: a reshard behind a busy
 //! foreground costs the foreground a bounded share of device time and
 //! expands into idle capacity when the foreground goes quiet.
 
-use crate::pipeline::rebalance_meta;
+use crate::class::TrafficClass;
+use crate::lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
 use crate::shard::{MigrationPlan, ShardedStore};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use themis_core::entity::JobMeta;
 use themis_core::request::{IoRequest, OpKind};
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
 
@@ -89,22 +88,10 @@ impl RebalanceStatus {
     }
 }
 
-/// Pre-resolved registry handles mirroring [`RebalancePipeline`]'s
-/// cumulative counters (lane `"rebalance"`).
-#[derive(Debug)]
-struct RebalanceStats {
-    requested_bytes: Counter,
-    migrated_bytes: Counter,
-    migrated_extents: Counter,
-    copies_written: Counter,
-    removed_extents: Counter,
-    superseded_extents: Counter,
-    failed_extents: Counter,
-    passes_completed: Counter,
-}
-
 /// Per-server rebalance bookkeeping: the pass cursor over the sharded
-/// tier's logical keyspace, migrations in flight, and cumulative counters.
+/// tier's logical keyspace, the in-flight ledger, and the cumulative
+/// migration counters (lane `"rebalance"` of the registry handed in at
+/// construction).
 ///
 /// Mirrors [`ScrubPipeline`](crate::scrub::ScrubPipeline): the pipeline
 /// decides *what* to migrate and synthesizes the policy-visible requests
@@ -112,9 +99,8 @@ struct RebalanceStats {
 /// when the engine releases it.
 #[derive(Debug)]
 pub struct RebalancePipeline {
-    server: usize,
     enabled: bool,
-    max_inflight: usize,
+    queue: ClassQueue<MigrationPlan>,
     /// Last key examined this pass; `None` at the start of a pass.
     cursor: Option<(String, u64)>,
     pass_active: bool,
@@ -126,51 +112,37 @@ pub struct RebalancePipeline {
     /// A forced pass was demanded (heal scan) — runs even when `enabled`
     /// is false and even without a generation change.
     forced: bool,
-    inflight: HashMap<u64, MigrationPlan>,
-    requested_bytes: u64,
-    migrated_bytes: u64,
-    migrated_extents: u64,
-    copies_written: u64,
-    removed_extents: u64,
-    superseded_extents: u64,
-    failed_extents: u64,
-    passes_completed: u64,
-    stats: Option<RebalanceStats>,
+    requested_bytes: Counter,
+    migrated_bytes: Counter,
+    migrated_extents: Counter,
+    copies_written: Counter,
+    removed_extents: Counter,
+    superseded_extents: Counter,
+    failed_extents: Counter,
+    passes_completed: Counter,
 }
 
 impl RebalancePipeline {
     /// Creates the rebalance pipeline of `server`: `enabled` migrates
     /// automatically whenever the shard map's generation moves, admitting
-    /// at most `max_inflight` migrations at a time.
-    pub fn new(server: usize, enabled: bool, max_inflight: usize) -> Self {
+    /// at most `max_inflight` migrations at a time, counting into
+    /// `registry`.
+    pub fn new(
+        server: usize,
+        enabled: bool,
+        max_inflight: usize,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        let key = SeriesKey::class(server, TrafficClass::Rebalance.name());
         RebalancePipeline {
-            server,
             enabled,
-            max_inflight: max_inflight.max(1),
+            queue: ClassQueue::new(TrafficClass::Rebalance, server, max_inflight),
             cursor: None,
             pass_active: false,
             cursor_exhausted: false,
             target_generation: 0,
             converged_generation: 0,
             forced: false,
-            inflight: HashMap::new(),
-            requested_bytes: 0,
-            migrated_bytes: 0,
-            migrated_extents: 0,
-            copies_written: 0,
-            removed_extents: 0,
-            superseded_extents: 0,
-            failed_extents: 0,
-            passes_completed: 0,
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles (lane `"rebalance"` on this pipeline's
-    /// server) so every subsequent outcome is mirrored into `registry`.
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, crate::TrafficClass::Rebalance.name());
-        self.stats = Some(RebalanceStats {
             requested_bytes: registry.counter(key, "rebalance_requested_bytes"),
             migrated_bytes: registry.counter(key, "rebalance_migrated_bytes"),
             migrated_extents: registry.counter(key, "migrated_extents"),
@@ -179,12 +151,7 @@ impl RebalancePipeline {
             superseded_extents: registry.counter(key, "superseded_extents"),
             failed_extents: registry.counter(key, "failed_extents"),
             passes_completed: registry.counter(key, "passes_completed"),
-        });
-    }
-
-    /// The rebalance job identity of this server.
-    pub fn meta(&self) -> JobMeta {
-        rebalance_meta(self.server)
+        }
     }
 
     /// Whether automatic migration on map changes is enabled.
@@ -199,135 +166,54 @@ impl RebalancePipeline {
         self.forced = true;
     }
 
-    /// Admits the next misplaced extent this server owns under sequence
-    /// number `seq`, starting a pass first when the tier's generation has
-    /// moved (or a heal pass was forced). Returns the [`IoRequest`] to
-    /// feed to the policy engine — a *write* costed at the extent's length
-    /// (the migration streams one verified copy through a policy-granted
-    /// service slot; the matching capacity-tier transfers are charged by
-    /// the caller when the engine releases the request). `None` when no
-    /// pass is due, the cursor is exhausted, or the pipelining depth is
-    /// reached.
-    ///
-    /// `owns` decides which extents this server migrates (stripe → shard
-    /// ownership, the same closure the scrubber uses), so a multi-server
-    /// deployment migrates the shared tier exactly once.
-    pub fn admit_next(
-        &mut self,
-        seq: u64,
-        now_ns: u64,
-        store: &ShardedStore,
-        owns: impl Fn(&str, u64) -> bool,
-    ) -> Option<IoRequest> {
-        if !self.pass_active {
-            let generation = store.generation();
-            let due = self.forced || (self.enabled && generation > self.converged_generation);
-            if !due {
-                return None;
-            }
-            self.pass_active = true;
-            self.cursor = None;
-            self.cursor_exhausted = false;
-            self.forced = false;
-            self.target_generation = generation;
-        }
-        if self.cursor_exhausted || self.inflight.len() >= self.max_inflight {
-            return None;
-        }
-        loop {
-            let Some((path, stripe, plan)) = store.next_misplaced_after(self.cursor.as_ref())
-            else {
-                self.cursor_exhausted = true;
-                return None;
-            };
-            self.cursor = Some((path.clone(), stripe));
-            if !owns(&path, stripe) {
-                continue;
-            }
-            let bytes = plan.bytes.max(1);
-            self.requested_bytes += bytes;
-            if let Some(s) = &self.stats {
-                s.requested_bytes.add(bytes);
-            }
-            self.inflight.insert(seq, plan);
-            return Some(IoRequest::new(
-                seq,
-                self.meta(),
-                OpKind::Write,
-                bytes,
-                now_ns,
-            ));
-        }
-    }
-
     /// Looks up an in-flight migration by request sequence number.
     pub fn inflight(&self, seq: u64) -> Option<&MigrationPlan> {
-        self.inflight.get(&seq)
+        self.queue.get(seq)
     }
 
-    /// Completes a migration: removes it from the in-flight set and
-    /// returns the plan so the caller can execute it and record the
-    /// outcome with one of the `record_*` methods.
-    pub fn complete(&mut self, seq: u64) -> Option<MigrationPlan> {
-        self.inflight.remove(&seq)
+    /// The next migration whose capacity-tier transfers finished at or
+    /// before `now_ns`, removed from flight so the caller can apply it and
+    /// record the outcome with one of the `record_*` methods.
+    pub fn pop_due(&mut self, now_ns: u64) -> Option<MigrationPlan> {
+        self.queue.pop_due(now_ns)
     }
 
     /// Records an executed migration (`bytes` moved, `copies` replicas
     /// written, `removed` stale replicas pruned).
     pub fn record_migrated(&mut self, bytes: u64, copies: usize, removed: usize) {
-        self.migrated_bytes += bytes;
-        self.migrated_extents += 1;
-        self.copies_written += copies as u64;
-        self.removed_extents += removed as u64;
-        if let Some(s) = &self.stats {
-            s.migrated_bytes.add(bytes);
-            s.migrated_extents.inc();
-            s.copies_written.add(copies as u64);
-            s.removed_extents.add(removed as u64);
-        }
+        self.migrated_bytes.add(bytes);
+        self.migrated_extents.inc();
+        self.copies_written.add(copies as u64);
+        self.removed_extents.add(removed as u64);
     }
 
     /// Records a migration that found nothing left to do (the extent was
     /// deleted or a newer pass already converged it).
     pub fn record_superseded(&mut self) {
-        self.superseded_extents += 1;
-        if let Some(s) = &self.stats {
-            s.superseded_extents.inc();
-        }
+        self.superseded_extents.inc();
     }
 
     /// Records a migration refused because no replica verified — the
     /// extent stays put for the scrubber.
     pub fn record_failed(&mut self) {
-        self.failed_extents += 1;
-        if let Some(s) = &self.stats {
-            s.failed_extents.inc();
-        }
+        self.failed_extents.inc();
     }
 
     /// Finishes the pass if its cursor is exhausted and every in-flight
     /// migration has landed. The converged generation advances to the pass
-    /// target; if the map moved again mid-pass, the next
-    /// [`admit_next`](Self::admit_next) immediately starts a follow-up
-    /// pass. Returns the generation converged on.
+    /// target; if the map moved again mid-pass, the next admission
+    /// immediately starts a follow-up pass. Returns the generation
+    /// converged on.
     pub fn finish_pass_if_idle(&mut self) -> Option<u64> {
-        if !self.pass_active || !self.cursor_exhausted || !self.inflight.is_empty() {
+        if !self.pass_active || !self.cursor_exhausted || !self.queue.is_empty() {
             return None;
         }
         self.pass_active = false;
         self.cursor = None;
         self.cursor_exhausted = false;
         self.converged_generation = self.converged_generation.max(self.target_generation);
-        self.passes_completed += 1;
-        if let Some(s) = &self.stats {
-            s.passes_completed.inc();
-        }
+        self.passes_completed.inc();
         Some(self.converged_generation)
-    }
-
-    /// Whether any migration work is admitted and unfinished.
-    pub fn is_busy(&self) -> bool {
-        !self.inflight.is_empty()
     }
 
     /// Whether a pass still owes work for `store`'s current generation.
@@ -342,6 +228,8 @@ impl RebalancePipeline {
             Some(s) => (true, s.generation(), s.map_text(), s.replication()),
             None => (false, 0, String::new(), 0),
         };
+        let migrated_bytes = self.migrated_bytes.get();
+        let requested_bytes = self.requested_bytes.get();
         RebalanceStatus {
             enabled: self.enabled,
             sharded,
@@ -350,19 +238,78 @@ impl RebalancePipeline {
             map,
             replication,
             pass_active: self.pass_active,
-            inflight: self.inflight.len(),
-            requested_bytes: self.requested_bytes,
-            migrated_bytes: self.migrated_bytes,
+            inflight: self.queue.len(),
+            requested_bytes,
+            migrated_bytes,
             // Independently-maintained totals: saturate instead of trusting
             // update order (the satellite-1 audit rule).
-            pending_bytes: self.requested_bytes.saturating_sub(self.migrated_bytes),
-            migrated_extents: self.migrated_extents,
-            copies_written: self.copies_written,
-            removed_extents: self.removed_extents,
-            superseded_extents: self.superseded_extents,
-            failed_extents: self.failed_extents,
-            passes_completed: self.passes_completed,
+            pending_bytes: requested_bytes.saturating_sub(migrated_bytes),
+            migrated_extents: self.migrated_extents.get(),
+            copies_written: self.copies_written.get(),
+            removed_extents: self.removed_extents.get(),
+            superseded_extents: self.superseded_extents.get(),
+            failed_extents: self.failed_extents.get(),
+            passes_completed: self.passes_completed.get(),
         }
+    }
+}
+
+impl ClassLifecycle for RebalancePipeline {
+    /// Admits the next misplaced extent this server owns, starting a pass
+    /// first when the tier's generation has moved (or a heal pass was
+    /// forced). The request is a *write* costed at the extent's length (the
+    /// migration streams one verified copy through a policy-granted service
+    /// slot; the matching capacity-tier transfers are charged by the caller
+    /// when the engine releases the request). `None` on an unsharded tier,
+    /// when no pass is due, the cursor is exhausted, or the pipelining
+    /// depth is reached.
+    ///
+    /// `ctx.owns` decides which extents this server migrates (stripe →
+    /// shard ownership, the same closure the scrubber uses), so a
+    /// multi-server deployment migrates the shared tier exactly once.
+    fn admit_next(&mut self, seq: u64, now_ns: u64, ctx: &AdmitContext<'_>) -> Option<IoRequest> {
+        let store = ctx.backing.as_sharded()?;
+        if !self.pass_active {
+            let generation = store.generation();
+            let due = self.forced || (self.enabled && generation > self.converged_generation);
+            if !due {
+                return None;
+            }
+            self.pass_active = true;
+            self.cursor = None;
+            self.cursor_exhausted = false;
+            self.forced = false;
+            self.target_generation = generation;
+        }
+        if self.cursor_exhausted || self.queue.capacity() == 0 {
+            return None;
+        }
+        loop {
+            let Some((path, stripe, plan)) = store.next_misplaced_after(self.cursor.as_ref())
+            else {
+                self.cursor_exhausted = true;
+                return None;
+            };
+            self.cursor = Some((path.clone(), stripe));
+            if !(ctx.owns)(&path, stripe) {
+                continue;
+            }
+            let bytes = plan.bytes.max(1);
+            self.requested_bytes.add(bytes);
+            return Some(self.queue.admit(seq, plan, OpKind::Write, bytes, now_ns));
+        }
+    }
+
+    fn dispatched(&mut self, seq: u64, finish_ns: u64) {
+        self.queue.dispatched(seq, finish_ns);
+    }
+
+    fn next_finish_ns(&self) -> Option<u64> {
+        self.queue.next_finish_ns()
+    }
+
+    fn is_busy(&self) -> bool {
+        !self.queue.is_empty()
     }
 }
 
@@ -370,10 +317,36 @@ impl RebalancePipeline {
 mod tests {
     use super::*;
     use crate::backing::{BackingStore, CapacityTier};
-    use crate::pipeline::is_rebalance;
     use crate::shard::{MigrationOutcome, ShardMap, ShardSpec};
     use std::sync::Arc;
     use themis_device::DeviceConfig;
+    use themis_fs::BurstBufferFs;
+
+    fn pipeline(server: usize, enabled: bool, max_inflight: usize) -> RebalancePipeline {
+        RebalancePipeline::new(server, enabled, max_inflight, &MetricsRegistry::new())
+    }
+
+    fn admit(
+        p: &mut RebalancePipeline,
+        seq: u64,
+        store: &ShardedStore,
+        owns: &dyn Fn(&str, u64) -> bool,
+    ) -> Option<IoRequest> {
+        let ctx = AdmitContext {
+            fs: &BurstBufferFs::new(1),
+            backing: store,
+            owns,
+        };
+        p.admit_next(seq, 0, &ctx)
+    }
+
+    /// Walks one admitted migration through release and landing.
+    fn land(p: &mut RebalancePipeline, seq: u64) -> MigrationPlan {
+        p.dispatched(seq, 0);
+        p.pop_due(0).expect("released migration lands")
+    }
+
+    const ALL: &dyn Fn(&str, u64) -> bool = &|_, _| true;
 
     fn seeded_store(extents: u64) -> ShardedStore {
         let store = ShardSpec::hdd_plus_ssd(1).build().unwrap();
@@ -390,8 +363,8 @@ mod tests {
         let mut seq = 1u64;
         let mut released = Vec::new();
         loop {
-            while let Some(req) = p.admit_next(seq, 0, store, |_, _| true) {
-                let plan = p.complete(req.seq).expect("inflight");
+            while let Some(req) = admit(p, seq, store, ALL) {
+                let plan = land(p, req.seq);
                 match store.apply_migration(&plan) {
                     MigrationOutcome::Migrated {
                         bytes,
@@ -414,8 +387,8 @@ mod tests {
     #[test]
     fn idle_until_the_generation_moves_then_converges() {
         let store = seeded_store(16);
-        let mut p = RebalancePipeline::new(0, true, 4);
-        assert!(p.admit_next(1, 0, &store, |_, _| true).is_none());
+        let mut p = pipeline(0, true, 4);
+        assert!(admit(&mut p, 1, &store, ALL).is_none());
         assert!(p.status(Some(&store)).is_converged());
 
         // Add a backend, retire child 0, double the replication.
@@ -426,7 +399,9 @@ mod tests {
         assert!(p.owes_work(&store));
         let released = drain_pipeline(&mut p, &store);
         assert!(!released.is_empty());
-        assert!(released.iter().all(|r| is_rebalance(&r.meta)));
+        assert!(released
+            .iter()
+            .all(|r| r.meta == TrafficClass::Rebalance.meta(0)));
         assert!(store.verify_placement().converged());
         let status = p.status(Some(&store));
         assert!(status.is_converged(), "{status:?}");
@@ -443,11 +418,11 @@ mod tests {
     #[test]
     fn disabled_pipeline_only_moves_when_forced() {
         let store = seeded_store(4);
-        let mut p = RebalancePipeline::new(0, false, 4);
+        let mut p = pipeline(0, false, 4);
         store
             .install_map(ShardMap::parse("00-ff=1").unwrap(), 1)
             .unwrap();
-        assert!(p.admit_next(1, 0, &store, |_, _| true).is_none());
+        assert!(admit(&mut p, 1, &store, ALL).is_none());
         assert!(!store.verify_placement().converged());
         // A forced heal pass migrates regardless of `enabled`.
         p.force_pass();
@@ -468,11 +443,11 @@ mod tests {
             .filter(|s| s % 2 == 0 && crate::shard::shard_byte("/ckpt", *s) < 0x80)
             .count() as u64;
         assert!(misplaced_even > 0, "hash spread left nothing to migrate");
-        let mut p0 = RebalancePipeline::new(0, true, 4);
+        let mut p0 = pipeline(0, true, 4);
         let mut seq = 1u64;
         loop {
-            while let Some(req) = p0.admit_next(seq, 0, &store, |_, s| s % 2 == 0) {
-                let plan = p0.complete(req.seq).unwrap();
+            while let Some(req) = admit(&mut p0, seq, &store, &|_, s| s % 2 == 0) {
+                let plan = land(&mut p0, req.seq);
                 match store.apply_migration(&plan) {
                     MigrationOutcome::Migrated {
                         bytes,
@@ -490,7 +465,7 @@ mod tests {
         }
         assert_eq!(p0.status(Some(&store)).migrated_extents, misplaced_even);
         assert!(!store.verify_placement().converged());
-        let mut p1 = RebalancePipeline::new(1, true, 4);
+        let mut p1 = pipeline(1, true, 4);
         drain_pipeline(&mut p1, &store);
         assert!(store.verify_placement().converged());
     }
@@ -501,13 +476,13 @@ mod tests {
         store
             .install_map(ShardMap::parse("00-ff=1").unwrap(), 1)
             .unwrap();
-        let mut p = RebalancePipeline::new(0, true, 2);
-        assert!(p.admit_next(1, 0, &store, |_, _| true).is_some());
-        assert!(p.admit_next(2, 0, &store, |_, _| true).is_some());
-        assert!(p.admit_next(3, 0, &store, |_, _| true).is_none());
+        let mut p = pipeline(0, true, 2);
+        assert!(admit(&mut p, 1, &store, ALL).is_some());
+        assert!(admit(&mut p, 2, &store, ALL).is_some());
+        assert!(admit(&mut p, 3, &store, ALL).is_none());
         assert!(p.is_busy());
         assert_eq!(p.status(Some(&store)).inflight, 2);
-        let plan = p.complete(1).unwrap();
+        let plan = land(&mut p, 1);
         assert_eq!(
             store.apply_migration(&plan),
             MigrationOutcome::Migrated {
@@ -517,7 +492,7 @@ mod tests {
             }
         );
         p.record_migrated(32, 1, 1);
-        assert!(p.admit_next(3, 0, &store, |_, _| true).is_some());
+        assert!(admit(&mut p, 3, &store, ALL).is_some());
     }
 
     #[test]
@@ -527,8 +502,7 @@ mod tests {
         store
             .install_map(ShardMap::parse("00-ff=1").unwrap(), 1)
             .unwrap();
-        let mut p = RebalancePipeline::new(0, true, 4);
-        p.attach_telemetry(&registry);
+        let mut p = RebalancePipeline::new(0, true, 4, &registry);
         drain_pipeline(&mut p, &store);
         let snap = registry.snapshot(0);
         let status = p.status(Some(&store));

@@ -26,11 +26,10 @@
 //!   lose.
 
 use crate::class::TrafficClass;
-use crate::pipeline::replicate_meta;
+use crate::lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use themis_core::durability::DurabilityMode;
-use themis_core::entity::JobMeta;
 use themis_core::request::{IoRequest, OpKind};
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
 
@@ -101,9 +100,9 @@ impl ReplicateStatus {
     }
 }
 
-/// Pre-resolved registry handles mirroring [`ReplicatePipeline`]'s
-/// cumulative counters (attached by the server so `ReplicateStatus` can be
-/// built as a view over one registry snapshot).
+/// Per-server replication bookkeeping: the queue of extents owing a
+/// replica, the in-flight ledger, and the cumulative replication counters
+/// (lane `"replicate"` of the registry handed in at construction).
 ///
 /// The lag is **derived**, not stored: `replicate_completed_bytes` sorts
 /// before `replicate_requested_bytes`, so a registry snapshot reads the
@@ -111,7 +110,14 @@ impl ReplicateStatus {
 /// snapshot (the follower-sorts-first naming convention, see
 /// `MetricsRegistry::snapshot`).
 #[derive(Debug)]
-struct ReplicateStats {
+pub struct ReplicatePipeline {
+    enabled: bool,
+    waiting: VecDeque<ReplicaTarget>,
+    queue: ClassQueue<ReplicaTarget>,
+    /// Keys waiting or in flight, for deduplication: a re-dirtied extent
+    /// already owing a replica owes exactly one copy (the copy reads the
+    /// latest bytes at execution time).
+    pending_keys: HashSet<(String, u64)>,
     requested_bytes: Counter,
     completed_bytes: Counter,
     replicated_bytes: Counter,
@@ -121,65 +127,23 @@ struct ReplicateStats {
     sync_acks_released: Counter,
 }
 
-/// Per-server replication bookkeeping: the queue of extents owing a
-/// replica, the copies in flight, and cumulative replication counters.
-#[derive(Debug)]
-pub struct ReplicatePipeline {
-    server: usize,
-    enabled: bool,
-    max_inflight: usize,
-    queue: VecDeque<ReplicaTarget>,
-    /// Keys queued or in flight, for deduplication: a re-dirtied extent
-    /// already owing a replica owes exactly one copy (the copy reads the
-    /// latest bytes at execution time).
-    pending_keys: HashSet<(String, u64)>,
-    inflight: HashMap<u64, ReplicaTarget>,
-    queued_bytes: u64,
-    inflight_bytes: u64,
-    requested_bytes: u64,
-    completed_bytes: u64,
-    replicated_bytes: u64,
-    replicated_extents: u64,
-    failed_replications: u64,
-    sync_acks_deferred: u64,
-    sync_acks_released: u64,
-    stats: Option<ReplicateStats>,
-}
-
 impl ReplicatePipeline {
     /// Creates the replication pipeline of `server`, admitting at most
-    /// `max_inflight` copies at a time. A disabled pipeline accepts no
-    /// debt — the server constructs it disabled when no durability spec
-    /// demands replicas.
-    pub fn new(server: usize, enabled: bool, max_inflight: usize) -> Self {
+    /// `max_inflight` copies at a time and counting into `registry`. A
+    /// disabled pipeline accepts no debt — the server constructs it
+    /// disabled when no durability spec demands replicas.
+    pub fn new(
+        server: usize,
+        enabled: bool,
+        max_inflight: usize,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        let key = SeriesKey::class(server, TrafficClass::Replicate.name());
         ReplicatePipeline {
-            server,
             enabled,
-            max_inflight: max_inflight.max(1),
-            queue: VecDeque::new(),
+            waiting: VecDeque::new(),
+            queue: ClassQueue::new(TrafficClass::Replicate, server, max_inflight),
             pending_keys: HashSet::new(),
-            inflight: HashMap::new(),
-            queued_bytes: 0,
-            inflight_bytes: 0,
-            requested_bytes: 0,
-            completed_bytes: 0,
-            replicated_bytes: 0,
-            replicated_extents: 0,
-            failed_replications: 0,
-            sync_acks_deferred: 0,
-            sync_acks_released: 0,
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles for the pipeline's cumulative counters
-    /// (lane `"replicate"` on this pipeline's server) so every subsequent
-    /// mutation is mirrored into `registry` — see
-    /// `DrainPipeline::attach_telemetry`. Call before any traffic flows;
-    /// counts recorded while detached are not back-filled.
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, TrafficClass::Replicate.name());
-        self.stats = Some(ReplicateStats {
             requested_bytes: registry.counter(key, "replicate_requested_bytes"),
             completed_bytes: registry.counter(key, "replicate_completed_bytes"),
             replicated_bytes: registry.counter(key, "replicate_replicated_bytes"),
@@ -187,12 +151,7 @@ impl ReplicatePipeline {
             failed_replications: registry.counter(key, "failed_replications"),
             sync_acks_deferred: registry.counter(key, "sync_acks_deferred"),
             sync_acks_released: registry.counter(key, "sync_acks_released"),
-        });
-    }
-
-    /// The replicate job identity of this server.
-    pub fn meta(&self) -> JobMeta {
-        replicate_meta(self.server)
+        }
     }
 
     /// Whether a durability spec gave this pipeline work to do.
@@ -221,27 +180,17 @@ impl ReplicatePipeline {
             // still defer its ack on the *pending* copy — upgrade the mode
             // so status reporting reflects the strongest waiter.
             if mode.defers_ack() {
-                for queued in self.queue.iter_mut() {
-                    if queued.key() == key {
-                        queued.mode = DurabilityMode::Sync;
-                    }
-                }
-                for inflight in self.inflight.values_mut() {
-                    if inflight.key() == key {
-                        inflight.mode = DurabilityMode::Sync;
-                    }
+                let pending = self.waiting.iter_mut().chain(self.queue.targets_mut());
+                for t in pending.filter(|t| t.key() == key) {
+                    t.mode = DurabilityMode::Sync;
                 }
             }
             return false;
         }
         let bytes = bytes.max(1);
         self.pending_keys.insert(key);
-        self.queued_bytes += bytes;
-        self.requested_bytes += bytes;
-        if let Some(s) = &self.stats {
-            s.requested_bytes.add(bytes);
-        }
-        self.queue.push_back(ReplicaTarget {
+        self.requested_bytes.add(bytes);
+        self.waiting.push_back(ReplicaTarget {
             path,
             stripe,
             bytes,
@@ -250,165 +199,168 @@ impl ReplicatePipeline {
         true
     }
 
-    /// Admits the next queued copy under sequence number `seq`, returning
-    /// the [`IoRequest`] to feed to the policy engine — a *read* of the
-    /// burst-buffer device (the copy's cost on the contended resource);
-    /// the matching replica-tier write is charged by the caller when the
-    /// engine releases the request. `None` when the queue is empty or the
-    /// pipelining depth is reached.
-    pub fn admit_next(&mut self, seq: u64, now_ns: u64) -> Option<IoRequest> {
-        if self.inflight.len() >= self.max_inflight {
-            return None;
-        }
-        let target = self.queue.pop_front()?;
-        let bytes = target.bytes;
-        self.queued_bytes -= bytes;
-        self.inflight_bytes += bytes;
-        let request = IoRequest::new(seq, self.meta(), OpKind::Read, bytes, now_ns);
-        self.inflight.insert(seq, target);
-        Some(request)
-    }
-
     /// Looks up an in-flight copy by request sequence number.
     pub fn inflight(&self, seq: u64) -> Option<&ReplicaTarget> {
-        self.inflight.get(&seq)
+        self.queue.get(seq)
     }
 
-    /// Completes a copy: removes it from the in-flight set, retires its
-    /// debt at the admitted cost, and returns the target so the caller can
-    /// account the outcome ([`record_replicated`](Self::record_replicated)
-    /// or [`record_failed`](Self::record_failed)) and release any deferred
+    /// The next copy whose replica-tier write finished at or before
+    /// `now_ns`: removed from flight, its key released and its debt retired
+    /// at the admitted cost, so the caller can account the outcome
+    /// ([`record_replicated`](Self::record_replicated) or
+    /// [`record_failed`](Self::record_failed)) and release any deferred
     /// `sync` acks.
-    pub fn complete(&mut self, seq: u64) -> Option<ReplicaTarget> {
-        let target = self.inflight.remove(&seq)?;
+    pub fn pop_due(&mut self, now_ns: u64) -> Option<ReplicaTarget> {
+        let target = self.queue.pop_due(now_ns)?;
         self.pending_keys.remove(&target.key());
-        self.inflight_bytes -= target.bytes;
-        self.completed_bytes += target.bytes;
-        if let Some(s) = &self.stats {
-            s.completed_bytes.add(target.bytes);
-        }
+        self.completed_bytes.add(target.bytes);
         Some(target)
     }
 
     /// Accounts one replica landed on the replica tier (`bytes` is the
     /// copy's true length).
     pub fn record_replicated(&mut self, bytes: u64) {
-        self.replicated_bytes += bytes;
-        self.replicated_extents += 1;
-        if let Some(s) = &self.stats {
-            s.replicated_bytes.add(bytes);
-            s.replicated_extents.inc();
-        }
+        self.replicated_bytes.add(bytes);
+        self.replicated_extents.inc();
     }
 
     /// Accounts a copy abandoned because its source bytes could not be
     /// verified (or no longer exist) — the debt is retired without a
     /// replica, and the failure is visible rather than laundered.
     pub fn record_failed(&mut self) {
-        self.failed_replications += 1;
-        if let Some(s) = &self.stats {
-            s.failed_replications.inc();
-        }
+        self.failed_replications.inc();
     }
 
     /// Accounts a `sync` write ack parked until its replica lands.
     pub fn record_sync_deferred(&mut self) {
-        self.sync_acks_deferred += 1;
-        if let Some(s) = &self.stats {
-            s.sync_acks_deferred.inc();
-        }
+        self.sync_acks_deferred.inc();
     }
 
     /// Accounts a parked `sync` ack released by a landed replica.
     pub fn record_sync_released(&mut self) {
-        self.sync_acks_released += 1;
-        if let Some(s) = &self.stats {
-            s.sync_acks_released.inc();
-        }
-    }
-
-    /// Bytes of replica debt not yet retired (queued plus in flight) — the
-    /// live replication lag.
-    pub fn lag_bytes(&self) -> u64 {
-        self.queued_bytes + self.inflight_bytes
-    }
-
-    /// Whether any replication work is queued or in flight.
-    pub fn is_busy(&self) -> bool {
-        !self.queue.is_empty() || !self.inflight.is_empty()
+        self.sync_acks_released.inc();
     }
 
     /// Builds the status snapshot.
     pub fn status(&self) -> ReplicateStatus {
+        let completed_bytes = self.completed_bytes.get();
+        let requested_bytes = self.requested_bytes.get();
         ReplicateStatus {
             enabled: self.enabled,
-            queued_extents: self.queue.len() as u64,
-            inflight: self.inflight.len() as u64,
-            requested_bytes: self.requested_bytes,
-            completed_bytes: self.completed_bytes,
+            queued_extents: self.waiting.len() as u64,
+            inflight: self.queue.len() as u64,
+            requested_bytes,
+            completed_bytes,
             // Independently-maintained totals: saturate instead of trusting
             // update order (the satellite-1 audit rule).
-            lag_bytes: self.requested_bytes.saturating_sub(self.completed_bytes),
-            replicated_bytes: self.replicated_bytes,
-            replicated_extents: self.replicated_extents,
-            failed_replications: self.failed_replications,
-            sync_acks_deferred: self.sync_acks_deferred,
-            sync_acks_released: self.sync_acks_released,
+            lag_bytes: requested_bytes.saturating_sub(completed_bytes),
+            replicated_bytes: self.replicated_bytes.get(),
+            replicated_extents: self.replicated_extents.get(),
+            failed_replications: self.failed_replications.get(),
+            sync_acks_deferred: self.sync_acks_deferred.get(),
+            sync_acks_released: self.sync_acks_released.get(),
         }
+    }
+}
+
+impl ClassLifecycle for ReplicatePipeline {
+    /// Admits the next waiting copy — a *read* of the burst-buffer device
+    /// (the copy's cost on the contended resource); the matching
+    /// replica-tier write is charged by the caller when the engine releases
+    /// the request.
+    fn admit_next(&mut self, seq: u64, now_ns: u64, _: &AdmitContext<'_>) -> Option<IoRequest> {
+        if self.queue.capacity() == 0 {
+            return None;
+        }
+        let target = self.waiting.pop_front()?;
+        let bytes = target.bytes;
+        Some(self.queue.admit(seq, target, OpKind::Read, bytes, now_ns))
+    }
+
+    fn dispatched(&mut self, seq: u64, finish_ns: u64) {
+        self.queue.dispatched(seq, finish_ns);
+    }
+
+    fn next_finish_ns(&self) -> Option<u64> {
+        self.queue.next_finish_ns()
+    }
+
+    fn is_busy(&self) -> bool {
+        !self.waiting.is_empty() || !self.queue.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::is_replicate;
+    use crate::backing::CapacityTier;
+    use themis_fs::BurstBufferFs;
+
+    fn pipeline(server: usize, enabled: bool, max_inflight: usize) -> ReplicatePipeline {
+        ReplicatePipeline::new(server, enabled, max_inflight, &MetricsRegistry::new())
+    }
+
+    fn admit(p: &mut ReplicatePipeline, seq: u64) -> Option<IoRequest> {
+        let ctx = AdmitContext {
+            fs: &BurstBufferFs::new(1),
+            backing: &CapacityTier::hdd(),
+            owns: &|_, _| true,
+        };
+        p.admit_next(seq, 0, &ctx)
+    }
+
+    /// Walks one admitted copy through release and landing.
+    fn land(p: &mut ReplicatePipeline, seq: u64) -> ReplicaTarget {
+        p.dispatched(seq, 0);
+        p.pop_due(0).expect("released copy lands")
+    }
 
     #[test]
     fn local_only_and_disabled_pipelines_take_no_debt() {
-        let mut off = ReplicatePipeline::new(0, false, 4);
+        let mut off = pipeline(0, false, 4);
         assert!(!off.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
         assert!(!off.is_busy());
-        let mut on = ReplicatePipeline::new(0, true, 4);
+        let mut on = pipeline(0, true, 4);
         assert!(!on.note_write("/f", 0, 1 << 20, DurabilityMode::LocalOnly));
         assert!(!on.is_busy());
         assert!(on.note_write("/f", 0, 1 << 20, DurabilityMode::LocalPlusOne));
         assert!(on.is_busy());
-        assert_eq!(on.lag_bytes(), 1 << 20);
+        assert_eq!(on.status().lag_bytes, 1 << 20);
     }
 
     #[test]
     fn dedup_keeps_one_copy_and_upgrades_to_sync() {
-        let mut p = ReplicatePipeline::new(1, true, 4);
+        let mut p = pipeline(1, true, 4);
         assert!(p.note_write("/f", 0, 1 << 20, DurabilityMode::LocalPlusOne));
         // The re-dirtied extent owes exactly one copy…
         assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::LocalPlusOne));
         // …and a sync writer behind it upgrades the pending copy's mode.
         assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
-        assert_eq!(p.lag_bytes(), 1 << 20);
-        let r = p.admit_next(10, 0).expect("admit");
-        assert!(is_replicate(&r.meta));
+        assert_eq!(p.status().lag_bytes, 1 << 20);
+        let r = admit(&mut p, 10).expect("admit");
+        assert_eq!(r.meta, TrafficClass::Replicate.meta(1));
         assert_eq!(r.kind, OpKind::Read);
         assert_eq!(p.inflight(10).unwrap().mode, DurabilityMode::Sync);
     }
 
     #[test]
     fn depth_limits_inflight_and_completion_retires_debt() {
-        let mut p = ReplicatePipeline::new(0, true, 2);
+        let mut p = pipeline(0, true, 2);
         for stripe in 0..3u64 {
             assert!(p.note_write("/ckpt", stripe, 1 << 20, DurabilityMode::LocalPlusOne));
         }
-        assert!(p.admit_next(1, 0).is_some());
-        assert!(p.admit_next(2, 0).is_some());
-        assert!(p.admit_next(3, 0).is_none(), "depth 2 reached");
-        assert_eq!(p.lag_bytes(), 3 << 20);
-        let done = p.complete(1).expect("complete");
+        assert!(admit(&mut p, 1).is_some());
+        assert!(admit(&mut p, 2).is_some());
+        assert!(admit(&mut p, 3).is_none(), "depth 2 reached");
+        assert_eq!(p.status().lag_bytes, 3 << 20);
+        let done = land(&mut p, 1);
         assert_eq!(done.path, "/ckpt");
         p.record_replicated(done.bytes);
-        assert_eq!(p.lag_bytes(), 2 << 20);
+        assert_eq!(p.status().lag_bytes, 2 << 20);
         // The retired key may be re-dirtied into new debt.
         assert!(p.note_write("/ckpt", done.stripe, 1 << 20, DurabilityMode::LocalPlusOne));
         // Depth freed: admission resumes.
-        assert!(p.admit_next(3, 0).is_some());
+        assert!(admit(&mut p, 3).is_some());
         let s = p.status();
         assert_eq!(s.requested_bytes, 4 << 20);
         assert_eq!(s.completed_bytes, 1 << 20);
@@ -419,10 +371,10 @@ mod tests {
 
     #[test]
     fn failed_copies_retire_debt_without_replicas() {
-        let mut p = ReplicatePipeline::new(0, true, 4);
+        let mut p = pipeline(0, true, 4);
         p.note_write("/gone", 0, 1 << 20, DurabilityMode::LocalPlusOne);
-        p.admit_next(1, 0).unwrap();
-        p.complete(1).unwrap();
+        admit(&mut p, 1).unwrap();
+        land(&mut p, 1);
         p.record_failed();
         let s = p.status();
         assert_eq!(s.lag_bytes, 0);
@@ -433,11 +385,11 @@ mod tests {
 
     #[test]
     fn sync_ack_parking_blocks_idle_until_released() {
-        let mut p = ReplicatePipeline::new(0, true, 4);
+        let mut p = pipeline(0, true, 4);
         p.note_write("/db", 0, 4096, DurabilityMode::Sync);
         p.record_sync_deferred();
-        p.admit_next(1, 0).unwrap();
-        let done = p.complete(1).unwrap();
+        admit(&mut p, 1).unwrap();
+        let done = land(&mut p, 1);
         assert!(done.mode.defers_ack());
         p.record_replicated(4096);
         assert!(!p.status().is_idle(), "parked ack still outstanding");
@@ -451,17 +403,16 @@ mod tests {
     #[test]
     fn telemetry_mirrors_every_counter() {
         let registry = MetricsRegistry::new();
-        let mut p = ReplicatePipeline::new(0, true, 4);
-        p.attach_telemetry(&registry);
+        let mut p = ReplicatePipeline::new(0, true, 4, &registry);
         p.note_write("/f", 0, 1000, DurabilityMode::Sync);
         p.record_sync_deferred();
-        p.admit_next(1, 0).unwrap();
-        p.complete(1).unwrap();
+        admit(&mut p, 1).unwrap();
+        land(&mut p, 1);
         p.record_replicated(1000);
         p.record_sync_released();
         p.note_write("/f", 1, 500, DurabilityMode::LocalPlusOne);
-        p.admit_next(2, 0).unwrap();
-        p.complete(2).unwrap();
+        admit(&mut p, 2).unwrap();
+        land(&mut p, 2);
         p.record_failed();
         let snap = registry.snapshot(0);
         let c = |name: &str| snap.counter(0, 0, "replicate", name);

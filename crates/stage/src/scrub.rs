@@ -1,6 +1,6 @@
 //! The per-server scrub pipeline: background checksum verification of the
 //! capacity tier, admitted through the policy engine as
-//! [`TrafficClass::Scrub`](crate::TrafficClass::Scrub) traffic.
+//! [`TrafficClass::Scrub`] traffic.
 //!
 //! Burst-buffer deployments back their staging tier with cheaper, colder
 //! media, where silent corruption is a real operational hazard (Romanus et
@@ -20,18 +20,17 @@
 //! foreground misses), scrub requests are synthesized purely from *tier
 //! state*: the pipeline holds a cursor into the capacity tier and a pass
 //! timer, and the only thing foreground traffic controls is how fast the
-//! engine releases the requests — the scrub lane runs at
-//! [`DrainConfig::scrub_weight`](crate::pipeline::DrainConfig::scrub_weight)
-//! against the foreground like every other class, and expands into idle
+//! engine releases the requests — the scrub lane runs at the scrub weight of
+//! [`DrainConfig::classes`](crate::pipeline::DrainConfig::classes) against
+//! the foreground like every other class, and expands into idle
 //! capacity when the foreground goes quiet. That makes it the first
 //! *maintenance* class on the reserved range, proving the class framework
 //! generalises beyond the demand-driven drain/restore pair.
 
-use crate::backing::BackingStore;
-use crate::pipeline::scrub_meta;
+use crate::class::TrafficClass;
+use crate::lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
-use themis_core::entity::JobMeta;
+use std::collections::BTreeSet;
 use themis_core::request::{IoRequest, OpKind};
 use themis_telemetry::{Counter, Gauge, MetricsRegistry, SeriesKey};
 
@@ -93,36 +92,21 @@ pub struct ScrubTarget {
     pub bytes: u64,
 }
 
-/// Pre-resolved registry handles mirroring [`ScrubPipeline`]'s cumulative
-/// counters. Quarantine membership is instantaneous (extents leave the set
-/// when a fresh drain rewrites them), so it mirrors into a gauge.
-#[derive(Debug)]
-struct ScrubStats {
-    passes_completed: Counter,
-    scrubbed_extents: Counter,
-    scrubbed_bytes: Counter,
-    errors_detected: Counter,
-    repaired_extents: Counter,
-    superseded_extents: Counter,
-    quarantined_extents: Gauge,
-}
-
 /// Per-server scrub bookkeeping: the pass cursor over the capacity tier,
-/// extents in flight, cumulative verification counters and the quarantine
-/// set.
+/// the in-flight ledger, the quarantine set and the cumulative verification
+/// counters (lane `"scrub"` of the registry handed in at construction).
 ///
 /// Mirrors [`DrainPipeline`](crate::pipeline::DrainPipeline) /
 /// [`RestorePipeline`](crate::pipeline::RestorePipeline): the pipeline
 /// decides *what* to verify and synthesizes the policy-visible
-/// [`IoRequest`]s under the [`TrafficClass::Scrub`](crate::TrafficClass)
-/// identity; the server core moves the bytes (and judges the checksums)
-/// when the engine releases each request.
+/// [`IoRequest`]s under the [`TrafficClass::Scrub`] identity; the server
+/// core moves the bytes (and judges the checksums) when the engine releases
+/// each request.
 #[derive(Debug)]
 pub struct ScrubPipeline {
-    server: usize,
     enabled: bool,
     interval_ns: u64,
-    max_inflight: usize,
+    queue: ClassQueue<ScrubTarget>,
     /// Last key admitted this pass; `None` at the start of a pass.
     cursor: Option<(String, u64)>,
     /// Whether a pass is in progress (admitting or waiting on inflight).
@@ -137,51 +121,41 @@ pub struct ScrubPipeline {
     /// A forced pass was requested (explicit `Scrub` message) — overrides
     /// both `enabled` and the pass interval.
     forced: bool,
-    inflight: HashMap<u64, ScrubTarget>,
-    passes_completed: u64,
-    scrubbed_extents: u64,
-    scrubbed_bytes: u64,
-    errors_detected: u64,
-    repaired_extents: u64,
-    superseded_extents: u64,
     quarantined: BTreeSet<(String, u64)>,
-    stats: Option<ScrubStats>,
+    passes_completed: Counter,
+    scrubbed_extents: Counter,
+    scrubbed_bytes: Counter,
+    errors_detected: Counter,
+    repaired_extents: Counter,
+    superseded_extents: Counter,
+    /// Quarantine membership is instantaneous (extents leave the set when a
+    /// fresh drain rewrites them), so it is a gauge.
+    quarantined_extents: Gauge,
 }
 
 impl ScrubPipeline {
     /// Creates the scrub pipeline of `server`: `enabled` runs continuous
     /// passes paced by `interval_ns`, admitting at most `max_inflight`
-    /// verifications at a time.
-    pub fn new(server: usize, enabled: bool, interval_ns: u64, max_inflight: usize) -> Self {
+    /// verifications at a time, counting into `registry`.
+    pub fn new(
+        server: usize,
+        enabled: bool,
+        interval_ns: u64,
+        max_inflight: usize,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        let key = SeriesKey::class(server, TrafficClass::Scrub.name());
         ScrubPipeline {
-            server,
             enabled,
             interval_ns,
-            max_inflight: max_inflight.max(1),
+            queue: ClassQueue::new(TrafficClass::Scrub, server, max_inflight),
             cursor: None,
             pass_active: false,
             cursor_exhausted: false,
             pass: 0,
             next_pass_due_ns: 0,
             forced: false,
-            inflight: HashMap::new(),
-            passes_completed: 0,
-            scrubbed_extents: 0,
-            scrubbed_bytes: 0,
-            errors_detected: 0,
-            repaired_extents: 0,
-            superseded_extents: 0,
             quarantined: BTreeSet::new(),
-            stats: None,
-        }
-    }
-
-    /// Resolves registry handles (lane `"scrub"` on this pipeline's server)
-    /// so every subsequent outcome is mirrored into `registry` — see
-    /// [`DrainPipeline::attach_telemetry`](crate::DrainPipeline::attach_telemetry).
-    pub fn attach_telemetry(&mut self, registry: &MetricsRegistry) {
-        let key = SeriesKey::class(self.server, crate::TrafficClass::Scrub.name());
-        self.stats = Some(ScrubStats {
             passes_completed: registry.counter(key, "passes_completed"),
             scrubbed_extents: registry.counter(key, "scrubbed_extents"),
             scrubbed_bytes: registry.counter(key, "scrubbed_bytes"),
@@ -189,12 +163,7 @@ impl ScrubPipeline {
             repaired_extents: registry.counter(key, "repaired_extents"),
             superseded_extents: registry.counter(key, "superseded_extents"),
             quarantined_extents: registry.gauge(key, "quarantined_extents"),
-        });
-    }
-
-    /// The scrub job identity of this server.
-    pub fn meta(&self) -> JobMeta {
-        scrub_meta(self.server)
+        }
     }
 
     /// Whether the continuous background scrubber is enabled.
@@ -217,102 +186,25 @@ impl ScrubPipeline {
         self.pass + 1
     }
 
-    /// Admits the next extent of the current pass under sequence number
-    /// `seq`, starting a pass first when one is due. Returns the
-    /// [`IoRequest`] to feed to the policy engine — a *read* costed at the
-    /// extent's length (the verification streams the tier copy through one
-    /// of the server's policy-granted service slots; the matching
-    /// capacity-tier read is charged by the caller when the engine releases
-    /// the request). `None` when no pass is due, the cursor is exhausted,
-    /// or the pipelining depth is reached.
-    ///
-    /// `owns` decides which tier extents this server verifies (stripe →
-    /// shard ownership), so a multi-server deployment scrubs the shared
-    /// tier exactly once. Quarantined extents are skipped — re-detecting a
-    /// known-bad extent every pass would only inflate the error counters.
-    pub fn admit_next(
-        &mut self,
-        seq: u64,
-        now_ns: u64,
-        backing: &dyn BackingStore,
-        owns: impl Fn(&str, u64) -> bool,
-    ) -> Option<IoRequest> {
-        if !self.pass_active {
-            let due = self.forced || (self.enabled && now_ns >= self.next_pass_due_ns);
-            if !due {
-                return None;
-            }
-            self.pass_active = true;
-            self.cursor = None;
-            self.cursor_exhausted = false;
-            self.forced = false;
-            self.pass += 1;
-        }
-        if self.cursor_exhausted || self.inflight.len() >= self.max_inflight {
-            return None;
-        }
-        loop {
-            let Some((path, stripe, bytes)) = backing.next_extent_after(self.cursor.as_ref())
-            else {
-                self.cursor_exhausted = true;
-                return None;
-            };
-            self.cursor = Some((path.clone(), stripe));
-            if !owns(&path, stripe) || self.quarantined.contains(&(path.clone(), stripe)) {
-                continue;
-            }
-            let bytes = bytes.max(1);
-            self.inflight.insert(
-                seq,
-                ScrubTarget {
-                    path,
-                    stripe,
-                    bytes,
-                },
-            );
-            return Some(IoRequest::new(
-                seq,
-                self.meta(),
-                OpKind::Read,
-                bytes,
-                now_ns,
-            ));
-        }
-    }
-
     /// Looks up an in-flight scrub by request sequence number.
     pub fn inflight(&self, seq: u64) -> Option<&ScrubTarget> {
-        self.inflight.get(&seq)
+        self.queue.get(seq)
     }
 
-    /// Completes a verification: removes it from the in-flight set and
-    /// returns the target so the caller can judge the checksum and record
-    /// the outcome with one of the `record_*` methods.
-    pub fn complete(&mut self, seq: u64) -> Option<ScrubTarget> {
-        self.inflight.remove(&seq)
+    /// The next verification whose capacity-tier read finished at or before
+    /// `now_ns`, removed from flight so the caller can judge the checksum
+    /// and record the outcome with one of the `record_*` methods.
+    pub fn pop_due(&mut self, now_ns: u64) -> Option<ScrubTarget> {
+        self.queue.pop_due(now_ns)
     }
 
-    /// Accounts one judged verification into the pipeline counters and their
-    /// registry mirrors (`error` for any mismatch, whatever its outcome).
+    /// Accounts one judged verification (`error` for any mismatch, whatever
+    /// its outcome).
     fn record_verified(&mut self, bytes: u64, error: bool) {
-        self.scrubbed_extents += 1;
-        self.scrubbed_bytes += bytes;
+        self.scrubbed_extents.inc();
+        self.scrubbed_bytes.add(bytes);
         if error {
-            self.errors_detected += 1;
-        }
-        if let Some(s) = &self.stats {
-            s.scrubbed_extents.inc();
-            s.scrubbed_bytes.add(bytes);
-            if error {
-                s.errors_detected.inc();
-            }
-        }
-    }
-
-    /// Mirrors the quarantine set's size into the registry gauge.
-    fn sync_quarantine_gauge(&self) {
-        if let Some(s) = &self.stats {
-            s.quarantined_extents.set(self.quarantined.len() as i64);
+            self.errors_detected.inc();
         }
     }
 
@@ -325,10 +217,7 @@ impl ScrubPipeline {
     /// burst copy.
     pub fn record_repaired(&mut self, bytes: u64) {
         self.record_verified(bytes, true);
-        self.repaired_extents += 1;
-        if let Some(s) = &self.stats {
-            s.repaired_extents.inc();
-        }
+        self.repaired_extents.inc();
     }
 
     /// Records a detected mismatch on an extent a concurrent foreground
@@ -336,10 +225,7 @@ impl ScrubPipeline {
     /// generation guard), so nothing is repaired.
     pub fn record_superseded(&mut self, bytes: u64) {
         self.record_verified(bytes, true);
-        self.superseded_extents += 1;
-        if let Some(s) = &self.stats {
-            s.superseded_extents.inc();
-        }
+        self.superseded_extents.inc();
     }
 
     /// Records a detected mismatch with no resident burst copy to repair
@@ -348,6 +234,10 @@ impl ScrubPipeline {
         self.record_verified(bytes, true);
         self.quarantined.insert((path, stripe));
         self.sync_quarantine_gauge();
+    }
+
+    fn sync_quarantine_gauge(&self) {
+        self.quarantined_extents.set(self.quarantined.len() as i64);
     }
 
     /// Lifts the quarantine of an extent whose tier copy was legitimately
@@ -370,39 +260,92 @@ impl ScrubPipeline {
     /// deferred `Scrub` acknowledgements wait on). Schedules the next pass
     /// `interval_ns` from `now_ns`.
     pub fn finish_pass_if_idle(&mut self, now_ns: u64) -> Option<u64> {
-        if !self.pass_active || !self.cursor_exhausted || !self.inflight.is_empty() {
+        if !self.pass_active || !self.cursor_exhausted || !self.queue.is_empty() {
             return None;
         }
         self.pass_active = false;
         self.cursor = None;
         self.cursor_exhausted = false;
-        self.passes_completed += 1;
-        if let Some(s) = &self.stats {
-            s.passes_completed.inc();
-        }
+        self.passes_completed.inc();
         self.next_pass_due_ns = now_ns.saturating_add(self.interval_ns);
         Some(self.pass)
-    }
-
-    /// Whether any scrub work is admitted and unfinished.
-    pub fn is_busy(&self) -> bool {
-        !self.inflight.is_empty()
     }
 
     /// Builds the status snapshot.
     pub fn status(&self) -> ScrubStatus {
         ScrubStatus {
             enabled: self.enabled,
-            passes_completed: self.passes_completed,
+            passes_completed: self.passes_completed.get(),
             pass_active: self.pass_active,
-            inflight: self.inflight.len(),
-            scrubbed_extents: self.scrubbed_extents,
-            scrubbed_bytes: self.scrubbed_bytes,
-            errors_detected: self.errors_detected,
-            repaired_extents: self.repaired_extents,
-            superseded_extents: self.superseded_extents,
+            inflight: self.queue.len(),
+            scrubbed_extents: self.scrubbed_extents.get(),
+            scrubbed_bytes: self.scrubbed_bytes.get(),
+            errors_detected: self.errors_detected.get(),
+            repaired_extents: self.repaired_extents.get(),
+            superseded_extents: self.superseded_extents.get(),
             quarantined: self.quarantined.iter().cloned().collect(),
         }
+    }
+}
+
+impl ClassLifecycle for ScrubPipeline {
+    /// Admits the next extent of the current pass, starting a pass first
+    /// when one is due. The request is a *read* costed at the extent's
+    /// length (the verification streams the tier copy through one of the
+    /// server's policy-granted service slots; the matching capacity-tier
+    /// read is charged by the caller when the engine releases the request).
+    /// `None` when no pass is due, the cursor is exhausted, or the
+    /// pipelining depth is reached.
+    ///
+    /// `ctx.owns` decides which tier extents this server verifies (stripe →
+    /// shard ownership), so a multi-server deployment scrubs the shared
+    /// tier exactly once. Quarantined extents are skipped — re-detecting a
+    /// known-bad extent every pass would only inflate the error counters.
+    fn admit_next(&mut self, seq: u64, now_ns: u64, ctx: &AdmitContext<'_>) -> Option<IoRequest> {
+        if !self.pass_active {
+            let due = self.forced || (self.enabled && now_ns >= self.next_pass_due_ns);
+            if !due {
+                return None;
+            }
+            self.pass_active = true;
+            self.cursor = None;
+            self.cursor_exhausted = false;
+            self.forced = false;
+            self.pass += 1;
+        }
+        if self.cursor_exhausted || self.queue.capacity() == 0 {
+            return None;
+        }
+        loop {
+            let Some((path, stripe, bytes)) = ctx.backing.next_extent_after(self.cursor.as_ref())
+            else {
+                self.cursor_exhausted = true;
+                return None;
+            };
+            self.cursor = Some((path.clone(), stripe));
+            if !(ctx.owns)(&path, stripe) || self.quarantined.contains(&(path.clone(), stripe)) {
+                continue;
+            }
+            let bytes = bytes.max(1);
+            let target = ScrubTarget {
+                path,
+                stripe,
+                bytes,
+            };
+            return Some(self.queue.admit(seq, target, OpKind::Read, bytes, now_ns));
+        }
+    }
+
+    fn dispatched(&mut self, seq: u64, finish_ns: u64) {
+        self.queue.dispatched(seq, finish_ns);
+    }
+
+    fn next_finish_ns(&self) -> Option<u64> {
+        self.queue.next_finish_ns()
+    }
+
+    fn is_busy(&self) -> bool {
+        !self.queue.is_empty()
     }
 }
 
@@ -410,8 +353,8 @@ impl ScrubPipeline {
 mod tests {
     use super::*;
     use crate::backing::{extent_checksum, CapacityTier};
-    use crate::pipeline::is_scrub;
     use crate::BackingStore;
+    use themis_fs::BurstBufferFs;
 
     fn tier_with(extents: &[(&str, u64, usize)]) -> CapacityTier {
         let tier = CapacityTier::hdd();
@@ -421,77 +364,123 @@ mod tests {
         tier
     }
 
+    /// A pipeline over `tier` whose `admit` closure applies `owns`, and whose
+    /// `land` walks one request through release and landing.
+    struct Fixture {
+        p: ScrubPipeline,
+        tier: CapacityTier,
+        fs: BurstBufferFs,
+    }
+
+    impl Fixture {
+        fn new(p: ScrubPipeline, tier: CapacityTier) -> Self {
+            Fixture {
+                p,
+                tier,
+                fs: BurstBufferFs::new(1),
+            }
+        }
+
+        fn admit(
+            &mut self,
+            seq: u64,
+            now_ns: u64,
+            owns: &dyn Fn(&str, u64) -> bool,
+        ) -> Option<IoRequest> {
+            let ctx = AdmitContext {
+                fs: &self.fs,
+                backing: &self.tier,
+                owns,
+            };
+            self.p.admit_next(seq, now_ns, &ctx)
+        }
+
+        fn land(&mut self, seq: u64) -> ScrubTarget {
+            self.p.dispatched(seq, 0);
+            self.p.pop_due(0).expect("released request lands")
+        }
+    }
+
+    fn scrub(enabled: bool, interval_ns: u64, max_inflight: usize) -> ScrubPipeline {
+        ScrubPipeline::new(
+            0,
+            enabled,
+            interval_ns,
+            max_inflight,
+            &MetricsRegistry::new(),
+        )
+    }
+
+    const ALL: &dyn Fn(&str, u64) -> bool = &|_, _| true;
+
     #[test]
     fn a_pass_walks_owned_extents_and_completes() {
         let tier = tier_with(&[("/a", 0, 100), ("/a", 1, 200), ("/b", 0, 300)]);
-        let mut p = ScrubPipeline::new(0, true, 1_000, 2);
+        let mut f = Fixture::new(scrub(true, 1_000, 2), tier);
         // Owns everything except /b.
         let owns = |path: &str, _stripe: u64| path != "/b";
-        let r0 = p.admit_next(1, 0, &tier, owns).expect("first admit");
-        assert!(is_scrub(&r0.meta));
+        let r0 = f.admit(1, 0, &owns).expect("first admit");
+        assert_eq!(r0.meta, TrafficClass::Scrub.meta(0));
         assert_eq!(r0.kind, OpKind::Read);
         assert_eq!(r0.bytes, 100);
-        let r1 = p.admit_next(2, 0, &tier, owns).expect("second admit");
+        let r1 = f.admit(2, 0, &owns).expect("second admit");
         assert_eq!(r1.bytes, 200);
         // Depth 2 reached.
-        assert!(p.admit_next(3, 0, &tier, owns).is_none());
-        assert!(p.is_busy());
+        assert!(f.admit(3, 0, &owns).is_none());
+        assert!(f.p.is_busy());
         // Completions free depth; /b is skipped, so the cursor exhausts.
-        let t = p.complete(1).unwrap();
+        let t = f.land(1);
         assert_eq!((t.path.as_str(), t.stripe), ("/a", 0));
-        p.record_clean(t.bytes);
-        assert!(p.admit_next(3, 0, &tier, owns).is_none(), "only /b left");
+        f.p.record_clean(t.bytes);
+        assert!(f.admit(3, 0, &owns).is_none(), "only /b left");
         // The pass is not done until the second verification lands.
-        assert!(p.finish_pass_if_idle(500).is_none());
-        let t = p.complete(2).unwrap();
-        p.record_clean(t.bytes);
-        let pass = p.finish_pass_if_idle(500).expect("pass complete");
+        assert!(f.p.finish_pass_if_idle(500).is_none());
+        let t = f.land(2);
+        f.p.record_clean(t.bytes);
+        let pass = f.p.finish_pass_if_idle(500).expect("pass complete");
         assert_eq!(pass, 1);
-        let status = p.status();
+        let status = f.p.status();
         assert_eq!(status.passes_completed, 1);
         assert_eq!(status.scrubbed_extents, 2);
         assert_eq!(status.scrubbed_bytes, 300);
         assert_eq!(status.errors_detected, 0);
         assert!(status.is_healthy());
         // The next pass is paced by the interval.
-        assert!(p.admit_next(4, 1_000, &tier, owns).is_none());
-        assert!(p.admit_next(4, 1_500 + 1, &tier, owns).is_some());
+        assert!(f.admit(4, 1_000, &owns).is_none());
+        assert!(f.admit(4, 1_500 + 1, &owns).is_some());
     }
 
     #[test]
     fn force_pass_bypasses_interval_and_disabled_state() {
-        let tier = tier_with(&[("/x", 0, 64)]);
-        let mut p = ScrubPipeline::new(0, false, u64::MAX, 4);
+        let mut f = Fixture::new(scrub(false, u64::MAX, 4), tier_with(&[("/x", 0, 64)]));
         // Disabled: nothing is admitted on its own.
-        assert!(p.admit_next(1, 0, &tier, |_, _| true).is_none());
-        let pass = p.force_pass();
+        assert!(f.admit(1, 0, ALL).is_none());
+        let pass = f.p.force_pass();
         assert_eq!(pass, 1);
-        let r = p.admit_next(1, 0, &tier, |_, _| true).expect("forced");
+        let r = f.admit(1, 0, ALL).expect("forced");
         assert_eq!(r.bytes, 64);
-        let t = p.complete(1).unwrap();
-        p.record_clean(t.bytes);
-        assert!(p.admit_next(2, 0, &tier, |_, _| true).is_none());
-        assert_eq!(p.finish_pass_if_idle(0), Some(1));
+        let t = f.land(1);
+        f.p.record_clean(t.bytes);
+        assert!(f.admit(2, 0, ALL).is_none());
+        assert_eq!(f.p.finish_pass_if_idle(0), Some(1));
         // Forcing during an active pass waits for a *follow-up* pass: the
         // running pass walked its cursor before the demand arrived, so
         // acking it would certify stale verifications.
-        assert_eq!(p.force_pass(), 2);
-        let t3 = p.admit_next(3, 0, &tier, |_, _| true).expect("second pass");
-        assert_eq!(p.force_pass(), 3, "demand mid-pass targets the next pass");
+        assert_eq!(f.p.force_pass(), 2);
+        let t3 = f.admit(3, 0, ALL).expect("second pass");
+        assert_eq!(f.p.force_pass(), 3, "demand mid-pass targets the next pass");
         // Pass 2 completes; the forced follow-up (pass 3) starts right
         // behind it without waiting out the (infinite) interval, and its
         // completion is what answers the mid-pass demand.
-        let done = p.complete(t3.seq).unwrap();
-        p.record_clean(done.bytes);
-        assert!(p.admit_next(4, 0, &tier, |_, _| true).is_none());
-        assert_eq!(p.finish_pass_if_idle(0), Some(2));
-        let t4 = p
-            .admit_next(4, 0, &tier, |_, _| true)
-            .expect("forced follow-up");
-        let done = p.complete(t4.seq).unwrap();
-        p.record_clean(done.bytes);
-        assert!(p.admit_next(5, 0, &tier, |_, _| true).is_none());
-        assert_eq!(p.finish_pass_if_idle(0), Some(3));
+        let done = f.land(t3.seq);
+        f.p.record_clean(done.bytes);
+        assert!(f.admit(4, 0, ALL).is_none());
+        assert_eq!(f.p.finish_pass_if_idle(0), Some(2));
+        let t4 = f.admit(4, 0, ALL).expect("forced follow-up");
+        let done = f.land(t4.seq);
+        f.p.record_clean(done.bytes);
+        assert!(f.admit(5, 0, ALL).is_none());
+        assert_eq!(f.p.finish_pass_if_idle(0), Some(3));
     }
 
     #[test]
@@ -500,33 +489,37 @@ mod tests {
         tier.corrupt_extent("/q", 0, 3);
         let (data, stored) = tier.read_back_with_checksum("/q", 0).unwrap();
         assert_ne!(extent_checksum(&data), stored);
-        let mut p = ScrubPipeline::new(0, true, 0, 4);
-        p.record_quarantined("/q".into(), 0, 50);
-        p.record_repaired(60);
-        p.record_superseded(10);
-        let status = p.status();
+        let registry = MetricsRegistry::new();
+        let mut f = Fixture::new(ScrubPipeline::new(0, true, 0, 4, &registry), tier);
+        f.p.record_quarantined("/q".into(), 0, 50);
+        f.p.record_repaired(60);
+        f.p.record_superseded(10);
+        let status = f.p.status();
         assert_eq!(status.errors_detected, 3);
         assert_eq!(status.repaired_extents, 1);
         assert_eq!(status.superseded_extents, 1);
         assert_eq!(status.quarantined, vec![("/q".to_string(), 0)]);
         assert_eq!(status.quarantined_extents(), 1);
         assert!(!status.is_healthy());
+        // The status reads the registry series themselves.
+        let snap = registry.snapshot(0);
+        assert_eq!(snap.counter(0, 0, "scrub", "errors_detected"), 3);
+        assert_eq!(snap.gauge(0, 0, "scrub", "quarantined_extents"), 1);
         // A quarantined key is skipped by admission…
-        let r = p.admit_next(9, 0, &tier, |_, _| true).expect("admit");
-        assert_eq!(p.inflight(9).unwrap().stripe, 1);
+        let r = f.admit(9, 0, ALL).expect("admit");
+        assert_eq!(f.p.inflight(9).unwrap().stripe, 1);
         assert_eq!(r.bytes, 60);
         // …until a legitimate rewrite lifts the quarantine.
-        p.unquarantine("/q", 0);
-        assert!(p.status().is_healthy());
+        f.p.unquarantine("/q", 0);
+        assert!(f.p.status().is_healthy());
     }
 
     #[test]
     fn empty_tier_pass_completes_immediately() {
-        let tier = CapacityTier::hdd();
-        let mut p = ScrubPipeline::new(0, true, 100, 4);
-        assert!(p.admit_next(1, 0, &tier, |_, _| true).is_none());
-        assert_eq!(p.finish_pass_if_idle(7), Some(1));
-        assert_eq!(p.status().passes_completed, 1);
-        assert!(!p.status().pass_active);
+        let mut f = Fixture::new(scrub(true, 100, 4), CapacityTier::hdd());
+        assert!(f.admit(1, 0, ALL).is_none());
+        assert_eq!(f.p.finish_pass_if_idle(7), Some(1));
+        assert_eq!(f.p.status().passes_completed, 1);
+        assert!(!f.p.status().pass_active);
     }
 }
