@@ -6,7 +6,9 @@
 //! statistical token assignments, and a worker loop that serves requests
 //! against the shared burst-buffer file system.
 //!
-//! [`core::ServerCore`] is the transport-free, steppable implementation;
+//! [`core::ServerCore`] is the transport-free, steppable implementation
+//! (its staging half — class lifecycle, parking, residency — lives in the
+//! `staging` module);
 //! [`runtime::Deployment`] runs one core per server on real threads with
 //! in-process endpoints standing in for UCX.
 
@@ -15,6 +17,7 @@
 
 pub mod core;
 pub mod runtime;
+mod staging;
 
 pub use crate::core::{ReadyReply, ServerConfig, ServerCore, StageReady};
 pub use crate::runtime::{ClientConnection, Deployment};
