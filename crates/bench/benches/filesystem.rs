@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the user-space file system: consistent-hash
-//! lookup, write/read round trips, and metadata operations.
+//! lookup, write/read round trips, metadata operations, and the capacity
+//! tier's extent checksum.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use themis_fs::{BurstBufferFs, HashRing, StripeConfig};
+use themis_stage::extent_checksum;
 
 fn bench_ring(c: &mut Criterion) {
     let mut group = c.benchmark_group("hash_ring");
@@ -46,5 +48,17 @@ fn bench_fs_io(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ring, bench_fs_io);
+/// The capacity tier's extent checksum over the same 1 MiB block that
+/// `fs_io/write_1MiB` copies, so hash cost and copy cost read side by side.
+fn bench_checksum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("checksum");
+    group.sample_size(20);
+    let block = vec![7u8; 1 << 20];
+    group.bench_function("extent_checksum_1MiB", |b| {
+        b.iter(|| extent_checksum(black_box(&block)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_ring, bench_fs_io, bench_checksum);
 criterion_main!(benches);

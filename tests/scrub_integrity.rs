@@ -143,10 +143,12 @@ fn scrubber_detects_and_repairs_every_corruption_with_resident_copies() {
     let t = write_file(&mut s, "/ckpt", (3 * MIB) as usize, 0xAB, 0);
     let t = poll_until_clean(&mut s, t);
 
-    // Flip one byte in every tier extent behind the server's back.
-    for stripe in 0..3 {
+    // Flip one byte in every tier extent behind the server's back: in the
+    // checksum's first lane, a mid-block lane, and the last lane of the last
+    // 64-byte block.
+    for (stripe, offset) in [(0, 0), (1, 1234), (2, MIB as usize - 1)] {
         assert!(
-            tier.corrupt_extent("/ckpt", stripe, 1234),
+            tier.corrupt_extent("/ckpt", stripe, offset),
             "stripe {stripe}"
         );
         let (data, stored) = tier.read_back_with_checksum("/ckpt", stripe).unwrap();
