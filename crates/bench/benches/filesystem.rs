@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the user-space file system: consistent-hash
-//! lookup, write/read round trips, metadata operations, and the capacity
-//! tier's extent checksum.
+//! lookup, write/read round trips, metadata operations, the capacity tier's
+//! extent checksum, and one extent's drain-and-restore round trip.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use themis_fs::{BurstBufferFs, HashRing, StripeConfig};
-use themis_stage::extent_checksum;
+use themis_stage::{extent_checksum, verified_extent, write_back_guarded, CapacityTier};
 
 fn bench_ring(c: &mut Criterion) {
     let mut group = c.benchmark_group("hash_ring");
@@ -60,5 +60,36 @@ fn bench_checksum(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ring, bench_fs_io, bench_checksum);
+/// One 1 MiB extent through the staging hand-offs: snapshot, guarded
+/// write-back, mark clean, evict, verified restore. The restore pins the
+/// extent dirty so the next iteration drains it again. Beside
+/// `checksum/extent_checksum_1MiB` (two sums per round trip) this shows what
+/// else a drained MiB costs, copies included.
+fn bench_staging(c: &mut Criterion) {
+    let mut group = c.benchmark_group("staging");
+    group.sample_size(20);
+    let fs = BurstBufferFs::new(1);
+    fs.create("/stage", 0).unwrap();
+    fs.write_at("/stage", 0, &vec![7u8; 1 << 20], 1).unwrap();
+    let tier = CapacityTier::hdd();
+    group.bench_function("drain_restore_1MiB", |b| {
+        b.iter(|| {
+            let (extent, generation) = fs.snapshot_extent_on(0, "/stage", 0).unwrap();
+            assert!(write_back_guarded(&tier, "/stage", 0, extent, || true));
+            assert!(fs.mark_clean_on(0, "/stage", 0, generation));
+            assert_eq!(fs.evict_clean_on(0, 0).len(), 1);
+            let restored = verified_extent(&tier, "/stage", 0).unwrap();
+            fs.restore_extent_on(0, "/stage", 0, restored, true);
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ring,
+    bench_fs_io,
+    bench_checksum,
+    bench_staging
+);
 criterion_main!(benches);

@@ -14,7 +14,7 @@ use crate::error::{FsError, FsResult};
 use crate::layout::{Chunk, FileLayout, StripeConfig};
 use crate::path;
 use crate::ring::{HashRing, ServerId};
-use crate::store::{FileMeta, Shard, StatInfo};
+use crate::store::{extent_range, Extent, ExtentRead, FileMeta, Shard, StatInfo};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,13 +189,9 @@ impl BurstBufferFs {
             .dirty_extents(limit, exclude)
     }
 
-    /// Snapshot of one extent for draining (contents + dirty generation).
-    pub fn snapshot_extent_on(
-        &self,
-        server: usize,
-        p: &str,
-        stripe: u64,
-    ) -> Option<(Vec<u8>, u64)> {
+    /// Snapshot of one extent for draining (shared buffer + dirty
+    /// generation, see [`Shard::snapshot_extent`]).
+    pub fn snapshot_extent_on(&self, server: usize, p: &str, stripe: u64) -> Option<(Extent, u64)> {
         self.inner.shards[server].read().snapshot_extent(p, stripe)
     }
 
@@ -214,7 +210,7 @@ impl BurstBufferFs {
             .evict_clean_until(target_bytes)
     }
 
-    /// Restores an evicted extent on `server` from its capacity-tier copy
+    /// Restores an evicted extent on `server` from its capacity-tier buffer
     /// (see [`Shard::restore_extent`] for the `mark_dirty` pinning
     /// semantics).
     pub fn restore_extent_on(
@@ -222,7 +218,7 @@ impl BurstBufferFs {
         server: usize,
         p: &str,
         stripe: u64,
-        data: &[u8],
+        data: Extent,
         mark_dirty: bool,
     ) {
         self.inner.shards[server]
@@ -241,20 +237,14 @@ impl BurstBufferFs {
         self.inner.shards[server].read().evicted_len()
     }
 
-    /// The full contents of a *resident* extent on `server` (clean or
+    /// The shared buffer of a *resident* extent on `server` (clean or
     /// dirty), or `None` for holes and evicted extents. The scrubber's
     /// repair source: a clean resident extent is byte-identical to what the
     /// capacity tier is supposed to hold (pair with
     /// [`BurstBufferFs::snapshot_extent_on`], which answers `Some` exactly
     /// for dirty extents, to tell the two apart).
-    pub fn resident_extent_on(&self, server: usize, p: &str, stripe: u64) -> Option<Vec<u8>> {
-        match self.inner.shards[server]
-            .read()
-            .read_extent_checked(p, stripe, 0, u64::MAX)
-        {
-            crate::store::ExtentRead::Data(d) => Some(d),
-            _ => None,
-        }
+    pub fn resident_extent_on(&self, server: usize, p: &str, stripe: u64) -> Option<Extent> {
+        self.inner.shards[server].read().resident_extent(p, stripe)
     }
 
     fn shard(&self, s: ServerId) -> &RwLock<Shard> {
@@ -461,17 +451,21 @@ impl BurstBufferFs {
     }
 
     /// [`BurstBufferFs::read_at`] with a read-through fetcher for evicted
-    /// extents: `fetch(path, stripe)` returns the full extent bytes from the
-    /// capacity tier. Chunks whose extent is evicted are served from the
-    /// fetched copy *without* restoring it into the shard, so a concurrent
+    /// extents: `fetch(path, stripe)` returns the capacity tier's buffer of
+    /// the full extent. Chunks whose extent is evicted are served from the
+    /// fetched buffer *without* restoring it into the shard, so a concurrent
     /// evictor cannot race the read. A fetch miss surfaces as
     /// [`FsError::NotResident`].
+    ///
+    /// Every returned byte is copied once: each chunk is appended straight
+    /// from its extent (under the shard's read lock) or from the fetched
+    /// buffer, and holes and short extents are padded with zeros.
     pub fn read_at_with(
         &self,
         p: &str,
         offset: u64,
         len: u64,
-        fetch: &dyn Fn(&str, u64) -> Option<Vec<u8>>,
+        fetch: &dyn Fn(&str, u64) -> Option<Extent>,
     ) -> FsResult<Vec<u8>> {
         let p = path::normalize(p)?;
         let size = {
@@ -490,34 +484,35 @@ impl BurstBufferFs {
         }
         let len = len.min(size - offset);
         let layout = self.layout_of(&p)?;
-        let mut out = vec![0u8; len as usize];
+        let mut out = Vec::with_capacity(len as usize);
+        // The chunks tile `[offset, offset + len)` in order, so each one
+        // appends where the previous one ended.
         for chunk in layout.chunks(offset, len) {
             let stripe = chunk.offset / layout.config.stripe_size;
             let within = chunk.offset % layout.config.stripe_size;
-            let read = self
+            let evicted = match self
                 .shard(chunk.server)
                 .read()
-                .read_extent_checked(&p, stripe, within, chunk.len);
-            match read {
-                crate::store::ExtentRead::Data(data) => {
-                    let lo = (chunk.offset - offset) as usize;
-                    out[lo..lo + data.len()].copy_from_slice(&data);
+                .read_extent_checked(&p, stripe, within, chunk.len)
+            {
+                ExtentRead::Data(data) => {
+                    out.extend_from_slice(data);
+                    false
                 }
-                // A hole inside the file size reads as zeros (sparse file).
-                crate::store::ExtentRead::Hole => {}
-                // The bytes exist only in the capacity tier: never fake them
-                // with zeros — read through the fetcher, or surface the
-                // miss so a staging-aware caller can stage in and retry.
-                crate::store::ExtentRead::Evicted => match fetch(&p, stripe) {
-                    Some(extent) => {
-                        let start = within.min(extent.len() as u64) as usize;
-                        let end = (within + chunk.len).min(extent.len() as u64) as usize;
-                        let lo = (chunk.offset - offset) as usize;
-                        out[lo..lo + (end - start)].copy_from_slice(&extent[start..end]);
-                    }
-                    None => return Err(FsError::NotResident(p.clone())),
-                },
+                ExtentRead::Hole => false,
+                ExtentRead::Evicted => true,
+            };
+            // The bytes exist only in the capacity tier: never fake them
+            // with zeros — read through the fetcher (outside the shard lock),
+            // or surface the miss so a staging-aware caller can stage in and
+            // retry.
+            if evicted {
+                let extent = fetch(&p, stripe).ok_or_else(|| FsError::NotResident(p.clone()))?;
+                out.extend_from_slice(extent_range(&extent, within, chunk.len));
             }
+            // A hole inside the file size, or the tail past a short extent,
+            // reads as zeros (sparse file).
+            out.resize((chunk.offset - offset + chunk.len) as usize, 0);
         }
         Ok(out)
     }
@@ -625,7 +620,7 @@ impl BurstBufferFs {
         &self,
         fd: u64,
         len: u64,
-        fetch: &dyn Fn(&str, u64) -> Option<Vec<u8>>,
+        fetch: &dyn Fn(&str, u64) -> Option<Extent>,
     ) -> FsResult<Vec<u8>> {
         let (path, cursor) = {
             let fds = self.inner.fds.lock();
@@ -758,6 +753,138 @@ mod tests {
             .filter(|i| f.inner.shards[*i].read().bytes_stored() > 0)
             .count();
         assert!(shards_with_data > 1);
+    }
+
+    #[test]
+    fn read_at_with_matches_a_flat_byte_model_property() {
+        // 256 seeded files, each striped over 1-4 servers, written at random
+        // offsets (leaving holes and short extents), with a random subset of
+        // extents drained to a model tier and evicted and, in some cases,
+        // one tier copy lost. Every random read must equal the flat byte
+        // model truncated at EOF, pull evicted chunks through `fetch`, and
+        // fail with NotResident exactly when it touches the lost copy.
+        use std::collections::{BTreeMap, HashSet};
+        let mut seed: u64 = 0x5eed_f00d;
+        let mut next = move |n: u64| {
+            // xorshift64*: deterministic, no external RNG in this crate.
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1)
+        };
+        // What the cases covered, so a generator change cannot quietly stop
+        // exercising a path.
+        let (mut holes, mut short, mut evicted, mut misses, mut eof, mut spans) =
+            (0, 0, 0, 0, 0, 0);
+        for case in 0..256 {
+            let servers = 1 + next(4) as usize;
+            let ss = [64u64, 100, 256][next(3) as usize];
+            let f = BurstBufferFs::with_stripe_config(
+                servers,
+                StripeConfig::new(ss, 1 + next(servers as u64) as usize),
+            );
+            f.create("/p", 0).unwrap();
+            let layout = f.layout_of("/p").unwrap();
+            // The model: file bytes, and the written length of each extent.
+            let mut model: Vec<u8> = Vec::new();
+            let mut extent_len: BTreeMap<u64, u64> = BTreeMap::new();
+            for _ in 0..1 + next(6) {
+                let (off, len) = (next(8 * ss), 1 + next(2 * ss));
+                let byte = 1 + next(255) as u8;
+                f.write_at("/p", off, &vec![byte; len as usize], 1).unwrap();
+                let end = (off + len) as usize;
+                model.resize(model.len().max(end), 0);
+                model[off as usize..end].fill(byte);
+                for chunk in layout.chunks(off, len) {
+                    let within_end = chunk.offset % ss + chunk.len;
+                    let e = extent_len.entry(chunk.offset / ss).or_default();
+                    *e = (*e).max(within_end);
+                }
+            }
+            let size = model.len() as u64;
+            // Drain a random subset to the model tier and evict it.
+            let mut tier: BTreeMap<(String, u64), Extent> = BTreeMap::new();
+            for server in 0..servers {
+                for (p, stripe, _, _) in f.dirty_extents_on(server, usize::MAX, &HashSet::new()) {
+                    if next(2) == 0 {
+                        let (data, generation) = f.snapshot_extent_on(server, &p, stripe).unwrap();
+                        assert!(f.mark_clean_on(server, &p, stripe, generation));
+                        tier.insert((p, stripe), data);
+                    }
+                }
+                f.evict_clean_on(server, 0);
+            }
+            // Lose one tier copy in a quarter of the cases.
+            let lost = tier.keys().next().cloned().filter(|_| next(4) == 0);
+            if let Some(key) = &lost {
+                tier.remove(key);
+            }
+            for _ in 0..8 {
+                let offset = next(size + ss);
+                let len = next(3 * ss + 1);
+                let fetched = std::cell::Cell::new(0);
+                let fetch = |p: &str, stripe: u64| {
+                    fetched.set(fetched.get() + 1);
+                    tier.get(&(p.to_string(), stripe)).cloned()
+                };
+                let got = f.read_at_with("/p", offset, len, &fetch);
+                let (lo, hi) = (offset.min(size), offset.saturating_add(len).min(size));
+                eof += usize::from(offset + len > size);
+                let touched: Vec<u64> = if hi > lo {
+                    (lo / ss..=(hi - 1) / ss).collect()
+                } else {
+                    Vec::new()
+                };
+                let in_tier = |s: &u64| tier.contains_key(&("/p".to_string(), *s));
+                let servers_read: HashSet<_> = layout
+                    .chunks(lo, hi - lo)
+                    .iter()
+                    .map(|c| c.server)
+                    .collect();
+                spans += usize::from(servers_read.len() > 1);
+                if touched
+                    .iter()
+                    .any(|s| lost.as_ref().is_some_and(|k| k.1 == *s))
+                {
+                    assert!(
+                        matches!(got, Err(FsError::NotResident(_))),
+                        "case {case}: a read over the lost copy returned {got:?}"
+                    );
+                    misses += 1;
+                    continue;
+                }
+                assert_eq!(
+                    got.unwrap(),
+                    model[lo as usize..hi as usize],
+                    "case {case}: read {offset}+{len} of {size}"
+                );
+                let evicted_touched = touched.iter().filter(|s| in_tier(s)).count();
+                assert_eq!(fetched.get(), evicted_touched, "case {case}: fetches");
+                evicted += evicted_touched;
+                holes += touched
+                    .iter()
+                    .filter(|s| !extent_len.contains_key(s))
+                    .count();
+                short += touched
+                    .iter()
+                    .filter(|&&s| {
+                        extent_len
+                            .get(&s)
+                            .is_some_and(|e| s * ss + e < hi.min((s + 1) * ss))
+                    })
+                    .count();
+            }
+        }
+        for (what, n) in [
+            ("holes", holes),
+            ("short extents", short),
+            ("evicted chunks", evicted),
+            ("fetch misses", misses),
+            ("EOF truncations", eof),
+            ("multi-server reads", spans),
+        ] {
+            assert!(n > 20, "only {n} reads covered {what}");
+        }
     }
 
     #[test]

@@ -6,12 +6,94 @@
 //! function … an index specifies the NVMe region of the file's contents."
 //! The shard plays the role of that NVMe region plus its index: stripe
 //! contents live in byte-addressable extents keyed by `(path, stripe)`.
+//!
+//! # Who shares an extent buffer
+//!
+//! An extent's bytes are an [`Extent`], a reference-counted buffer that the
+//! shard, the capacity tier and the staging paths pass around instead of
+//! copying. A drain snapshot hands the shard's buffer to the tier, a restore
+//! or read-through hands the tier's buffer back, and a replicated tier keeps
+//! one buffer for all of its replicas. So after a drain the shard and the
+//! tier may hold the *same* buffer. Each holder that mutates one goes
+//! through [`Extent::make_mut`], which copies the buffer once if anyone else
+//! still holds it:
+//!
+//! * [`Shard::write_extent`] on a drained (or restored) extent copies it
+//!   before applying the write, so the tier's copy keeps the drained bytes
+//!   its checksum was computed over;
+//! * the capacity tier's fault injection copies before flipping a bit, so
+//!   injected corruption never reaches the shard or another replica.
+//!
+//! Nothing else mutates a buffer in place, so every other hand-off is a
+//! reference-count bump.
 
 use crate::error::{FsError, FsResult};
 use crate::layout::FileLayout;
 use crate::ring::ServerId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// The bytes of one stripe extent, shared copy-on-write between the shard
+/// that holds it resident, the capacity tier that holds its drained copy and
+/// the staging paths that move it between the two (see the module docs).
+///
+/// Cloning shares the buffer; [`Extent::make_mut`] is the only way to change
+/// the bytes, and it copies them first while anyone else holds the buffer.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Extent(Arc<Vec<u8>>);
+
+impl Extent {
+    /// Mutable access to the bytes, copying the buffer first if another
+    /// holder shares it (`Arc::make_mut`).
+    pub fn make_mut(&mut self) -> &mut Vec<u8> {
+        Arc::make_mut(&mut self.0)
+    }
+
+    /// The bytes as an owned vector: the buffer itself when this is its only
+    /// holder, else a copy.
+    pub fn into_vec(self) -> Vec<u8> {
+        Arc::unwrap_or_clone(self.0)
+    }
+
+    /// Whether `self` and `other` share one buffer.
+    pub fn shares_buffer(&self, other: &Extent) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl From<Vec<u8>> for Extent {
+    fn from(bytes: Vec<u8>) -> Self {
+        Extent(Arc::new(bytes))
+    }
+}
+
+impl std::ops::Deref for Extent {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl PartialEq<Vec<u8>> for Extent {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == other[..]
+    }
+}
+
+impl std::fmt::Debug for Extent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// The bytes of `extent` in `[offset, offset + len)`, clamped to its end: a
+/// range past the written end reads short (or empty).
+pub(crate) fn extent_range(extent: &[u8], offset: u64, len: u64) -> &[u8] {
+    let end_of = |at: u64| at.min(extent.len() as u64) as usize;
+    &extent[end_of(offset)..end_of(offset.saturating_add(len))]
+}
 
 /// Metadata of a file or directory, owned by the server to which the path
 /// hashes.
@@ -67,10 +149,11 @@ impl From<&FileMeta> for StatInfo {
 /// evicted extent's bytes exist *only in the capacity tier* and silently
 /// zero-filling them would corrupt data.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExtentRead {
+pub enum ExtentRead<'a> {
     /// The extent is resident; the bytes of the requested range, possibly
-    /// short (or empty) where the range runs past the extent's written end.
-    Data(Vec<u8>),
+    /// short (or empty) where the range runs past the extent's written end,
+    /// borrowed from the extent so the caller copies them once.
+    Data(&'a [u8]),
     /// No extent was ever written at this `(path, stripe)` — a logical hole;
     /// the distributed layer fills holes with zeros up to the file size.
     Hole,
@@ -97,7 +180,7 @@ pub struct Shard {
     /// Directory entries (child names) keyed by directory path.
     dirents: BTreeMap<String, BTreeSet<String>>,
     /// Stripe extents keyed by `(path, stripe_index)`.
-    extents: BTreeMap<(String, u64), Vec<u8>>,
+    extents: BTreeMap<(String, u64), Extent>,
     /// Bytes stored in extents on this shard.
     bytes_stored: u64,
     /// Dirty extents: key → generation of the last write. Absent keys with a
@@ -244,6 +327,10 @@ impl Shard {
     /// capacity tier: a partial overwrite of evicted bytes would silently
     /// discard the capacity-tier copy's other bytes, so the caller must stage
     /// the extent back in first.
+    ///
+    /// An extent whose buffer the capacity tier still shares (drained or
+    /// restored) is copied once before the write, so the tier's copy never
+    /// changes under it.
     pub fn write_extent(
         &mut self,
         path: &str,
@@ -255,7 +342,7 @@ impl Shard {
         if self.evicted.contains_key(&key) {
             return Err(FsError::NotResident(path.to_string()));
         }
-        let extent = self.extents.entry(key.clone()).or_default();
+        let extent = self.extents.entry(key.clone()).or_default().make_mut();
         let old_len = extent.len() as u64;
         let end = offset_in_stripe as usize + data.len();
         if extent.len() < end {
@@ -277,7 +364,7 @@ impl Shard {
         Ok(())
     }
 
-    /// Reads up to `len` bytes from stripe `stripe` of `path` starting at
+    /// Borrows up to `len` bytes from stripe `stripe` of `path` starting at
     /// `offset_in_stripe`, reporting residency ([`ExtentRead`]).
     pub fn read_extent_checked(
         &self,
@@ -285,37 +372,21 @@ impl Shard {
         stripe: u64,
         offset_in_stripe: u64,
         len: u64,
-    ) -> ExtentRead {
+    ) -> ExtentRead<'_> {
         let key = (path.to_string(), stripe);
         if self.evicted.contains_key(&key) {
             return ExtentRead::Evicted;
         }
         match self.extents.get(&key) {
             None => ExtentRead::Hole,
-            Some(extent) => {
-                let start = offset_in_stripe.min(extent.len() as u64) as usize;
-                let end = (offset_in_stripe + len).min(extent.len() as u64) as usize;
-                ExtentRead::Data(extent[start..end].to_vec())
-            }
+            Some(extent) => ExtentRead::Data(extent_range(extent, offset_in_stripe, len)),
         }
     }
 
-    /// Reads up to `len` bytes from stripe `stripe` of `path` starting at
-    /// `offset_in_stripe`.
-    ///
-    /// # Sparse-read contract
-    ///
-    /// This legacy accessor flattens [`Shard::read_extent_checked`]: a hole
-    /// (never-written extent) and an **evicted** extent both read as an empty
-    /// buffer, and ranges past the written end of a resident extent read
-    /// short. Callers that may observe evicted extents — anything running
-    /// under the staging subsystem — must use `read_extent_checked` and stage
-    /// evicted extents back in; treating `Evicted` as zeros corrupts data.
-    pub fn read_extent(&self, path: &str, stripe: u64, offset_in_stripe: u64, len: u64) -> Vec<u8> {
-        match self.read_extent_checked(path, stripe, offset_in_stripe, len) {
-            ExtentRead::Data(d) => d,
-            ExtentRead::Hole | ExtentRead::Evicted => Vec::new(),
-        }
+    /// The whole buffer of a *resident* extent (clean or dirty), shared, or
+    /// `None` for holes and evicted extents.
+    pub fn resident_extent(&self, path: &str, stripe: u64) -> Option<Extent> {
+        self.extents.get(&(path.to_string(), stripe)).cloned()
     }
 
     /// Drops every extent of `path` stored on this shard, returning the
@@ -388,10 +459,11 @@ impl Shard {
             .collect()
     }
 
-    /// A consistent snapshot of one extent for draining: its full contents
-    /// and current dirty generation (`None` when the extent is clean or
-    /// absent).
-    pub fn snapshot_extent(&self, path: &str, stripe: u64) -> Option<(Vec<u8>, u64)> {
+    /// A consistent snapshot of one extent for draining: its buffer, shared
+    /// rather than copied (a later write copies it first, see
+    /// [`Shard::write_extent`]), and current dirty generation (`None` when
+    /// the extent is clean or absent).
+    pub fn snapshot_extent(&self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
         let key = (path.to_string(), stripe);
         let generation = *self.dirty.get(&key)?;
         let data = self.extents.get(&key)?.clone();
@@ -445,8 +517,9 @@ impl Shard {
         evicted
     }
 
-    /// Restores an evicted extent from its capacity-tier copy. Restoring a
-    /// resident extent is a no-op.
+    /// Restores an evicted extent from its capacity-tier copy, keeping the
+    /// tier's buffer rather than copying it. Restoring a resident extent is
+    /// a no-op.
     ///
     /// With `mark_dirty = false` the extent re-enters the shard clean (the
     /// tier still holds an identical copy) and is immediately evictable
@@ -454,7 +527,7 @@ impl Shard {
     /// touch it — which is how a restore-for-write pins the extent against a
     /// concurrent evictor until the write lands (the write would re-dirty it
     /// anyway).
-    pub fn restore_extent(&mut self, path: &str, stripe: u64, data: &[u8], mark_dirty: bool) {
+    pub fn restore_extent(&mut self, path: &str, stripe: u64, data: Extent, mark_dirty: bool) {
         let key = (path.to_string(), stripe);
         if self.extents.contains_key(&key) {
             return;
@@ -466,7 +539,7 @@ impl Shard {
             self.dirty.insert(key.clone(), self.next_generation);
             self.bytes_dirty += data.len() as u64;
         }
-        self.extents.insert(key, data.to_vec());
+        self.extents.insert(key, data);
     }
 
     /// Number of evicted extents on this shard (O(1) — the staging hot path
@@ -509,6 +582,19 @@ mod tests {
             created_ns: 1,
             modified_ns: 1,
         }
+    }
+
+    /// The requested range of a resident extent, with holes and evicted
+    /// extents flattened to empty (only for tests that know which they hit).
+    fn read(s: &Shard, path: &str, stripe: u64, offset: u64, len: u64) -> Vec<u8> {
+        match s.read_extent_checked(path, stripe, offset, len) {
+            ExtentRead::Data(d) => d.to_vec(),
+            ExtentRead::Hole | ExtentRead::Evicted => Vec::new(),
+        }
+    }
+
+    fn extent(bytes: &[u8]) -> Extent {
+        Extent::from(bytes.to_vec())
     }
 
     #[test]
@@ -580,12 +666,12 @@ mod tests {
     fn extent_write_read_roundtrip_and_growth() {
         let mut s = Shard::new(ServerId(1));
         s.write_extent("/a", 0, 10, b"hello").unwrap();
-        assert_eq!(s.read_extent("/a", 0, 10, 5), b"hello");
+        assert_eq!(read(&s, "/a", 0, 10, 5), b"hello");
         // Bytes before the written region read as zeros.
-        assert_eq!(s.read_extent("/a", 0, 0, 3), vec![0, 0, 0]);
+        assert_eq!(read(&s, "/a", 0, 0, 3), vec![0, 0, 0]);
         // Reads past the extent are short.
-        assert_eq!(s.read_extent("/a", 0, 13, 100), b"lo");
-        assert_eq!(s.read_extent("/a", 7, 0, 10), Vec::<u8>::new());
+        assert_eq!(read(&s, "/a", 0, 13, 100), b"lo");
+        assert_eq!(read(&s, "/a", 7, 0, 10), Vec::<u8>::new());
         assert_eq!(s.bytes_stored(), 15);
     }
 
@@ -595,7 +681,7 @@ mod tests {
         s.write_extent("/a", 0, 0, &[1u8; 100]).unwrap();
         s.write_extent("/a", 0, 20, &[2u8; 30]).unwrap();
         assert_eq!(s.bytes_stored(), 100);
-        assert_eq!(s.read_extent("/a", 0, 20, 1), vec![2]);
+        assert_eq!(read(&s, "/a", 0, 20, 1), vec![2]);
     }
 
     #[test]
@@ -607,18 +693,22 @@ mod tests {
         // Written stripe: data, short at the extent tail.
         assert_eq!(
             s.read_extent_checked("/f", 0, 13, 100),
-            ExtentRead::Data(b"lo".to_vec())
+            ExtentRead::Data(b"lo")
         );
         // Range entirely past the written end of a resident extent: empty
         // data, still distinguishable from a hole.
         assert_eq!(
             s.read_extent_checked("/f", 0, 50, 10),
-            ExtentRead::Data(Vec::new())
+            ExtentRead::Data(&[])
         );
-        // The legacy accessor flattens both hole and short read (documented
-        // sparse-read contract).
-        assert_eq!(s.read_extent("/f", 5, 0, 8), Vec::<u8>::new());
-        assert_eq!(s.read_extent("/f", 0, 13, 100), b"lo");
+        // A range whose end would overflow u64 clamps instead.
+        assert_eq!(
+            s.read_extent_checked("/f", 0, 12, u64::MAX),
+            ExtentRead::Data(b"llo")
+        );
+        // Only a resident extent hands out its whole buffer.
+        assert_eq!(s.resident_extent("/f", 0).unwrap().len(), 15);
+        assert!(s.resident_extent("/f", 5).is_none());
     }
 
     #[test]
@@ -676,10 +766,10 @@ mod tests {
             Err(FsError::NotResident(_))
         ));
         // Restore brings the bytes back clean.
-        s.restore_extent("/clean", 0, &[1u8; 100], false);
+        s.restore_extent("/clean", 0, extent(&[1u8; 100]), false);
         assert_eq!(
             s.read_extent_checked("/clean", 0, 0, 3),
-            ExtentRead::Data(vec![1, 1, 1])
+            ExtentRead::Data(&[1, 1, 1])
         );
         assert_eq!(s.bytes_stored(), 200);
         assert_eq!(s.bytes_dirty(), 100);
@@ -695,7 +785,7 @@ mod tests {
         s.evict_clean_until(0);
         // Restore-for-write: the extent comes back dirty, so eviction cannot
         // reclaim it before the write lands.
-        s.restore_extent("/w", 0, &[3u8; 64], true);
+        s.restore_extent("/w", 0, extent(&[3u8; 64]), true);
         assert_eq!(s.bytes_dirty(), 64);
         assert!(s.evict_clean_until(0).is_empty());
         assert!(s.write_extent("/w", 0, 10, b"ok").is_ok());
@@ -769,19 +859,43 @@ mod tests {
         s.mark_clean("/pin", 0, generation);
         s.evict_clean_until(0);
         // Writer: restore pinned dirty.
-        s.restore_extent("/pin", 0, &tier_copy, true);
+        s.restore_extent("/pin", 0, tier_copy.clone(), true);
         // Evictor fires between the restore and the write — full pressure.
         assert!(s.evict_clean_until(0).is_empty(), "pinned extent evicted");
         // Writer retries; the overwrite merges with the restored bytes.
         s.write_extent("/pin", 0, 10, b"ok").unwrap();
-        let got = s.read_extent("/pin", 0, 0, 128);
+        let got = read(&s, "/pin", 0, 0, 128);
         assert_eq!(&got[..10], &[5u8; 10]);
         assert_eq!(&got[10..12], b"ok");
         assert_eq!(&got[12..], &[5u8; 116]);
+        // The write copied the buffer the restore shared with the tier.
+        assert_eq!(tier_copy, vec![5u8; 128]);
         // Un-pinned restores (the plain stage-in path) stay evictable.
         let (_, generation) = s.snapshot_extent("/pin", 0).unwrap();
         s.mark_clean("/pin", 0, generation);
         assert_eq!(s.evict_clean_until(0).len(), 1);
+    }
+
+    #[test]
+    fn cow_snapshot_shares_the_buffer_until_the_next_write() {
+        // A drain snapshot is the shard's own buffer; the next write copies
+        // the shard's side and leaves the snapshot's bytes alone. A restore
+        // keeps the buffer it is handed.
+        let mut s = Shard::new(ServerId(0));
+        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
+        let (snapshot, generation) = s.snapshot_extent("/c", 0).unwrap();
+        assert!(snapshot.shares_buffer(&s.resident_extent("/c", 0).unwrap()));
+        s.write_extent("/c", 0, 8, &[2u8; 8]).unwrap();
+        assert_eq!(snapshot, vec![1u8; 64]);
+        assert!(!snapshot.shares_buffer(&s.resident_extent("/c", 0).unwrap()));
+        assert_eq!(&read(&s, "/c", 0, 8, 8), &[2u8; 8]);
+        assert!(!s.mark_clean("/c", 0, generation));
+
+        let (latest, generation) = s.snapshot_extent("/c", 0).unwrap();
+        assert!(s.mark_clean("/c", 0, generation));
+        s.evict_clean_until(0);
+        s.restore_extent("/c", 0, latest.clone(), false);
+        assert!(latest.shares_buffer(&s.resident_extent("/c", 0).unwrap()));
     }
 
     #[test]
@@ -795,7 +909,7 @@ mod tests {
         let (data, g) = s.snapshot_extent("/g", 0).unwrap();
         assert!(s.mark_clean("/g", 0, g));
         s.evict_clean_until(0);
-        s.restore_extent("/g", 0, &data, true);
+        s.restore_extent("/g", 0, data, true);
         // The stale drain ack arrives now.
         assert!(!s.mark_clean("/g", 0, g), "stale generation accepted");
         assert_eq!(s.bytes_dirty(), 32, "pin must survive the stale ack");
@@ -864,7 +978,7 @@ mod tests {
             // Model: per stripe, (expected bytes, tier copy, inflight drain).
             let stripes = 3u64;
             let mut expected: Vec<Vec<u8>> = vec![Vec::new(); stripes as usize];
-            let mut tier: Vec<Option<Vec<u8>>> = vec![None; stripes as usize];
+            let mut tier: Vec<Option<Extent>> = vec![None; stripes as usize];
             let mut inflight: Vec<Option<u64>> = vec![None; stripes as usize];
             for step in 0..200 {
                 let stripe = (next() % stripes) as usize;
@@ -884,7 +998,7 @@ mod tests {
                                 // Writer must stage in first: restore-for-
                                 // write pinned, then retry.
                                 let copy = tier[stripe].clone().expect("evicted implies tier copy");
-                                s.restore_extent("/f", stripe as u64, &copy, true);
+                                s.restore_extent("/f", stripe as u64, copy, true);
                                 s.write_extent("/f", stripe as u64, 0, &vec![byte; len])
                                     .expect("restored extent must accept writes");
                                 if expected[stripe].len() < len {
@@ -933,7 +1047,7 @@ mod tests {
                             ExtentRead::Evicted
                         ) {
                             let copy = tier[stripe].clone().expect("tier copy exists");
-                            s.restore_extent("/f", stripe as u64, &copy, false);
+                            s.restore_extent("/f", stripe as u64, copy, false);
                         }
                     }
                     // Reader: residency-aware read.
@@ -982,6 +1096,6 @@ mod tests {
         s.write_extent("/b", 0, 0, &[1u8; 10]).unwrap();
         assert_eq!(s.remove_extents("/a"), 75);
         assert_eq!(s.bytes_stored(), 10);
-        assert_eq!(s.read_extent("/b", 0, 0, 10).len(), 10);
+        assert_eq!(read(&s, "/b", 0, 0, 10).len(), 10);
     }
 }

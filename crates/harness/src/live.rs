@@ -204,7 +204,7 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
                 fs.dirty_extents_on(server, usize::MAX, &std::collections::HashSet::new())
             {
                 if let Some((data, generation)) = fs.snapshot_extent_on(server, &path, stripe) {
-                    backing.write_back(&path, stripe, &data);
+                    backing.write_back_extent(&path, stripe, data);
                     fs.mark_clean_on(server, &path, stripe, generation);
                 }
             }

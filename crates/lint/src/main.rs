@@ -4,7 +4,7 @@
 //! depends on (see README "Static analysis & lockdep" for the full table):
 //!
 //! * **L1** — no raw `read_back(`/`read_back_with_checksum(` call sites
-//!   outside `verified_read_back` and `BackingStore` impls.
+//!   outside `verified_extent`, the verified seam.
 //! * **L2** — no integer literals in the reserved job-id range and no
 //!   arithmetic on `RESERVED_JOB_BASE` outside `core/src/entity.rs`.
 //! * **L3** — no direct device-timeline `.dispatch(` outside ServerCore's

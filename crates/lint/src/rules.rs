@@ -103,24 +103,23 @@ pub fn analyze_file(path: &str, src: &str) -> FileReport {
         let names = scope_names(scopes);
 
         // ---- L1: raw capacity-tier reads outside the verified seam -------
+        // `verified_extent` is the one function that may read the tier raw;
+        // every other reader, `verified_read_back` included, goes through it.
         if (t.is_ident("read_back") || t.is_ident("read_back_with_checksum"))
             && next_is(toks, i, '(')
             && !prev_is_ident(toks, i, "fn")
         {
             let in_verified = scopes
                 .iter()
-                .any(|s| s.kind == ScopeKind::Fn && s.name == "verified_read_back");
-            let in_backing_impl = scopes
-                .iter()
-                .any(|s| matches!(&s.kind, ScopeKind::ImplFor(tr) if tr == "BackingStore"));
-            if !in_verified && !in_backing_impl {
+                .any(|s| s.kind == ScopeKind::Fn && s.name == "verified_extent");
+            if !in_verified {
                 violations.push(Violation {
                     rule: Rule::L1,
                     file: path.to_string(),
                     line: t.line,
                     message: format!(
                         "raw `{}(` call site: stage-in must go through \
-                         `verified_read_back` so checksum failures cannot be laundered",
+                         `verified_extent` so checksum failures cannot be laundered",
                         t.text
                     ),
                     scope_names: names.clone(),

@@ -39,6 +39,19 @@ pub fn fixtures() -> Vec<Fixture> {
             expect: Some(Rule::L1),
         },
         Fixture {
+            // The owning wrapper must reach the tier through the seam, not
+            // around it.
+            name: "L1 raw call inside verified_read_back",
+            path: "crates/stage/src/fixture.rs",
+            src: r#"
+                pub fn verified_read_back(backing: &dyn BackingStore) -> Option<Vec<u8>> {
+                    let (data, stored) = backing.read_back_with_checksum("/p", 0)?;
+                    (extent_checksum(&data) == stored).then(|| data.into_vec())
+                }
+            "#,
+            expect: Some(Rule::L1),
+        },
+        Fixture {
             name: "L2 literal in the reserved job-id range",
             path: "crates/harness/src/fixture.rs",
             src: "const SNEAKY: u64 = 18_446_744_073_709_500_000;",
@@ -114,13 +127,16 @@ pub fn fixtures() -> Vec<Fixture> {
             name: "clean: verified seam, tests, drop-released locks",
             path: "crates/stage/src/fixture.rs",
             src: r#"
-                pub fn verified_read_back(backing: &dyn BackingStore) -> Option<Vec<u8>> {
+                pub fn verified_extent(backing: &dyn BackingStore) -> Option<Extent> {
                     let (data, stored) = backing.read_back_with_checksum("/p", 0)?;
-                    Some(data)
+                    (extent_checksum(&data) == stored).then_some(data)
+                }
+                pub fn verified_read_back(backing: &dyn BackingStore) -> Option<Vec<u8>> {
+                    verified_extent(backing).map(Extent::into_vec)
                 }
                 impl BackingStore for FixtureTier {
-                    fn read_back(&self, path: &str, stripe: u64) -> Option<Vec<u8>> {
-                        self.read_back_with_checksum(path, stripe).map(|(d, _)| d)
+                    fn read_back_with_checksum(&self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
+                        self.stored.get(path, stripe)
                     }
                 }
                 fn sequential(a: &Mutex<u32>, b: &Mutex<u32>) {

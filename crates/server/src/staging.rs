@@ -257,7 +257,8 @@ impl StageState {
             .layout_of(&path)
             .map_or(1, |l| l.config.stripe_size.max(1));
         let stripe_start = stripe * stripe_size;
-        let kept = write_back_guarded(self.backing.as_ref(), &path, stripe, &data, || {
+        let bytes = data.len() as u64;
+        let kept = write_back_guarded(self.backing.as_ref(), &path, stripe, data, || {
             fs.stat(&path).is_ok_and(|s| s.size > stripe_start)
         });
         if !kept {
@@ -268,10 +269,10 @@ impl StageState {
         // previously quarantined copy is sound again.
         self.scrub.unquarantine(&path, stripe);
         self.drain.snapshotted(seq, generation);
-        Some(data.len() as u64)
+        Some(bytes)
     }
 
-    /// Lands a restore: copies the tier's extent back into the shard and
+    /// Lands a restore: hands the tier's extent buffer back to the shard and
     /// returns the landed key with the bytes restored.
     fn land_restore(
         &mut self,
@@ -287,7 +288,7 @@ impl StageState {
         // the damage past every future scrub (the scrub pass
         // quarantines it instead).
         let data =
-            themis_stage::verified_read_back(self.backing.as_ref(), &target.path, target.stripe);
+            themis_stage::verified_extent(self.backing.as_ref(), &target.path, target.stripe);
         let actual = data.as_ref().map_or(0, |d| d.len() as u64);
         self.restore.record_restored(actual);
         if let Some(data) = data {
@@ -295,7 +296,7 @@ impl StageState {
                 target.shard,
                 &target.path,
                 target.stripe,
-                &data,
+                data,
                 target.pin_dirty,
             );
         }
@@ -345,7 +346,8 @@ impl StageState {
             let (_, read_finish) = device.dispatch(&read, now_ns);
             let write = IoRequest::new(0, meta, OpKind::Write, cost, read_finish);
             self.backing_device.dispatch(&write, read_finish);
-            self.backing.write_back(&target.path, target.stripe, &good);
+            self.backing
+                .write_back_extent(&target.path, target.stripe, good);
             self.scrub.record_repaired(bytes);
         } else {
             // No repair source (evicted or never resident here): the tier
@@ -401,12 +403,14 @@ impl StageState {
         let data = fs
             .resident_extent_on(shard, &target.path, target.stripe)
             .or_else(|| {
-                themis_stage::verified_read_back(self.backing.as_ref(), &target.path, target.stripe)
+                themis_stage::verified_extent(self.backing.as_ref(), &target.path, target.stripe)
             });
         match data {
             Some(data) => {
-                self.replica.write_back(&target.path, target.stripe, &data);
-                self.replicate.record_replicated(data.len() as u64);
+                let bytes = data.len() as u64;
+                self.replica
+                    .write_back_extent(&target.path, target.stripe, data);
+                self.replicate.record_replicated(bytes);
             }
             // Unlinked mid-copy (delete wins) or no verifiable
             // source: the debt retires without a replica.
@@ -700,21 +704,22 @@ impl ServerCore {
                     continue;
                 }
                 // Verified read: a corrupt tier copy is a miss, never a
-                // restore source (see the stage crate's verified_read_back).
-                let Some(data) = themis_stage::verified_read_back(st.backing.as_ref(), &p, stripe)
+                // restore source (see the stage crate's verified_extent).
+                let Some(data) = themis_stage::verified_extent(st.backing.as_ref(), &p, stripe)
                 else {
                     continue;
                 };
                 // Charge the capacity tier the read and the burst buffer the
                 // write-back.
+                let bytes = data.len() as u64;
                 let meta = st.drain.meta();
-                let read = IoRequest::new(0, meta, OpKind::Read, data.len() as u64, now_ns);
+                let read = IoRequest::new(0, meta, OpKind::Read, bytes, now_ns);
                 let (_, read_finish) = st.backing_device.dispatch(&read, now_ns);
-                let write = IoRequest::new(0, meta, OpKind::Write, data.len() as u64, read_finish);
+                let write = IoRequest::new(0, meta, OpKind::Write, bytes, read_finish);
                 self.device.dispatch(&write, read_finish);
                 self.fs
-                    .restore_extent_on(shard, &p, stripe, &data, pin_dirty);
-                restored += data.len() as u64;
+                    .restore_extent_on(shard, &p, stripe, data, pin_dirty);
+                restored += bytes;
             }
         }
         restored
@@ -1370,7 +1375,7 @@ impl ServerCore {
         let fetch = |p: &str, stripe: u64| {
             // Verified fetch: serving an unverified tier copy would hand the
             // client corrupt bytes; refusing surfaces NotResident instead.
-            let data = themis_stage::verified_read_back(backing.as_ref(), p, stripe);
+            let data = themis_stage::verified_extent(backing.as_ref(), p, stripe);
             if let Some(d) = &data {
                 fetched.set(fetched.get() + d.len() as u64);
             }
@@ -1581,5 +1586,54 @@ mod tests {
         assert_eq!(s.drain_status_snapshot().unwrap().evicted_bytes, 1 << 20);
         let repaired = themis_stage::verified_read_back(tier.as_ref(), "/x", 0);
         assert_eq!(repaired, Some(vec![0xAB; 1 << 20]));
+    }
+
+    /// The drain left the shard and the tier sharing one buffer. Corrupting
+    /// the tier's copy must not reach the resident copy: reads still return
+    /// the written bytes, and the scrubber repairs the tier from them.
+    #[test]
+    fn cow_tier_corruption_never_reaches_the_resident_copy() {
+        let staging = fast_staging();
+        let tier = Arc::new(CapacityTier::new(staging.backing_device));
+        let mut s = staged_over(staging, Arc::clone(&tier) as Arc<dyn BackingStore>);
+        s.heartbeat(meta(1, 1), 0);
+        write_file(&mut s, "/x", 1 << 20, 0);
+        let t = poll_until_clean(&mut s, 1_000_000);
+        let resident = s.fs().resident_extent_on(0, "/x", 0).unwrap();
+        let drained = themis_stage::verified_extent(tier.as_ref(), "/x", 0).unwrap();
+        assert!(drained.shares_buffer(&resident), "the drain copied");
+
+        assert!(tier.corrupt_extent("/x", 0, 4321));
+        assert!(themis_stage::verified_extent(tier.as_ref(), "/x", 0).is_none());
+        assert_eq!(
+            s.fs().read_at("/x", 0, 1 << 20).unwrap(),
+            vec![0xAB; 1 << 20]
+        );
+
+        s.scrub(700);
+        let mut t = t;
+        let status = loop {
+            s.poll(t);
+            if let Some(r) = s
+                .take_stage_replies()
+                .into_iter()
+                .find(|r| r.request_id == 700)
+            {
+                match r.reply {
+                    StageReply::Scrub(status) => break status,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            t += 100_000;
+            assert!(t < 60_000_000_000, "scrub never acknowledged");
+        };
+        assert_eq!(
+            (status.errors_detected, status.repaired_extents),
+            (1, 1),
+            "{status:?}"
+        );
+        let repaired = themis_stage::verified_extent(tier.as_ref(), "/x", 0).unwrap();
+        assert_eq!(repaired, vec![0xAB; 1 << 20]);
+        assert!(repaired.shares_buffer(&resident), "the repair copied");
     }
 }

@@ -51,7 +51,9 @@ pub mod replicate;
 pub mod scrub;
 pub mod shard;
 
-pub use backing::{extent_checksum, verified_read_back, BackingStore, CapacityTier};
+pub use backing::{
+    extent_checksum, verified_extent, verified_read_back, BackingStore, CapacityTier,
+};
 pub use class::{ClassWeights, ClassWeightsError, TrafficClass, TrafficClassDef, TRAFFIC_CLASSES};
 pub use engine::StagedEngine;
 pub use lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};

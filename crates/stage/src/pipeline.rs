@@ -21,6 +21,7 @@ use std::collections::{HashSet, VecDeque};
 use themis_core::entity::JobMeta;
 use themis_core::request::{IoRequest, OpKind};
 use themis_device::DeviceConfig;
+use themis_fs::Extent;
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
 
 /// Configuration of one server's drain pipeline.
@@ -372,16 +373,19 @@ impl ClassLifecycle for DrainPipeline {
 /// existence check would not catch for truncate (the path survives, its
 /// extents do not).
 ///
+/// The tier keeps `data`'s buffer — the drain snapshot's, shared with the
+/// shard — rather than a copy.
+///
 /// Returns `true` when the copy was kept, `false` when delete won and the
 /// path's tier copies were dropped.
 pub fn write_back_guarded(
     backing: &dyn BackingStore,
     path: &str,
     stripe: u64,
-    data: &[u8],
+    data: Extent,
     still_valid: impl FnOnce() -> bool,
 ) -> bool {
-    backing.write_back(path, stripe, data);
+    backing.write_back_extent(path, stripe, data);
     if still_valid() {
         true
     } else {
@@ -701,17 +705,57 @@ mod tests {
         let tier = CapacityTier::hdd();
         // Normal drain: the path exists after the write-back, the copy
         // stays.
-        assert!(write_back_guarded(&tier, "/live", 0, &[1u8; 64], || true));
+        assert!(write_back_guarded(
+            &tier,
+            "/live",
+            0,
+            Extent::from(vec![1u8; 64]),
+            || true
+        ));
         assert_eq!(tier.bytes_for("/live"), 64);
         // The race: an unlink lands between the drain's snapshot and its
         // write-back (the existence probe runs after the write and sees the
         // file gone). Delete must win — no stale copy survives in the tier,
         // including copies of *other* stripes written earlier.
         tier.write_back("/gone", 1, &[2u8; 32]);
-        assert!(!write_back_guarded(&tier, "/gone", 0, &[2u8; 64], || false));
+        assert!(!write_back_guarded(
+            &tier,
+            "/gone",
+            0,
+            Extent::from(vec![2u8; 64]),
+            || false
+        ));
         assert_eq!(tier.bytes_for("/gone"), 0);
         assert!(!tier.contains("/gone", 0));
         assert!(!tier.contains("/gone", 1));
+    }
+
+    #[test]
+    fn cow_overwrite_after_drain_leaves_the_tier_copy_intact() {
+        // A drain hands the shard's buffer to the tier; a later 4 KiB
+        // overwrite in the shard must copy the shard's side and leave the
+        // tier's bytes — and the checksum computed over them — alone.
+        let fs = BurstBufferFs::new(1);
+        fs.create("/ckpt", 0).unwrap();
+        let old: Vec<u8> = (0..1u32 << 20).map(|i| (i % 251) as u8).collect();
+        fs.write_at("/ckpt", 0, &old, 1).unwrap();
+        let tier = CapacityTier::hdd();
+        let (snapshot, generation) = fs.snapshot_extent_on(0, "/ckpt", 0).unwrap();
+        assert!(write_back_guarded(&tier, "/ckpt", 0, snapshot, || true));
+        assert!(fs.mark_clean_on(0, "/ckpt", 0, generation));
+        let drained = crate::backing::verified_extent(&tier, "/ckpt", 0).unwrap();
+        let resident = fs.resident_extent_on(0, "/ckpt", 0).unwrap();
+        assert!(drained.shares_buffer(&resident), "the drain copied");
+
+        fs.write_at("/ckpt", 8192, &[0xEE; 4096], 2).unwrap();
+        let drained = crate::backing::verified_extent(&tier, "/ckpt", 0)
+            .expect("the tier copy still verifies after the shard overwrite");
+        assert_eq!(drained, old, "the overwrite reached the tier's bytes");
+        let resident = fs.resident_extent_on(0, "/ckpt", 0).unwrap();
+        assert!(!drained.shares_buffer(&resident));
+        assert_eq!(&resident[8192..12288], &[0xEE; 4096]);
+        assert_eq!(resident[..8192], old[..8192]);
+        assert_eq!(resident[12288..], old[12288..]);
     }
 
     #[test]

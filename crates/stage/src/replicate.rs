@@ -8,7 +8,7 @@
 //! *asynchronously*, as ordinary [`IoRequest`]s under the
 //! [`TrafficClass::Replicate`] identity. The pipeline does not move bytes itself — the server core (or
 //! the simulator) reads the extent, verifies it (through the
-//! `verified_read_back` seam when the source is no longer burst-resident;
+//! `verified_extent` seam when the source is no longer burst-resident;
 //! unverifiable bytes are **never** replicated), charges the devices, and
 //! writes the replica. The pipeline's job is to make the debt
 //! *policy-visible and observable*:

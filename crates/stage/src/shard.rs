@@ -14,8 +14,12 @@
 //! against its write-back checksum, the first healthy copy wins, and any
 //! replica that was missing or corrupt is repaired from the healthy copy
 //! on the spot (*read-repair*). When every replica is corrupt the corrupt
-//! pair is returned unlaundered, so [`verified_read_back`] still reports a
+//! pair is returned unlaundered, so [`verified_extent`] still reports a
 //! miss and the scrub pass quarantines the extent instead of serving it.
+//!
+//! Replicas share one buffer: a write-back or a repair hands every child the
+//! same [`Extent`], so k copies cost one buffer until fault injection on one
+//! child copies that child's side (see [`CapacityTier::corrupt_extent`]).
 //!
 //! The shard map is *live*: backends can be added, retired (removed from
 //! the map while their extents still serve reads) and ranges re-assigned
@@ -31,11 +35,12 @@
 //! child's lock is taken — the lock-order manifest stays empty and the
 //! lockdep checker stays silent (see `crates/lint/lock_order.txt`).
 
-use crate::backing::{extent_checksum, verified_read_back, BackingStore, CapacityTier};
+use crate::backing::{extent_checksum, verified_extent, BackingStore, CapacityTier};
 use parking_lot::RwLock;
 use std::sync::Arc;
 use themis_device::{DeviceConfig, DeviceModel};
 use themis_fs::layout::ring_slot;
+use themis_fs::Extent;
 use themis_telemetry::{Counter, Gauge, MetricsRegistry, SeriesKey};
 
 /// Hash byte of one extent key — the coordinate the [`ShardMap`] ranges
@@ -562,11 +567,11 @@ impl ShardedStore {
     /// first healthy copy is returned (and used to rewrite each missing or
     /// corrupt replica); with no healthy replica a corrupt pair is returned
     /// as-is so the caller's checksum verification fails honestly.
-    fn read_repair(&self, path: &str, stripe: u64) -> Option<(Vec<u8>, u64)> {
+    fn read_repair(&self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
         let (children, map, k, _) = self.snapshot();
         let replicas = map.replicas(shard_byte(path, stripe), k);
-        let mut healthy: Option<Vec<u8>> = None;
-        let mut corrupt: Option<(Vec<u8>, u64)> = None;
+        let mut healthy: Option<Extent> = None;
+        let mut corrupt: Option<(Extent, u64)> = None;
         let mut needs_repair: Vec<usize> = Vec::new();
         for &c in &replicas {
             match children[c].read_back_with_checksum(path, stripe) {
@@ -598,7 +603,7 @@ impl ShardedStore {
                 if replicas.contains(&c) {
                     continue;
                 }
-                if let Some(data) = verified_read_back(child.as_ref(), path, stripe) {
+                if let Some(data) = verified_extent(child.as_ref(), path, stripe) {
                     self.with_telemetry(c, |t| t.read_hits.inc());
                     self.record_service(c, child.as_ref(), data.len() as u64, false);
                     healthy = Some(data);
@@ -609,7 +614,7 @@ impl ShardedStore {
         match healthy {
             Some(data) => {
                 for c in needs_repair {
-                    children[c].write_back(path, stripe, &data);
+                    children[c].write_back_extent(path, stripe, data.clone());
                     self.with_telemetry(c, |t| {
                         t.repaired_extents.inc();
                         t.bytes_stored.set(children[c].bytes_stored() as i64);
@@ -628,10 +633,10 @@ impl ShardedStore {
         children: &[Arc<dyn BackingStore>],
         path: &str,
         stripe: u64,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<Extent> {
         children
             .iter()
-            .find_map(|c| verified_read_back(c.as_ref(), path, stripe))
+            .find_map(|c| verified_extent(c.as_ref(), path, stripe))
     }
 
     /// The migration an extent needs under the current map, or `None` when
@@ -718,7 +723,7 @@ impl ShardedStore {
         };
         let mut copies = 0usize;
         for &c in &fresh.copy_to {
-            children[c].write_back(&fresh.path, fresh.stripe, &data);
+            children[c].write_back_extent(&fresh.path, fresh.stripe, data.clone());
             copies += 1;
             self.record_service(c, children[c].as_ref(), data.len() as u64, true);
             self.with_telemetry(c, |t| {
@@ -752,7 +757,7 @@ impl ShardedStore {
             let desired = map.replicas(shard_byte(&path, stripe), k);
             let verified_desired = desired
                 .iter()
-                .filter(|&&c| verified_read_back(children[c].as_ref(), &path, stripe).is_some())
+                .filter(|&&c| verified_extent(children[c].as_ref(), &path, stripe).is_some())
                 .count();
             if verified_desired < desired.len() {
                 report.under_replicated += 1;
@@ -775,10 +780,10 @@ impl BackingStore for ShardedStore {
         self.device
     }
 
-    fn write_back(&self, path: &str, stripe: u64, data: &[u8]) {
+    fn write_back_extent(&self, path: &str, stripe: u64, data: Extent) {
         let (children, map, k, _) = self.snapshot();
         for c in map.replicas(shard_byte(path, stripe), k) {
-            children[c].write_back(path, stripe, data);
+            children[c].write_back_extent(path, stripe, data.clone());
             self.record_service(c, children[c].as_ref(), data.len() as u64, true);
             self.with_telemetry(c, |t| {
                 t.write_extents.inc();
@@ -788,11 +793,7 @@ impl BackingStore for ShardedStore {
         }
     }
 
-    fn read_back(&self, path: &str, stripe: u64) -> Option<Vec<u8>> {
-        self.read_repair(path, stripe).map(|(data, _)| data)
-    }
-
-    fn read_back_with_checksum(&self, path: &str, stripe: u64) -> Option<(Vec<u8>, u64)> {
+    fn read_back_with_checksum(&self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
         self.read_repair(path, stripe)
     }
 
@@ -869,6 +870,7 @@ impl BackingStore for ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backing::verified_read_back;
 
     fn two_child_store(k: usize) -> ShardedStore {
         ShardSpec::hdd_plus_ssd(k).build().expect("valid spec")
@@ -926,7 +928,7 @@ mod tests {
         assert_eq!(store.bytes_stored(), 150);
         assert_eq!(store.extent_count(), 2);
         assert_eq!(store.bytes_for("/f"), 150);
-        assert_eq!(store.read_back("/f", 0).unwrap(), vec![7u8; 100]);
+        assert_eq!(verified_read_back(&store, "/f", 0).unwrap(), vec![7u8; 100]);
         let (data, sum) = store.read_back_with_checksum("/f", 1).unwrap();
         assert_eq!(sum, extent_checksum(&data));
         // The logical cursor yields each key once.
@@ -1029,6 +1031,44 @@ mod tests {
         assert_eq!(verified_read_back(&store2, "/c", 0).unwrap(), vec![9u8; 32]);
         let (d0, s0) = tiers2[0].read_back_with_checksum("/c", 0).unwrap();
         assert_eq!(extent_checksum(&d0), s0, "corrupt replica was repaired");
+    }
+
+    #[test]
+    fn cow_replicas_share_one_buffer_until_one_is_corrupted() {
+        // A k = 2 drain hands both children the shard's buffer. Corrupting
+        // one child must leave the other child and the shard untouched, and
+        // read-repair must heal the corrupt child from the healthy one.
+        let tiers = [CapacityTier::hdd(), CapacityTier::hdd()].map(Arc::new);
+        let children: Vec<Arc<dyn BackingStore>> = tiers
+            .iter()
+            .map(|t| Arc::clone(t) as Arc<dyn BackingStore>)
+            .collect();
+        let store = ShardedStore::new(children, ShardMap::uniform(2), 2);
+        let fs = themis_fs::BurstBufferFs::new(1);
+        fs.create("/k2", 0).unwrap();
+        fs.write_at("/k2", 0, &[0x5A; 4096], 1).unwrap();
+        let (snapshot, _) = fs.snapshot_extent_on(0, "/k2", 0).unwrap();
+        store.write_back_extent("/k2", 0, snapshot);
+        let replica = |t: &CapacityTier| t.read_back_with_checksum("/k2", 0).unwrap().0;
+        let resident = fs.resident_extent_on(0, "/k2", 0).unwrap();
+        assert!(replica(&tiers[0]).shares_buffer(&resident));
+        assert!(replica(&tiers[1]).shares_buffer(&resident));
+
+        assert!(tiers[0].corrupt_extent("/k2", 0, 100));
+        assert!(verified_extent(tiers[0].as_ref(), "/k2", 0).is_none());
+        let healthy = verified_extent(tiers[1].as_ref(), "/k2", 0).expect("other child intact");
+        assert!(
+            healthy.shares_buffer(&resident),
+            "the other child was copied"
+        );
+        assert_eq!(fs.read_at("/k2", 0, 4096).unwrap(), vec![0x5A; 4096]);
+
+        // Read-repair serves the healthy buffer and rewrites the corrupt
+        // child with it.
+        assert_eq!(verified_extent(&store, "/k2", 0).unwrap(), vec![0x5A; 4096]);
+        let healed = verified_extent(tiers[0].as_ref(), "/k2", 0).expect("read-repair healed");
+        assert!(healed.shares_buffer(&healthy));
+        assert!(store.verify_placement().converged());
     }
 
     #[test]
