@@ -60,7 +60,7 @@ fn bench_checksum(c: &mut Criterion) {
     group.finish();
 }
 
-/// One 1 MiB extent through the staging hand-offs: snapshot, guarded
+/// One 1 MiB extent through the staging hand-offs: claim, guarded
 /// write-back, mark clean, evict, verified restore. The restore pins the
 /// extent dirty so the next iteration drains it again. Beside
 /// `checksum/extent_checksum_1MiB` (two sums per round trip) this shows what
@@ -74,7 +74,7 @@ fn bench_staging(c: &mut Criterion) {
     let tier = CapacityTier::hdd();
     group.bench_function("drain_restore_1MiB", |b| {
         b.iter(|| {
-            let (extent, generation) = fs.snapshot_extent_on(0, "/stage", 0).unwrap();
+            let (extent, generation) = fs.claim_for_copy_on(0, "/stage", 0).unwrap();
             assert!(write_back_guarded(&tier, "/stage", 0, extent, || true));
             assert!(fs.mark_clean_on(0, "/stage", 0, generation));
             assert_eq!(fs.evict_clean_on(0, 0).len(), 1);

@@ -30,8 +30,8 @@
 //! * `--baseline PATH` — compare the freshly measured report against a
 //!   committed baseline (`crates/bench/baseline.json`) and exit non-zero
 //!   if a gated series regressed: a sim-derived slowdown by more than 20%,
-//!   the 10⁵-job draw past its baseline-plus-floor, or the same-run
-//!   10⁵:10³ ratio past 4×.
+//!   or the same-run 10⁵-job draw past max(8×, +1 µs) of the 10³-job one.
+//!   Wall-clock values are reported, never compared with the baseline.
 //!
 //! [`BenchReport`]: themis_bench::experiments::BenchReport
 

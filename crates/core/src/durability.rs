@@ -28,14 +28,14 @@ use std::str::FromStr;
 /// How durable an acknowledged write must be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DurabilityMode {
-    /// The burst-buffer copy is enough: no replica is owed. Losing the
+    /// The burst-buffer copy is enough: no early copy is owed. Losing the
     /// burst tier before drain loses this data — today's default.
     LocalOnly,
-    /// Ack locally, then owe one asynchronous replica; the replicate class
-    /// pays the debt under its policy weight.
+    /// Ack locally, then owe one copy off the burst buffer: the replicate
+    /// class drains it early, under its own policy weight.
     LocalPlusOne,
-    /// Defer the ack until a replica has landed: the client never observes
-    /// a success the replica tier could still lose.
+    /// Defer the ack until the bytes are on the capacity tier: the client
+    /// never observes a success a burst-tier crash could still lose.
     Sync,
 }
 

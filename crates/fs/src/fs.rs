@@ -14,7 +14,7 @@ use crate::error::{FsError, FsResult};
 use crate::layout::{Chunk, FileLayout, StripeConfig};
 use crate::path;
 use crate::ring::{HashRing, ServerId};
-use crate::store::{extent_range, Extent, ExtentRead, FileMeta, Shard, StatInfo};
+use crate::store::{extent_range, DirtyExtent, Extent, ExtentRead, FileMeta, Shard, StatInfo};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,10 +189,23 @@ impl BurstBufferFs {
             .dirty_extents(limit, exclude)
     }
 
-    /// Snapshot of one extent for draining (shared buffer + dirty
-    /// generation, see [`Shard::snapshot_extent`]).
-    pub fn snapshot_extent_on(&self, server: usize, p: &str, stripe: u64) -> Option<(Extent, u64)> {
-        self.inner.shards[server].read().snapshot_extent(p, stripe)
+    /// The dirty state of one extent on `server` (see
+    /// [`Shard::dirty_state`]).
+    pub fn dirty_state_on(&self, server: usize, p: &str, stripe: u64) -> Option<DirtyExtent> {
+        self.inner.shards[server].read().dirty_state(p, stripe)
+    }
+
+    /// Claims an extent's dirty generation on `server` for one copy to the
+    /// capacity tier (see [`Shard::claim_for_copy`]).
+    pub fn claim_for_copy_on(&self, server: usize, p: &str, stripe: u64) -> Option<(Extent, u64)> {
+        self.inner.shards[server].write().claim_for_copy(p, stripe)
+    }
+
+    /// Gives back a copy claim on `server` (see [`Shard::release_claim`]).
+    pub fn release_claim_on(&self, server: usize, p: &str, stripe: u64, generation: u64) {
+        self.inner.shards[server]
+            .write()
+            .release_claim(p, stripe, generation)
     }
 
     /// Marks an extent on `server` clean if its generation still matches.
@@ -241,8 +254,8 @@ impl BurstBufferFs {
     /// dirty), or `None` for holes and evicted extents. The scrubber's
     /// repair source: a clean resident extent is byte-identical to what the
     /// capacity tier is supposed to hold (pair with
-    /// [`BurstBufferFs::snapshot_extent_on`], which answers `Some` exactly
-    /// for dirty extents, to tell the two apart).
+    /// [`BurstBufferFs::dirty_state_on`], which answers `Some` exactly for
+    /// dirty extents, to tell the two apart).
     pub fn resident_extent_on(&self, server: usize, p: &str, stripe: u64) -> Option<Extent> {
         self.inner.shards[server].read().resident_extent(p, stripe)
     }
@@ -807,7 +820,7 @@ mod tests {
             for server in 0..servers {
                 for (p, stripe, _, _) in f.dirty_extents_on(server, usize::MAX, &HashSet::new()) {
                     if next(2) == 0 {
-                        let (data, generation) = f.snapshot_extent_on(server, &p, stripe).unwrap();
+                        let (data, generation) = f.claim_for_copy_on(server, &p, stripe).unwrap();
                         assert!(f.mark_clean_on(server, &p, stripe, generation));
                         tier.insert((p, stripe), data);
                     }

@@ -27,4 +27,4 @@ pub use error::{FsError, FsResult};
 pub use fs::{BurstBufferFs, OpenFlags, Whence};
 pub use layout::{Chunk, FileLayout, StripeConfig, DEFAULT_STRIPE_SIZE};
 pub use ring::{HashRing, ServerId};
-pub use store::{Extent, ExtentRead, FileMeta, Shard, StatInfo};
+pub use store::{DirtyExtent, Extent, ExtentRead, FileMeta, Shard, StatInfo};

@@ -162,16 +162,35 @@ pub enum ExtentRead<'a> {
     Evicted,
 }
 
+/// The dirty state of one extent: the generation of its last write, and
+/// whether a copy of that generation is on its way to the capacity tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DirtyExtent {
+    /// Generation of the last write (monotonic per shard).
+    pub generation: u64,
+    /// Whether a copy-out of `generation` holds the claim
+    /// ([`Shard::claim_for_copy`]). A newer write starts unclaimed.
+    pub claimed: bool,
+}
+
 /// One server's slice of the file system: the metadata of paths that hash to
 /// it, the directory entries of directories that hash to it, and the stripe
 /// extents placed on it.
 ///
 /// The shard also carries the residency state the staging subsystem needs:
 /// every written extent is *dirty* (tagged with a monotonically increasing
-/// generation) until the drain pipeline flushes that generation to the
-/// capacity tier, and *clean* extents may be evicted under memory pressure —
-/// their key stays in the evicted set so reads can tell "hole" apart from
-/// "data lives in the capacity tier".
+/// generation) until a copy of that generation lands in the capacity tier,
+/// and *clean* extents may be evicted under memory pressure — their key
+/// stays in the evicted set so reads can tell "hole" apart from "data lives
+/// in the capacity tier".
+///
+/// Two staging lanes copy dirty extents out (drain, and replicate for
+/// durable writes), possibly from different servers. The shard, which they
+/// all share, makes sure each dirty generation is written back **at most
+/// once**: a copy must [`claim`](Shard::claim_for_copy) the generation
+/// first, and the claim holds until the copy lands
+/// ([`mark_clean`](Shard::mark_clean)) or gives up
+/// ([`release_claim`](Shard::release_claim)).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Shard {
     server: usize,
@@ -183,9 +202,9 @@ pub struct Shard {
     extents: BTreeMap<(String, u64), Extent>,
     /// Bytes stored in extents on this shard.
     bytes_stored: u64,
-    /// Dirty extents: key → generation of the last write. Absent keys with a
-    /// resident extent are clean (drained).
-    dirty: BTreeMap<(String, u64), u64>,
+    /// Dirty extents: key → generation of the last write and its copy-out
+    /// claim. Absent keys with a resident extent are clean (drained).
+    dirty: BTreeMap<(String, u64), DirtyExtent>,
     /// Bytes in dirty extents (sum of their full lengths).
     bytes_dirty: u64,
     /// Monotonic write-generation counter for drain snapshot validation.
@@ -356,7 +375,11 @@ impl Shard {
         let new_len = extent.len() as u64;
         self.next_generation += 1;
         let generation = self.next_generation;
-        if self.dirty.insert(key, generation).is_some() {
+        let fresh = DirtyExtent {
+            generation,
+            claimed: false,
+        };
+        if self.dirty.insert(key, fresh).is_some() {
             self.bytes_dirty += new_len - old_len;
         } else {
             self.bytes_dirty += new_len;
@@ -438,7 +461,8 @@ impl Shard {
     }
 
     /// Up to `limit` dirty extents as `(path, stripe, generation, length)`,
-    /// skipping keys in `exclude` (extents already in flight).
+    /// skipping keys in `exclude` (extents already in flight) and extents
+    /// whose current generation another copy has claimed.
     pub fn dirty_extents(
         &self,
         limit: usize,
@@ -446,37 +470,72 @@ impl Shard {
     ) -> Vec<(String, u64, u64, u64)> {
         self.dirty
             .iter()
-            .filter(|(k, _)| !exclude.contains(k))
+            .filter(|(k, d)| !d.claimed && !exclude.contains(k))
             .take(limit)
-            .map(|((path, stripe), generation)| {
+            .map(|((path, stripe), d)| {
                 let len = self
                     .extents
                     .get(&(path.clone(), *stripe))
                     .map(|e| e.len() as u64)
                     .unwrap_or(0);
-                (path.clone(), *stripe, *generation, len)
+                (path.clone(), *stripe, d.generation, len)
             })
             .collect()
     }
 
-    /// A consistent snapshot of one extent for draining: its buffer, shared
-    /// rather than copied (a later write copies it first, see
-    /// [`Shard::write_extent`]), and current dirty generation (`None` when
-    /// the extent is clean or absent).
+    /// The dirty state of one extent, `None` when it is clean or absent.
+    pub fn dirty_state(&self, path: &str, stripe: u64) -> Option<DirtyExtent> {
+        self.dirty.get(&(path.to_string(), stripe)).copied()
+    }
+
+    /// A snapshot of one dirty extent that takes no claim, for tests that
+    /// inspect a generation without copying it out.
+    #[cfg(test)]
     pub fn snapshot_extent(&self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
         let key = (path.to_string(), stripe);
-        let generation = *self.dirty.get(&key)?;
+        let generation = self.dirty.get(&key)?.generation;
         let data = self.extents.get(&key)?.clone();
         Some((data, generation))
     }
 
+    /// Claims the extent's current dirty generation for one copy to the
+    /// capacity tier and returns a consistent snapshot of it: its buffer,
+    /// shared rather than copied (a later write copies it first, see
+    /// [`Shard::write_extent`]), and that generation. This is the only way
+    /// a dirty extent's bytes leave the shard. `None` when the extent is
+    /// clean or absent, or when another copy already claimed this
+    /// generation: each dirty generation is written back at most once,
+    /// whichever lane reaches it first. The claim holds until
+    /// [`mark_clean`](Shard::mark_clean) lands that generation, a newer
+    /// write replaces it, or [`release_claim`](Shard::release_claim) gives
+    /// it back.
+    pub fn claim_for_copy(&mut self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
+        let key = (path.to_string(), stripe);
+        let dirty = self.dirty.get_mut(&key).filter(|d| !d.claimed)?;
+        let data = self.extents.get(&key)?.clone();
+        dirty.claimed = true;
+        Some((data, dirty.generation))
+    }
+
+    /// Gives back the claim on `generation` taken by a copy that wrote
+    /// nothing (delete-wins dropped it), so the extent can be copied again.
+    /// A no-op once a newer write replaced the generation.
+    pub fn release_claim(&mut self, path: &str, stripe: u64, generation: u64) {
+        if let Some(d) = self.dirty.get_mut(&(path.to_string(), stripe)) {
+            if d.generation == generation {
+                d.claimed = false;
+            }
+        }
+    }
+
     /// Marks an extent clean if — and only if — its dirty generation still
-    /// equals `generation` (the drain snapshot is current). Returns whether
-    /// the extent is now clean; a concurrent overwrite keeps it dirty.
+    /// equals `generation` (the drain snapshot is current), which also ends
+    /// that generation's claim. Returns whether the extent is now clean; a
+    /// concurrent overwrite keeps it dirty.
     pub fn mark_clean(&mut self, path: &str, stripe: u64, generation: u64) -> bool {
         let key = (path.to_string(), stripe);
         match self.dirty.get(&key) {
-            Some(g) if *g == generation => {
+            Some(d) if d.generation == generation => {
                 self.dirty.remove(&key);
                 let len = self.extents.get(&key).map(|e| e.len() as u64).unwrap_or(0);
                 self.bytes_dirty = self.bytes_dirty.saturating_sub(len);
@@ -536,7 +595,11 @@ impl Shard {
         self.bytes_stored += data.len() as u64;
         if mark_dirty {
             self.next_generation += 1;
-            self.dirty.insert(key.clone(), self.next_generation);
+            let pinned = DirtyExtent {
+                generation: self.next_generation,
+                claimed: false,
+            };
+            self.dirty.insert(key.clone(), pinned);
             self.bytes_dirty += data.len() as u64;
         }
         self.extents.insert(key, data);
@@ -1086,6 +1149,78 @@ mod tests {
                 assert!(s.bytes_dirty() <= s.bytes_stored());
             }
         }
+    }
+
+    #[test]
+    fn copy_out_second_claim_of_a_generation_is_refused() {
+        let mut s = Shard::new(ServerId(0));
+        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
+        let (data, generation) = s.claim_for_copy("/c", 0).expect("dirty and unclaimed");
+        assert_eq!(data, vec![1u8; 64]);
+        assert!(s.claim_for_copy("/c", 0).is_none(), "claimed twice");
+        let state = s.dirty_state("/c", 0).unwrap();
+        assert_eq!((state.generation, state.claimed), (generation, true));
+        // The claimed extent stays dirty, but no drain admits it again.
+        assert_eq!(s.bytes_dirty(), 64);
+        assert!(s.dirty_extents(8, &Default::default()).is_empty());
+        // A clean or absent extent has nothing to claim.
+        assert!(s.claim_for_copy("/none", 0).is_none());
+    }
+
+    #[test]
+    fn copy_out_mark_clean_clears_the_claim() {
+        let mut s = Shard::new(ServerId(0));
+        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
+        let (_, generation) = s.claim_for_copy("/c", 0).unwrap();
+        assert!(s.mark_clean("/c", 0, generation));
+        assert!(s.dirty_state("/c", 0).is_none());
+        assert!(
+            s.claim_for_copy("/c", 0).is_none(),
+            "clean has nothing to copy"
+        );
+        // The next write starts a fresh, unclaimed generation.
+        s.write_extent("/c", 0, 0, &[2u8; 8]).unwrap();
+        let (_, next) = s.claim_for_copy("/c", 0).expect("re-dirtied is claimable");
+        assert!(next > generation);
+    }
+
+    #[test]
+    fn copy_out_newer_write_is_claimable() {
+        let mut s = Shard::new(ServerId(0));
+        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
+        let (old, g1) = s.claim_for_copy("/c", 0).unwrap();
+        // A write lands while the first copy is in flight: its generation is
+        // a different one, and a second copy may take it.
+        s.write_extent("/c", 0, 0, &[2u8; 8]).unwrap();
+        assert_eq!(s.dirty_extents(8, &Default::default()).len(), 1);
+        let (new, g2) = s.claim_for_copy("/c", 0).expect("newer generation");
+        assert!(g2 > g1);
+        assert_eq!(old[0], 1);
+        assert_eq!(new[0], 2);
+        // The first copy lands late: its generation is gone, the extent
+        // stays dirty under the second claim, which its landing ends.
+        assert!(!s.mark_clean("/c", 0, g1));
+        assert!(s.dirty_state("/c", 0).unwrap().claimed);
+        s.release_claim("/c", 0, g1);
+        assert!(s.dirty_state("/c", 0).unwrap().claimed, "stale release");
+        assert!(s.mark_clean("/c", 0, g2));
+    }
+
+    #[test]
+    fn copy_out_released_claim_is_claimable_again() {
+        // Delete-wins dropped the copy (the probe raced a write whose size
+        // update had not landed yet): the extent is still dirty at the same
+        // generation, and it must not stay claimed by a copy that wrote
+        // nothing.
+        let mut s = Shard::new(ServerId(0));
+        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
+        let (_, generation) = s.claim_for_copy("/c", 0).unwrap();
+        s.release_claim("/c", 0, generation);
+        assert!(!s.dirty_state("/c", 0).unwrap().claimed);
+        assert_eq!(s.dirty_extents(8, &Default::default()).len(), 1);
+        let (_, again) = s.claim_for_copy("/c", 0).expect("released");
+        assert_eq!(again, generation);
+        assert!(s.mark_clean("/c", 0, again));
     }
 
     #[test]

@@ -105,8 +105,8 @@ pub fn run_conformance(seed: u64) -> ConformanceReport {
     // Replicate liveness: durable scenarios must retire their whole
     // replication debt by quiescence in both runtimes, with zero failed
     // copies — while the live driver's crash-before-replicate audit (folded
-    // into `live.errors`) proves the replica tier holds exactly the bytes
-    // the durability spec promised, byte-exact, and nothing it did not.
+    // into `live.errors`) proves the capacity tier holds the bytes the
+    // durability spec promised, byte-exact.
     violations.extend(oracle::check_replicate_liveness(&scenario, &sim, &live));
     // Telemetry consistency: the registry the live cores instrumented must
     // agree exactly with the reply-derived accounting the driver kept —

@@ -73,16 +73,16 @@ pub struct LiveOutcome {
     /// Extent ranges still below the replication factor at the end of the
     /// run (0 for a sound reshard, and vacuously 0 without one).
     pub under_replicated: u64,
-    /// Total bytes the replicate class landed on the replica tier, summed
+    /// Total bytes the replicate class wrote to the capacity tier, summed
     /// over servers (0 when the scenario runs without a durability spec or
     /// no replicated tenant writes).
     pub replicated_bytes: u64,
     /// Replication lag left at quiescence, summed over servers (must be 0
     /// for a sound run — the replicate lane drained its whole debt).
     pub replication_lag: u64,
-    /// Copies abandoned because their source bytes could not be verified,
-    /// summed over servers (must be 0 — the harness injects no corruption,
-    /// so an unverifiable source is a bookkeeping bug).
+    /// Copies abandoned because their stripe was gone, summed over servers
+    /// (must be 0 — the harness never unlinks or truncates, so a vanished
+    /// source is a bookkeeping bug).
     pub failed_replications: u64,
     /// Whether the sharded tier's placement matched its final map at the
     /// end of the run — every extent on exactly its replica set (vacuously
@@ -203,7 +203,7 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
             for (path, stripe, _, _) in
                 fs.dirty_extents_on(server, usize::MAX, &std::collections::HashSet::new())
             {
-                if let Some((data, generation)) = fs.snapshot_extent_on(server, &path, stripe) {
+                if let Some((data, generation)) = fs.claim_for_copy_on(server, &path, stripe) {
                     backing.write_back_extent(&path, stripe, data);
                     fs.mark_clean_on(server, &path, stripe, generation);
                 }
@@ -234,14 +234,11 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
 
     let mut metrics = Metrics::new();
     // Crash-before-replicate bookkeeping: every in-window write whose
-    // resolved durability mode replicates must be found checksum-valid on
-    // the replica tier at the end of the run — and every write that stays
-    // `local_only` must NOT be (copies are policy-bounded, never gratis).
-    // Keys are `(job, rank, stripe)`.
+    // resolved durability mode replicates must be found checksum-valid in
+    // the capacity tier at the end of the run. Keys are `(job, rank,
+    // stripe)`.
     let durability = scenario.durability_spec();
     let mut must_replicate: std::collections::BTreeSet<(u64, usize, u64)> =
-        std::collections::BTreeSet::new();
-    let mut local_only_writes: std::collections::BTreeSet<(u64, usize, u64)> =
         std::collections::BTreeSet::new();
     // request_id → issuing rank.
     let mut inflight_reqs: HashMap<u64, usize> = HashMap::new();
@@ -318,11 +315,9 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
                             .unwrap_or(1 << 20);
                         let first = offset / stripe_size;
                         let last = (offset + bytes.max(1) - 1) / stripe_size;
-                        for stripe in first..=last {
-                            if mode.replicates() {
+                        if mode.replicates() {
+                            for stripe in first..=last {
                                 must_replicate.insert((job, rank.rank_id, stripe));
-                            } else {
-                                local_only_writes.insert((job, rank.rank_id, stripe));
                             }
                         }
                     }
@@ -521,11 +516,9 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
         });
 
     // ---- crash-before-replicate audit -------------------------------------
-    // A burst-buffer loss at this instant keeps exactly the replica tier.
+    // A burst-buffer loss at this instant keeps exactly the capacity tier.
     // Every stripe written in-window under a replicated mode must be there,
-    // checksum-valid and byte-exact; every stripe that stayed `local_only`
-    // must not be (its loss is the mode's documented contract, and a gratis
-    // copy would mean replication escaped its policy bounds).
+    // checksum-valid and byte-exact.
     for (job, rank, stripe) in &must_replicate {
         let path = rank_path(*job, *rank);
         let stripe_size = fs
@@ -537,30 +530,21 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
         let want: Vec<u8> = (start..(start + stripe_size).min(file_len))
             .map(|o| fill_byte(*job, *rank, o / scenario.bytes_per_op))
             .collect();
-        match cores.iter().find_map(|c| c.replica_extent(&path, *stripe)) {
+        let copy = backing
+            .as_ref()
+            .and_then(|tier| themis_stage::verified_read_back(tier.as_ref(), &path, *stripe));
+        match copy {
             Some(got) if got == want => {}
             Some(got) => errors.push(format!(
-                "crash-before-replicate: {path} stripe {stripe}: replica holds {} bytes, \
-                 first diff at {:?}",
+                "crash-before-replicate: {path} stripe {stripe}: capacity tier holds {} \
+                 bytes, first diff at {:?}",
                 got.len(),
                 want.iter().zip(got.iter()).position(|(a, b)| a != b)
             )),
             None => errors.push(format!(
                 "crash-before-replicate: {path} stripe {stripe}: durable write missing \
-                 from the replica tier at quiescence"
+                 from the capacity tier at quiescence"
             )),
-        }
-    }
-    for (job, rank, stripe) in &local_only_writes {
-        let path = rank_path(*job, *rank);
-        if cores
-            .iter()
-            .any(|c| c.replica_extent(&path, *stripe).is_some())
-        {
-            errors.push(format!(
-                "crash-before-replicate: {path} stripe {stripe}: local_only write found \
-                 on the replica tier (copy escaped its policy bounds)"
-            ));
         }
     }
     // Audit the tier's placement directly against its final map — the

@@ -494,17 +494,17 @@ pub fn check_rebalance_liveness(
 /// must actually deliver. Checked:
 ///
 /// * the live replication lag drained to zero by quiescence — every byte of
-///   replica debt the durability spec created was retired (the "lag drains
+///   copy-out debt the durability spec created was retired (the "lag drains
 ///   to zero" oracle; a positive residue means the replicate lane starved
 ///   or leaked debt);
-/// * zero failed replications — the harness injects no corruption, so a
-///   copy abandoned for an unverifiable source is a bookkeeping bug, not an
-///   environmental hazard (the live driver separately audits the replica
+/// * zero failed replications — the harness never unlinks or truncates,
+///   so a copy abandoned for a vanished source is a bookkeeping bug, not an
+///   environmental hazard (the live driver separately audits the capacity
 ///   tier's *contents* byte-exact — the crash-before-replicate check — and
 ///   reports mismatches through `LiveOutcome::errors`);
-/// * when a replicated tenant writes, copy bytes actually landed in both
-///   runtimes (a durable scenario that replicated nothing means the lane
-///   starved or the policy resolution dropped every write);
+/// * when a replicated tenant writes, the replicate lane wrote copy bytes
+///   in both runtimes (a durable scenario that copied nothing early means
+///   the lane starved or the policy resolution dropped every write);
 /// * the sim's byte-level replication debt is fully consumed at quiescence
 ///   (`residual_replication_lag` 0).
 pub fn check_replicate_liveness(
@@ -532,7 +532,7 @@ pub fn check_replicate_liveness(
             oracle: "replicate-liveness",
             run: "live",
             detail: format!(
-                "{} copies abandoned for unverifiable sources with no injected corruption",
+                "{} copies abandoned for vanished sources in a run that deletes nothing",
                 live.failed_replications
             ),
         });
@@ -541,7 +541,7 @@ pub fn check_replicate_liveness(
         violations.push(Violation {
             oracle: "replicate-liveness",
             run: "live",
-            detail: "replicated tenants wrote but zero bytes landed on the replica tier \
+            detail: "replicated tenants wrote but the replicate lane copied zero bytes \
                      (replicate lane starved, or the durability resolution dropped every \
                      write?)"
                 .into(),

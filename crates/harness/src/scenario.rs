@@ -105,8 +105,8 @@ pub struct StagingSpec {
     pub reshard: bool,
     /// Whether the scenario runs under a durability spec: alternating
     /// tenants are assigned `local_plus_one` (their dirty extents owe one
-    /// async checksum-verified copy on the replica tier, as
-    /// policy-arbitrated `Replicate` traffic) while the rest stay
+    /// early copy into the capacity tier, as policy-arbitrated `Replicate`
+    /// traffic) while the rest stay
     /// `local_only`. Derived from the staging draw itself (like `scrub`) —
     /// no extra RNG consumption, so pre-existing seeds keep their exact
     /// shape. Conformance deliberately never assigns `sync`: deferred acks

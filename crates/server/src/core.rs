@@ -1871,7 +1871,7 @@ pub(crate) mod tests {
 
     use themis_core::durability::{DurabilityMode, DurabilitySpec};
 
-    fn durable_staging(spec: DurabilitySpec) -> StagingConfig {
+    pub(crate) fn durable_staging(spec: DurabilitySpec) -> StagingConfig {
         let mut cfg = fast_staging();
         cfg.drain.classes = cfg
             .drain
@@ -1881,9 +1881,15 @@ pub(crate) mod tests {
         cfg
     }
 
+    /// The capacity tier's **verified** copy of `(path, stripe)`: what a
+    /// burst-tier crash right now would leave of it.
+    pub(crate) fn tier_copy(s: &ServerCore, path: &str, stripe: u64) -> Option<Vec<u8>> {
+        themis_stage::verified_read_back(s.backing()?.as_ref(), path, stripe)
+    }
+
     /// Polls until the replicate pipeline reports idle, returning the final
     /// status.
-    fn poll_until_replicated(s: &mut ServerCore, mut t: u64) -> ReplicateStatus {
+    pub(crate) fn poll_until_replicated(s: &mut ServerCore, mut t: u64) -> ReplicateStatus {
         loop {
             s.poll(t);
             let status = s.replicate_status_snapshot().expect("staging enabled");
@@ -1910,12 +1916,13 @@ pub(crate) mod tests {
         assert_eq!(status.failed_replications, 0);
         assert_eq!(status.sync_acks_deferred, 0, "local_plus_one acks early");
         // Crash-before-replicate conditioning: lose the burst tier — every
-        // acked byte must be reconstructable from verified replica copies.
+        // acked byte must be reconstructable from verified capacity-tier
+        // copies.
         let stripe_size = s.fs().layout_of("/ckpt").unwrap().config.stripe_size.max(1);
         let total = 2u64 << 20;
         let mut recovered = 0u64;
         for stripe in 0..(2u64 << 20).div_ceil(stripe_size) {
-            let copy = s.replica_extent("/ckpt", stripe).expect("replica landed");
+            let copy = tier_copy(&s, "/ckpt", stripe).expect("copy landed");
             assert!(copy.iter().all(|b| *b == 0xAB), "stripe {stripe} corrupt");
             recovered += copy.len() as u64;
         }
@@ -1936,7 +1943,10 @@ pub(crate) mod tests {
         let status = s.replicate_status_snapshot().unwrap();
         assert!(status.enabled, "other scopes still replicate");
         assert_eq!(status.requested_bytes, 0, "{status:?}");
-        assert!(s.replica_extent("/scratch", 0).is_none());
+        assert_eq!(status.replicated_bytes, 0, "{status:?}");
+        // The ordinary drain still stages the bytes out, once.
+        assert_eq!(s.drain_status_snapshot().unwrap().drained_bytes, 1 << 20);
+        assert!(tier_copy(&s, "/scratch", 0).is_some());
     }
 
     #[test]
@@ -1994,9 +2004,9 @@ pub(crate) mod tests {
         assert_eq!(status.sync_acks_deferred, 1);
         assert_eq!(status.sync_acks_released, 1);
         assert!(status.replicated_extents >= 1);
-        // The replica had landed by ack time: the acked bytes survive a
+        // The copy had landed by ack time: the acked bytes survive a
         // burst-tier crash.
-        assert!(s.replica_extent("/db", 0).is_some());
+        assert_eq!(tier_copy(&s, "/db", 0), Some(vec![0x5A; 1 << 20]));
         // And the ack was genuinely deferred past the write's own
         // completion poll.
         assert!(acked_at.unwrap() > 1_000);

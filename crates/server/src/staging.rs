@@ -4,7 +4,7 @@
 //! [`crate::core`] keeps submit/poll, the job table and policy.
 
 use crate::core::{ReadyReply, ServerCore, StageReady};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use themis_core::durability::DurabilitySpec;
 use themis_core::entity::JobMeta;
@@ -15,9 +15,9 @@ use themis_net::message::{FsOp, FsReply, StageReply};
 use themis_stage::shard::MigrationPlan;
 use themis_stage::{
     extent_checksum, write_back_guarded, AdmitContext, BackingStore, CapacityTier, ClassLifecycle,
-    DrainPipeline, DrainStatus, MigrationOutcome, RebalancePipeline, RebalanceStatus,
-    ReplicaTarget, ReplicatePipeline, ReplicateStatus, RestorePipeline, RestoreTarget,
-    ScrubPipeline, ScrubStatus, ScrubTarget, StagingConfig, TrafficClass,
+    DrainPipeline, DrainStatus, ExtentState, MigrationOutcome, RebalancePipeline, RebalanceStatus,
+    ReplicatePipeline, ReplicateStatus, RestorePipeline, RestoreTarget, ScrubPipeline, ScrubStatus,
+    ScrubTarget, StagingConfig, TrafficClass,
 };
 use themis_telemetry::{MetricsRegistry, TraceKind};
 
@@ -62,12 +62,9 @@ struct PendingStageIn {
 }
 
 /// How a class's released request is charged beyond the burst-device slot
-/// the engine granted it: which second timeline it occupies, with which
-/// transfers back to back, and whether they run beside the burst slot or
-/// behind it.
+/// the engine granted it: which transfers the capacity tier's timeline runs
+/// back to back, and whether they run beside the burst slot or behind it.
 struct Charge {
-    /// The replica tier's timeline instead of the capacity tier's.
-    on_replica: bool,
     /// The transfers start when the burst slot finishes (they move the bytes
     /// the slot read) instead of at release time (they feed the slot).
     after_burst: bool,
@@ -81,31 +78,58 @@ impl Charge {
     /// foreground:class weight bounds; the row is what the tier behind it
     /// pays at its own speed.
     fn of(class: TrafficClass) -> Charge {
-        let (on_replica, after_burst, legs): (bool, bool, &'static [OpKind]) = match class {
+        let (after_burst, legs): (bool, &'static [OpKind]) = match class {
             // Read the snapshot off the burst device, then write it to the
-            // capacity tier.
-            TrafficClass::Drain => (false, true, &[OpKind::Write]),
+            // capacity tier. A replicate copy is a drain of its extent.
+            TrafficClass::Drain | TrafficClass::Replicate => (true, &[OpKind::Write]),
             // The capacity tier is read while the burst device takes the
             // extent write (restore) or the verification slot (scrub).
-            TrafficClass::Restore | TrafficClass::Scrub => (false, false, &[OpKind::Read]),
+            TrafficClass::Restore | TrafficClass::Scrub => (false, &[OpKind::Read]),
             // The verified source read, then one write per copy the plan
-            // places, all on the capacity tier.
-            TrafficClass::Rebalance => (false, false, &[OpKind::Read, OpKind::Write]),
-            // Read the source off the burst device, then write the copy to
-            // the replica tier.
-            TrafficClass::Replicate => (true, true, &[OpKind::Write]),
+            // places.
+            TrafficClass::Rebalance => (false, &[OpKind::Read, OpKind::Write]),
         };
-        Charge {
-            on_replica,
-            after_burst,
-            legs,
-        }
+        Charge { after_burst, legs }
     }
 }
 
+/// The shard `stripe` of `path` lives on — not necessarily the server that
+/// wrote it. `None` once the path is gone.
+fn stripe_shard(fs: &BurstBufferFs, path: &str, stripe: u64) -> Option<usize> {
+    let layout = fs.layout_of(path).ok()?;
+    layout.server_for_stripe(stripe).map(|id| id.0)
+}
+
+/// Whether `stripe` of `path` can still legitimately hold data: the path
+/// exists and its size reaches past the stripe's start. Checking the size,
+/// not bare existence, catches a truncate as well as an unlink.
+fn stripe_exists(fs: &BurstBufferFs, path: &str, stripe: u64) -> bool {
+    let stripe_size = fs
+        .layout_of(path)
+        .map_or(1, |l| l.config.stripe_size.max(1));
+    let stripe_start = stripe.saturating_mul(stripe_size);
+    fs.stat(path).is_ok_and(|s| s.size > stripe_start)
+}
+
+/// What a held replicate copy finds at its extent now.
+fn extent_state(fs: &BurstBufferFs, path: &str, stripe: u64) -> ExtentState {
+    let dirty = stripe_shard(fs, path, stripe).and_then(|s| fs.dirty_state_on(s, path, stripe));
+    match dirty {
+        Some(d) if d.claimed => ExtentState::Claimed,
+        Some(_) => ExtentState::Dirty,
+        None if stripe_exists(fs, path, stripe) => ExtentState::Clean,
+        None => ExtentState::Gone,
+    }
+}
+
+/// What a parked `sync` ack waits for: for every `(path, stripe)` the write
+/// dirtied, the dirty generation it left, which a landed copy of that
+/// generation or a newer one releases.
+type StripeGenerations = HashMap<(String, u64), u64>;
+
 /// The server-side staging state: one pipeline per traffic class, the
-/// capacity and replica tiers with their device timelines, plus work waiting
-/// on a class's landings.
+/// capacity tier with its device timeline, plus work waiting on a class's
+/// landings.
 pub(crate) struct StageState {
     pub(crate) drain: DrainPipeline,
     pub(crate) restore: RestorePipeline,
@@ -114,16 +138,11 @@ pub(crate) struct StageState {
     pub(crate) replicate: ReplicatePipeline,
     pub(crate) backing: Arc<dyn BackingStore>,
     backing_device: DeviceTimeline,
-    /// The replica tier absorbing durability copies, with its own timeline:
-    /// replication contends with the capacity tier for nothing but the
-    /// burst-device slots the engine grants the replicate lane.
-    replica: CapacityTier,
-    replica_device: DeviceTimeline,
     /// The durability policy in force (`None`: every write is local-only).
     durability: Option<DurabilitySpec>,
-    /// Foreground `sync` write acks parked until the replicas of every
-    /// stripe they dirtied land.
-    pending_sync_acks: Vec<(ReadyReply, HashSet<(String, u64)>)>,
+    /// Foreground `sync` write acks parked until their bytes are in the
+    /// capacity tier.
+    pending_sync_acks: Vec<(ReadyReply, StripeGenerations)>,
     /// Flushes waiting for their path's local extents to become clean.
     pub(crate) pending_flushes: Vec<(u64, String)>,
     /// Foreground operations waiting on restores.
@@ -183,8 +202,8 @@ impl StageState {
                 depth,
                 registry,
             ),
-            // Replication runs only when the durability policy actually owes
-            // replicas somewhere (and the class is not disabled outright);
+            // Early drains run only when the durability policy actually owes
+            // copies somewhere (and the class is not disabled outright);
             // otherwise the pipeline is constructed inert and takes no debt.
             replicate: ReplicatePipeline::new(
                 server,
@@ -195,11 +214,6 @@ impl StageState {
             ),
             backing,
             backing_device: DeviceTimeline::new(DeviceModel::new(backing_model)),
-            // The replica tier is deliberately *not* the capacity tier:
-            // a copy that survives losing the burst buffer must live on
-            // independent media, modelled with its own timeline.
-            replica: CapacityTier::new(sc.backing_device),
-            replica_device: DeviceTimeline::new(DeviceModel::new(sc.backing_device)),
             durability: sc.durability.clone(),
             pending_sync_acks: Vec::new(),
             pending_flushes: Vec::new(),
@@ -230,46 +244,79 @@ impl StageState {
         }
     }
 
-    /// The drain half of execution that no charge row describes: snapshot
-    /// the extent and write it back to the capacity tier under the
-    /// delete-wins guard. Returns the bytes written back, or `None` when
-    /// nothing was left to write and the drain completed as a no-op.
-    fn write_back_snapshot(&mut self, fs: &BurstBufferFs, server: usize, seq: u64) -> Option<u64> {
-        let d = self.drain.inflight(seq)?;
-        let (path, stripe) = (d.path.clone(), d.stripe);
+    /// The copy-out drain and replicate share, the half of their execution
+    /// no charge row describes: claim the extent's dirty generation on
+    /// `shard`, write its snapshot back to the capacity tier under the
+    /// delete-wins guard, and lift the scrub quarantine the rewrite heals.
+    /// Returns the `(generation, bytes)` written, or `None` when nothing
+    /// was: the extent is clean or gone, another copy holds this
+    /// generation's claim, or delete won.
+    fn copy_out(
+        &mut self,
+        fs: &BurstBufferFs,
+        shard: usize,
+        path: &str,
+        stripe: u64,
+    ) -> Option<(u64, u64)> {
         // Snapshot at service time — the extent may have been overwritten
         // (or drained and unlinked) since admission.
-        let Some((data, generation)) = fs.snapshot_extent_on(server, &path, stripe) else {
-            // Nothing dirty any more (unlinked or already clean): the
-            // drain is a no-op.
-            self.drain.complete(seq);
-            return None;
-        };
-        // Delete-wins: a peer's unlink or truncate can land between
-        // the snapshot above and this write-back; the guarded write
-        // re-probes afterwards so the shared tier never keeps a
-        // stale copy. The probe checks *size*, not bare existence —
-        // a truncated path still exists, but its size drops below
-        // the drained stripe's start, which is how the probe tells
-        // "this extent can no longer legitimately exist" for both
-        // races.
-        let stripe_size = fs
-            .layout_of(&path)
-            .map_or(1, |l| l.config.stripe_size.max(1));
-        let stripe_start = stripe * stripe_size;
+        let (data, generation) = fs.claim_for_copy_on(shard, path, stripe)?;
         let bytes = data.len() as u64;
-        let kept = write_back_guarded(self.backing.as_ref(), &path, stripe, data, || {
-            fs.stat(&path).is_ok_and(|s| s.size > stripe_start)
+        // Delete-wins: a peer's unlink or truncate can land between the
+        // claim above and this write-back; the guarded write re-probes
+        // afterwards so the shared tier never keeps a stale copy.
+        let kept = write_back_guarded(self.backing.as_ref(), path, stripe, data, || {
+            stripe_exists(fs, path, stripe)
         });
         if !kept {
-            self.drain.complete(seq);
+            // Give the claim back: the probe may have raced a write whose
+            // size update had not landed yet, and that extent is still
+            // dirty at this generation and must be copied later.
+            fs.release_claim_on(shard, path, stripe, generation);
             return None;
         }
         // The write-back recomputed the extent's checksum, so a
         // previously quarantined copy is sound again.
-        self.scrub.unquarantine(&path, stripe);
-        self.drain.snapshotted(seq, generation);
-        Some(bytes)
+        self.scrub.unquarantine(path, stripe);
+        Some((generation, bytes))
+    }
+
+    /// Executes a released drain or replicate request: the copy-out of its
+    /// extent. A drain copies from this server's shard; a replicate copy
+    /// from the shard its stripe maps to, which may not be the server that
+    /// executed the write. Returns the bytes written, or `None` when
+    /// nothing was and the request left flight: a drain completes, a
+    /// replicate copy is held until its extent settles.
+    fn execute_copy_out(
+        &mut self,
+        fs: &BurstBufferFs,
+        server: usize,
+        class: TrafficClass,
+        seq: u64,
+    ) -> Option<u64> {
+        let (shard, path, stripe) = if class == TrafficClass::Replicate {
+            let t = self.replicate.inflight(seq)?;
+            (
+                stripe_shard(fs, &t.path, t.stripe),
+                t.path.clone(),
+                t.stripe,
+            )
+        } else {
+            let d = self.drain.inflight(seq)?;
+            (Some(server), d.path.clone(), d.stripe)
+        };
+        let written = shard.and_then(|shard| self.copy_out(fs, shard, &path, stripe));
+        match (class, written) {
+            (TrafficClass::Replicate, Some((generation, bytes))) => {
+                self.replicate.copied(seq, generation, bytes)
+            }
+            (TrafficClass::Replicate, None) => self.replicate.hold(seq),
+            (_, Some((generation, bytes))) => self.drain.snapshotted(seq, generation, bytes),
+            (_, None) => {
+                self.drain.complete(seq);
+            }
+        }
+        written.map(|(_, bytes)| bytes)
     }
 
     /// Lands a restore: hands the tier's extent buffer back to the shard and
@@ -328,7 +375,7 @@ impl StageState {
         if extent_checksum(&data) == stored {
             self.scrub.record_clean(bytes);
         } else if fs
-            .snapshot_extent_on(server, &target.path, target.stripe)
+            .dirty_state_on(server, &target.path, target.stripe)
             .is_some()
         {
             // The shard copy is dirty: a foreground write moved the
@@ -381,51 +428,43 @@ impl StageState {
         }
     }
 
-    /// Lands a replicate copy: writes the extent's *current* bytes — a copy
-    /// admitted before a re-dirtying write still replicates the newest
-    /// contents — to the replica tier and returns the landed key. The source
-    /// is the resident burst extent when one exists, else the capacity
-    /// tier's copy through the verified seam: unverifiable bytes are never
-    /// replicated; the copy fails visibly instead.
-    fn land_replicate(
-        &mut self,
-        fs: &BurstBufferFs,
-        server: usize,
-        target: ReplicaTarget,
-    ) -> (String, u64) {
-        // The extent lives on the shard its stripe hashes to, which
-        // may not be the server that executed the write.
-        let shard = fs
-            .layout_of(&target.path)
-            .ok()
-            .and_then(|l| l.server_for_stripe(target.stripe))
-            .map_or(server, |id| id.0);
-        let data = fs
-            .resident_extent_on(shard, &target.path, target.stripe)
-            .or_else(|| {
-                themis_stage::verified_extent(self.backing.as_ref(), &target.path, target.stripe)
-            });
-        match data {
-            Some(data) => {
-                let bytes = data.len() as u64;
-                self.replica
-                    .write_back_extent(&target.path, target.stripe, data);
-                self.replicate.record_replicated(bytes);
+    /// Lands the replicate copies due by `now_ns` and settles the held ones,
+    /// then releases the `sync` acks whose bytes are now in the capacity
+    /// tier. A copy that wrote lands exactly as a drain does — its
+    /// generation is marked clean on the extent's shard — and counts as
+    /// replicated. A held copy settles once its extent is clean (a drain
+    /// landed the bytes: the debt retires without writing) or gone.
+    fn land_replicate(&mut self, fs: &BurstBufferFs, now_ns: u64, ready: &mut Vec<ReadyReply>) {
+        let mut landed = Vec::new();
+        while let Some(target) = self.replicate.pop_due(now_ns) {
+            let Some((generation, bytes)) = target.copied else {
+                continue;
+            };
+            if let Some(shard) = stripe_shard(fs, &target.path, target.stripe) {
+                fs.mark_clean_on(shard, &target.path, target.stripe, generation);
             }
-            // Unlinked mid-copy (delete wins) or no verifiable
-            // source: the debt retires without a replica.
-            None => self.replicate.record_failed(),
+            self.replicate.record_replicated(bytes);
+            landed.push((target.key(), generation));
         }
-        target.key()
+        let settled = self
+            .replicate
+            .resolve_held(|t| extent_state(fs, &t.path, t.stripe));
+        // Clean or gone: every write to it so far is in the tier, or moot.
+        landed.extend(settled.into_iter().map(|key| (key, u64::MAX)));
+        self.release_sync_acks(&landed, ready);
     }
 
-    /// Releases the `sync` acks whose every awaited replica is among
-    /// `replicated`.
-    fn release_sync_acks(&mut self, replicated: &[(String, u64)], ready: &mut Vec<ReadyReply>) {
+    /// Releases the `sync` acks whose every awaited stripe is among
+    /// `landed`, each `(key, generation)` landing every write that left a
+    /// generation up to `generation`.
+    fn release_sync_acks(&mut self, landed: &[((String, u64), u64)], ready: &mut Vec<ReadyReply>) {
         let mut j = 0;
         while j < self.pending_sync_acks.len() {
-            for key in replicated {
-                self.pending_sync_acks[j].1.remove(key);
+            let waits = &mut self.pending_sync_acks[j].1;
+            for (key, generation) in landed {
+                if waits.get(key).is_some_and(|left| left <= generation) {
+                    waits.remove(key);
+                }
             }
             if self.pending_sync_acks[j].1.is_empty() {
                 let (reply, _) = self.pending_sync_acks.swap_remove(j);
@@ -649,16 +688,6 @@ impl ServerCore {
         st.pending_scrubs.push((request_id, pass));
     }
 
-    /// The replica tier's **verified** copy of `(path, stripe)` — `None`
-    /// when staging is disabled, no replica landed, or the copy fails its
-    /// checksum. The crash-before-replicate oracle reads this to prove that
-    /// acked `local_plus_one`/`sync` bytes survive losing the burst tier;
-    /// `local_only` data legitimately answers `None`.
-    pub fn replica_extent(&self, path: &str, stripe: u64) -> Option<Vec<u8>> {
-        let st = self.staging.as_ref()?;
-        themis_stage::verified_read_back(&st.replica, path, stripe)
-    }
-
     /// Demands a heal pass over the sharded capacity tier: a migration pass
     /// even without a map change, re-replicating any range a lost replica
     /// left under-replicated. A no-op without staging or on an unsharded
@@ -812,7 +841,8 @@ impl ServerCore {
     /// share: a drain marks its extent clean (unless a concurrent write
     /// re-dirtied it — the generation check), a restore puts the extent
     /// back and wakes its waiters, a scrub judges a checksum, a migration
-    /// re-places an extent, a replica releases `sync` acks.
+    /// re-places an extent, and a replicate copy lands as a drain and then
+    /// releases `sync` acks.
     fn land_due(&mut self, class: TrafficClass, now_ns: u64, ready: &mut Vec<ReadyReply>) {
         let server = self.server_index;
         let Some(st) = self.staging.as_mut() else {
@@ -844,13 +874,7 @@ impl ServerCore {
                     st.land_rebalance(plan);
                 }
             }
-            TrafficClass::Replicate => {
-                let mut replicated = Vec::new();
-                while let Some(target) = st.replicate.pop_due(now_ns) {
-                    replicated.push(st.land_replicate(&self.fs, server, target));
-                }
-                st.release_sync_acks(&replicated, ready);
-            }
+            TrafficClass::Replicate => st.land_replicate(&self.fs, now_ns, ready),
         }
     }
 
@@ -967,8 +991,8 @@ impl ServerCore {
             return;
         };
         let (bytes, copies) = match class {
-            TrafficClass::Drain => {
-                match st.write_back_snapshot(&self.fs, self.server_index, request.seq) {
+            TrafficClass::Drain | TrafficClass::Replicate => {
+                match st.execute_copy_out(&self.fs, self.server_index, class, request.seq) {
                     Some(written) => (written, 1),
                     None => return,
                 }
@@ -983,11 +1007,6 @@ impl ServerCore {
             _ => (request.bytes, 1),
         };
         let charge = Charge::of(class);
-        let timeline = if charge.on_replica {
-            &mut st.replica_device
-        } else {
-            &mut st.backing_device
-        };
         let mut at = if charge.after_burst {
             burst_finish
         } else {
@@ -1000,7 +1019,7 @@ impl ServerCore {
                 bytes
             };
             let leg = IoRequest::new(request.seq, request.meta, kind, cost, at);
-            (_, at) = timeline.dispatch(&leg, at);
+            (_, at) = st.backing_device.dispatch(&leg, at);
         }
         st.lifecycle_mut(class)
             .dispatched(request.seq, burst_finish.max(at));
@@ -1041,11 +1060,11 @@ impl ServerCore {
         Some((path, spans))
     }
 
-    /// Records the replica debt an executed foreground write created under
+    /// Records the copy-out debt an executed foreground write created under
     /// the durability policy, then delivers the reply — immediately for
     /// `local_only`/`local_plus_one` writes (and every non-write), or parked
     /// on the replicate pipeline for `sync` writes, whose acks wait until
-    /// the replicas of every stripe they dirtied land (the replicate
+    /// every stripe they dirtied is in the capacity tier (the replicate
     /// landing in [`ServerCore::stage_tick`] releases them).
     pub(crate) fn note_durable_write(
         &mut self,
@@ -1087,12 +1106,23 @@ impl ServerCore {
             st.replicate.note_write(path.clone(), *stripe, *bytes, mode);
         }
         if mode.defers_ack() {
-            // `sync`: the client must never observe a success the replica
-            // tier could still lose — park the ack until every replica of
-            // the stripes this write dirtied lands.
-            let keys = spans.iter().map(|(s, _)| (path.clone(), *s)).collect();
+            // `sync`: the client must never observe a success a burst-tier
+            // crash could still lose — park the ack until, for every stripe
+            // this write dirtied, a copy of the generation it left (or a
+            // newer one) lands. An extent already clean again waits for
+            // nothing newer than generation 0.
+            let fs = &self.fs;
+            let waits = spans
+                .iter()
+                .map(|(stripe, _)| {
+                    let left = stripe_shard(fs, &path, *stripe)
+                        .and_then(|shard| fs.dirty_state_on(shard, &path, *stripe))
+                        .map_or(0, |d| d.generation);
+                    ((path.clone(), *stripe), left)
+                })
+                .collect();
             st.replicate.record_sync_deferred();
-            st.pending_sync_acks.push((reply, keys));
+            st.pending_sync_acks.push((reply, waits));
         } else {
             ready.push(reply);
         }
@@ -1416,9 +1446,6 @@ impl ServerCore {
     pub(crate) fn drop_backing_copies(&mut self, path: &str) {
         if let (Some(st), Ok(p)) = (self.staging.as_mut(), themis_fs::path::normalize(path)) {
             st.backing.remove_path(&p);
-            // Delete wins on the replica tier too: a stale durability copy
-            // of an unlinked path must not outlive the data.
-            st.replica.remove_path(&p);
             st.scrub.unquarantine_path(&p);
         }
     }
@@ -1427,8 +1454,391 @@ impl ServerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::tests::{fast_staging, meta, poll_until_clean, staged_server, write_file};
+    use crate::core::tests::{
+        durable_staging, fast_staging, meta, poll_until_clean, staged_server, tier_copy, write_file,
+    };
     use crate::core::ServerConfig;
+    use std::sync::Mutex;
+    use themis_core::durability::DurabilityMode;
+    use themis_fs::Extent;
+    use themis_stage::DeviceConfig;
+
+    /// A capacity tier that counts every byte handed to it.
+    struct CountingTier {
+        tier: CapacityTier,
+        written: Mutex<u64>,
+    }
+
+    impl CountingTier {
+        fn written(&self) -> u64 {
+            *self.written.lock().unwrap()
+        }
+    }
+
+    impl BackingStore for CountingTier {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn device(&self) -> DeviceConfig {
+            self.tier.device()
+        }
+
+        fn write_back_extent(&self, path: &str, stripe: u64, data: Extent) {
+            *self.written.lock().unwrap() += data.len() as u64;
+            self.tier.write_back_extent(path, stripe, data);
+        }
+
+        fn read_back_with_checksum(&self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
+            // Through the verified seam: nothing here corrupts the tier.
+            let data = themis_stage::verified_extent(&self.tier, path, stripe)?;
+            let sum = extent_checksum(&data);
+            Some((data, sum))
+        }
+
+        fn next_extent_after(&self, after: Option<&(String, u64)>) -> Option<(String, u64, u64)> {
+            self.tier.next_extent_after(after)
+        }
+
+        fn contains(&self, path: &str, stripe: u64) -> bool {
+            self.tier.contains(path, stripe)
+        }
+
+        fn remove_path(&self, path: &str) -> u64 {
+            self.tier.remove_path(path)
+        }
+
+        fn remove_extent(&self, path: &str, stripe: u64) -> u64 {
+            self.tier.remove_extent(path, stripe)
+        }
+
+        fn bytes_stored(&self) -> u64 {
+            self.tier.bytes_stored()
+        }
+
+        fn bytes_for(&self, path: &str) -> u64 {
+            self.tier.bytes_for(path)
+        }
+
+        fn extent_count(&self) -> usize {
+            self.tier.extent_count()
+        }
+    }
+
+    /// `servers` cores over one file system and one counting tier, every
+    /// write durable under `mode`, on burst devices with `workers` workers.
+    fn counting_cluster(
+        servers: usize,
+        mode: DurabilityMode,
+        workers: usize,
+    ) -> (Vec<ServerCore>, Arc<CountingTier>) {
+        let staging = durable_staging(DurabilitySpec::new(mode));
+        let tier = Arc::new(CountingTier {
+            tier: CapacityTier::new(staging.backing_device),
+            written: Mutex::new(0),
+        });
+        let fs = BurstBufferFs::new(servers);
+        let cores = (0..servers)
+            .map(|i| {
+                let config = ServerConfig {
+                    device: DeviceConfig {
+                        workers,
+                        ..DeviceConfig::default()
+                    },
+                    staging: Some(staging.clone()),
+                    ..ServerConfig::default()
+                };
+                let backing = Arc::clone(&tier) as Arc<dyn BackingStore>;
+                let mut s = ServerCore::with_backing(i, fs.clone(), config, Some(backing));
+                s.heartbeat(meta(1, 1), 0);
+                s
+            })
+            .collect();
+        (cores, tier)
+    }
+
+    /// Submits a `WriteAt` of `bytes` to `path` on `cores[writer]`, the path
+    /// created on a shard the writer does not own when there is a peer.
+    fn submit_write(cores: &mut [ServerCore], path: &str, bytes: usize, fill: u8) -> usize {
+        if cores[0].fs().stat(path).is_err() {
+            cores[0].fs().create(path, 0).unwrap();
+        }
+        let owner = stripe_shard(cores[0].fs(), path, 0).unwrap();
+        let writer = (owner + 1) % cores.len();
+        let op = FsOp::WriteAt {
+            path: path.into(),
+            offset: 0,
+            data: vec![fill; bytes],
+        };
+        cores[writer].submit(1, meta(1, 1), op, 0);
+        writer
+    }
+
+    /// Polls every core until each is drained clean and owes no copy,
+    /// returning whether the write submitted as request 1 was acked.
+    fn settle(cores: &mut [ServerCore], mut t: u64) -> bool {
+        let mut acked = false;
+        loop {
+            for s in cores.iter_mut() {
+                acked |= s.poll(t).iter().any(|r| r.request_id == 1);
+            }
+            let idle = |s: &ServerCore| {
+                s.drain_status_snapshot().unwrap().is_clean()
+                    && s.replicate_status_snapshot().unwrap().is_idle()
+            };
+            if cores.iter().all(idle) {
+                return acked;
+            }
+            t += 100_000;
+            assert!(t < 60_000_000_000, "copy-out never settled");
+        }
+    }
+
+    /// The bytes the drain and replicate lanes of `cores` account as
+    /// written to the capacity tier.
+    fn accounted(cores: &[ServerCore]) -> u64 {
+        let lanes = |s: &ServerCore| {
+            s.drain_status_snapshot().unwrap().drained_bytes
+                + s.replicate_status_snapshot().unwrap().replicated_bytes
+        };
+        cores.iter().map(lanes).sum()
+    }
+
+    /// One copy out: whatever the durability mode, each user byte reaches
+    /// the capacity tier once, and the lanes account exactly what they
+    /// wrote — on one core, and on two where the writing core does not own
+    /// the shard (its replicate lane copies out of the peer's shard, racing
+    /// the peer's drain).
+    #[test]
+    fn copy_out_writes_each_user_byte_to_the_tier_once() {
+        const BYTES: usize = 8 << 20;
+        for mode in [
+            DurabilityMode::LocalOnly,
+            DurabilityMode::LocalPlusOne,
+            DurabilityMode::Sync,
+        ] {
+            for servers in [1, 2] {
+                let what = format!("{mode} on {servers} core(s)");
+                let (mut cores, tier) = counting_cluster(servers, mode, 4);
+                submit_write(&mut cores, "/ckpt", BYTES, 0xAB);
+                assert!(settle(&mut cores, 0), "{what}: write never acked");
+                assert_eq!(tier.written(), BYTES as u64, "{what}");
+                assert_eq!(accounted(&cores), BYTES as u64, "{what}");
+                for stripe in 0..(BYTES as u64 >> 20) {
+                    let copy = tier_copy(&cores[0], "/ckpt", stripe);
+                    assert_eq!(copy, Some(vec![0xAB; 1 << 20]), "{what}: stripe {stripe}");
+                }
+                let owed = |s: &ServerCore| s.replicate_status_snapshot().unwrap();
+                let requested: u64 = cores.iter().map(|s| owed(s).requested_bytes).sum();
+                let failed: u64 = cores.iter().map(|s| owed(s).failed_replications).sum();
+                let durable = mode != DurabilityMode::LocalOnly;
+                assert_eq!(requested, if durable { BYTES as u64 } else { 0 }, "{what}");
+                assert_eq!(failed, 0, "{what}");
+            }
+        }
+    }
+
+    /// A drain admitted before a peer unlinked its file finds nothing to
+    /// write when the engine releases it: it frees its slot and counts no
+    /// drained bytes, so the lanes still account exactly what the tier got.
+    #[test]
+    fn copy_out_drain_racing_an_unlink_counts_nothing() {
+        let (mut cores, tier) = counting_cluster(1, DurabilityMode::LocalOnly, 4);
+        let s = &mut cores[0];
+        write_file(s, "/doomed", 2 << 20, 0);
+        // The drains are admitted, not yet released: the device is idle
+        // but the engine has not been asked to select.
+        s.admit_classes(&[TrafficClass::Drain], 1_000);
+        assert_eq!(s.drain_status_snapshot().unwrap().inflight_extents, 2);
+        // A peer unlinks the file in that window.
+        s.fs().unlink("/doomed", 1_000).unwrap();
+        s.drop_backing_copies("/doomed");
+        poll_until_clean(s, 1_000);
+        let status = s.drain_status_snapshot().unwrap();
+        assert_eq!((status.drained_bytes, status.drained_ops), (0, 0));
+        assert_eq!(tier.written(), 0);
+        assert_eq!(accounted(&cores), tier.written());
+    }
+
+    /// A drain can race a peer's striped write that has put its extent in
+    /// the shard but not yet raised the file size. Delete-wins then drops
+    /// the write-back, and the extent, still dirty at the same generation,
+    /// must be claimable again — or nothing ever copies it out.
+    #[test]
+    fn copy_out_dropped_write_back_gives_its_claim_back() {
+        const MIB: usize = 1 << 20;
+        let (mut cores, tier) = counting_cluster(1, DurabilityMode::LocalOnly, 4);
+        let s = &mut cores[0];
+        s.fs().create("/r", 0).unwrap();
+        s.fs().write_at("/r", 0, &[1; MIB], 0).unwrap();
+        let t = poll_until_clean(s, 0);
+        // The peer's extent for stripe 2 is in the shard, dirty; the size
+        // still ends at 1 MiB.
+        let extent = Extent::from(vec![7; MIB]);
+        s.fs().restore_extent_on(0, "/r", 2, extent, true);
+        let mut t = t;
+        for _ in 0..5 {
+            s.poll(t);
+            t += 100_000;
+        }
+        assert!(
+            tier.written() > MIB as u64,
+            "the drain never tried stripe 2"
+        );
+        assert!(tier_copy(s, "/r", 2).is_none(), "delete-wins kept a copy");
+        // The drop took back stripe 2's copy only: stripe 0, drained clean
+        // before, keeps the tier copy its burst copy's eviction relies on.
+        assert_eq!(tier_copy(s, "/r", 0), Some(vec![1; MIB]));
+        // The size update lands: the next drain of stripe 2 is kept.
+        s.fs().write_at("/r", 3 * MIB as u64, &[3], t).unwrap();
+        poll_until_clean(s, t);
+        assert_eq!(tier_copy(s, "/r", 2), Some(vec![7; MIB]));
+    }
+
+    /// A `sync` ack never surfaces before the capacity tier holds its bytes
+    /// — on one core, and on two where the writer does not own the shard.
+    #[test]
+    fn copy_out_sync_ack_never_precedes_the_tier_copy() {
+        const BYTES: usize = 4 << 20;
+        for servers in [1, 2] {
+            let (mut cores, _) = counting_cluster(servers, DurabilityMode::Sync, 4);
+            let writer = submit_write(&mut cores, "/db", BYTES, 0x5A);
+            let mut deferred = false;
+            let mut t = 0;
+            'run: loop {
+                for s in cores.iter_mut() {
+                    if s.poll(t).iter().any(|r| r.request_id == 1) {
+                        for stripe in 0..(BYTES as u64 >> 20) {
+                            let copy = tier_copy(s, "/db", stripe);
+                            assert_eq!(copy, Some(vec![0x5A; 1 << 20]), "stripe {stripe}");
+                        }
+                        break 'run;
+                    }
+                }
+                deferred |= cores[writer].completions() == 1;
+                t += 10_000;
+                assert!(t < 60_000_000_000, "sync ack never released");
+            }
+            assert!(deferred, "the ack was not deferred past the write");
+            let status = cores[writer].replicate_status_snapshot().unwrap();
+            assert_eq!(
+                (status.sync_acks_deferred, status.sync_acks_released),
+                (1, 1)
+            );
+        }
+    }
+
+    /// A copy snapshotted before a later `sync` write cannot carry that
+    /// write's bytes, so its landing releases only the acks of the writes
+    /// it holds; the later write waits for a copy of its own generation (or
+    /// for its extent to be found clean).
+    #[test]
+    fn copy_out_sync_ack_waits_for_its_own_generation() {
+        let staging = durable_staging(DurabilitySpec::new(DurabilityMode::Sync));
+        let mut st = StageState::new(0, &staging, None, &MetricsRegistry::new());
+        let ack = |request_id| ReadyReply {
+            request_id,
+            reply: FsReply::Count(1),
+            completion: themis_core::request::Completion {
+                request: IoRequest::new(request_id, meta(1, 1), OpKind::Write, 1, 0),
+                start_ns: 0,
+                finish_ns: 0,
+            },
+        };
+        let (a, b) = (("/g".to_string(), 0), ("/g".to_string(), 1));
+        // Write 1 left stripe 0 at generation 5; write 2 left it at 9 and
+        // stripe 1 at 10.
+        let waits = |pairs: &[((String, u64), u64)]| pairs.iter().cloned().collect();
+        st.pending_sync_acks
+            .push((ack(1), waits(&[(a.clone(), 5)])));
+        st.pending_sync_acks
+            .push((ack(2), waits(&[(a.clone(), 9), (b.clone(), 10)])));
+        let released = |st: &mut StageState, landed: &[((String, u64), u64)]| {
+            let mut ready = Vec::new();
+            st.release_sync_acks(landed, &mut ready);
+            ready.iter().map(|r| r.request_id).collect::<Vec<_>>()
+        };
+        // A copy of generation 7 holds write 1's bytes, not write 2's.
+        assert_eq!(released(&mut st, &[(a.clone(), 7)]), vec![1]);
+        // Stripe 1's copy lands; stripe 0 still owes generation 9.
+        assert_eq!(released(&mut st, &[(b, 10)]), Vec::<u64>::new());
+        // An extent found clean holds every write so far.
+        assert_eq!(released(&mut st, &[(a, u64::MAX)]), vec![2]);
+        assert!(st.pending_sync_acks.is_empty());
+    }
+
+    /// A copy whose generation another lane claimed writes nothing: it is
+    /// held, and its `sync` ack with it, until that copy lands (the debt
+    /// retires unwritten), gives its claim back (the copy runs again) or
+    /// its file is gone (a failed copy).
+    #[test]
+    fn copy_out_held_copy_waits_for_the_claim_holder() {
+        const MIB: usize = 1 << 20;
+        // One burst worker: the write occupies it, so the copy the write
+        // owes is released by a later poll, after the test's "peer" claims.
+        let (mut cores, tier) = counting_cluster(1, DurabilityMode::Sync, 1);
+        let s = &mut cores[0];
+        let mut t = 0;
+        let mut step = |s: &mut ServerCore, id: u64| {
+            let acked = s.poll(t).iter().any(|r| r.request_id == id);
+            t += 50_000;
+            acked
+        };
+        let write = |s: &mut ServerCore, id: u64, fill: u8| {
+            let op = FsOp::WriteAt {
+                path: "/h".into(),
+                offset: 0,
+                data: vec![fill; MIB],
+            };
+            s.submit(id, meta(1, 1), op, 0);
+        };
+        s.fs().create("/h", 0).unwrap();
+
+        // 1. The peer's copy lands: the held copy retires without writing.
+        write(s, 1, 1);
+        assert!(!step(s, 1));
+        assert_eq!(s.completions(), 1);
+        let (data, generation) = s.fs().claim_for_copy_on(0, "/h", 0).unwrap();
+        for _ in 0..4 {
+            assert!(!step(s, 1), "acked while the peer's copy is in flight");
+        }
+        let status = s.replicate_status_snapshot().unwrap();
+        assert_eq!((status.inflight, status.replicated_bytes), (1, 0));
+        tier.write_back_extent("/h", 0, data);
+        assert!(s.fs().mark_clean_on(0, "/h", 0, generation));
+        assert!(step(s, 1), "the landed copy releases the held ack");
+        let status = s.replicate_status_snapshot().unwrap();
+        assert_eq!(
+            (status.replicated_bytes, status.failed_replications),
+            (0, 0)
+        );
+        assert_eq!(tier.written(), MIB as u64);
+
+        // 2. The peer gives its claim back: the held copy runs again.
+        write(s, 2, 2);
+        assert!(!step(s, 2));
+        let (_, generation) = s.fs().claim_for_copy_on(0, "/h", 0).unwrap();
+        assert!(!step(s, 2));
+        s.fs().release_claim_on(0, "/h", 0, generation);
+        assert!((0..100).any(|_| step(s, 2)), "re-run copy never acked");
+        assert_eq!(tier_copy(s, "/h", 0), Some(vec![2; MIB]));
+        assert_eq!(tier.written(), 2 * MIB as u64, "one copy per generation");
+
+        // 3. The file is gone: the held copy fails visibly, the ack is not
+        //    held forever.
+        write(s, 3, 3);
+        assert!(!step(s, 3));
+        s.fs().claim_for_copy_on(0, "/h", 0).unwrap();
+        assert!(!step(s, 3));
+        s.fs().unlink("/h", 0).unwrap();
+        assert!(
+            (0..10).any(|_| step(s, 3)),
+            "a gone file's ack never released"
+        );
+        let status = s.replicate_status_snapshot().unwrap();
+        assert_eq!(status.failed_replications, 1);
+        assert!(status.is_idle(), "{status:?}");
+    }
 
     /// A staged server over a tier the test keeps a handle to.
     fn staged_over(staging: StagingConfig, tier: Arc<dyn BackingStore>) -> ServerCore {

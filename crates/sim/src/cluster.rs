@@ -120,11 +120,14 @@ pub struct SimStagingConfig {
     /// Foreground : replicate weight for synthesized durability-copy
     /// traffic.
     pub replicate_weight: u32,
-    /// Whether async replication runs: a
+    /// Whether durability copies run: a
     /// [`SimStagingConfig::replicate_fraction`] share of every foreground
-    /// write byte owes one policy-arbitrated copy onto the replica tier (the
-    /// simulator's byte-level model of the durability classes — it does not
-    /// track per-extent placement), as [`TrafficClass::Replicate`] requests.
+    /// write byte owes one early, policy-arbitrated drain into the capacity
+    /// tier (the simulator's byte-level model of the durability classes —
+    /// it does not track per-extent placement), as
+    /// [`TrafficClass::Replicate`] requests costed like drains. A copy
+    /// claims dirty bytes no drain has admitted, and debt whose bytes a
+    /// drain took first settles unwritten, so each byte is copied out once.
     /// The run quiesces only once the replication lag has drained to zero.
     pub replicate_enabled: bool,
     /// Fraction of foreground write bytes under a replicated durability mode
@@ -256,11 +259,12 @@ pub struct SimResult {
     /// Dirty bytes never drained by the end of the run (0 when the buffer
     /// fully drained; always 0 without staging).
     pub residual_dirty_bytes: u64,
-    /// Total bytes copied onto the replica tier by the replicate class (0
+    /// Total bytes copied into the capacity tier by the replicate class (0
     /// without staging or with [`SimStagingConfig::replicate_enabled`]
-    /// false). Equals `replicate_backlog_bytes·n_servers` plus the
-    /// replicated share of foreground write bytes at the end of a completed
-    /// run.
+    /// false): the boot debt, plus the durable bytes it reached before a
+    /// drain did. Each byte is copied out once, so at the end of a completed
+    /// run `drained_bytes + replicated_bytes` equals the foreground write
+    /// bytes plus `replicate_backlog_bytes·n_servers`.
     pub replicated_bytes: u64,
     /// Replication debt never copied by the end of the run — the residual
     /// replication lag (0 when every owed copy landed; always 0 without
@@ -313,7 +317,8 @@ struct SimServerStaging {
     backing: DeviceTimeline,
     /// Bytes written into the burst buffer and not yet drained.
     dirty_bytes: u64,
-    /// Subset of `dirty_bytes` already admitted as drain requests.
+    /// Subset of `dirty_bytes` already admitted as drain requests or
+    /// claimed by replicate copies.
     queued_bytes: u64,
     /// Drain requests admitted and not yet fully drained.
     inflight: usize,
@@ -339,18 +344,17 @@ struct SimServerStaging {
     rebalance_inflight: usize,
     /// Total bytes migrated.
     migrated_bytes: u64,
-    /// The replica tier absorbing durability copies — deliberately its own
-    /// device timeline, not the capacity tier: replicas live on independent
-    /// media, exactly as in the live core.
-    replica: DeviceTimeline,
     /// Replication debt accrued by this run's durable foreground writes.
     replicate_accrued_bytes: u64,
-    /// Copy bytes admitted so far (the cursor over the replication target:
-    /// boot debt plus accrued debt).
+    /// Debt admitted so far (the cursor over the replication target: the
+    /// boot debt first, then accrued debt).
     replicate_cursor_bytes: u64,
-    /// Copy requests admitted and not yet landed on the replica tier.
+    /// Copy requests admitted and not yet landed in the capacity tier.
     replicate_inflight: usize,
-    /// Total bytes landed on the replica tier.
+    /// Debt settled so far: landed copies, and debt whose bytes a drain
+    /// took first.
+    replicate_settled_bytes: u64,
+    /// Total bytes the replicate class wrote into the capacity tier.
     replicated_bytes: u64,
 }
 
@@ -384,10 +388,10 @@ impl SimServer {
                 rebalance_cursor_bytes: 0,
                 rebalance_inflight: 0,
                 migrated_bytes: 0,
-                replica: DeviceTimeline::new(DeviceModel::new(sc.backing_device)),
                 replicate_accrued_bytes: 0,
                 replicate_cursor_bytes: 0,
                 replicate_inflight: 0,
+                replicate_settled_bytes: 0,
                 replicated_bytes: 0,
             }),
         }
@@ -407,7 +411,8 @@ impl SimServer {
                     && (st.migrated_bytes < st.config.rebalance_backlog_bytes
                         || st.rebalance_inflight > 0))
                 || (st.config.replicate_enabled
-                    && (st.replicated_bytes < st.replicate_target() || st.replicate_inflight > 0))
+                    && (st.replicate_settled_bytes < st.replicate_target()
+                        || st.replicate_inflight > 0))
         })
     }
 }
@@ -495,8 +500,12 @@ impl Simulation {
         let mut scrub_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
         // Rebalance completion events: (migrated_ns, server, bytes).
         let mut rebalance_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Replicate completion events: (landed_ns, server, bytes).
-        let mut replicate_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
+        // Replicate completion events: (landed_ns, server, bytes written,
+        // this run's dirty bytes among them).
+        let mut replicate_events: BinaryHeap<Reverse<(u64, usize, u64, u64)>> = BinaryHeap::new();
+        // Copies admitted and not yet released: copy seq → this run's dirty
+        // bytes it claimed.
+        let mut replicate_claims: HashMap<u64, u64> = HashMap::new();
         // Foreground reads parked behind a restore: restore seq → (server,
         // the read to admit once its bytes are back in the burst buffer).
         let mut waiting_restore: HashMap<u64, (usize, IoRequest)> = HashMap::new();
@@ -614,8 +623,11 @@ impl Simulation {
             }
 
             // 1b'''. Apply replicate completions by `now`: one chunk of the
-            // replication debt landed on the replica tier.
-            while let Some(Reverse((finish, server_idx, bytes))) = replicate_events.peek().copied()
+            // replication debt landed in the capacity tier. A copy is an
+            // early drain: the dirty bytes it claimed at admission leave the
+            // backlog here, exactly as a drain's do.
+            while let Some(Reverse((finish, server_idx, bytes, claimed))) =
+                replicate_events.peek().copied()
             {
                 if finish > now {
                     break;
@@ -623,7 +635,10 @@ impl Simulation {
                 replicate_events.pop();
                 if let Some(st) = servers[server_idx].staging.as_mut() {
                     st.replicate_inflight = st.replicate_inflight.saturating_sub(1);
+                    st.replicate_settled_bytes += bytes;
                     st.replicated_bytes += bytes;
+                    st.dirty_bytes = st.dirty_bytes.saturating_sub(claimed);
+                    st.queued_bytes = st.queued_bytes.saturating_sub(claimed);
                 }
             }
 
@@ -712,6 +727,62 @@ impl Simulation {
                     }
                     rank.ops_issued += 1;
                     rank.inflight += 1;
+                }
+            }
+
+            // 2a. Synthesize replicate traffic: the copy cursor chases the
+            // replication target (the boot debt plus the replicated share of
+            // this run's foreground write bytes) — each chunk a
+            // policy-arbitrated burst-buffer *read* under the replicate
+            // class whose payload then streams into the capacity tier,
+            // costed exactly like a drain, as in the live pipeline. It runs
+            // before the drain pass, so durable bytes leave early, at the
+            // replicate weight.
+            for (server_idx, server) in servers.iter_mut().enumerate() {
+                let Some(st) = server.staging.as_mut() else {
+                    continue;
+                };
+                if !st.config.replicate_enabled {
+                    continue;
+                }
+                while st.replicate_inflight < st.config.max_inflight
+                    && st.replicate_cursor_bytes < st.replicate_target()
+                {
+                    let chunk = st
+                        .config
+                        .drain_chunk_bytes
+                        .min(st.replicate_target() - st.replicate_cursor_bytes)
+                        .max(1);
+                    // The boot debt comes first in cursor order: extents of
+                    // earlier runs, outside this run's dirty backlog.
+                    let boot = st
+                        .config
+                        .replicate_backlog_bytes
+                        .saturating_sub(st.replicate_cursor_bytes)
+                        .min(chunk);
+                    // The rest is this run's debt: the copy claims dirty
+                    // bytes no drain has admitted. Debt whose bytes a drain
+                    // took first settles at once, unwritten — the live lane
+                    // finds those extents claimed or clean.
+                    let undrained = st.dirty_bytes.saturating_sub(st.queued_bytes);
+                    let claimed = (chunk - boot).min(undrained);
+                    st.replicate_cursor_bytes += chunk;
+                    st.replicate_settled_bytes += chunk - boot - claimed;
+                    if boot + claimed == 0 {
+                        continue;
+                    }
+                    let req = IoRequest::new(
+                        next_seq,
+                        TrafficClass::Replicate.meta(server_idx),
+                        OpKind::Read,
+                        boot + claimed,
+                        now,
+                    );
+                    replicate_claims.insert(next_seq, claimed);
+                    next_seq += 1;
+                    st.queued_bytes += claimed;
+                    st.replicate_inflight += 1;
+                    server.engine.admit(req);
                 }
             }
 
@@ -810,41 +881,6 @@ impl Simulation {
                 }
             }
 
-            // 2e. Synthesize replicate traffic: the copy cursor chases the
-            // replication target (the boot debt plus the replicated share of
-            // this run's foreground write bytes) — each chunk a
-            // policy-arbitrated burst-buffer *read* under the replicate
-            // class whose payload then streams onto the replica tier,
-            // mirroring the live pipeline's costing.
-            for (server_idx, server) in servers.iter_mut().enumerate() {
-                let Some(st) = server.staging.as_mut() else {
-                    continue;
-                };
-                if !st.config.replicate_enabled {
-                    continue;
-                }
-                while st.replicate_inflight < st.config.max_inflight
-                    && st.replicate_cursor_bytes < st.replicate_target()
-                {
-                    let chunk = st
-                        .config
-                        .drain_chunk_bytes
-                        .min(st.replicate_target() - st.replicate_cursor_bytes)
-                        .max(1);
-                    let req = IoRequest::new(
-                        next_seq,
-                        TrafficClass::Replicate.meta(server_idx),
-                        OpKind::Read,
-                        chunk,
-                        now,
-                    );
-                    next_seq += 1;
-                    st.replicate_cursor_bytes += chunk;
-                    st.replicate_inflight += 1;
-                    server.engine.admit(req);
-                }
-            }
-
             // 3. Dispatch queued work on every server with an idle worker.
             for (server_idx, server) in servers.iter_mut().enumerate() {
                 while server.device.has_idle_worker(now) {
@@ -936,19 +972,24 @@ impl Simulation {
                         }
                         Some(TrafficClass::Replicate) => {
                             // The engine granted the copy its burst-read
-                            // slot; the replica write is charged on the
-                            // replica tier's own timeline once the read
-                            // finishes, and the chunk counts as replicated
-                            // when it lands — the same costing as the live
-                            // core.
+                            // slot; the capacity-tier write is charged once
+                            // the read finishes, exactly as for a drain, and
+                            // the chunk counts as replicated when it lands —
+                            // the same costing as the live core.
                             let st = server
                                 .staging
                                 .as_mut()
                                 .expect("replicate traffic only exists with staging");
                             let write =
                                 IoRequest::new(req.seq, req.meta, OpKind::Write, req.bytes, finish);
-                            let (_, replica_finish) = st.replica.dispatch(&write, finish);
-                            replicate_events.push(Reverse((replica_finish, server_idx, req.bytes)));
+                            let (_, backing_finish) = st.backing.dispatch(&write, finish);
+                            let claimed = replicate_claims.remove(&req.seq).unwrap_or(0);
+                            replicate_events.push(Reverse((
+                                backing_finish,
+                                server_idx,
+                                req.bytes,
+                                claimed,
+                            )));
                             continue;
                         }
                         None => {}
@@ -1015,7 +1056,7 @@ impl Simulation {
             if let Some(Reverse((finish, _, _))) = rebalance_events.peek() {
                 next = next.min(*finish);
             }
-            if let Some(Reverse((finish, _, _))) = replicate_events.peek() {
+            if let Some(Reverse((finish, _, _, _))) = replicate_events.peek() {
                 next = next.min(*finish);
             }
             for server in servers.iter() {
@@ -1143,7 +1184,10 @@ impl Simulation {
             .iter()
             .filter_map(|s| s.staging.as_ref())
             .filter(|st| st.config.replicate_enabled)
-            .map(|st| st.replicate_target().saturating_sub(st.replicated_bytes))
+            .map(|st| {
+                st.replicate_target()
+                    .saturating_sub(st.replicate_settled_bytes)
+            })
             .sum();
         SimResult {
             metrics,
@@ -1489,8 +1533,9 @@ mod tests {
     fn replication_lag_drains_to_zero_before_quiescence() {
         // Byte-level durability model: with replication enabled, every
         // foreground write byte (fraction 1.0) plus the per-server boot debt
-        // owes exactly one copy on the replica tier, and the run quiesces
-        // only once the lag has drained to zero.
+        // owes one early copy into the capacity tier — paid by whichever lane
+        // reaches the byte first — and the run quiesces only once the lag
+        // has drained to zero.
         let run = |enabled| {
             let job = SimJob::new(
                 meta(1, 1, 2),
@@ -1513,22 +1558,21 @@ mod tests {
             };
             Simulation::new(config, vec![job]).run()
         };
-        let off = run(false);
-        assert_eq!(off.replicated_bytes, 0);
-        assert_eq!(off.residual_replication_lag, 0);
-        let on = run(true);
         // 4 ranks × 16 ops × 1 MiB of durable writes, plus each server's
         // 4 MiB boot debt.
         let writes = 4 * 16 * (1 << 20) as u64;
-        assert_eq!(on.replicated_bytes, writes + 2 * (4 << 20) as u64);
+        let boot = 2 * (4 << 20) as u64;
+        let off = run(false);
+        assert_eq!(off.replicated_bytes, 0);
+        assert_eq!(off.residual_replication_lag, 0);
+        assert_eq!(off.drained_bytes, writes);
+        let on = run(true);
         assert_eq!(on.residual_replication_lag, 0);
-        // The copies compete for the burst device, so they cannot be free.
-        assert!(
-            on.sim_end_ns > off.sim_end_ns,
-            "replication must cost device time ({} vs {})",
-            on.sim_end_ns,
-            off.sim_end_ns
-        );
+        assert_eq!(on.residual_dirty_bytes, 0);
+        // Copies are early drains: this run's bytes left the burst buffer
+        // once, split between the two lanes, and the boot debt on top.
+        assert!(on.replicated_bytes > boot, "no early drain landed");
+        assert_eq!(on.drained_bytes + (on.replicated_bytes - boot), writes);
     }
 
     #[test]
@@ -1559,6 +1603,41 @@ mod tests {
         };
         assert_eq!(run(0).replicated_bytes, 0);
         assert_eq!(run(2 << 20).replicated_bytes, (2 << 20) as u64);
+    }
+
+    #[test]
+    fn partial_fraction_copies_each_byte_once() {
+        // Half the write bytes are durable: the replicate lane copies at
+        // most that half early, the drain lane the rest, and no byte twice.
+        // The boot debt is copied on top and retires none of this run's
+        // dirty bytes.
+        let job = SimJob::new(
+            meta(1, 1, 1),
+            2,
+            OpPattern::WriteOnly {
+                bytes_per_op: 1 << 20,
+            },
+        )
+        .with_max_ops(16);
+        let config = SimConfig {
+            device: fast_device(),
+            staging: Some(SimStagingConfig {
+                backing_device: fast_device(),
+                replicate_enabled: true,
+                replicate_fraction: 0.5,
+                replicate_backlog_bytes: 8 << 20,
+                drain_chunk_bytes: 1 << 20,
+                ..SimStagingConfig::default()
+            }),
+            ..SimConfig::new(1, Algorithm::Themis(Policy::size_fair()))
+        };
+        let r = Simulation::new(config, vec![job]).run();
+        let (writes, boot) = (2 * 16 * (1 << 20) as u64, (8 << 20) as u64);
+        assert_eq!(r.residual_replication_lag, 0);
+        assert_eq!(r.residual_dirty_bytes, 0);
+        let early = r.replicated_bytes - boot;
+        assert!(early > 0 && early <= writes / 2, "{early} copied early");
+        assert_eq!(r.drained_bytes + early, writes);
     }
 
     #[test]

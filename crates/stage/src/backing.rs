@@ -139,14 +139,12 @@ pub trait BackingStore: Send + Sync {
     /// bytes freed.
     fn remove_path(&self, path: &str) -> u64;
 
-    /// Drops one extent, returning the bytes freed (`0` when absent). The
-    /// rebalance pipeline uses this to prune a stale replica from a child
-    /// the shard map no longer places it on; plain tiers default to a no-op
-    /// because nothing outside the sharded router moves single extents.
-    fn remove_extent(&self, path: &str, stripe: u64) -> u64 {
-        let _ = (path, stripe);
-        0
-    }
+    /// Drops one extent, returning the bytes freed (`0` when absent).
+    /// [`write_back_guarded`](crate::write_back_guarded) uses this to take
+    /// back a write-back that delete-wins dropped, and the rebalance
+    /// pipeline to prune a stale replica from a child the shard map no
+    /// longer places it on.
+    fn remove_extent(&self, path: &str, stripe: u64) -> u64;
 
     /// Downcast seam to the sharded router, for callers (the server's
     /// rebalance executor, the conformance harness) that need the reshard

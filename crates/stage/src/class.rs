@@ -43,15 +43,19 @@
 //! | [`TrafficClass::Restore`] | `base + [4096, 8192)` | capacity → burst | 8 |
 //! | [`TrafficClass::Scrub`] | `base + [8192, 12288)` | capacity verify/repair | 16 |
 //! | [`TrafficClass::Rebalance`] | `base + [12288, 16384)` | shard-map migration | 16 |
-//! | [`TrafficClass::Replicate`] | `base + [16384, 20480)` | burst → replica tier | 16 |
+//! | [`TrafficClass::Replicate`] | `base + [16384, 20480)` | burst → capacity (early drain) | 16 |
 //!
 //! Drain and Restore are *demand-driven*: their requests are synthesized in
 //! response to foreground traffic (dirty writes, misses on evicted
 //! extents). Scrub and Rebalance are *maintenance* classes synthesized from
 //! capacity-tier state alone. Replicate is *debt-driven*: each acknowledged
 //! write whose [`DurabilityMode`](themis_core::durability::DurabilityMode)
-//! owes a replica queues bytes the class pays down under its policy weight
-//! (see [`ReplicatePipeline`](crate::replicate::ReplicatePipeline)).
+//! owes a copy off the burst buffer queues bytes the class pays down under
+//! its policy weight (see
+//! [`ReplicatePipeline`](crate::replicate::ReplicatePipeline)). A replicate
+//! copy *is* a drain of its extent, to the same capacity tier; the two lanes
+//! differ only in weight and in what they are owed, and each dirty
+//! generation is written back once, by whichever lane claims it first.
 //!
 //! Within each sub-range, instance `i` is the traffic of server `i`.
 
@@ -80,9 +84,9 @@ pub enum TrafficClass {
     /// sets checksum-verified (see
     /// [`RebalancePipeline`](crate::rebalance::RebalancePipeline)).
     Rebalance,
-    /// Asynchronous durability replication: acknowledged writes whose
-    /// durability mode owes a replica are copied to the replica tier under
-    /// this class's weight (see
+    /// Durability copies: acknowledged writes whose durability mode owes a
+    /// copy off the burst buffer are drained early, to the capacity tier,
+    /// under this class's weight (see
     /// [`ReplicatePipeline`](crate::replicate::ReplicatePipeline)).
     Replicate,
 }
@@ -169,8 +173,8 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         index: 4,
         name: "replicate",
         lane: "replicate",
-        // Replication only has work when a durability spec creates debt;
-        // the class stays off until one does.
+        // Durability copies only have work when a durability spec creates
+        // debt; the class stays off until one does.
         default_weight: 16,
         default_enabled: false,
     },

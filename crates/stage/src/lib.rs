@@ -62,7 +62,7 @@ pub use pipeline::{
     RestoreTarget, StagingConfig,
 };
 pub use rebalance::{RebalancePipeline, RebalanceStatus};
-pub use replicate::{ReplicaTarget, ReplicatePipeline, ReplicateStatus};
+pub use replicate::{ExtentState, ReplicaTarget, ReplicatePipeline, ReplicateStatus};
 pub use scrub::{ScrubPipeline, ScrubStatus, ScrubTarget};
 pub use shard::{
     shard_byte, MigrationOutcome, MigrationPlan, PlacementReport, ShardMap, ShardSpec, ShardedStore,

@@ -4,7 +4,8 @@
 //! steps: **admitted** under a pipelining-depth cap → **released** by the
 //! policy engine → **charged** on the device timelines → **due** at its
 //! `finish_ns` → **landed** (the class-specific effect: mark clean, restore
-//! the extent, judge the checksum, apply the migration, write the replica).
+//! the extent, judge the checksum, apply the migration, release `sync`
+//! acks).
 //! [`ClassQueue`] is the one ledger of that lifecycle — the `seq → (target,
 //! finish_ns)` table of everything a class has in flight — and
 //! [`ClassLifecycle`] is the view of it the server iterates over

@@ -104,10 +104,10 @@ pub struct StagingConfig {
     pub sharding: Option<crate::shard::ShardSpec>,
     /// Drain pipeline parameters.
     pub drain: DrainConfig,
-    /// Durability demand: which writes owe an asynchronous replica (and
-    /// which acks must wait for one). `None` means every write is
-    /// `local_only` — no replica tier is modelled and the replicate class
-    /// stays idle.
+    /// Durability demand: which writes owe an early copy to the capacity
+    /// tier (and which acks must wait for it). `None` means every write is
+    /// `local_only` — drained at the drain weight only, and the replicate
+    /// class stays idle.
     pub durability: Option<themis_core::durability::DurabilitySpec>,
 }
 
@@ -134,9 +134,9 @@ pub struct DrainStatus {
     pub backing_bytes: u64,
     /// Extents currently in flight between the shard and the capacity tier.
     pub inflight_extents: usize,
-    /// Total bytes drained to the capacity tier since boot.
+    /// Total bytes the drain class wrote to the capacity tier since boot.
     pub drained_bytes: u64,
-    /// Total drain operations completed since boot.
+    /// Total drains that wrote an extent to the capacity tier since boot.
     pub drained_ops: u64,
     /// Total bytes reclaimed by watermark eviction since boot.
     pub evicted_bytes: u64,
@@ -179,7 +179,8 @@ pub struct InflightDrain {
     /// clean if the generation still matches at landing (a concurrent
     /// overwrite re-dirties it).
     pub generation: u64,
-    /// Extent length at admission time.
+    /// Extent length at admission time (the burst-device cost), replaced by
+    /// the length of the snapshot written back.
     pub bytes: u64,
 }
 
@@ -267,33 +268,35 @@ impl DrainPipeline {
         self.queue.get(seq)
     }
 
-    /// Records the dirty generation of the snapshot that was written back
-    /// for `seq` — taken at service time, so it may be newer than the one
-    /// seen at admission.
-    pub fn snapshotted(&mut self, seq: u64, generation: u64) {
+    /// Records the snapshot that was written back for `seq`: its dirty
+    /// generation — taken at service time, so it may be newer than the one
+    /// seen at admission — and its length, which is what the landing
+    /// accounts as drained.
+    pub fn snapshotted(&mut self, seq: u64, generation: u64, bytes: u64) {
         if let Some(d) = self.queue.get_mut(seq) {
             d.generation = generation;
+            d.bytes = bytes;
         }
     }
 
-    /// Completes a drain that had nothing left to write when the engine
-    /// released it (unlinked, truncated or already clean), accounting it
-    /// like a landed one.
+    /// Completes a drain that wrote nothing when the engine released it:
+    /// the extent was unlinked, truncated or already clean, another copy
+    /// had claimed its generation, or delete-wins dropped the write-back.
+    /// It frees its slot and key but counts as no drained bytes or op.
     pub fn complete(&mut self, seq: u64) -> Option<InflightDrain> {
-        self.queue.remove(seq).map(|d| self.retire(d))
+        let d = self.queue.remove(seq)?;
+        self.inflight_keys.remove(&(d.path.clone(), d.stripe));
+        Some(d)
     }
 
     /// The next drain whose capacity-tier write finished at or before
-    /// `now_ns`, removed from flight and accounted.
+    /// `now_ns`, removed from flight and accounted at the bytes it wrote.
     pub fn pop_due(&mut self, now_ns: u64) -> Option<InflightDrain> {
-        self.queue.pop_due(now_ns).map(|d| self.retire(d))
-    }
-
-    fn retire(&mut self, d: InflightDrain) -> InflightDrain {
+        let d = self.queue.pop_due(now_ns)?;
         self.inflight_keys.remove(&(d.path.clone(), d.stripe));
         self.drained_bytes.add(d.bytes);
         self.drained_ops.inc();
-        d
+        Some(d)
     }
 
     /// Accounts a watermark eviction of `bytes` across `extents` extents.
@@ -360,7 +363,7 @@ impl ClassLifecycle for DrainPipeline {
 /// unlink/truncate-vs-drain race.
 ///
 /// In a threaded deployment, a peer server can `unlink` or truncate the
-/// path between the drain's `snapshot_extent_on` and this `write_back`:
+/// path between the drain's `claim_for_copy_on` and this `write_back`:
 /// both purge the shard extents *and* call [`BackingStore::remove_path`],
 /// but a write-back that lands afterwards would resurrect a stale copy in
 /// the shared tier — readable forever via stage-in even though the data is
@@ -373,11 +376,17 @@ impl ClassLifecycle for DrainPipeline {
 /// existence check would not catch for truncate (the path survives, its
 /// extents do not).
 ///
+/// A dropped write-back takes back only the extent it wrote: the unlink or
+/// truncate it lost to drops the path's other copies itself. The probe can
+/// also fail spuriously — a peer's write has put the extent in the shard
+/// but not yet raised the file size — and the path's other stripes are
+/// then clean, acknowledged copies the tier must keep.
+///
 /// The tier keeps `data`'s buffer — the drain snapshot's, shared with the
 /// shard — rather than a copy.
 ///
 /// Returns `true` when the copy was kept, `false` when delete won and the
-/// path's tier copies were dropped.
+/// extent's tier copy was dropped.
 pub fn write_back_guarded(
     backing: &dyn BackingStore,
     path: &str,
@@ -389,7 +398,7 @@ pub fn write_back_guarded(
     if still_valid() {
         true
     } else {
-        backing.remove_path(path);
+        backing.remove_extent(path, stripe);
         false
     }
 }
@@ -715,8 +724,10 @@ mod tests {
         assert_eq!(tier.bytes_for("/live"), 64);
         // The race: an unlink lands between the drain's snapshot and its
         // write-back (the existence probe runs after the write and sees the
-        // file gone). Delete must win — no stale copy survives in the tier,
-        // including copies of *other* stripes written earlier.
+        // file gone). Delete must win — no stale copy survives in the tier.
+        // The drop takes back only the extent this write-back added: a
+        // probe that failed spuriously must not cost the path's other,
+        // already-acknowledged copies (an unlink drops those itself).
         tier.write_back("/gone", 1, &[2u8; 32]);
         assert!(!write_back_guarded(
             &tier,
@@ -725,9 +736,9 @@ mod tests {
             Extent::from(vec![2u8; 64]),
             || false
         ));
-        assert_eq!(tier.bytes_for("/gone"), 0);
         assert!(!tier.contains("/gone", 0));
-        assert!(!tier.contains("/gone", 1));
+        assert!(tier.contains("/gone", 1));
+        assert_eq!(tier.bytes_for("/gone"), 32);
     }
 
     #[test]
@@ -740,7 +751,7 @@ mod tests {
         let old: Vec<u8> = (0..1u32 << 20).map(|i| (i % 251) as u8).collect();
         fs.write_at("/ckpt", 0, &old, 1).unwrap();
         let tier = CapacityTier::hdd();
-        let (snapshot, generation) = fs.snapshot_extent_on(0, "/ckpt", 0).unwrap();
+        let (snapshot, generation) = fs.claim_for_copy_on(0, "/ckpt", 0).unwrap();
         assert!(write_back_guarded(&tier, "/ckpt", 0, snapshot, || true));
         assert!(fs.mark_clean_on(0, "/ckpt", 0, generation));
         let drained = crate::backing::verified_extent(&tier, "/ckpt", 0).unwrap();
@@ -785,10 +796,11 @@ mod tests {
         // A drain that was written back lands with the generation of the
         // snapshot actually written, once its capacity-tier write is done.
         p.admit(8, "/ckpt".into(), 1, 42, 1 << 20, 100);
-        p.snapshotted(8, 43);
+        p.snapshotted(8, 43, 3 << 19);
         p.dispatched(8, 900);
         assert!(p.pop_due(899).is_none());
-        assert_eq!(p.pop_due(900).unwrap().generation, 43);
+        let landed = p.pop_due(900).unwrap();
+        assert_eq!((landed.generation, landed.bytes), (43, 3 << 19));
         assert!(!p.is_busy());
     }
 
@@ -826,7 +838,12 @@ mod tests {
         let restore = RestorePipeline::new(0, 4, &registry);
         let mut p = DrainPipeline::new(0, DrainConfig::default(), &registry);
         p.admit(1, "/a".into(), 0, 1, 100, 0);
-        p.complete(1);
+        p.snapshotted(1, 1, 100);
+        p.dispatched(1, 0);
+        p.pop_due(0);
+        // A drain that wrote nothing frees its slot without counting.
+        p.admit(2, "/a".into(), 1, 2, 70, 0);
+        p.complete(2);
         p.record_eviction(2, 300);
         let s = p.status(&restore, 1_000, 400, 100);
         assert_eq!(s.drained_bytes, 100);

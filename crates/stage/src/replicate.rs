@@ -1,29 +1,39 @@
-//! The per-server durability replication pipeline: the bookkeeping of the
-//! replica *debt* acknowledged writes create and the synthesis of the
-//! policy-visible copy traffic that pays it down.
+//! The per-server durability pipeline: the bookkeeping of the copy-out
+//! *debt* acknowledged durable writes create and the synthesis of the
+//! policy-visible traffic that pays it down.
 //!
 //! Durability classes split a write's lifecycle from its guarantee: the
-//! burst buffer acks against local NVMe, and writes whose
-//! [`DurabilityMode`] owes a replica are copied to the replica tier
-//! *asynchronously*, as ordinary [`IoRequest`]s under the
-//! [`TrafficClass::Replicate`] identity. The pipeline does not move bytes itself — the server core (or
-//! the simulator) reads the extent, verifies it (through the
-//! `verified_extent` seam when the source is no longer burst-resident;
-//! unverifiable bytes are **never** replicated), charges the devices, and
-//! writes the replica. The pipeline's job is to make the debt
-//! *policy-visible and observable*:
+//! burst buffer acks against local NVMe, and a write whose
+//! [`DurabilityMode`] owes one copy off the burst buffer is **drained
+//! early**: its extents are copied to the shared capacity tier as ordinary
+//! [`IoRequest`]s under the [`TrafficClass::Replicate`] identity, at the
+//! replicate weight rather than the drain weight. There is no second store.
+//! The capacity tier already outlives a burst server, and a sharded tier
+//! keeps its own replicas.
 //!
-//! * every queued byte of replica debt is surfaced as replication **lag**
+//! The pipeline does not move bytes itself. The server core executes a
+//! released copy exactly as a drain of its extent: it claims the extent's
+//! dirty generation on the shard the stripe maps to, writes it back to the
+//! capacity tier under the delete-wins guard, and lands it by marking that
+//! generation clean. The drain lane copies out the same extents, so the
+//! shard lets each dirty generation be written back at most once, whichever
+//! lane claims it first (`themis_fs::Shard::claim_for_copy`). A copy that
+//! finds its generation claimed by the other lane is *held*
+//! ([`ReplicatePipeline::hold`]) until that copy lands
+//! ([`ReplicatePipeline::resolve_held`]). The pipeline's job is to make the
+//! debt *policy-visible and observable*:
+//!
+//! * every queued byte of debt is surfaced as replication **lag**
 //!   (`requested - completed`, saturating — the satellite-1 audit rule for
 //!   independently-maintained totals);
 //! * each copy is admitted through the staged engine's replicate lane, so
-//!   the bandwidth replication steals from foreground is bounded by
+//!   the bandwidth early drains steal from foreground is bounded by
 //!   [`ClassWeights`](crate::class::ClassWeights)' replicate weight exactly
 //!   like drain/restore/scrub/rebalance;
 //! * `sync` writes park their acks on the pipeline
-//!   ([`ReplicatePipeline::record_sync_deferred`]) until the replica lands,
-//!   so a client never observes a success the replica tier could still
-//!   lose.
+//!   ([`ReplicatePipeline::record_sync_deferred`]) until their bytes are in
+//!   the capacity tier, so a client never observes a success a burst-tier
+//!   crash could still lose.
 
 use crate::class::TrafficClass;
 use crate::lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
@@ -33,8 +43,8 @@ use themis_core::durability::DurabilityMode;
 use themis_core::request::{IoRequest, OpKind};
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
 
-/// One extent owing a replica: where the copy comes from and what debt it
-/// retires.
+/// One extent owing a copy off the burst buffer: where the copy comes from
+/// and what debt it retires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaTarget {
     /// Path of the file the extent belongs to.
@@ -43,11 +53,30 @@ pub struct ReplicaTarget {
     pub stripe: u64,
     /// Extent length at enqueue time (the admitted cost on the burst
     /// device; the copy itself reads the extent's *current* bytes, so a
-    /// grown extent still replicates whole).
+    /// grown extent still copies whole).
     pub bytes: u64,
     /// The durability mode that created the debt. `Sync` targets carry
     /// deferred acks the server releases on completion.
     pub mode: DurabilityMode,
+    /// The `(generation, bytes)` of the snapshot this copy wrote back,
+    /// once executed ([`ReplicatePipeline::copied`]); `None` before, and
+    /// for a copy that wrote nothing.
+    pub copied: Option<(u64, u64)>,
+}
+
+/// What a held copy finds when it looks at its extent again
+/// ([`ReplicatePipeline::resolve_held`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExtentState {
+    /// Dirty, and another copy of its current generation is in flight.
+    Claimed,
+    /// Dirty and unclaimed: the other copy gave its claim back, or a newer
+    /// write replaced its generation.
+    Dirty,
+    /// Clean: a copy of its latest generation landed in the capacity tier.
+    Clean,
+    /// The stripe no longer exists: the path was unlinked or truncated.
+    Gone,
 }
 
 impl ReplicaTarget {
@@ -67,9 +96,9 @@ pub struct ReplicateStatus {
     pub queued_extents: u64,
     /// Copies currently in flight.
     pub inflight: u64,
-    /// Total bytes of replica debt enqueued since boot.
+    /// Total bytes of copy-out debt enqueued since boot.
     pub requested_bytes: u64,
-    /// Total bytes of replica debt retired since boot (at the admitted
+    /// Total bytes of copy-out debt retired since boot (at the admitted
     /// cost, success or failure — the unit matching `requested_bytes`).
     pub completed_bytes: u64,
     /// Replication lag: debt enqueued but not yet retired. Derived
@@ -77,16 +106,18 @@ pub struct ReplicateStatus {
     /// saturate instead of trusting update order (the satellite-1 audit
     /// rule).
     pub lag_bytes: u64,
-    /// Total bytes actually landed on the replica tier since boot.
+    /// Total bytes this lane wrote to the capacity tier since boot. Debt a
+    /// drain paid first retires without adding here.
     pub replicated_bytes: u64,
-    /// Total extents replicated since boot.
+    /// Total extents this lane wrote to the capacity tier since boot.
     pub replicated_extents: u64,
-    /// Copies abandoned because the source bytes could not be verified —
-    /// unverifiable data is never replicated (the PR 5 seam rule).
+    /// Copies abandoned because their stripe was unlinked or truncated
+    /// first.
     pub failed_replications: u64,
-    /// `sync` write acks deferred until their replica lands.
+    /// `sync` write acks deferred until their bytes are in the capacity
+    /// tier.
     pub sync_acks_deferred: u64,
-    /// Deferred `sync` acks released by a landed replica.
+    /// Deferred `sync` acks released once their bytes landed.
     pub sync_acks_released: u64,
 }
 
@@ -100,9 +131,10 @@ impl ReplicateStatus {
     }
 }
 
-/// Per-server replication bookkeeping: the queue of extents owing a
-/// replica, the in-flight ledger, and the cumulative replication counters
-/// (lane `"replicate"` of the registry handed in at construction).
+/// Per-server durability bookkeeping: the queue of extents owing a copy,
+/// the in-flight ledger, the copies held behind another lane's copy, and
+/// the cumulative counters (lane `"replicate"` of the registry handed in at
+/// construction).
 ///
 /// The lag is **derived**, not stored: `replicate_completed_bytes` sorts
 /// before `replicate_requested_bytes`, so a registry snapshot reads the
@@ -114,9 +146,13 @@ pub struct ReplicatePipeline {
     enabled: bool,
     waiting: VecDeque<ReplicaTarget>,
     queue: ClassQueue<ReplicaTarget>,
-    /// Keys waiting or in flight, for deduplication: a re-dirtied extent
-    /// already owing a replica owes exactly one copy (the copy reads the
-    /// latest bytes at execution time).
+    /// Released copies that wrote nothing, waiting for the copy that holds
+    /// their extent's claim to land.
+    held: Vec<ReplicaTarget>,
+    /// Keys waiting or admitted but not yet executed, for deduplication: a
+    /// re-dirtied extent already owing a copy owes exactly one (the copy
+    /// reads the latest bytes at execution time). A write after the copy
+    /// executed owes a new one.
     pending_keys: HashSet<(String, u64)>,
     requested_bytes: Counter,
     completed_bytes: Counter,
@@ -143,6 +179,7 @@ impl ReplicatePipeline {
             enabled,
             waiting: VecDeque::new(),
             queue: ClassQueue::new(TrafficClass::Replicate, server, max_inflight),
+            held: Vec::new(),
             pending_keys: HashSet::new(),
             requested_bytes: registry.counter(key, "replicate_requested_bytes"),
             completed_bytes: registry.counter(key, "replicate_completed_bytes"),
@@ -159,10 +196,11 @@ impl ReplicatePipeline {
         self.enabled
     }
 
-    /// Records the replica debt of one acknowledged write. Returns whether
+    /// Records the copy-out debt of one acknowledged write. Returns whether
     /// new debt was queued: `local_only` writes owe nothing, a disabled
-    /// pipeline takes nothing, and an extent already owing a copy owes
-    /// exactly one (the copy reads the latest bytes when it executes).
+    /// pipeline takes nothing, and an extent already owing a copy that has
+    /// not executed yet owes exactly one (the copy reads the latest bytes
+    /// when it executes).
     pub fn note_write(
         &mut self,
         path: impl Into<String>,
@@ -195,6 +233,7 @@ impl ReplicatePipeline {
             stripe,
             bytes,
             mode,
+            copied: None,
         });
         true
     }
@@ -204,39 +243,95 @@ impl ReplicatePipeline {
         self.queue.get(seq)
     }
 
-    /// The next copy whose replica-tier write finished at or before
-    /// `now_ns`: removed from flight, its key released and its debt retired
-    /// at the admitted cost, so the caller can account the outcome
-    /// ([`record_replicated`](Self::record_replicated) or
-    /// [`record_failed`](Self::record_failed)) and release any deferred
-    /// `sync` acks.
+    /// Records that the released copy `seq` wrote back the snapshot of
+    /// `generation`, `bytes` long. It lands when its charges finish; a
+    /// write from now on owes a new copy.
+    pub fn copied(&mut self, seq: u64, generation: u64, bytes: u64) {
+        if let Some(target) = self.queue.get_mut(seq) {
+            target.copied = Some((generation, bytes));
+            self.pending_keys.remove(&target.key());
+        }
+    }
+
+    /// Holds the released copy `seq`, which found nothing to write: another
+    /// copy holds its extent's claim, the extent is already clean, or it is
+    /// gone. [`resolve_held`](Self::resolve_held) decides what it became.
+    pub fn hold(&mut self, seq: u64) {
+        if let Some(target) = self.queue.remove(seq) {
+            self.pending_keys.remove(&target.key());
+            self.held.push(target);
+        }
+    }
+
+    /// The next copy whose capacity-tier write finished at or before
+    /// `now_ns`: removed from flight and its debt retired at the admitted
+    /// cost, so the caller can land it (mark its generation clean, account
+    /// [`record_replicated`](Self::record_replicated), release `sync`
+    /// acks).
     pub fn pop_due(&mut self, now_ns: u64) -> Option<ReplicaTarget> {
         let target = self.queue.pop_due(now_ns)?;
-        self.pending_keys.remove(&target.key());
+        if target.copied.is_none() {
+            self.pending_keys.remove(&target.key());
+        }
         self.completed_bytes.add(target.bytes);
         Some(target)
     }
 
-    /// Accounts one replica landed on the replica tier (`bytes` is the
-    /// copy's true length).
+    /// Looks at every held copy's extent again through `look` and settles
+    /// the ones whose wait is over. A clean extent retires the debt
+    /// without writing (a drain landed those bytes); a gone one retires it
+    /// as a failed copy; a dirty, unclaimed one goes back to the front of
+    /// the queue (or retires, when a later write's copy already waits);
+    /// a claimed one stays held. Returns the keys of the retired copies —
+    /// for those, every write so far is in the capacity tier or gone.
+    pub fn resolve_held(
+        &mut self,
+        mut look: impl FnMut(&ReplicaTarget) -> ExtentState,
+    ) -> Vec<(String, u64)> {
+        let mut settled = Vec::new();
+        for target in std::mem::take(&mut self.held) {
+            match look(&target) {
+                ExtentState::Claimed => {
+                    self.held.push(target);
+                    continue;
+                }
+                ExtentState::Dirty => {
+                    if self.pending_keys.insert(target.key()) {
+                        self.waiting.push_front(target);
+                    } else {
+                        self.completed_bytes.add(target.bytes);
+                    }
+                    continue;
+                }
+                ExtentState::Clean => {}
+                ExtentState::Gone => self.record_failed(),
+            }
+            self.completed_bytes.add(target.bytes);
+            settled.push(target.key());
+        }
+        settled
+    }
+
+    /// Accounts one copy this lane wrote to the capacity tier (`bytes` is
+    /// the copy's true length).
     pub fn record_replicated(&mut self, bytes: u64) {
         self.replicated_bytes.add(bytes);
         self.replicated_extents.inc();
     }
 
-    /// Accounts a copy abandoned because its source bytes could not be
-    /// verified (or no longer exist) — the debt is retired without a
-    /// replica, and the failure is visible rather than laundered.
+    /// Accounts a copy abandoned because its source no longer exists — the
+    /// debt is retired without a copy, and the failure is visible rather
+    /// than hidden.
     pub fn record_failed(&mut self) {
         self.failed_replications.inc();
     }
 
-    /// Accounts a `sync` write ack parked until its replica lands.
+    /// Accounts a `sync` write ack parked until its bytes land.
     pub fn record_sync_deferred(&mut self) {
         self.sync_acks_deferred.inc();
     }
 
-    /// Accounts a parked `sync` ack released by a landed replica.
+    /// Accounts a parked `sync` ack released once its bytes landed.
     pub fn record_sync_released(&mut self) {
         self.sync_acks_released.inc();
     }
@@ -248,7 +343,7 @@ impl ReplicatePipeline {
         ReplicateStatus {
             enabled: self.enabled,
             queued_extents: self.waiting.len() as u64,
-            inflight: self.queue.len() as u64,
+            inflight: (self.queue.len() + self.held.len()) as u64,
             requested_bytes,
             completed_bytes,
             // Independently-maintained totals: saturate instead of trusting
@@ -266,8 +361,8 @@ impl ReplicatePipeline {
 impl ClassLifecycle for ReplicatePipeline {
     /// Admits the next waiting copy — a *read* of the burst-buffer device
     /// (the copy's cost on the contended resource); the matching
-    /// replica-tier write is charged by the caller when the engine releases
-    /// the request.
+    /// capacity-tier write is charged by the caller when the engine
+    /// releases the request, exactly as for a drain.
     fn admit_next(&mut self, seq: u64, now_ns: u64, _: &AdmitContext<'_>) -> Option<IoRequest> {
         if self.queue.capacity() == 0 {
             return None;
@@ -286,7 +381,7 @@ impl ClassLifecycle for ReplicatePipeline {
     }
 
     fn is_busy(&self) -> bool {
-        !self.waiting.is_empty() || !self.queue.is_empty()
+        !self.waiting.is_empty() || !self.queue.is_empty() || !self.held.is_empty()
     }
 }
 
@@ -398,6 +493,60 @@ mod tests {
         assert_eq!(s.sync_acks_deferred, 1);
         assert_eq!(s.sync_acks_released, 1);
         assert!(s.is_idle());
+    }
+
+    #[test]
+    fn a_write_after_the_copy_executed_owes_a_new_copy() {
+        let mut p = pipeline(0, true, 4);
+        assert!(p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
+        admit(&mut p, 1).unwrap();
+        // Admitted but not executed: a second write folds into it.
+        assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
+        p.copied(1, 7, 1 << 20);
+        assert_eq!(p.inflight(1).unwrap().copied, Some((7, 1 << 20)));
+        // The snapshot is taken: a later write's bytes are not in it.
+        assert!(p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
+        p.dispatched(1, 0);
+        assert_eq!(p.pop_due(0).unwrap().copied, Some((7, 1 << 20)));
+        assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
+        assert_eq!(p.status().lag_bytes, 1 << 20);
+    }
+
+    #[test]
+    fn held_copies_settle_on_what_their_extent_became() {
+        let mut p = pipeline(0, true, 8);
+        for (seq, stripe) in (1..=5).zip(0u64..) {
+            p.note_write("/h", stripe, 100, DurabilityMode::LocalPlusOne);
+            admit(&mut p, seq).unwrap();
+            p.hold(seq);
+        }
+        // Held copies free their admission slot but are still owed.
+        let s = p.status();
+        assert_eq!((s.queued_extents, s.inflight, s.lag_bytes), (0, 5, 500));
+        assert!(p.is_busy());
+        // Stripe 4 was re-written while held: that write's copy waits.
+        assert!(p.note_write("/h", 4, 100, DurabilityMode::LocalPlusOne));
+        let states = [
+            ExtentState::Claimed,
+            ExtentState::Clean,
+            ExtentState::Gone,
+            ExtentState::Dirty,
+            ExtentState::Dirty,
+        ];
+        let mut settled = p.resolve_held(|t| states[t.stripe as usize]);
+        settled.sort();
+        assert_eq!(settled, vec![("/h".to_string(), 1), ("/h".to_string(), 2)]);
+        let s = p.status();
+        // Stripe 0 still held; stripe 3 back in the queue ahead of stripe
+        // 4's new copy, which covers the held one.
+        assert_eq!((s.queued_extents, s.inflight), (2, 1));
+        assert_eq!((s.replicated_extents, s.failed_replications), (0, 1));
+        assert_eq!(s.requested_bytes - s.completed_bytes, 300);
+        let next = admit(&mut p, 6).unwrap();
+        assert_eq!(p.inflight(next.seq).unwrap().stripe, 3);
+        // The claim holder landed: the last held copy retires unwritten.
+        assert_eq!(p.resolve_held(|_| ExtentState::Clean).len(), 1);
+        assert_eq!(p.status().inflight, 1, "only the re-admitted copy");
     }
 
     #[test]

@@ -1047,7 +1047,7 @@ mod tests {
         let fs = themis_fs::BurstBufferFs::new(1);
         fs.create("/k2", 0).unwrap();
         fs.write_at("/k2", 0, &[0x5A; 4096], 1).unwrap();
-        let (snapshot, _) = fs.snapshot_extent_on(0, "/k2", 0).unwrap();
+        let (snapshot, _) = fs.claim_for_copy_on(0, "/k2", 0).unwrap();
         store.write_back_extent("/k2", 0, snapshot);
         let replica = |t: &CapacityTier| t.read_back_with_checksum("/k2", 0).unwrap().0;
         let resident = fs.resident_extent_on(0, "/k2", 0).unwrap();

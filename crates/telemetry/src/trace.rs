@@ -66,7 +66,8 @@ pub enum TraceLane {
     Scrub,
     /// Background shard-map rebalancing of the capacity tier.
     Rebalance,
-    /// Asynchronous durability replication (burst tier → replica tier).
+    /// Durability copies: early drains of durable writes (burst tier →
+    /// capacity tier).
     Replicate,
 }
 

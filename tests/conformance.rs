@@ -16,8 +16,7 @@
 //!   extent checksum-verified and the placement audit converges);
 //! * replicate liveness (durable scenarios retire their whole replication
 //!   debt by quiescence, and the crash-before-replicate audit finds every
-//!   `local_plus_one` write — and no `local_only` write — byte-exact on the
-//!   replica tier);
+//!   `local_plus_one` write byte-exact in the capacity tier);
 //! * telemetry consistency (the live cluster's metrics registry vs. the
 //!   driver's reply-derived accounting, exact to the op and byte).
 //!
