@@ -74,7 +74,7 @@ fn bench_staging(c: &mut Criterion) {
     let tier = CapacityTier::hdd();
     group.bench_function("drain_restore_1MiB", |b| {
         b.iter(|| {
-            let (extent, generation) = fs.claim_for_copy_on(0, "/stage", 0).unwrap();
+            let (extent, generation) = fs.copy_snapshot_on(0, "/stage", 0).unwrap();
             assert!(write_back_guarded(&tier, "/stage", 0, extent, || true));
             assert!(fs.mark_clean_on(0, "/stage", 0, generation));
             assert_eq!(fs.evict_clean_on(0, 0).len(), 1);

@@ -700,7 +700,7 @@ pub const CLASS_INTERFERENCE: [ClassInterference; 4] = [
         verb: "replicated",
         setup: "the pay-down of a 4 GiB boot debt plus this run's writes, all acked\n\
                 local_plus_one: each copy an early drain, read off the burst tier and\n\
-                written to the capacity tier; a byte either lane copied is not copied again",
+                written to the capacity tier in this lane instead of the drain lane",
         baseline: "replication disabled",
         detail: |r| format!("lag zero at {:>7.3} s", finished_at(r)),
         takeaway: "the whole durability debt still lands in the capacity tier before the\n  \

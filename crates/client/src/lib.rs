@@ -370,10 +370,11 @@ impl<L: ServerLink> ThemisClient<L> {
         }
     }
 
-    /// Queries one server's durability-replication state: the replication
-    /// lag (bytes acked but not yet replicated), landed replica counters,
-    /// and the `sync` acks still parked. With no durability spec in force
-    /// the reply reports `enabled: false` with zero lag.
+    /// Queries one server's durability-replication state: the durable
+    /// extents of its shard still waiting to be copied out, the lag of
+    /// copies admitted but not landed, landed copy counters, and the `sync`
+    /// acks it still holds. With no durability spec in force the reply
+    /// reports `enabled: false` with zero lag.
     pub fn replicate_status(&self, server: usize) -> FsResult<ReplicateStatus> {
         let server = server % self.links.len();
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);

@@ -14,7 +14,9 @@ use crate::error::{FsError, FsResult};
 use crate::layout::{Chunk, FileLayout, StripeConfig};
 use crate::path;
 use crate::ring::{HashRing, ServerId};
-use crate::store::{extent_range, DirtyExtent, Extent, ExtentRead, FileMeta, Shard, StatInfo};
+use crate::store::{
+    extent_range, DirtyExtent, Extent, ExtentRead, FileMeta, Shard, StatInfo, Writer,
+};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,17 +178,15 @@ impl BurstBufferFs {
         Ok(self.inner.shards[server].read().has_dirty_for(&p))
     }
 
-    /// Up to `limit` dirty extents on `server` as
-    /// `(path, stripe, generation, length)`, skipping `exclude`.
+    /// Up to `limit` dirty extents on `server` that `keep` accepts (see
+    /// [`Shard::dirty_extents`]). `keep` runs under the shard's read lock.
     pub fn dirty_extents_on(
         &self,
         server: usize,
         limit: usize,
-        exclude: &std::collections::HashSet<(String, u64)>,
-    ) -> Vec<(String, u64, u64, u64)> {
-        self.inner.shards[server]
-            .read()
-            .dirty_extents(limit, exclude)
+        keep: &dyn Fn(&(String, u64), &DirtyExtent) -> bool,
+    ) -> Vec<(String, u64, DirtyExtent, u64)> {
+        self.inner.shards[server].read().dirty_extents(limit, keep)
     }
 
     /// The dirty state of one extent on `server` (see
@@ -195,20 +195,13 @@ impl BurstBufferFs {
         self.inner.shards[server].read().dirty_state(p, stripe)
     }
 
-    /// Claims an extent's dirty generation on `server` for one copy to the
-    /// capacity tier (see [`Shard::claim_for_copy`]).
-    pub fn claim_for_copy_on(&self, server: usize, p: &str, stripe: u64) -> Option<(Extent, u64)> {
-        self.inner.shards[server].write().claim_for_copy(p, stripe)
+    /// Snapshots a dirty extent on `server` for its copy to the capacity tier
+    /// (see [`Shard::copy_snapshot`]).
+    pub fn copy_snapshot_on(&self, server: usize, p: &str, stripe: u64) -> Option<(Extent, u64)> {
+        self.inner.shards[server].read().copy_snapshot(p, stripe)
     }
 
-    /// Gives back a copy claim on `server` (see [`Shard::release_claim`]).
-    pub fn release_claim_on(&self, server: usize, p: &str, stripe: u64, generation: u64) {
-        self.inner.shards[server]
-            .write()
-            .release_claim(p, stripe, generation)
-    }
-
-    /// Marks an extent on `server` clean if its generation still matches.
+    /// Lands a copy of `generation` on `server` (see [`Shard::mark_clean`]).
     pub fn mark_clean_on(&self, server: usize, p: &str, stripe: u64, generation: u64) -> bool {
         self.inner.shards[server]
             .write()
@@ -427,11 +420,25 @@ impl BurstBufferFs {
 
     // ------------------------------------------------------- positional IO
 
-    /// Writes `data` at `offset`, creating extents as needed and updating the
-    /// file size. Returns the number of bytes written. A write whose end
-    /// would overflow the 64-bit file address space is rejected (offsets are
-    /// client-controlled; the arithmetic below must stay panic-free).
+    /// Writes `data` at `offset` with no writer recorded (see
+    /// [`BurstBufferFs::write_at_as`]).
     pub fn write_at(&self, p: &str, offset: u64, data: &[u8], now_ns: u64) -> FsResult<u64> {
+        self.write_at_as(p, offset, data, now_ns, None)
+    }
+
+    /// Writes `data` at `offset`, creating extents as needed and updating the
+    /// file size, and records `writer` as every touched extent's last writer.
+    /// Returns the number of bytes written. A write whose end would overflow
+    /// the 64-bit file address space is rejected (offsets are
+    /// client-controlled; the arithmetic below must stay panic-free).
+    pub fn write_at_as(
+        &self,
+        p: &str,
+        offset: u64,
+        data: &[u8],
+        now_ns: u64,
+        writer: Option<Writer>,
+    ) -> FsResult<u64> {
         let p = path::normalize(p)?;
         if offset.checked_add(data.len() as u64).is_none() {
             return Err(FsError::InvalidArgument(format!(
@@ -446,9 +453,13 @@ impl BurstBufferFs {
             let within = chunk.offset % layout.config.stripe_size;
             let lo = (chunk.offset - offset) as usize;
             let hi = lo + chunk.len as usize;
-            self.shard(chunk.server)
-                .write()
-                .write_extent(&p, stripe, within, &data[lo..hi])?;
+            self.shard(chunk.server).write().write_extent(
+                &p,
+                stripe,
+                within,
+                &data[lo..hi],
+                writer,
+            )?;
         }
         let owner = self.meta_owner(&p);
         self.shard(owner)
@@ -608,14 +619,27 @@ impl BurstBufferFs {
             .ok_or(FsError::BadDescriptor(fd))
     }
 
-    /// Writes at the descriptor's cursor and advances it (`write()`).
+    /// Writes at the descriptor's cursor and advances it (`write()`), with no
+    /// writer recorded.
     pub fn write(&self, fd: u64, data: &[u8], now_ns: u64) -> FsResult<u64> {
+        self.write_as(fd, data, now_ns, None)
+    }
+
+    /// [`BurstBufferFs::write`] recording `writer` as the last writer (see
+    /// [`BurstBufferFs::write_at_as`]).
+    pub fn write_as(
+        &self,
+        fd: u64,
+        data: &[u8],
+        now_ns: u64,
+        writer: Option<Writer>,
+    ) -> FsResult<u64> {
         let (path, cursor) = {
             let fds = self.inner.fds.lock();
             let f = fds.get(&fd).ok_or(FsError::BadDescriptor(fd))?;
             (f.path.clone(), f.cursor)
         };
-        let written = self.write_at(&path, cursor, data, now_ns)?;
+        let written = self.write_at_as(&path, cursor, data, now_ns, writer)?;
         if let Some(f) = self.inner.fds.lock().get_mut(&fd) {
             f.cursor = cursor + written;
         }
@@ -818,9 +842,9 @@ mod tests {
             // Drain a random subset to the model tier and evict it.
             let mut tier: BTreeMap<(String, u64), Extent> = BTreeMap::new();
             for server in 0..servers {
-                for (p, stripe, _, _) in f.dirty_extents_on(server, usize::MAX, &HashSet::new()) {
+                for (p, stripe, _, _) in f.dirty_extents_on(server, usize::MAX, &|_, _| true) {
                     if next(2) == 0 {
-                        let (data, generation) = f.claim_for_copy_on(server, &p, stripe).unwrap();
+                        let (data, generation) = f.copy_snapshot_on(server, &p, stripe).unwrap();
                         assert!(f.mark_clean_on(server, &p, stripe, generation));
                         tier.insert((p, stripe), data);
                     }
@@ -1039,5 +1063,95 @@ mod tests {
             assert!(data.iter().all(|b| *b == t as u8));
         }
         assert_eq!(f.readdir("/out").unwrap().len(), 8);
+    }
+
+    #[test]
+    fn dirty_extent_records_the_last_writer_property() {
+        // Interleaved writers on 1-3 servers, with drains, evictions and
+        // restore-for-write pins: every dirty extent names the job of the
+        // last write that touched it.
+        use std::collections::{BTreeMap, HashMap};
+        use themis_core::entity::{JobId, UserId};
+        let mut seed: u64 = 0x0917_7e55;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1)
+        };
+        let writer = |job: u64| Writer {
+            job: JobId(job),
+            user: UserId(100 + job as u32),
+        };
+        let mut pins = 0;
+        for case in 0..48 {
+            let servers = 1 + next(3) as usize;
+            let ss = 64u64;
+            let f = BurstBufferFs::with_stripe_config(servers, StripeConfig::new(ss, servers));
+            f.create("/w", 0).unwrap();
+            let layout = f.layout_of("/w").unwrap();
+            let shard_of = |stripe: u64| layout.server_for_stripe(stripe).unwrap().0;
+            let fd = f.open("/w", OpenFlags::read_only(), 0).unwrap();
+            let mut last: HashMap<u64, u64> = HashMap::new();
+            let mut tier: BTreeMap<u64, Extent> = BTreeMap::new();
+            for step in 0..120 {
+                match next(4) {
+                    0 | 1 => {
+                        let job = 1 + next(4);
+                        let (off, len) = (next(6 * ss), 1 + next(2 * ss));
+                        let data = vec![job as u8; len as usize];
+                        let stripes = off / ss..=(off + len - 1) / ss;
+                        // Stage evicted targets back in pinned, as the
+                        // server's restore-for-write does.
+                        for stripe in stripes.clone() {
+                            let shard = shard_of(stripe);
+                            let evicted = f.evicted_extents_on(shard, Some("/w"));
+                            if evicted.iter().any(|(_, s, _)| *s == stripe) {
+                                let copy = tier[&stripe].clone();
+                                f.restore_extent_on(shard, "/w", stripe, copy, true);
+                                let pinned = f.dirty_state_on(shard, "/w", stripe);
+                                assert_eq!(pinned.unwrap().writer, None, "case {case}");
+                                pins += 1;
+                            }
+                        }
+                        if next(2) == 0 {
+                            f.write_at_as("/w", off, &data, step, Some(writer(job)))
+                                .unwrap();
+                        } else {
+                            f.lseek(fd, off as i64, Whence::Set).unwrap();
+                            f.write_as(fd, &data, step, Some(writer(job))).unwrap();
+                        }
+                        for stripe in stripes {
+                            last.insert(stripe, job);
+                        }
+                    }
+                    2 => {
+                        for server in 0..servers {
+                            let dirty = f.dirty_extents_on(server, usize::MAX, &|_, _| true);
+                            for (p, stripe, d, _) in dirty {
+                                if next(2) == 0 {
+                                    let (data, g) = f.copy_snapshot_on(server, &p, stripe).unwrap();
+                                    assert_eq!(g, d.generation);
+                                    assert!(f.mark_clean_on(server, &p, stripe, g));
+                                    tier.insert(stripe, data);
+                                }
+                            }
+                        }
+                    }
+                    _ => {
+                        for server in 0..servers {
+                            f.evict_clean_on(server, 0);
+                        }
+                    }
+                }
+                for server in 0..servers {
+                    for (_, stripe, d, _) in f.dirty_extents_on(server, usize::MAX, &|_, _| true) {
+                        let expected = last.get(&stripe).map(|job| writer(*job));
+                        assert_eq!(d.writer, expected, "case {case} step {step}");
+                    }
+                }
+            }
+        }
+        assert!(pins > 0, "no case pinned a restore-for-write");
     }
 }

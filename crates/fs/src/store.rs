@@ -33,6 +33,7 @@ use crate::ring::ServerId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use themis_core::entity::{JobId, UserId};
 
 /// The bytes of one stripe extent, shared copy-on-write between the shard
 /// that holds it resident, the capacity tier that holds its drained copy and
@@ -162,15 +163,30 @@ pub enum ExtentRead<'a> {
     Evicted,
 }
 
-/// The dirty state of one extent: the generation of its last write, and
-/// whether a copy of that generation is on its way to the capacity tier.
+/// Who made an extent's last write: the job and user a durability rule
+/// matches on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Writer {
+    /// The writing job.
+    pub job: JobId,
+    /// The user the job runs as.
+    pub user: UserId,
+}
+
+/// The dirty state of one extent: its last write, and how much of its
+/// history is already in the capacity tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirtyExtent {
     /// Generation of the last write (monotonic per shard).
     pub generation: u64,
-    /// Whether a copy-out of `generation` holds the claim
-    /// ([`Shard::claim_for_copy`]). A newer write starts unclaimed.
-    pub claimed: bool,
+    /// Every write of this extent up to this generation has a copy in the
+    /// capacity tier. An extent that turns dirty starts one below its first
+    /// generation (it was clean); a copy that lands after a newer write
+    /// raises it to the generation it carried ([`Shard::mark_clean`]).
+    pub landed: u64,
+    /// The last write's writer; `None` for a restore-for-write pin no write
+    /// has landed on yet and for writes through the writer-less API.
+    pub writer: Option<Writer>,
 }
 
 /// One server's slice of the file system: the metadata of paths that hash to
@@ -184,13 +200,11 @@ pub struct DirtyExtent {
 /// stays in the evicted set so reads can tell "hole" apart from "data lives
 /// in the capacity tier".
 ///
-/// Two staging lanes copy dirty extents out (drain, and replicate for
-/// durable writes), possibly from different servers. The shard, which they
-/// all share, makes sure each dirty generation is written back **at most
-/// once**: a copy must [`claim`](Shard::claim_for_copy) the generation
-/// first, and the claim holds until the copy lands
-/// ([`mark_clean`](Shard::mark_clean)) or gives up
-/// ([`release_claim`](Shard::release_claim)).
+/// Only the server that owns the shard copies its dirty extents out, one
+/// copy per extent at a time, so each dirty generation is written back at
+/// most once. Each entry records its last writer, which decides the copy's
+/// durability lane, and the newest generation known to be in the capacity
+/// tier, which releases `sync` acks on other servers.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Shard {
     server: usize,
@@ -202,8 +216,8 @@ pub struct Shard {
     extents: BTreeMap<(String, u64), Extent>,
     /// Bytes stored in extents on this shard.
     bytes_stored: u64,
-    /// Dirty extents: key → generation of the last write and its copy-out
-    /// claim. Absent keys with a resident extent are clean (drained).
+    /// Dirty extents: key → the last write and the generation landed so
+    /// far. Absent keys with a resident extent are clean (drained).
     dirty: BTreeMap<(String, u64), DirtyExtent>,
     /// Bytes in dirty extents (sum of their full lengths).
     bytes_dirty: u64,
@@ -340,7 +354,8 @@ impl Shard {
 
     /// Writes `data` into the extent of stripe `stripe` of `path`, starting
     /// at `offset_in_stripe`. Extents grow on demand (byte-addressable
-    /// allocation). The extent becomes dirty under a fresh generation.
+    /// allocation). The extent becomes dirty under a fresh generation, with
+    /// `writer` as its last writer.
     ///
     /// Fails with [`FsError::NotResident`] when the extent was evicted to the
     /// capacity tier: a partial overwrite of evicted bytes would silently
@@ -356,6 +371,7 @@ impl Shard {
         stripe: u64,
         offset_in_stripe: u64,
         data: &[u8],
+        writer: Option<Writer>,
     ) -> FsResult<()> {
         let key = (path.to_string(), stripe);
         if self.evicted.contains_key(&key) {
@@ -373,17 +389,8 @@ impl Shard {
         // extents — a clean→dirty transition adds the whole extent, a write
         // to an already-dirty extent adds only its growth.
         let new_len = extent.len() as u64;
-        self.next_generation += 1;
-        let generation = self.next_generation;
-        let fresh = DirtyExtent {
-            generation,
-            claimed: false,
-        };
-        if self.dirty.insert(key, fresh).is_some() {
-            self.bytes_dirty += new_len - old_len;
-        } else {
-            self.bytes_dirty += new_len;
-        }
+        let fresh = self.dirty_with(key, writer);
+        self.bytes_dirty += if fresh { new_len } else { new_len - old_len };
         Ok(())
     }
 
@@ -460,25 +467,20 @@ impl Shard {
             .is_some()
     }
 
-    /// Up to `limit` dirty extents as `(path, stripe, generation, length)`,
-    /// skipping keys in `exclude` (extents already in flight) and extents
-    /// whose current generation another copy has claimed.
+    /// Up to `limit` dirty extents `keep` accepts, as `(path, stripe, state,
+    /// length)`.
     pub fn dirty_extents(
         &self,
         limit: usize,
-        exclude: &std::collections::HashSet<(String, u64)>,
-    ) -> Vec<(String, u64, u64, u64)> {
+        keep: impl Fn(&(String, u64), &DirtyExtent) -> bool,
+    ) -> Vec<(String, u64, DirtyExtent, u64)> {
         self.dirty
             .iter()
-            .filter(|(k, d)| !d.claimed && !exclude.contains(k))
+            .filter(|(k, d)| keep(k, d))
             .take(limit)
-            .map(|((path, stripe), d)| {
-                let len = self
-                    .extents
-                    .get(&(path.clone(), *stripe))
-                    .map(|e| e.len() as u64)
-                    .unwrap_or(0);
-                (path.clone(), *stripe, d.generation, len)
+            .map(|(key, d)| {
+                let len = self.extents.get(key).map_or(0, |e| e.len() as u64);
+                (key.0.clone(), key.1, *d, len)
             })
             .collect()
     }
@@ -488,60 +490,36 @@ impl Shard {
         self.dirty.get(&(path.to_string(), stripe)).copied()
     }
 
-    /// A snapshot of one dirty extent that takes no claim, for tests that
-    /// inspect a generation without copying it out.
-    #[cfg(test)]
-    pub fn snapshot_extent(&self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
+    /// A consistent snapshot of a dirty extent for its copy to the capacity
+    /// tier: its buffer, shared rather than copied (a later write copies it
+    /// first, see [`Shard::write_extent`]), and its generation. This is the
+    /// only way a dirty extent's bytes leave the shard. `None` when the
+    /// extent is clean or absent.
+    pub fn copy_snapshot(&self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
         let key = (path.to_string(), stripe);
         let generation = self.dirty.get(&key)?.generation;
-        let data = self.extents.get(&key)?.clone();
-        Some((data, generation))
+        Some((self.extents.get(&key)?.clone(), generation))
     }
 
-    /// Claims the extent's current dirty generation for one copy to the
-    /// capacity tier and returns a consistent snapshot of it: its buffer,
-    /// shared rather than copied (a later write copies it first, see
-    /// [`Shard::write_extent`]), and that generation. This is the only way
-    /// a dirty extent's bytes leave the shard. `None` when the extent is
-    /// clean or absent, or when another copy already claimed this
-    /// generation: each dirty generation is written back at most once,
-    /// whichever lane reaches it first. The claim holds until
-    /// [`mark_clean`](Shard::mark_clean) lands that generation, a newer
-    /// write replaces it, or [`release_claim`](Shard::release_claim) gives
-    /// it back.
-    pub fn claim_for_copy(&mut self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
-        let key = (path.to_string(), stripe);
-        let dirty = self.dirty.get_mut(&key).filter(|d| !d.claimed)?;
-        let data = self.extents.get(&key)?.clone();
-        dirty.claimed = true;
-        Some((data, dirty.generation))
-    }
-
-    /// Gives back the claim on `generation` taken by a copy that wrote
-    /// nothing (delete-wins dropped it), so the extent can be copied again.
-    /// A no-op once a newer write replaced the generation.
-    pub fn release_claim(&mut self, path: &str, stripe: u64, generation: u64) {
-        if let Some(d) = self.dirty.get_mut(&(path.to_string(), stripe)) {
-            if d.generation == generation {
-                d.claimed = false;
-            }
-        }
-    }
-
-    /// Marks an extent clean if — and only if — its dirty generation still
-    /// equals `generation` (the drain snapshot is current), which also ends
-    /// that generation's claim. Returns whether the extent is now clean; a
-    /// concurrent overwrite keeps it dirty.
+    /// Lands a copy of `generation`: marks the extent clean if — and only
+    /// if — its dirty generation still equals `generation` (the copy is
+    /// current). A concurrent overwrite keeps it dirty, and the entry
+    /// records that `generation` is in the capacity tier
+    /// ([`DirtyExtent::landed`]). Returns whether the extent is now clean.
     pub fn mark_clean(&mut self, path: &str, stripe: u64, generation: u64) -> bool {
         let key = (path.to_string(), stripe);
-        match self.dirty.get(&key) {
+        match self.dirty.get_mut(&key) {
             Some(d) if d.generation == generation => {
                 self.dirty.remove(&key);
-                let len = self.extents.get(&key).map(|e| e.len() as u64).unwrap_or(0);
+                let len = self.extents.get(&key).map_or(0, |e| e.len() as u64);
                 self.bytes_dirty = self.bytes_dirty.saturating_sub(len);
                 true
             }
-            _ => false,
+            Some(d) => {
+                d.landed = d.landed.max(generation);
+                false
+            }
+            None => false,
         }
     }
 
@@ -594,15 +572,25 @@ impl Shard {
         self.evicted.remove(&key);
         self.bytes_stored += data.len() as u64;
         if mark_dirty {
-            self.next_generation += 1;
-            let pinned = DirtyExtent {
-                generation: self.next_generation,
-                claimed: false,
-            };
-            self.dirty.insert(key.clone(), pinned);
             self.bytes_dirty += data.len() as u64;
+            self.dirty_with(key.clone(), None);
         }
         self.extents.insert(key, data);
+    }
+
+    /// Dirties `key` under a fresh generation written by `writer`, returning
+    /// whether it was clean. A clean extent has every earlier generation in
+    /// the capacity tier.
+    fn dirty_with(&mut self, key: (String, u64), writer: Option<Writer>) -> bool {
+        self.next_generation += 1;
+        let generation = self.next_generation;
+        let landed = self.dirty.get(&key).map_or(generation - 1, |d| d.landed);
+        let entry = DirtyExtent {
+            generation,
+            landed,
+            writer,
+        };
+        self.dirty.insert(key, entry).is_none()
     }
 
     /// Number of evicted extents on this shard (O(1) — the staging hot path
@@ -728,7 +716,7 @@ mod tests {
     #[test]
     fn extent_write_read_roundtrip_and_growth() {
         let mut s = Shard::new(ServerId(1));
-        s.write_extent("/a", 0, 10, b"hello").unwrap();
+        s.write_extent("/a", 0, 10, b"hello", None).unwrap();
         assert_eq!(read(&s, "/a", 0, 10, 5), b"hello");
         // Bytes before the written region read as zeros.
         assert_eq!(read(&s, "/a", 0, 0, 3), vec![0, 0, 0]);
@@ -741,8 +729,8 @@ mod tests {
     #[test]
     fn overwrite_does_not_grow_storage() {
         let mut s = Shard::new(ServerId(1));
-        s.write_extent("/a", 0, 0, &[1u8; 100]).unwrap();
-        s.write_extent("/a", 0, 20, &[2u8; 30]).unwrap();
+        s.write_extent("/a", 0, 0, &[1u8; 100], None).unwrap();
+        s.write_extent("/a", 0, 20, &[2u8; 30], None).unwrap();
         assert_eq!(s.bytes_stored(), 100);
         assert_eq!(read(&s, "/a", 0, 20, 1), vec![2]);
     }
@@ -750,7 +738,7 @@ mod tests {
     #[test]
     fn checked_read_distinguishes_hole_short_read_and_data() {
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/f", 0, 10, b"hello").unwrap();
+        s.write_extent("/f", 0, 10, b"hello", None).unwrap();
         // Never-written stripe: a logical hole, not data.
         assert_eq!(s.read_extent_checked("/f", 5, 0, 8), ExtentRead::Hole);
         // Written stripe: data, short at the extent tail.
@@ -777,30 +765,30 @@ mod tests {
     #[test]
     fn dirty_tracking_and_generation_guarded_clean() {
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/a", 0, 0, &[1u8; 100]).unwrap();
+        s.write_extent("/a", 0, 0, &[1u8; 100], None).unwrap();
         assert_eq!(s.bytes_dirty(), 100);
         assert!(s.has_dirty_for("/a"));
-        let (data, generation) = s.snapshot_extent("/a", 0).unwrap();
+        let (data, generation) = s.copy_snapshot("/a", 0).unwrap();
         assert_eq!(data.len(), 100);
         // A write after the snapshot bumps the generation: the stale drain
         // must not mark the extent clean.
-        s.write_extent("/a", 0, 0, &[2u8; 10]).unwrap();
+        s.write_extent("/a", 0, 0, &[2u8; 10], None).unwrap();
         assert!(!s.mark_clean("/a", 0, generation));
         assert_eq!(s.bytes_dirty(), 100);
         // Draining the current generation succeeds.
-        let (_, generation) = s.snapshot_extent("/a", 0).unwrap();
+        let (_, generation) = s.copy_snapshot("/a", 0).unwrap();
         assert!(s.mark_clean("/a", 0, generation));
         assert_eq!(s.bytes_dirty(), 0);
         assert_eq!(s.bytes_clean(), 100);
         assert!(!s.has_dirty_for("/a"));
-        assert!(s.snapshot_extent("/a", 0).is_none());
+        assert!(s.copy_snapshot("/a", 0).is_none());
     }
 
     #[test]
     fn dirty_bytes_account_growth_not_overwrite() {
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/a", 0, 0, &[1u8; 100]).unwrap();
-        s.write_extent("/a", 0, 50, &[2u8; 100]).unwrap();
+        s.write_extent("/a", 0, 0, &[1u8; 100], None).unwrap();
+        s.write_extent("/a", 0, 50, &[2u8; 100], None).unwrap();
         assert_eq!(s.bytes_dirty(), 150);
         assert_eq!(s.bytes_stored(), 150);
     }
@@ -808,9 +796,9 @@ mod tests {
     #[test]
     fn eviction_skips_dirty_extents_and_tracks_residency() {
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/clean", 0, 0, &[1u8; 100]).unwrap();
-        s.write_extent("/dirty", 0, 0, &[2u8; 100]).unwrap();
-        let (_, generation) = s.snapshot_extent("/clean", 0).unwrap();
+        s.write_extent("/clean", 0, 0, &[1u8; 100], None).unwrap();
+        s.write_extent("/dirty", 0, 0, &[2u8; 100], None).unwrap();
+        let (_, generation) = s.copy_snapshot("/clean", 0).unwrap();
         s.mark_clean("/clean", 0, generation);
         // Ask for full eviction: only the clean extent goes.
         let evicted = s.evict_clean_until(0);
@@ -825,7 +813,7 @@ mod tests {
         assert_eq!(s.evicted_extents(Some("/clean")).len(), 1);
         // Writing to an evicted extent is refused (stage in first).
         assert!(matches!(
-            s.write_extent("/clean", 0, 0, b"x"),
+            s.write_extent("/clean", 0, 0, b"x", None),
             Err(FsError::NotResident(_))
         ));
         // Restore brings the bytes back clean.
@@ -842,8 +830,8 @@ mod tests {
     #[test]
     fn restore_for_write_pins_the_extent_dirty() {
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/w", 0, 0, &[3u8; 64]).unwrap();
-        let (_, generation) = s.snapshot_extent("/w", 0).unwrap();
+        s.write_extent("/w", 0, 0, &[3u8; 64], None).unwrap();
+        let (_, generation) = s.copy_snapshot("/w", 0).unwrap();
         s.mark_clean("/w", 0, generation);
         s.evict_clean_until(0);
         // Restore-for-write: the extent comes back dirty, so eviction cannot
@@ -851,29 +839,28 @@ mod tests {
         s.restore_extent("/w", 0, extent(&[3u8; 64]), true);
         assert_eq!(s.bytes_dirty(), 64);
         assert!(s.evict_clean_until(0).is_empty());
-        assert!(s.write_extent("/w", 0, 10, b"ok").is_ok());
+        assert!(s.write_extent("/w", 0, 10, b"ok", None).is_ok());
     }
 
     #[test]
     fn dirty_extents_respects_limit_and_exclusion() {
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/a", 0, 0, &[1u8; 10]).unwrap();
-        s.write_extent("/a", 1, 0, &[1u8; 20]).unwrap();
-        s.write_extent("/b", 0, 0, &[1u8; 30]).unwrap();
-        let mut exclude = std::collections::HashSet::new();
-        exclude.insert(("/a".to_string(), 0));
-        let d = s.dirty_extents(10, &exclude);
+        s.write_extent("/a", 0, 0, &[1u8; 10], None).unwrap();
+        s.write_extent("/a", 1, 0, &[1u8; 20], None).unwrap();
+        s.write_extent("/b", 0, 0, &[1u8; 30], None).unwrap();
+        let keep = |key: &(String, u64), _: &DirtyExtent| *key != ("/a".to_string(), 0);
+        let d = s.dirty_extents(10, keep);
         assert_eq!(d.len(), 2);
         assert!(d.iter().all(|(p, st, _, _)| !(p == "/a" && *st == 0)));
-        assert_eq!(s.dirty_extents(1, &exclude).len(), 1);
+        assert_eq!(s.dirty_extents(1, keep).len(), 1);
     }
 
     #[test]
     fn remove_extents_purges_dirty_and_evicted_state() {
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/a", 0, 0, &[1u8; 50]).unwrap();
-        s.write_extent("/a", 1, 0, &[1u8; 50]).unwrap();
-        let (_, generation) = s.snapshot_extent("/a", 1).unwrap();
+        s.write_extent("/a", 0, 0, &[1u8; 50], None).unwrap();
+        s.write_extent("/a", 1, 0, &[1u8; 50], None).unwrap();
+        let (_, generation) = s.copy_snapshot("/a", 1).unwrap();
         s.mark_clean("/a", 1, generation);
         s.evict_clean_until(50);
         assert_eq!(s.evicted_extents(Some("/a")).len(), 1);
@@ -895,8 +882,8 @@ mod tests {
         // running before, between, or after fetches always sees the same
         // state, and repeated reads keep being served from the tier.
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/rt", 0, 0, &[9u8; 64]).unwrap();
-        let (tier_copy, generation) = s.snapshot_extent("/rt", 0).unwrap();
+        s.write_extent("/rt", 0, 0, &[9u8; 64], None).unwrap();
+        let (tier_copy, generation) = s.copy_snapshot("/rt", 0).unwrap();
         s.mark_clean("/rt", 0, generation);
         s.evict_clean_until(0);
         for _ in 0..3 {
@@ -917,8 +904,8 @@ mod tests {
         // between restore and write reclaims nothing, and the write lands
         // on the restored bytes.
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/pin", 0, 0, &[5u8; 128]).unwrap();
-        let (tier_copy, generation) = s.snapshot_extent("/pin", 0).unwrap();
+        s.write_extent("/pin", 0, 0, &[5u8; 128], None).unwrap();
+        let (tier_copy, generation) = s.copy_snapshot("/pin", 0).unwrap();
         s.mark_clean("/pin", 0, generation);
         s.evict_clean_until(0);
         // Writer: restore pinned dirty.
@@ -926,7 +913,7 @@ mod tests {
         // Evictor fires between the restore and the write — full pressure.
         assert!(s.evict_clean_until(0).is_empty(), "pinned extent evicted");
         // Writer retries; the overwrite merges with the restored bytes.
-        s.write_extent("/pin", 0, 10, b"ok").unwrap();
+        s.write_extent("/pin", 0, 10, b"ok", None).unwrap();
         let got = read(&s, "/pin", 0, 0, 128);
         assert_eq!(&got[..10], &[5u8; 10]);
         assert_eq!(&got[10..12], b"ok");
@@ -934,7 +921,7 @@ mod tests {
         // The write copied the buffer the restore shared with the tier.
         assert_eq!(tier_copy, vec![5u8; 128]);
         // Un-pinned restores (the plain stage-in path) stay evictable.
-        let (_, generation) = s.snapshot_extent("/pin", 0).unwrap();
+        let (_, generation) = s.copy_snapshot("/pin", 0).unwrap();
         s.mark_clean("/pin", 0, generation);
         assert_eq!(s.evict_clean_until(0).len(), 1);
     }
@@ -945,16 +932,16 @@ mod tests {
         // the shard's side and leaves the snapshot's bytes alone. A restore
         // keeps the buffer it is handed.
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
-        let (snapshot, generation) = s.snapshot_extent("/c", 0).unwrap();
+        s.write_extent("/c", 0, 0, &[1u8; 64], None).unwrap();
+        let (snapshot, generation) = s.copy_snapshot("/c", 0).unwrap();
         assert!(snapshot.shares_buffer(&s.resident_extent("/c", 0).unwrap()));
-        s.write_extent("/c", 0, 8, &[2u8; 8]).unwrap();
+        s.write_extent("/c", 0, 8, &[2u8; 8], None).unwrap();
         assert_eq!(snapshot, vec![1u8; 64]);
         assert!(!snapshot.shares_buffer(&s.resident_extent("/c", 0).unwrap()));
         assert_eq!(&read(&s, "/c", 0, 8, 8), &[2u8; 8]);
         assert!(!s.mark_clean("/c", 0, generation));
 
-        let (latest, generation) = s.snapshot_extent("/c", 0).unwrap();
+        let (latest, generation) = s.copy_snapshot("/c", 0).unwrap();
         assert!(s.mark_clean("/c", 0, generation));
         s.evict_clean_until(0);
         s.restore_extent("/c", 0, latest.clone(), false);
@@ -968,8 +955,8 @@ mod tests {
         // in flight for g must not mark the pinned extent clean — that
         // would re-expose it to the evictor before the write lands.
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/g", 0, 0, &[1u8; 32]).unwrap();
-        let (data, g) = s.snapshot_extent("/g", 0).unwrap();
+        s.write_extent("/g", 0, 0, &[1u8; 32], None).unwrap();
+        let (data, g) = s.copy_snapshot("/g", 0).unwrap();
         assert!(s.mark_clean("/g", 0, g));
         s.evict_clean_until(0);
         s.restore_extent("/g", 0, data, true);
@@ -978,7 +965,7 @@ mod tests {
         assert_eq!(s.bytes_dirty(), 32, "pin must survive the stale ack");
         assert!(s.evict_clean_until(0).is_empty());
         // The current generation still cleans normally.
-        let (_, g2) = s.snapshot_extent("/g", 0).unwrap();
+        let (_, g2) = s.copy_snapshot("/g", 0).unwrap();
         assert!(g2 > g, "generations must be monotonic across restores");
         assert!(s.mark_clean("/g", 0, g2));
     }
@@ -990,16 +977,16 @@ mod tests {
         // mark_clean(g) must fail, and until a fresh drain of g+1 lands the
         // extent must be invisible to the evictor.
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/mid", 0, 0, &[7u8; 100]).unwrap();
-        let (_, g) = s.snapshot_extent("/mid", 0).unwrap();
+        s.write_extent("/mid", 0, 0, &[7u8; 100], None).unwrap();
+        let (_, g) = s.copy_snapshot("/mid", 0).unwrap();
         // Concurrent overwrite while the drain is in flight.
-        s.write_extent("/mid", 0, 40, &[8u8; 20]).unwrap();
+        s.write_extent("/mid", 0, 40, &[8u8; 20], None).unwrap();
         assert!(!s.mark_clean("/mid", 0, g));
         assert!(s.evict_clean_until(0).is_empty(), "dirty extent evicted");
         assert_eq!(s.bytes_dirty(), 100);
         // The re-drain of the current generation succeeds and carries the
         // overwritten bytes.
-        let (data, g2) = s.snapshot_extent("/mid", 0).unwrap();
+        let (data, g2) = s.copy_snapshot("/mid", 0).unwrap();
         assert_eq!(&data[40..60], &[8u8; 20]);
         assert!(s.mark_clean("/mid", 0, g2));
         assert_eq!(s.evict_clean_until(0).len(), 1);
@@ -1011,8 +998,8 @@ mod tests {
         // completion must be a no-op, not resurrect state or corrupt
         // counters.
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/gone", 0, 0, &[3u8; 50]).unwrap();
-        let (_, g) = s.snapshot_extent("/gone", 0).unwrap();
+        s.write_extent("/gone", 0, 0, &[3u8; 50], None).unwrap();
+        let (_, g) = s.copy_snapshot("/gone", 0).unwrap();
         s.remove_extents("/gone");
         assert!(!s.mark_clean("/gone", 0, g));
         assert_eq!(s.bytes_dirty(), 0);
@@ -1050,7 +1037,7 @@ mod tests {
                     0 => {
                         let byte = (next() % 251) as u8;
                         let len = 8 + (next() % 56) as usize;
-                        match s.write_extent("/f", stripe as u64, 0, &vec![byte; len]) {
+                        match s.write_extent("/f", stripe as u64, 0, &vec![byte; len], None) {
                             Ok(()) => {
                                 if expected[stripe].len() < len {
                                     expected[stripe].resize(len, 0);
@@ -1062,7 +1049,7 @@ mod tests {
                                 // write pinned, then retry.
                                 let copy = tier[stripe].clone().expect("evicted implies tier copy");
                                 s.restore_extent("/f", stripe as u64, copy, true);
-                                s.write_extent("/f", stripe as u64, 0, &vec![byte; len])
+                                s.write_extent("/f", stripe as u64, 0, &vec![byte; len], None)
                                     .expect("restored extent must accept writes");
                                 if expected[stripe].len() < len {
                                     expected[stripe].resize(len, 0);
@@ -1074,7 +1061,7 @@ mod tests {
                     }
                     // Drainer: snapshot the current generation.
                     1 => {
-                        if let Some((data, g)) = s.snapshot_extent("/f", stripe as u64) {
+                        if let Some((data, g)) = s.copy_snapshot("/f", stripe as u64) {
                             tier[stripe] = Some(data);
                             inflight[stripe] = Some(g);
                         }
@@ -1151,84 +1138,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn copy_out_second_claim_of_a_generation_is_refused() {
-        let mut s = Shard::new(ServerId(0));
-        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
-        let (data, generation) = s.claim_for_copy("/c", 0).expect("dirty and unclaimed");
-        assert_eq!(data, vec![1u8; 64]);
-        assert!(s.claim_for_copy("/c", 0).is_none(), "claimed twice");
-        let state = s.dirty_state("/c", 0).unwrap();
-        assert_eq!((state.generation, state.claimed), (generation, true));
-        // The claimed extent stays dirty, but no drain admits it again.
-        assert_eq!(s.bytes_dirty(), 64);
-        assert!(s.dirty_extents(8, &Default::default()).is_empty());
-        // A clean or absent extent has nothing to claim.
-        assert!(s.claim_for_copy("/none", 0).is_none());
-    }
-
+    /// A landed copy ends the extent's dirty entry: nothing is left to copy
+    /// until the next write.
     #[test]
     fn copy_out_mark_clean_clears_the_claim() {
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
-        let (_, generation) = s.claim_for_copy("/c", 0).unwrap();
+        s.write_extent("/c", 0, 0, &[1u8; 64], None).unwrap();
+        let (data, generation) = s.copy_snapshot("/c", 0).expect("dirty");
+        assert_eq!(data, vec![1u8; 64]);
         assert!(s.mark_clean("/c", 0, generation));
         assert!(s.dirty_state("/c", 0).is_none());
         assert!(
-            s.claim_for_copy("/c", 0).is_none(),
+            s.copy_snapshot("/c", 0).is_none(),
             "clean has nothing to copy"
         );
-        // The next write starts a fresh, unclaimed generation.
-        s.write_extent("/c", 0, 0, &[2u8; 8]).unwrap();
-        let (_, next) = s.claim_for_copy("/c", 0).expect("re-dirtied is claimable");
-        assert!(next > generation);
+        // The next write dirties a fresh generation; every earlier one is in
+        // the tier.
+        s.write_extent("/c", 0, 0, &[2u8; 8], None).unwrap();
+        let state = s.dirty_state("/c", 0).unwrap();
+        assert!(state.generation > generation);
+        assert_eq!(state.landed, state.generation - 1);
     }
 
+    /// A write while a copy is in flight hands the next copy its newer
+    /// generation; the late landing records the older one as landed.
     #[test]
     fn copy_out_newer_write_is_claimable() {
         let mut s = Shard::new(ServerId(0));
-        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
-        let (old, g1) = s.claim_for_copy("/c", 0).unwrap();
-        // A write lands while the first copy is in flight: its generation is
-        // a different one, and a second copy may take it.
-        s.write_extent("/c", 0, 0, &[2u8; 8]).unwrap();
-        assert_eq!(s.dirty_extents(8, &Default::default()).len(), 1);
-        let (new, g2) = s.claim_for_copy("/c", 0).expect("newer generation");
+        s.write_extent("/c", 0, 0, &[1u8; 64], None).unwrap();
+        let (old, g1) = s.copy_snapshot("/c", 0).unwrap();
+        // A write lands while the copy of g1 is in flight.
+        s.write_extent("/c", 0, 0, &[2u8; 8], None).unwrap();
+        let (new, g2) = s.copy_snapshot("/c", 0).unwrap();
         assert!(g2 > g1);
-        assert_eq!(old[0], 1);
-        assert_eq!(new[0], 2);
-        // The first copy lands late: its generation is gone, the extent
-        // stays dirty under the second claim, which its landing ends.
+        assert_eq!((old[0], new[0]), (1, 2));
+        // The copy of g1 lands late: the extent stays dirty, but its entry
+        // now says g1 is in the tier, and a stale landing never lowers that.
         assert!(!s.mark_clean("/c", 0, g1));
-        assert!(s.dirty_state("/c", 0).unwrap().claimed);
-        s.release_claim("/c", 0, g1);
-        assert!(s.dirty_state("/c", 0).unwrap().claimed, "stale release");
+        assert_eq!(s.dirty_state("/c", 0).unwrap().landed, g1);
+        assert!(!s.mark_clean("/c", 0, g1 - 1));
+        assert_eq!(s.dirty_state("/c", 0).unwrap().landed, g1);
+        assert_eq!(s.dirty_extents(8, |_, _| true).len(), 1);
         assert!(s.mark_clean("/c", 0, g2));
-    }
-
-    #[test]
-    fn copy_out_released_claim_is_claimable_again() {
-        // Delete-wins dropped the copy (the probe raced a write whose size
-        // update had not landed yet): the extent is still dirty at the same
-        // generation, and it must not stay claimed by a copy that wrote
-        // nothing.
-        let mut s = Shard::new(ServerId(0));
-        s.write_extent("/c", 0, 0, &[1u8; 64]).unwrap();
-        let (_, generation) = s.claim_for_copy("/c", 0).unwrap();
-        s.release_claim("/c", 0, generation);
-        assert!(!s.dirty_state("/c", 0).unwrap().claimed);
-        assert_eq!(s.dirty_extents(8, &Default::default()).len(), 1);
-        let (_, again) = s.claim_for_copy("/c", 0).expect("released");
-        assert_eq!(again, generation);
-        assert!(s.mark_clean("/c", 0, again));
     }
 
     #[test]
     fn remove_extents_frees_bytes_for_that_path_only() {
         let mut s = Shard::new(ServerId(1));
-        s.write_extent("/a", 0, 0, &[1u8; 50]).unwrap();
-        s.write_extent("/a", 3, 0, &[1u8; 25]).unwrap();
-        s.write_extent("/b", 0, 0, &[1u8; 10]).unwrap();
+        s.write_extent("/a", 0, 0, &[1u8; 50], None).unwrap();
+        s.write_extent("/a", 3, 0, &[1u8; 25], None).unwrap();
+        s.write_extent("/b", 0, 0, &[1u8; 10], None).unwrap();
         assert_eq!(s.remove_extents("/a"), 75);
         assert_eq!(s.bytes_stored(), 10);
         assert_eq!(read(&s, "/b", 0, 0, 10).len(), 10);

@@ -200,10 +200,8 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
     // way a completed drain would: copy to the capacity tier, mark clean.
     if let Some(backing) = &backing {
         for server in 0..n {
-            for (path, stripe, _, _) in
-                fs.dirty_extents_on(server, usize::MAX, &std::collections::HashSet::new())
-            {
-                if let Some((data, generation)) = fs.claim_for_copy_on(server, &path, stripe) {
+            for (path, stripe, _, _) in fs.dirty_extents_on(server, usize::MAX, &|_, _| true) {
+                if let Some((data, generation)) = fs.copy_snapshot_on(server, &path, stripe) {
                     backing.write_back_extent(&path, stripe, data);
                     fs.mark_clean_on(server, &path, stripe, generation);
                 }

@@ -17,7 +17,7 @@ use themis_core::request::{Completion, IoRequest};
 use themis_core::shares::ShareMap;
 use themis_core::sync::{LambdaClock, SyncConfig};
 use themis_device::{DeviceConfig, DeviceModel, DeviceTimeline};
-use themis_fs::{BurstBufferFs, FsError, OpenFlags, Whence};
+use themis_fs::{BurstBufferFs, FsError, OpenFlags, Whence, Writer};
 use themis_net::message::{FsOp, FsReply, StageReply};
 use themis_stage::{BackingStore, StagedEngine, StagingConfig, TrafficClass};
 use themis_telemetry::{
@@ -575,9 +575,13 @@ impl ServerCore {
     ) {
         // The stripes a write dirties are computed *before* execution:
         // cursor writes move their descriptor's cursor when they run.
-        let spans = self.write_spans(op);
+        let stripes = self.write_stripes(op);
         let (start_ns, finish_ns) = self.device.dispatch(&request, now_ns);
-        let reply = self.execute(op, finish_ns);
+        let writer = Writer {
+            job: request.meta.job,
+            user: request.meta.user,
+        };
+        let reply = self.execute(op, writer, finish_ns);
         let completion = Completion {
             request,
             start_ns,
@@ -591,7 +595,7 @@ impl ServerCore {
             reply,
             completion,
         };
-        self.note_durable_write(spans, reply, ready, now_ns);
+        self.defer_sync_ack(stripes, reply, ready);
     }
 
     /// Records one foreground completion into its tenant's series: the op
@@ -702,14 +706,15 @@ impl ServerCore {
     /// extents are resident. The read-through fetcher and the synchronous
     /// restore below remain as the fallback for the cross-server race —
     /// a peer evicting a shared-shard extent after the parking pre-check.
-    pub(crate) fn execute(&mut self, op: &FsOp, now_ns: u64) -> FsReply {
-        match self.try_execute(op, now_ns) {
+    /// Every extent a write dirties records `writer` as its last writer.
+    pub(crate) fn execute(&mut self, op: &FsOp, writer: Writer, now_ns: u64) -> FsReply {
+        match self.try_execute(op, writer, now_ns) {
             Ok(reply) => reply,
             Err(FsError::NotResident(path)) if self.staging.is_some() => {
-                let targets = self.write_target_stripes(op);
+                let targets = self.write_stripes(op).map(|(_, stripes)| stripes);
                 let shards = 0..self.fs.server_count();
                 self.restore_extents(shards, &path, now_ns, targets.as_ref());
-                match self.try_execute(op, now_ns) {
+                match self.try_execute(op, writer, now_ns) {
                     Ok(reply) => reply,
                     Err(e) => FsReply::Error(e.to_string()),
                 }
@@ -718,7 +723,7 @@ impl ServerCore {
         }
     }
 
-    fn try_execute(&mut self, op: &FsOp, now_ns: u64) -> Result<FsReply, FsError> {
+    fn try_execute(&mut self, op: &FsOp, writer: Writer, now_ns: u64) -> Result<FsReply, FsError> {
         match op {
             FsOp::Open {
                 path,
@@ -741,10 +746,13 @@ impl ServerCore {
                 Ok(FsReply::Fd(fd))
             }
             FsOp::Close { fd } => self.fs.close(*fd).map(|_| FsReply::Ok),
-            FsOp::Write { fd, data } => self.fs.write(*fd, data, now_ns).map(FsReply::Count),
+            FsOp::Write { fd, data } => self
+                .fs
+                .write_as(*fd, data, now_ns, Some(writer))
+                .map(FsReply::Count),
             FsOp::WriteAt { path, offset, data } => self
                 .fs
-                .write_at(path, *offset, data, now_ns)
+                .write_at_as(path, *offset, data, now_ns, Some(writer))
                 .map(FsReply::Count),
             FsOp::Read { fd, len } => self
                 .read_through(ReadTarget::Fd(*fd), *len, now_ns)

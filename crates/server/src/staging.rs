@@ -5,6 +5,7 @@
 
 use crate::core::{ReadyReply, ServerCore, StageReady};
 use std::collections::{HashMap, HashSet};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use themis_core::durability::DurabilitySpec;
 use themis_core::entity::JobMeta;
@@ -15,9 +16,9 @@ use themis_net::message::{FsOp, FsReply, StageReply};
 use themis_stage::shard::MigrationPlan;
 use themis_stage::{
     extent_checksum, write_back_guarded, AdmitContext, BackingStore, CapacityTier, ClassLifecycle,
-    DrainPipeline, DrainStatus, ExtentState, MigrationOutcome, RebalancePipeline, RebalanceStatus,
-    ReplicatePipeline, ReplicateStatus, RestorePipeline, RestoreTarget, ScrubPipeline, ScrubStatus,
-    ScrubTarget, StagingConfig, TrafficClass,
+    DrainPipeline, DrainStatus, MigrationOutcome, RebalancePipeline, RebalanceStatus,
+    ReplicateStatus, RestorePipeline, RestoreTarget, ScrubPipeline, ScrubStatus, ScrubTarget,
+    StagingConfig, TrafficClass,
 };
 use themis_telemetry::{MetricsRegistry, TraceKind};
 
@@ -80,7 +81,8 @@ impl Charge {
     fn of(class: TrafficClass) -> Charge {
         let (after_burst, legs): (bool, &'static [OpKind]) = match class {
             // Read the snapshot off the burst device, then write it to the
-            // capacity tier. A replicate copy is a drain of its extent.
+            // capacity tier. A durable extent's copy is a drain at another
+            // weight.
             TrafficClass::Drain | TrafficClass::Replicate => (true, &[OpKind::Write]),
             // The capacity tier is read while the burst device takes the
             // extent write (restore) or the verification slot (scrub).
@@ -111,37 +113,35 @@ fn stripe_exists(fs: &BurstBufferFs, path: &str, stripe: u64) -> bool {
     fs.stat(path).is_ok_and(|s| s.size > stripe_start)
 }
 
-/// What a held replicate copy finds at its extent now.
-fn extent_state(fs: &BurstBufferFs, path: &str, stripe: u64) -> ExtentState {
-    let dirty = stripe_shard(fs, path, stripe).and_then(|s| fs.dirty_state_on(s, path, stripe));
-    match dirty {
-        Some(d) if d.claimed => ExtentState::Claimed,
-        Some(_) => ExtentState::Dirty,
-        None if stripe_exists(fs, path, stripe) => ExtentState::Clean,
-        None => ExtentState::Gone,
-    }
-}
-
 /// What a parked `sync` ack waits for: for every `(path, stripe)` the write
 /// dirtied, the dirty generation it left, which a landed copy of that
 /// generation or a newer one releases.
 type StripeGenerations = HashMap<(String, u64), u64>;
 
-/// The server-side staging state: one pipeline per traffic class, the
-/// capacity tier with its device timeline, plus work waiting on a class's
-/// landings.
+/// One traffic class per pipeline, in [`TrafficClass::ALL`] order: the
+/// drain pipeline runs the Replicate lane too.
+const PIPELINES: [TrafficClass; 4] = [
+    TrafficClass::Drain,
+    TrafficClass::Restore,
+    TrafficClass::Scrub,
+    TrafficClass::Rebalance,
+];
+
+/// The server-side staging state: one pipeline per traffic class (the
+/// drain pipeline copies out through both the Drain and the Replicate
+/// lane), the capacity tier with its device timeline, plus work waiting on
+/// a class's landings.
 pub(crate) struct StageState {
     pub(crate) drain: DrainPipeline,
     pub(crate) restore: RestorePipeline,
     pub(crate) scrub: ScrubPipeline,
     pub(crate) rebalance: RebalancePipeline,
-    pub(crate) replicate: ReplicatePipeline,
     pub(crate) backing: Arc<dyn BackingStore>,
     backing_device: DeviceTimeline,
     /// The durability policy in force (`None`: every write is local-only).
     durability: Option<DurabilitySpec>,
-    /// Foreground `sync` write acks parked until their bytes are in the
-    /// capacity tier.
+    /// Foreground `sync` write acks parked until the shards of the stripes
+    /// they wrote report their bytes in the capacity tier.
     pending_sync_acks: Vec<(ReadyReply, StripeGenerations)>,
     /// Flushes waiting for their path's local extents to become clean.
     pub(crate) pending_flushes: Vec<(u64, String)>,
@@ -187,7 +187,7 @@ impl StageState {
             sc.backing_device
         };
         StageState {
-            drain: DrainPipeline::new(server, sc.drain, registry),
+            drain: DrainPipeline::new(server, sc.drain, sc.durability.clone(), registry),
             restore: RestorePipeline::new(server, depth, registry),
             scrub: ScrubPipeline::new(
                 server,
@@ -199,16 +199,6 @@ impl StageState {
             rebalance: RebalancePipeline::new(
                 server,
                 enabled(TrafficClass::Rebalance),
-                depth,
-                registry,
-            ),
-            // Early drains run only when the durability policy actually owes
-            // copies somewhere (and the class is not disabled outright);
-            // otherwise the pipeline is constructed inert and takes no debt.
-            replicate: ReplicatePipeline::new(
-                server,
-                enabled(TrafficClass::Replicate)
-                    && sc.durability.as_ref().is_some_and(|d| d.any_replicated()),
                 depth,
                 registry,
             ),
@@ -226,67 +216,28 @@ impl StageState {
     /// The lifecycle view of `class`'s pipeline.
     pub(crate) fn lifecycle(&self, class: TrafficClass) -> &dyn ClassLifecycle {
         match class {
-            TrafficClass::Drain => &self.drain,
+            TrafficClass::Drain | TrafficClass::Replicate => &self.drain,
             TrafficClass::Restore => &self.restore,
             TrafficClass::Scrub => &self.scrub,
             TrafficClass::Rebalance => &self.rebalance,
-            TrafficClass::Replicate => &self.replicate,
         }
     }
 
     fn lifecycle_mut(&mut self, class: TrafficClass) -> &mut dyn ClassLifecycle {
         match class {
-            TrafficClass::Drain => &mut self.drain,
+            TrafficClass::Drain | TrafficClass::Replicate => &mut self.drain,
             TrafficClass::Restore => &mut self.restore,
             TrafficClass::Scrub => &mut self.scrub,
             TrafficClass::Rebalance => &mut self.rebalance,
-            TrafficClass::Replicate => &mut self.replicate,
         }
     }
 
-    /// The copy-out drain and replicate share, the half of their execution
-    /// no charge row describes: claim the extent's dirty generation on
-    /// `shard`, write its snapshot back to the capacity tier under the
-    /// delete-wins guard, and lift the scrub quarantine the rewrite heals.
-    /// Returns the `(generation, bytes)` written, or `None` when nothing
-    /// was: the extent is clean or gone, another copy holds this
-    /// generation's claim, or delete won.
-    fn copy_out(
-        &mut self,
-        fs: &BurstBufferFs,
-        shard: usize,
-        path: &str,
-        stripe: u64,
-    ) -> Option<(u64, u64)> {
-        // Snapshot at service time — the extent may have been overwritten
-        // (or drained and unlinked) since admission.
-        let (data, generation) = fs.claim_for_copy_on(shard, path, stripe)?;
-        let bytes = data.len() as u64;
-        // Delete-wins: a peer's unlink or truncate can land between the
-        // claim above and this write-back; the guarded write re-probes
-        // afterwards so the shared tier never keeps a stale copy.
-        let kept = write_back_guarded(self.backing.as_ref(), path, stripe, data, || {
-            stripe_exists(fs, path, stripe)
-        });
-        if !kept {
-            // Give the claim back: the probe may have raced a write whose
-            // size update had not landed yet, and that extent is still
-            // dirty at this generation and must be copied later.
-            fs.release_claim_on(shard, path, stripe, generation);
-            return None;
-        }
-        // The write-back recomputed the extent's checksum, so a
-        // previously quarantined copy is sound again.
-        self.scrub.unquarantine(path, stripe);
-        Some((generation, bytes))
-    }
-
-    /// Executes a released drain or replicate request: the copy-out of its
-    /// extent. A drain copies from this server's shard; a replicate copy
-    /// from the shard its stripe maps to, which may not be the server that
-    /// executed the write. Returns the bytes written, or `None` when
-    /// nothing was and the request left flight: a drain completes, a
-    /// replicate copy is held until its extent settles.
+    /// Executes a released copy-out request of either lane, the half no
+    /// charge row describes: snapshot the extent on this server's shard,
+    /// write it back to the capacity tier under the delete-wins guard, and
+    /// lift the scrub quarantine the rewrite heals. Returns the bytes
+    /// written, or `None` when nothing was (the extent is clean or gone, or
+    /// delete won) and the request left flight.
     fn execute_copy_out(
         &mut self,
         fs: &BurstBufferFs,
@@ -294,29 +245,34 @@ impl StageState {
         class: TrafficClass,
         seq: u64,
     ) -> Option<u64> {
-        let (shard, path, stripe) = if class == TrafficClass::Replicate {
-            let t = self.replicate.inflight(seq)?;
-            (
-                stripe_shard(fs, &t.path, t.stripe),
-                t.path.clone(),
-                t.stripe,
-            )
-        } else {
-            let d = self.drain.inflight(seq)?;
-            (Some(server), d.path.clone(), d.stripe)
+        let d = self.drain.inflight(seq)?;
+        let (path, stripe) = (d.path.clone(), d.stripe);
+        // Snapshot at service time — the extent may have been overwritten
+        // (or drained and unlinked) since admission. Delete-wins: a peer's
+        // unlink or truncate can land between the snapshot and the
+        // write-back; the guarded write re-probes afterwards so the shared
+        // tier never keeps a stale copy. A dropped copy leaves the extent
+        // dirty, so it is copied again: the probe may have raced a write
+        // whose size update had not landed yet.
+        let exists = || stripe_exists(fs, &path, stripe);
+        let written = fs
+            .copy_snapshot_on(server, &path, stripe)
+            .filter(|(data, _)| {
+                write_back_guarded(self.backing.as_ref(), &path, stripe, data.clone(), exists)
+            });
+        let Some((data, generation)) = written else {
+            self.drain.complete(seq);
+            if class == TrafficClass::Replicate && !exists() {
+                self.drain.replicate_mut().record_failed();
+            }
+            return None;
         };
-        let written = shard.and_then(|shard| self.copy_out(fs, shard, &path, stripe));
-        match (class, written) {
-            (TrafficClass::Replicate, Some((generation, bytes))) => {
-                self.replicate.copied(seq, generation, bytes)
-            }
-            (TrafficClass::Replicate, None) => self.replicate.hold(seq),
-            (_, Some((generation, bytes))) => self.drain.snapshotted(seq, generation, bytes),
-            (_, None) => {
-                self.drain.complete(seq);
-            }
-        }
-        written.map(|(_, bytes)| bytes)
+        // The write-back recomputed the extent's checksum, so a previously
+        // quarantined copy is sound again.
+        self.scrub.unquarantine(&path, stripe);
+        let bytes = data.len() as u64;
+        self.drain.snapshotted(seq, generation, bytes);
+        Some(bytes)
     }
 
     /// Lands a restore: hands the tier's extent buffer back to the shard and
@@ -428,47 +384,25 @@ impl StageState {
         }
     }
 
-    /// Lands the replicate copies due by `now_ns` and settles the held ones,
-    /// then releases the `sync` acks whose bytes are now in the capacity
-    /// tier. A copy that wrote lands exactly as a drain does — its
-    /// generation is marked clean on the extent's shard — and counts as
-    /// replicated. A held copy settles once its extent is clean (a drain
-    /// landed the bytes: the debt retires without writing) or gone.
-    fn land_replicate(&mut self, fs: &BurstBufferFs, now_ns: u64, ready: &mut Vec<ReadyReply>) {
-        let mut landed = Vec::new();
-        while let Some(target) = self.replicate.pop_due(now_ns) {
-            let Some((generation, bytes)) = target.copied else {
-                continue;
-            };
-            if let Some(shard) = stripe_shard(fs, &target.path, target.stripe) {
-                fs.mark_clean_on(shard, &target.path, target.stripe, generation);
-            }
-            self.replicate.record_replicated(bytes);
-            landed.push((target.key(), generation));
-        }
-        let settled = self
-            .replicate
-            .resolve_held(|t| extent_state(fs, &t.path, t.stripe));
-        // Clean or gone: every write to it so far is in the tier, or moot.
-        landed.extend(settled.into_iter().map(|key| (key, u64::MAX)));
-        self.release_sync_acks(&landed, ready);
-    }
-
-    /// Releases the `sync` acks whose every awaited stripe is among
-    /// `landed`, each `(key, generation)` landing every write that left a
-    /// generation up to `generation`.
-    fn release_sync_acks(&mut self, landed: &[((String, u64), u64)], ready: &mut Vec<ReadyReply>) {
+    /// Releases the `sync` acks whose every awaited stripe's shard reports
+    /// a copy of the generation the write left, or of a newer one, in the
+    /// capacity tier: the extent is clean or gone, or its dirty entry says
+    /// that generation landed. The owner of the shard may be another server.
+    fn release_sync_acks(&mut self, fs: &BurstBufferFs, ready: &mut Vec<ReadyReply>) {
+        let landed = |(path, stripe): &(String, u64), left: &u64| {
+            stripe_shard(fs, path, *stripe)
+                .and_then(|shard| fs.dirty_state_on(shard, path, *stripe))
+                .is_none_or(|d| d.landed >= *left)
+        };
         let mut j = 0;
         while j < self.pending_sync_acks.len() {
-            let waits = &mut self.pending_sync_acks[j].1;
-            for (key, generation) in landed {
-                if waits.get(key).is_some_and(|left| left <= generation) {
-                    waits.remove(key);
-                }
-            }
-            if self.pending_sync_acks[j].1.is_empty() {
+            if self.pending_sync_acks[j]
+                .1
+                .iter()
+                .all(|(k, g)| landed(k, g))
+            {
                 let (reply, _) = self.pending_sync_acks.swap_remove(j);
-                self.replicate.record_sync_released();
+                self.drain.replicate_mut().record_sync_released();
                 ready.push(reply);
             } else {
                 j += 1;
@@ -535,10 +469,11 @@ impl ServerCore {
         Some(st.rebalance.status(st.backing.as_sharded()))
     }
 
-    /// A point-in-time replication status snapshot, `None` when staging is
-    /// disabled.
+    /// A point-in-time status snapshot of this server's durable copy-out and
+    /// of the `sync` acks it deferred, `None` when staging is disabled.
     pub fn replicate_status_snapshot(&self) -> Option<ReplicateStatus> {
-        self.staging.as_ref().map(|st| st.replicate.status())
+        let st = self.staging.as_ref()?;
+        Some(st.drain.replicate_status(&self.fs))
     }
 
     /// Queues `reply` for `request_id`, or the staging-disabled error when
@@ -720,7 +655,7 @@ impl ServerCore {
         shards: std::ops::Range<usize>,
         path: &str,
         now_ns: u64,
-        targets: Option<&HashSet<u64>>,
+        targets: Option<&RangeInclusive<u64>>,
     ) -> u64 {
         let Some(st) = self.staging.as_mut() else {
             return 0;
@@ -729,7 +664,7 @@ impl ServerCore {
         let mut restored = 0u64;
         for shard in shards {
             for (p, stripe, _) in self.fs.evicted_extents_on(shard, Some(path)) {
-                if targets.is_some_and(|set| !set.contains(&stripe)) {
+                if targets.is_some_and(|range| !range.contains(&stripe)) {
                     continue;
                 }
                 // Verified read: a corrupt tier copy is a miss, never a
@@ -768,13 +703,15 @@ impl ServerCore {
         // 1. Landings, every class before the eviction pass: a freshly
         //    restored extent cannot be reclaimed out from under the parked
         //    op it was restored for, and a scrub repair's burst-copy source
-        //    cannot be reclaimed in the same tick it is needed.
-        for class in TrafficClass::ALL {
+        //    cannot be reclaimed in the same tick it is needed. Then the
+        //    `sync` acks whose copies landed, here or on a peer's shard.
+        for class in PIPELINES {
             self.land_due(class, now_ns, ready);
         }
         let Some(st) = self.staging.as_mut() else {
             return;
         };
+        st.release_sync_acks(&self.fs, ready);
 
         // 2. Watermark eviction: reclaim clean extents down to the low
         //    watermark. Dirty extents are never touched.
@@ -787,11 +724,11 @@ impl ServerCore {
             }
         }
 
-        // 3. Admission: each class synthesizes policy-arbitrated requests
-        //    for the work it has due — dirty extents, queued restores, the
-        //    scrub and rebalance passes' next extents, replica debt — up to
-        //    its pipelining depth.
-        self.admit_classes(&TrafficClass::ALL, now_ns);
+        // 3. Admission: each pipeline synthesizes policy-arbitrated requests
+        //    for the work it has due — dirty extents (durable ones in the
+        //    Replicate lane), queued restores, the scrub and rebalance
+        //    passes' next extents — up to its pipelining depth.
+        self.admit_classes(&PIPELINES, now_ns);
         let Some(st) = self.staging.as_mut() else {
             return;
         };
@@ -840,16 +777,15 @@ impl ServerCore {
     /// `now_ns`. What landing *means* is the one thing the classes do not
     /// share: a drain marks its extent clean (unless a concurrent write
     /// re-dirtied it — the generation check), a restore puts the extent
-    /// back and wakes its waiters, a scrub judges a checksum, a migration
-    /// re-places an extent, and a replicate copy lands as a drain and then
-    /// releases `sync` acks.
+    /// back and wakes its waiters, a scrub judges a checksum, and a migration
+    /// re-places an extent. Both copy-out lanes land as drains.
     fn land_due(&mut self, class: TrafficClass, now_ns: u64, ready: &mut Vec<ReadyReply>) {
         let server = self.server_index;
         let Some(st) = self.staging.as_mut() else {
             return;
         };
         match class {
-            TrafficClass::Drain => {
+            TrafficClass::Drain | TrafficClass::Replicate => {
                 while let Some(d) = st.drain.pop_due(now_ns) {
                     self.fs
                         .mark_clean_on(server, &d.path, d.stripe, d.generation);
@@ -874,7 +810,6 @@ impl ServerCore {
                     st.land_rebalance(plan);
                 }
             }
-            TrafficClass::Replicate => st.land_replicate(&self.fs, now_ns, ready),
         }
     }
 
@@ -944,10 +879,9 @@ impl ServerCore {
     }
 
     /// Feeds the due work of `classes` to the policy engine, in order, each
-    /// up to its pipelining depth. Runs over every class each tick, and for
-    /// one class on the spot when a poll creates work for it (a parked
-    /// reader's restores, a write's replica debt) so it competes in that
-    /// same poll.
+    /// up to its pipelining depth. Runs over every pipeline each tick, and
+    /// for one class on the spot when a poll creates work for it (a parked
+    /// reader's restores) so it competes in that same poll.
     ///
     /// The tier-walking classes split a shared tier by ownership: each
     /// server scrubs and migrates exactly the extents whose stripes its
@@ -1025,11 +959,11 @@ impl ServerCore {
             .dispatched(request.seq, burst_finish.max(at));
     }
 
-    /// The `(stripe, bytes-written-into-it)` spans a write operation dirties,
-    /// with the normalized target path — `None` for non-writes and writes the
+    /// The normalized path and the stripes a write operation dirties —
+    /// `None` without staging, for non-writes, empty writes and writes the
     /// layout cannot resolve. Cursor writes read the descriptor's *current*
     /// cursor, so this must run before the write executes.
-    pub(crate) fn write_spans(&self, op: &FsOp) -> Option<(String, Vec<(u64, u64)>)> {
+    pub(crate) fn write_stripes(&self, op: &FsOp) -> Option<(String, RangeInclusive<u64>)> {
         self.staging.as_ref()?;
         let (path, offset, len) = match op {
             FsOp::WriteAt { path, offset, data } => (path.clone(), *offset, data.len() as u64),
@@ -1049,86 +983,47 @@ impl ServerCore {
         // Saturating end, as in `restore_targets_for`: never overflow on a
         // client-controlled offset near u64::MAX.
         let end = offset.saturating_add(len - 1);
-        let mut spans = Vec::new();
-        for stripe in offset / stripe_size..=end / stripe_size {
-            let extent_start = stripe * stripe_size;
-            let extent_end = extent_start.saturating_add(stripe_size);
-            let lo = offset.max(extent_start);
-            let hi = offset.saturating_add(len).min(extent_end);
-            spans.push((stripe, hi.saturating_sub(lo)));
-        }
-        Some((path, spans))
+        Some((path, offset / stripe_size..=end / stripe_size))
     }
 
-    /// Records the copy-out debt an executed foreground write created under
-    /// the durability policy, then delivers the reply — immediately for
-    /// `local_only`/`local_plus_one` writes (and every non-write), or parked
-    /// on the replicate pipeline for `sync` writes, whose acks wait until
-    /// every stripe they dirtied is in the capacity tier (the replicate
-    /// landing in [`ServerCore::stage_tick`] releases them).
-    pub(crate) fn note_durable_write(
+    /// Delivers an executed foreground reply — immediately, unless it acks a
+    /// write the durability policy resolves to `sync`. That ack waits until,
+    /// for every stripe the write dirtied, the stripe's shard reports a copy
+    /// of the generation the write left (or a newer one) in the capacity
+    /// tier ([`StageState::release_sync_acks`]). Whether the Replicate lane
+    /// runs only decides how early the copy goes.
+    pub(crate) fn defer_sync_ack(
         &mut self,
-        spans: Option<(String, Vec<(u64, u64)>)>,
+        stripes: Option<(String, RangeInclusive<u64>)>,
         reply: ReadyReply,
         ready: &mut Vec<ReadyReply>,
-        now_ns: u64,
     ) {
         let meta = reply.completion.request.meta;
-        let deliver_now = matches!(reply.reply, FsReply::Error(_))
-            || spans.is_none()
-            || self
-                .staging
-                .as_ref()
-                .is_none_or(|st| !st.replicate.enabled() || st.durability.is_none());
-        if deliver_now {
-            ready.push(reply);
-            return;
-        }
-        // All checked non-None/enabled above; destructure without unwrap.
-        let Some((path, spans)) = spans else {
+        let fs = &self.fs;
+        let (Some((path, stripes)), Some(st)) = (stripes, self.staging.as_mut()) else {
             ready.push(reply);
             return;
         };
-        let Some(st) = self.staging.as_mut() else {
-            ready.push(reply);
-            return;
-        };
-        let Some(spec) = st.durability.as_ref() else {
-            ready.push(reply);
-            return;
-        };
-        let mode = spec.resolve(meta.job, meta.user, &path);
-        if !mode.replicates() {
+        let sync = st
+            .durability
+            .as_ref()
+            .is_some_and(|spec| spec.resolve(meta.job, meta.user, &path).defers_ack());
+        if !sync || matches!(reply.reply, FsReply::Error(_)) {
             ready.push(reply);
             return;
         }
-        for (stripe, bytes) in &spans {
-            st.replicate.note_write(path.clone(), *stripe, *bytes, mode);
-        }
-        if mode.defers_ack() {
-            // `sync`: the client must never observe a success a burst-tier
-            // crash could still lose — park the ack until, for every stripe
-            // this write dirtied, a copy of the generation it left (or a
-            // newer one) lands. An extent already clean again waits for
-            // nothing newer than generation 0.
-            let fs = &self.fs;
-            let waits = spans
-                .iter()
-                .map(|(stripe, _)| {
-                    let left = stripe_shard(fs, &path, *stripe)
-                        .and_then(|shard| fs.dirty_state_on(shard, &path, *stripe))
-                        .map_or(0, |d| d.generation);
-                    ((path.clone(), *stripe), left)
-                })
-                .collect();
-            st.replicate.record_sync_deferred();
-            st.pending_sync_acks.push((reply, waits));
-        } else {
-            ready.push(reply);
-        }
-        // Give the engine the fresh copy work immediately so it competes in
-        // this same poll.
-        self.admit_classes(&[TrafficClass::Replicate], now_ns);
+        // An extent already clean again waits for nothing newer than
+        // generation 0.
+        let waits = stripes
+            .map(|stripe| {
+                let left = stripe_shard(fs, &path, stripe)
+                    .and_then(|shard| fs.dirty_state_on(shard, &path, stripe))
+                    .map_or(0, |d| d.generation);
+                ((path.clone(), stripe), left)
+            })
+            .collect();
+        st.drain.replicate_mut().record_sync_deferred();
+        st.pending_sync_acks.push((reply, waits));
     }
 
     /// The evicted extents a foreground operation's byte range touches, as
@@ -1359,28 +1254,6 @@ impl ServerCore {
         true
     }
 
-    /// The stripes a write operation targets (`None` for non-writes) — the
-    /// extents that must be pinned dirty by a restore-for-write.
-    pub(crate) fn write_target_stripes(&self, op: &FsOp) -> Option<HashSet<u64>> {
-        let (path, offset, len) = match op {
-            FsOp::WriteAt { path, offset, data } => (path.clone(), *offset, data.len() as u64),
-            FsOp::Write { fd, data } => {
-                let path = self.fs.fd_path(*fd).ok()?;
-                // lseek(0, CUR) reads the cursor without moving it.
-                let cursor = self.fs.lseek(*fd, 0, Whence::Cur).ok()?;
-                (path, cursor, data.len() as u64)
-            }
-            _ => return None,
-        };
-        if len == 0 {
-            return Some(HashSet::new());
-        }
-        let stripe_size = self.fs.layout_of(&path).ok()?.config.stripe_size.max(1);
-        // Saturating end, as in `restore_targets_for`: never overflow on a
-        // client-controlled offset near u64::MAX.
-        Some((offset / stripe_size..=offset.saturating_add(len - 1) / stripe_size).collect())
-    }
-
     /// Reads up to `len` bytes, serving evicted extents straight from the
     /// capacity tier (read-through) when staging is enabled. The fetched
     /// bytes are charged to the capacity-tier device's timeline (occupying
@@ -1463,10 +1336,13 @@ mod tests {
     use themis_fs::Extent;
     use themis_stage::DeviceConfig;
 
-    /// A capacity tier that counts every byte handed to it.
+    /// A capacity tier that counts every byte handed to it, and records
+    /// each extent's first eight bytes: the stamp a test writes to tell one
+    /// generation from another.
     struct CountingTier {
         tier: CapacityTier,
         written: Mutex<u64>,
+        stamps: Mutex<Vec<(String, u64, u64)>>,
     }
 
     impl CountingTier {
@@ -1486,6 +1362,10 @@ mod tests {
 
         fn write_back_extent(&self, path: &str, stripe: u64, data: Extent) {
             *self.written.lock().unwrap() += data.len() as u64;
+            if let Some(stamp) = data.first_chunk::<8>() {
+                let stamp = (path.to_string(), stripe, u64::from_le_bytes(*stamp));
+                self.stamps.lock().unwrap().push(stamp);
+            }
             self.tier.write_back_extent(path, stripe, data);
         }
 
@@ -1532,10 +1412,20 @@ mod tests {
         mode: DurabilityMode,
         workers: usize,
     ) -> (Vec<ServerCore>, Arc<CountingTier>) {
-        let staging = durable_staging(DurabilitySpec::new(mode));
+        counting_cluster_under(servers, DurabilitySpec::new(mode), workers)
+    }
+
+    /// [`counting_cluster`] under the durability `spec`.
+    fn counting_cluster_under(
+        servers: usize,
+        spec: DurabilitySpec,
+        workers: usize,
+    ) -> (Vec<ServerCore>, Arc<CountingTier>) {
+        let staging = durable_staging(spec);
         let tier = Arc::new(CountingTier {
             tier: CapacityTier::new(staging.backing_device),
             written: Mutex::new(0),
+            stamps: Mutex::new(Vec::new()),
         });
         let fs = BurstBufferFs::new(servers);
         let cores = (0..servers)
@@ -1638,6 +1528,66 @@ mod tests {
         }
     }
 
+    /// Writers under `local_only`, `local_plus_one` and `sync` rewrite random
+    /// stripes through both of two servers: no generation of an extent
+    /// reaches the tier twice, and the lanes account exactly what the tier
+    /// was handed.
+    #[test]
+    fn copy_out_mixed_durability_writes_each_generation_once() {
+        const MIB: u64 = 1 << 20;
+        let spec = DurabilitySpec::new(DurabilityMode::LocalOnly)
+            .with_job(2, DurabilityMode::LocalPlusOne)
+            .unwrap()
+            .with_job(3, DurabilityMode::Sync)
+            .unwrap();
+        let (mut cores, tier) = counting_cluster_under(2, spec, 4);
+        for path in ["/m0", "/m1"] {
+            let stripes = themis_fs::StripeConfig::new(MIB, 2);
+            cores[0].fs().create_striped(path, stripes, 0).unwrap();
+        }
+        let mut seed: u64 = 0x3d0c_0417;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut t = 0;
+        for stamp in 2..80u64 {
+            let job = 1 + next(3);
+            let mut data = vec![job as u8; MIB as usize];
+            data[..8].copy_from_slice(&stamp.to_le_bytes());
+            let op = FsOp::WriteAt {
+                path: format!("/m{}", next(2)),
+                offset: next(4) * MIB,
+                data,
+            };
+            cores[next(2) as usize].submit(stamp, meta(job, 1), op, t);
+            for _ in 0..next(3) {
+                poll_all(&mut cores, t, 0);
+                t += next(200_000);
+            }
+        }
+        settle(&mut cores, t);
+        let stamps = tier.stamps.lock().unwrap().clone();
+        let distinct: HashSet<_> = stamps.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            stamps.len(),
+            "a generation was copied twice"
+        );
+        assert_eq!(accounted(&cores), tier.written());
+        let lanes: Vec<_> = cores
+            .iter()
+            .map(|s| s.replicate_status_snapshot().unwrap())
+            .collect();
+        assert!(
+            lanes.iter().any(|l| l.replicated_bytes > 0),
+            "no early copy"
+        );
+        assert!(lanes.iter().all(|l| l.is_idle()), "{lanes:?}");
+    }
+
     /// A drain admitted before a peer unlinked its file finds nothing to
     /// write when the engine releases it: it frees its slot and counts no
     /// drained bytes, so the lanes still account exactly what the tier got.
@@ -1663,7 +1613,7 @@ mod tests {
     /// A drain can race a peer's striped write that has put its extent in
     /// the shard but not yet raised the file size. Delete-wins then drops
     /// the write-back, and the extent, still dirty at the same generation,
-    /// must be claimable again — or nothing ever copies it out.
+    /// goes back to the copier — copied again once the size update lands.
     #[test]
     fn copy_out_dropped_write_back_gives_its_claim_back() {
         const MIB: usize = 1 << 20;
@@ -1729,13 +1679,17 @@ mod tests {
     }
 
     /// A copy snapshotted before a later `sync` write cannot carry that
-    /// write's bytes, so its landing releases only the acks of the writes
-    /// it holds; the later write waits for a copy of its own generation (or
-    /// for its extent to be found clean).
+    /// write's bytes, so its late landing releases only the acks of the
+    /// writes it holds: the shard records that generation as landed. The
+    /// later write waits for a copy of its own generation, or for its
+    /// extent to be found clean.
     #[test]
     fn copy_out_sync_ack_waits_for_its_own_generation() {
         let staging = durable_staging(DurabilitySpec::new(DurabilityMode::Sync));
         let mut st = StageState::new(0, &staging, None, &MetricsRegistry::new());
+        let fs = BurstBufferFs::new(1);
+        fs.create_striped("/g", themis_fs::StripeConfig::new(1 << 20, 1), 0)
+            .unwrap();
         let ack = |request_id| ReadyReply {
             request_id,
             reply: FsReply::Count(1),
@@ -1745,99 +1699,127 @@ mod tests {
                 finish_ns: 0,
             },
         };
+        let left = |stripe| fs.dirty_state_on(0, "/g", stripe).unwrap().generation;
         let (a, b) = (("/g".to_string(), 0), ("/g".to_string(), 1));
-        // Write 1 left stripe 0 at generation 5; write 2 left it at 9 and
-        // stripe 1 at 10.
-        let waits = |pairs: &[((String, u64), u64)]| pairs.iter().cloned().collect();
+        // Write 1 dirties stripe 0; write 2 rewrites it and dirties stripe 1.
+        fs.write_at("/g", 0, &[1; 64], 0).unwrap();
+        let (_, g1) = fs.copy_snapshot_on(0, "/g", 0).unwrap();
         st.pending_sync_acks
-            .push((ack(1), waits(&[(a.clone(), 5)])));
-        st.pending_sync_acks
-            .push((ack(2), waits(&[(a.clone(), 9), (b.clone(), 10)])));
-        let released = |st: &mut StageState, landed: &[((String, u64), u64)]| {
+            .push((ack(1), [(a.clone(), g1)].into()));
+        fs.write_at("/g", 0, &[2; 64], 0).unwrap();
+        fs.write_at("/g", 1 << 20, &[2; 64], 0).unwrap();
+        let waits = [(a.clone(), left(0)), (b, left(1))];
+        st.pending_sync_acks.push((ack(2), waits.into()));
+        let released = |st: &mut StageState| {
             let mut ready = Vec::new();
-            st.release_sync_acks(landed, &mut ready);
+            st.release_sync_acks(&fs, &mut ready);
             ready.iter().map(|r| r.request_id).collect::<Vec<_>>()
         };
-        // A copy of generation 7 holds write 1's bytes, not write 2's.
-        assert_eq!(released(&mut st, &[(a.clone(), 7)]), vec![1]);
-        // Stripe 1's copy lands; stripe 0 still owes generation 9.
-        assert_eq!(released(&mut st, &[(b, 10)]), Vec::<u64>::new());
+        assert_eq!(released(&mut st), Vec::<u64>::new());
+        // The copy of write 1's generation lands late: it holds write 1's
+        // bytes, not write 2's.
+        assert!(!fs.mark_clean_on(0, "/g", 0, g1));
+        assert_eq!(released(&mut st), vec![1]);
+        // Stripe 1's copy lands; stripe 0 still owes write 2's generation.
+        assert!(fs.mark_clean_on(0, "/g", 1, left(1)));
+        assert_eq!(released(&mut st), Vec::<u64>::new());
         // An extent found clean holds every write so far.
-        assert_eq!(released(&mut st, &[(a, u64::MAX)]), vec![2]);
+        assert!(fs.mark_clean_on(0, "/g", 0, left(0)));
+        assert_eq!(released(&mut st), vec![2]);
         assert!(st.pending_sync_acks.is_empty());
     }
 
-    /// A copy whose generation another lane claimed writes nothing: it is
-    /// held, and its `sync` ack with it, until that copy lands (the debt
-    /// retires unwritten), gives its claim back (the copy runs again) or
-    /// its file is gone (a failed copy).
-    #[test]
-    fn copy_out_held_copy_waits_for_the_claim_holder() {
-        const MIB: usize = 1 << 20;
-        // One burst worker: the write occupies it, so the copy the write
-        // owes is released by a later poll, after the test's "peer" claims.
-        let (mut cores, tier) = counting_cluster(1, DurabilityMode::Sync, 1);
-        let s = &mut cores[0];
-        let mut t = 0;
-        let mut step = |s: &mut ServerCore, id: u64| {
-            let acked = s.poll(t).iter().any(|r| r.request_id == id);
-            t += 50_000;
-            acked
-        };
-        let write = |s: &mut ServerCore, id: u64, fill: u8| {
-            let op = FsOp::WriteAt {
-                path: "/h".into(),
-                offset: 0,
-                data: vec![fill; MIB],
-            };
-            s.submit(id, meta(1, 1), op, 0);
-        };
-        s.fs().create("/h", 0).unwrap();
-
-        // 1. The peer's copy lands: the held copy retires without writing.
-        write(s, 1, 1);
-        assert!(!step(s, 1));
-        assert_eq!(s.completions(), 1);
-        let (data, generation) = s.fs().claim_for_copy_on(0, "/h", 0).unwrap();
-        for _ in 0..4 {
-            assert!(!step(s, 1), "acked while the peer's copy is in flight");
+    /// Polls every core at `t`, returning whether request `id` was acked.
+    fn poll_all(cores: &mut [ServerCore], t: u64, id: u64) -> bool {
+        let mut acked = false;
+        for s in cores.iter_mut() {
+            acked |= s.poll(t).iter().any(|r| r.request_id == id);
         }
-        let status = s.replicate_status_snapshot().unwrap();
-        assert_eq!((status.inflight, status.replicated_bytes), (1, 0));
-        tier.write_back_extent("/h", 0, data);
-        assert!(s.fs().mark_clean_on(0, "/h", 0, generation));
-        assert!(step(s, 1), "the landed copy releases the held ack");
-        let status = s.replicate_status_snapshot().unwrap();
+        acked
+    }
+
+    /// The ack of a `sync` write is released once a copy of its generation
+    /// lands, even while a peer keeps rewriting the stripe so it never turns
+    /// clean: the rewriter (`local_only`, so its own acks are immediate)
+    /// keeps a 4 KiB rewrite in flight on the shard owner at all times.
+    #[test]
+    fn copy_out_sync_ack_survives_a_continuous_rewriter() {
+        const MIB: usize = 1 << 20;
+        let spec = DurabilitySpec::new(DurabilityMode::Sync)
+            .with_job(2, DurabilityMode::LocalOnly)
+            .unwrap();
+        let (mut cores, tier) = counting_cluster_under(2, spec, 4);
+        let writer = submit_write(&mut cores, "/hot", MIB, 1);
+        let owner = 1 - writer;
+        let rewrite = |s: &mut ServerCore, id: u64| {
+            let op = FsOp::WriteAt {
+                path: "/hot".into(),
+                offset: 0,
+                data: vec![id as u8; 4096],
+            };
+            s.submit(id, meta(2, 2), op, 0);
+        };
+        let (mut t, mut id, mut clean_polls) = (0, 100, 0);
+        rewrite(&mut cores[owner], id);
+        let acked = loop {
+            let mut acked = cores[writer].poll(t).iter().any(|r| r.request_id == 1);
+            for r in cores[owner].poll(t) {
+                acked |= r.request_id == 1;
+                if r.request_id == id {
+                    id += 1;
+                    rewrite(&mut cores[owner], id);
+                }
+            }
+            clean_polls += usize::from(cores[0].fs().dirty_state_on(owner, "/hot", 0).is_none());
+            if acked {
+                break t;
+            }
+            t += 5_000;
+            assert!(t < 100_000_000, "the rewriter starved the sync ack");
+        };
+        assert_eq!(clean_polls, 0, "the extent went clean before {acked}");
+        assert!(id > 110, "only {} rewrites ran", id - 100);
+        assert!(tier.written() > 0);
+        let status = cores[writer].replicate_status_snapshot().unwrap();
         assert_eq!(
-            (status.replicated_bytes, status.failed_replications),
-            (0, 0)
+            (status.sync_acks_deferred, status.sync_acks_released),
+            (1, 1)
         );
-        assert_eq!(tier.written(), MIB as u64);
+    }
 
-        // 2. The peer gives its claim back: the held copy runs again.
-        write(s, 2, 2);
-        assert!(!step(s, 2));
-        let (_, generation) = s.fs().claim_for_copy_on(0, "/h", 0).unwrap();
-        assert!(!step(s, 2));
-        s.fs().release_claim_on(0, "/h", 0, generation);
-        assert!((0..100).any(|_| step(s, 2)), "re-run copy never acked");
-        assert_eq!(tier_copy(s, "/h", 0), Some(vec![2; MIB]));
-        assert_eq!(tier.written(), 2 * MIB as u64, "one copy per generation");
-
-        // 3. The file is gone: the held copy fails visibly, the ack is not
-        //    held forever.
-        write(s, 3, 3);
-        assert!(!step(s, 3));
-        s.fs().claim_for_copy_on(0, "/h", 0).unwrap();
-        assert!(!step(s, 3));
-        s.fs().unlink("/h", 0).unwrap();
-        assert!(
-            (0..10).any(|_| step(s, 3)),
-            "a gone file's ack never released"
-        );
+    /// With the Replicate class left disabled, a `sync` write's extent
+    /// drains in the Drain lane and its ack still waits for the tier copy.
+    #[test]
+    fn copy_out_sync_ack_defers_with_the_replicate_lane_disabled() {
+        let mut staging = fast_staging();
+        staging.durability = Some(DurabilitySpec::new(DurabilityMode::Sync));
+        let tier = Arc::new(CapacityTier::new(staging.backing_device));
+        let mut s = staged_over(staging, Arc::clone(&tier) as Arc<dyn BackingStore>);
+        s.heartbeat(meta(1, 1), 0);
+        s.fs().create("/db", 0).unwrap();
+        let op = FsOp::WriteAt {
+            path: "/db".into(),
+            offset: 0,
+            data: vec![0x5A; 1 << 20],
+        };
+        s.submit(1, meta(1, 1), op, 0);
+        let mut t = 0;
+        loop {
+            if s.poll(t).iter().any(|r| r.request_id == 1) {
+                break;
+            }
+            assert!(t < 60_000_000_000, "sync ack never released");
+            t += 10_000;
+        }
+        assert!(t > 0, "acked in the poll that wrote");
+        assert_eq!(tier_copy(&s, "/db", 0), Some(vec![0x5A; 1 << 20]));
         let status = s.replicate_status_snapshot().unwrap();
-        assert_eq!(status.failed_replications, 1);
-        assert!(status.is_idle(), "{status:?}");
+        assert!(!status.enabled);
+        assert_eq!(
+            (status.sync_acks_deferred, status.sync_acks_released),
+            (1, 1)
+        );
+        assert_eq!(s.drain_status_snapshot().unwrap().drained_bytes, 1 << 20);
     }
 
     /// A staged server over a tier the test keeps a handle to.

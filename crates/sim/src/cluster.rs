@@ -122,13 +122,12 @@ pub struct SimStagingConfig {
     pub replicate_weight: u32,
     /// Whether durability copies run: a
     /// [`SimStagingConfig::replicate_fraction`] share of every foreground
-    /// write byte owes one early, policy-arbitrated drain into the capacity
-    /// tier (the simulator's byte-level model of the durability classes —
-    /// it does not track per-extent placement), as
-    /// [`TrafficClass::Replicate`] requests costed like drains. A copy
-    /// claims dirty bytes no drain has admitted, and debt whose bytes a
-    /// drain took first settles unwritten, so each byte is copied out once.
-    /// The run quiesces only once the replication lag has drained to zero.
+    /// write byte is durable and leaves the burst buffer as
+    /// [`TrafficClass::Replicate`] requests costed like drains, at the
+    /// replicate weight, instead of as drains (the simulator's byte-level
+    /// model of the durability classes — it does not track per-extent
+    /// placement). Each byte is copied out once, by one lane. The run
+    /// quiesces only once the durable backlog has drained to zero.
     pub replicate_enabled: bool,
     /// Fraction of foreground write bytes under a replicated durability mode
     /// (`local_plus_one` / `sync`); the rest are `local_only` and owe no
@@ -261,12 +260,12 @@ pub struct SimResult {
     pub residual_dirty_bytes: u64,
     /// Total bytes copied into the capacity tier by the replicate class (0
     /// without staging or with [`SimStagingConfig::replicate_enabled`]
-    /// false): the boot debt, plus the durable bytes it reached before a
-    /// drain did. Each byte is copied out once, so at the end of a completed
-    /// run `drained_bytes + replicated_bytes` equals the foreground write
-    /// bytes plus `replicate_backlog_bytes·n_servers`.
+    /// false): the boot debt plus the durable share of this run's writes.
+    /// Each byte is copied out once, so at the end of a completed run
+    /// `drained_bytes + replicated_bytes` equals the foreground write bytes
+    /// plus `replicate_backlog_bytes·n_servers`.
     pub replicated_bytes: u64,
-    /// Replication debt never copied by the end of the run — the residual
+    /// Durable dirty bytes never copied by the end of the run — the residual
     /// replication lag (0 when every owed copy landed; always 0 without
     /// staging).
     pub residual_replication_lag: u64,
@@ -315,10 +314,10 @@ struct SimServer {
 struct SimServerStaging {
     config: SimStagingConfig,
     backing: DeviceTimeline,
-    /// Bytes written into the burst buffer and not yet drained.
+    /// Bytes written into the burst buffer and not yet drained, durable
+    /// bytes aside.
     dirty_bytes: u64,
-    /// Subset of `dirty_bytes` already admitted as drain requests or
-    /// claimed by replicate copies.
+    /// Subset of `dirty_bytes` already admitted as drain requests.
     queued_bytes: u64,
     /// Drain requests admitted and not yet fully drained.
     inflight: usize,
@@ -344,16 +343,13 @@ struct SimServerStaging {
     rebalance_inflight: usize,
     /// Total bytes migrated.
     migrated_bytes: u64,
-    /// Replication debt accrued by this run's durable foreground writes.
-    replicate_accrued_bytes: u64,
-    /// Debt admitted so far (the cursor over the replication target: the
-    /// boot debt first, then accrued debt).
-    replicate_cursor_bytes: u64,
+    /// Durable dirty bytes not yet copied out: the boot debt, plus the
+    /// durable share of this run's writes.
+    durable_bytes: u64,
+    /// Subset of `durable_bytes` already admitted as replicate requests.
+    durable_queued_bytes: u64,
     /// Copy requests admitted and not yet landed in the capacity tier.
     replicate_inflight: usize,
-    /// Debt settled so far: landed copies, and debt whose bytes a drain
-    /// took first.
-    replicate_settled_bytes: u64,
     /// Total bytes the replicate class wrote into the capacity tier.
     replicated_bytes: u64,
 }
@@ -388,31 +384,33 @@ impl SimServer {
                 rebalance_cursor_bytes: 0,
                 rebalance_inflight: 0,
                 migrated_bytes: 0,
-                replicate_accrued_bytes: 0,
-                replicate_cursor_bytes: 0,
+                durable_bytes: if sc.replicate_enabled {
+                    sc.replicate_backlog_bytes
+                } else {
+                    0
+                },
+                durable_queued_bytes: 0,
                 replicate_inflight: 0,
-                replicate_settled_bytes: 0,
                 replicated_bytes: 0,
             }),
         }
     }
 
-    /// Whether the staging pipeline still has work: dirty backlog, drains
-    /// or restores in flight, or — with scrub enabled — verification-target
-    /// bytes the scrub pass has not verified yet.
+    /// Whether the staging pipeline still has work: dirty or durable
+    /// backlog, copies or restores in flight, or — with scrub enabled —
+    /// verification-target bytes the scrub pass has not verified yet.
     fn staging_busy(&self) -> bool {
         self.staging.as_ref().is_some_and(|st| {
             st.dirty_bytes > 0
                 || st.inflight > 0
+                || st.durable_bytes > 0
+                || st.replicate_inflight > 0
                 || st.restore_inflight > 0
                 || (st.config.scrub_enabled
                     && (st.scrubbed_bytes < st.scrub_target() || st.scrub_inflight > 0))
                 || (st.config.rebalance_enabled
                     && (st.migrated_bytes < st.config.rebalance_backlog_bytes
                         || st.rebalance_inflight > 0))
-                || (st.config.replicate_enabled
-                    && (st.replicate_settled_bytes < st.replicate_target()
-                        || st.replicate_inflight > 0))
         })
     }
 }
@@ -422,12 +420,6 @@ impl SimServerStaging {
     /// the boot backlog plus whatever this run has drained so far.
     fn scrub_target(&self) -> u64 {
         self.config.scrub_backlog_bytes + self.drained_bytes
-    }
-
-    /// The replication target: every byte that owes a copy — the boot debt
-    /// plus the replicated share of this run's foreground write bytes.
-    fn replicate_target(&self) -> u64 {
-        self.config.replicate_backlog_bytes + self.replicate_accrued_bytes
     }
 }
 
@@ -500,12 +492,8 @@ impl Simulation {
         let mut scrub_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
         // Rebalance completion events: (migrated_ns, server, bytes).
         let mut rebalance_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Replicate completion events: (landed_ns, server, bytes written,
-        // this run's dirty bytes among them).
-        let mut replicate_events: BinaryHeap<Reverse<(u64, usize, u64, u64)>> = BinaryHeap::new();
-        // Copies admitted and not yet released: copy seq → this run's dirty
-        // bytes it claimed.
-        let mut replicate_claims: HashMap<u64, u64> = HashMap::new();
+        // Replicate completion events: (landed_ns, server, bytes).
+        let mut replicate_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
         // Foreground reads parked behind a restore: restore seq → (server,
         // the read to admit once its bytes are back in the burst buffer).
         let mut waiting_restore: HashMap<u64, (usize, IoRequest)> = HashMap::new();
@@ -623,11 +611,9 @@ impl Simulation {
             }
 
             // 1b'''. Apply replicate completions by `now`: one chunk of the
-            // replication debt landed in the capacity tier. A copy is an
-            // early drain: the dirty bytes it claimed at admission leave the
-            // backlog here, exactly as a drain's do.
-            while let Some(Reverse((finish, server_idx, bytes, claimed))) =
-                replicate_events.peek().copied()
+            // durable backlog landed in the capacity tier, exactly as a
+            // drained chunk does.
+            while let Some(Reverse((finish, server_idx, bytes))) = replicate_events.peek().copied()
             {
                 if finish > now {
                     break;
@@ -635,10 +621,9 @@ impl Simulation {
                 replicate_events.pop();
                 if let Some(st) = servers[server_idx].staging.as_mut() {
                     st.replicate_inflight = st.replicate_inflight.saturating_sub(1);
-                    st.replicate_settled_bytes += bytes;
+                    st.durable_bytes = st.durable_bytes.saturating_sub(bytes);
+                    st.durable_queued_bytes = st.durable_queued_bytes.saturating_sub(bytes);
                     st.replicated_bytes += bytes;
-                    st.dirty_bytes = st.dirty_bytes.saturating_sub(claimed);
-                    st.queued_bytes = st.queued_bytes.saturating_sub(claimed);
                 }
             }
 
@@ -730,57 +715,30 @@ impl Simulation {
                 }
             }
 
-            // 2a. Synthesize replicate traffic: the copy cursor chases the
-            // replication target (the boot debt plus the replicated share of
-            // this run's foreground write bytes) — each chunk a
-            // policy-arbitrated burst-buffer *read* under the replicate
-            // class whose payload then streams into the capacity tier,
-            // costed exactly like a drain, as in the live pipeline. It runs
-            // before the drain pass, so durable bytes leave early, at the
-            // replicate weight.
+            // 2a. Synthesize replicate traffic for the durable backlog: the
+            // same chunks as the drain pass below, under the replicate class
+            // and its weight. It runs first, so durable bytes leave early.
             for (server_idx, server) in servers.iter_mut().enumerate() {
                 let Some(st) = server.staging.as_mut() else {
                     continue;
                 };
-                if !st.config.replicate_enabled {
-                    continue;
-                }
                 while st.replicate_inflight < st.config.max_inflight
-                    && st.replicate_cursor_bytes < st.replicate_target()
+                    && st.durable_bytes > st.durable_queued_bytes
                 {
                     let chunk = st
                         .config
                         .drain_chunk_bytes
-                        .min(st.replicate_target() - st.replicate_cursor_bytes)
+                        .min(st.durable_bytes - st.durable_queued_bytes)
                         .max(1);
-                    // The boot debt comes first in cursor order: extents of
-                    // earlier runs, outside this run's dirty backlog.
-                    let boot = st
-                        .config
-                        .replicate_backlog_bytes
-                        .saturating_sub(st.replicate_cursor_bytes)
-                        .min(chunk);
-                    // The rest is this run's debt: the copy claims dirty
-                    // bytes no drain has admitted. Debt whose bytes a drain
-                    // took first settles at once, unwritten — the live lane
-                    // finds those extents claimed or clean.
-                    let undrained = st.dirty_bytes.saturating_sub(st.queued_bytes);
-                    let claimed = (chunk - boot).min(undrained);
-                    st.replicate_cursor_bytes += chunk;
-                    st.replicate_settled_bytes += chunk - boot - claimed;
-                    if boot + claimed == 0 {
-                        continue;
-                    }
                     let req = IoRequest::new(
                         next_seq,
                         TrafficClass::Replicate.meta(server_idx),
                         OpKind::Read,
-                        boot + claimed,
+                        chunk,
                         now,
                     );
-                    replicate_claims.insert(next_seq, claimed);
                     next_seq += 1;
-                    st.queued_bytes += claimed;
+                    st.durable_queued_bytes += chunk;
                     st.replicate_inflight += 1;
                     server.engine.admit(req);
                 }
@@ -983,13 +941,7 @@ impl Simulation {
                             let write =
                                 IoRequest::new(req.seq, req.meta, OpKind::Write, req.bytes, finish);
                             let (_, backing_finish) = st.backing.dispatch(&write, finish);
-                            let claimed = replicate_claims.remove(&req.seq).unwrap_or(0);
-                            replicate_events.push(Reverse((
-                                backing_finish,
-                                server_idx,
-                                req.bytes,
-                                claimed,
-                            )));
+                            replicate_events.push(Reverse((backing_finish, server_idx, req.bytes)));
                             continue;
                         }
                         None => {}
@@ -1002,15 +954,17 @@ impl Simulation {
                     server.engine.complete(&completion);
                     if req.kind == OpKind::Write {
                         if let Some(st) = server.staging.as_mut() {
-                            st.dirty_bytes += req.bytes;
-                            if st.config.replicate_enabled {
-                                // The replicated share of this write now owes
-                                // a copy. Deterministic byte accounting — no
-                                // RNG draw, so durability never perturbs the
-                                // foreground token draws of a fixed seed.
-                                st.replicate_accrued_bytes +=
-                                    (req.bytes as f64 * st.config.replicate_fraction) as u64;
-                            }
+                            // The durable share of this write leaves in the
+                            // replicate lane. Deterministic byte accounting —
+                            // no RNG draw, so durability never perturbs the
+                            // foreground token draws of a fixed seed.
+                            let durable = if st.config.replicate_enabled {
+                                (req.bytes as f64 * st.config.replicate_fraction) as u64
+                            } else {
+                                0
+                            };
+                            st.durable_bytes += durable;
+                            st.dirty_bytes += req.bytes - durable;
                         }
                     }
                     metrics.record(ServiceRecord {
@@ -1056,7 +1010,7 @@ impl Simulation {
             if let Some(Reverse((finish, _, _))) = rebalance_events.peek() {
                 next = next.min(*finish);
             }
-            if let Some(Reverse((finish, _, _, _))) = replicate_events.peek() {
+            if let Some(Reverse((finish, _, _))) = replicate_events.peek() {
                 next = next.min(*finish);
             }
             for server in servers.iter() {
@@ -1074,9 +1028,8 @@ impl Simulation {
                     {
                         next = next.min(now + 1);
                     }
-                    if st.config.replicate_enabled
-                        && st.replicate_inflight < st.config.max_inflight
-                        && st.replicate_cursor_bytes < st.replicate_target()
+                    if st.replicate_inflight < st.config.max_inflight
+                        && st.durable_bytes > st.durable_queued_bytes
                     {
                         next = next.min(now + 1);
                     }
@@ -1168,7 +1121,7 @@ impl Simulation {
         let residual_dirty_bytes = servers
             .iter()
             .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.dirty_bytes)
+            .map(|st| st.dirty_bytes + st.durable_bytes)
             .sum();
         let migrated_bytes = servers
             .iter()
@@ -1183,11 +1136,7 @@ impl Simulation {
         let residual_replication_lag = servers
             .iter()
             .filter_map(|s| s.staging.as_ref())
-            .filter(|st| st.config.replicate_enabled)
-            .map(|st| {
-                st.replicate_target()
-                    .saturating_sub(st.replicate_settled_bytes)
-            })
+            .map(|st| st.durable_bytes)
             .sum();
         SimResult {
             metrics,
@@ -1533,9 +1482,8 @@ mod tests {
     fn replication_lag_drains_to_zero_before_quiescence() {
         // Byte-level durability model: with replication enabled, every
         // foreground write byte (fraction 1.0) plus the per-server boot debt
-        // owes one early copy into the capacity tier — paid by whichever lane
-        // reaches the byte first — and the run quiesces only once the lag
-        // has drained to zero.
+        // is durable and leaves in the replicate lane, and the run quiesces
+        // only once the lag has drained to zero.
         let run = |enabled| {
             let job = SimJob::new(
                 meta(1, 1, 2),
@@ -1570,9 +1518,9 @@ mod tests {
         assert_eq!(on.residual_replication_lag, 0);
         assert_eq!(on.residual_dirty_bytes, 0);
         // Copies are early drains: this run's bytes left the burst buffer
-        // once, split between the two lanes, and the boot debt on top.
-        assert!(on.replicated_bytes > boot, "no early drain landed");
-        assert_eq!(on.drained_bytes + (on.replicated_bytes - boot), writes);
+        // once, all of them durable, and the boot debt on top.
+        assert_eq!(on.replicated_bytes, writes + boot);
+        assert_eq!(on.drained_bytes, 0);
     }
 
     #[test]
@@ -1607,10 +1555,9 @@ mod tests {
 
     #[test]
     fn partial_fraction_copies_each_byte_once() {
-        // Half the write bytes are durable: the replicate lane copies at
-        // most that half early, the drain lane the rest, and no byte twice.
-        // The boot debt is copied on top and retires none of this run's
-        // dirty bytes.
+        // Half the write bytes are durable: the replicate lane copies that
+        // half, the drain lane the rest, and no byte twice. The boot debt is
+        // copied on top and retires none of this run's dirty bytes.
         let job = SimJob::new(
             meta(1, 1, 1),
             2,
@@ -1635,9 +1582,47 @@ mod tests {
         let (writes, boot) = (2 * 16 * (1 << 20) as u64, (8 << 20) as u64);
         assert_eq!(r.residual_replication_lag, 0);
         assert_eq!(r.residual_dirty_bytes, 0);
-        let early = r.replicated_bytes - boot;
-        assert!(early > 0 && early <= writes / 2, "{early} copied early");
-        assert_eq!(r.drained_bytes + early, writes);
+        assert_eq!(r.replicated_bytes, boot + writes / 2);
+        assert_eq!(r.drained_bytes, writes / 2);
+    }
+
+    #[test]
+    fn copy_out_durable_bytes_drain_when_the_replicate_lane_is_off() {
+        // One copier, two lanes: with durability copies on, the durable
+        // share leaves in the replicate lane; with them off, every byte
+        // drains. Either way each write byte leaves once.
+        let run = |enabled| {
+            let job = SimJob::new(
+                meta(1, 1, 1),
+                2,
+                OpPattern::WriteOnly {
+                    bytes_per_op: 1 << 20,
+                },
+            )
+            .with_max_ops(8);
+            let config = SimConfig {
+                device: fast_device(),
+                staging: Some(SimStagingConfig {
+                    backing_device: fast_device(),
+                    replicate_enabled: enabled,
+                    replicate_fraction: 0.25,
+                    drain_chunk_bytes: 1 << 20,
+                    ..SimStagingConfig::default()
+                }),
+                ..SimConfig::new(2, Algorithm::Themis(Policy::size_fair()))
+            };
+            Simulation::new(config, vec![job]).run()
+        };
+        let writes = 2 * 8 * (1 << 20) as u64;
+        let off = run(false);
+        assert_eq!((off.drained_bytes, off.replicated_bytes), (writes, 0));
+        let on = run(true);
+        assert_eq!(on.replicated_bytes, writes / 4);
+        assert_eq!(on.drained_bytes + on.replicated_bytes, writes);
+        assert_eq!(
+            (on.residual_dirty_bytes, on.residual_replication_lag),
+            (0, 0)
+        );
     }
 
     #[test]

@@ -48,14 +48,14 @@
 //! Drain and Restore are *demand-driven*: their requests are synthesized in
 //! response to foreground traffic (dirty writes, misses on evicted
 //! extents). Scrub and Rebalance are *maintenance* classes synthesized from
-//! capacity-tier state alone. Replicate is *debt-driven*: each acknowledged
-//! write whose [`DurabilityMode`](themis_core::durability::DurabilityMode)
-//! owes a copy off the burst buffer queues bytes the class pays down under
-//! its policy weight (see
-//! [`ReplicatePipeline`](crate::replicate::ReplicatePipeline)). A replicate
-//! copy *is* a drain of its extent, to the same capacity tier; the two lanes
-//! differ only in weight and in what they are owed, and each dirty
-//! generation is written back once, by whichever lane claims it first.
+//! capacity-tier state alone. Replicate is demand-driven like Drain and
+//! shares its pipeline: the shard owner's one copier admits a dirty extent
+//! whose last write's
+//! [`DurabilityMode`](themis_core::durability::DurabilityMode) owes a copy
+//! off the burst buffer into the Replicate lane, at its weight, instead of
+//! the Drain lane (see [`crate::replicate`]). The copy *is* a drain of its
+//! extent, to the same capacity tier, and each dirty generation is written
+//! back once.
 //!
 //! Within each sub-range, instance `i` is the traffic of server `i`.
 
@@ -84,9 +84,9 @@ pub enum TrafficClass {
     /// sets checksum-verified (see
     /// [`RebalancePipeline`](crate::rebalance::RebalancePipeline)).
     Rebalance,
-    /// Durability copies: acknowledged writes whose durability mode owes a
-    /// copy off the burst buffer are drained early, to the capacity tier,
-    /// under this class's weight (see
+    /// Durability copies: dirty extents whose last write's durability mode
+    /// owes a copy off the burst buffer are drained early, to the capacity
+    /// tier, under this class's weight (see
     /// [`ReplicatePipeline`](crate::replicate::ReplicatePipeline)).
     Replicate,
 }

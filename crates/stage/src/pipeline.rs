@@ -11,17 +11,22 @@
 //! ([`TrafficClass::Drain`]`.meta(server)`), admitted to the
 //! server's [`PolicyEngine`](themis_core::engine::PolicyEngine) (wrapped in a
 //! [`StagedEngine`](crate::engine::StagedEngine)), so drain bandwidth is
-//! arbitrated exactly like foreground bandwidth.
+//! arbitrated exactly like foreground bandwidth. The drain pipeline is the
+//! server's one copier: it copies out every dirty extent of its shard,
+//! durable ones in the [`ReplicatePipeline`] sub-queue at the replicate
+//! weight (see [`crate::replicate`]).
 
 use crate::backing::BackingStore;
 use crate::class::TrafficClass;
 use crate::lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
+use crate::replicate::{ReplicatePipeline, ReplicateStatus};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
+use themis_core::durability::DurabilitySpec;
 use themis_core::entity::JobMeta;
 use themis_core::request::{IoRequest, OpKind};
 use themis_device::DeviceConfig;
-use themis_fs::Extent;
+use themis_fs::{BurstBufferFs, DirtyExtent, Extent};
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
 
 /// Configuration of one server's drain pipeline.
@@ -179,18 +184,38 @@ pub struct InflightDrain {
     /// clean if the generation still matches at landing (a concurrent
     /// overwrite re-dirties it).
     pub generation: u64,
-    /// Extent length at admission time (the burst-device cost), replaced by
-    /// the length of the snapshot written back.
+    /// Extent length at admission time, replaced by the length of the
+    /// snapshot written back.
     pub bytes: u64,
+    /// The admitted cost on the burst device.
+    pub cost: u64,
 }
 
-/// Per-server drain bookkeeping: the in-flight ledger, the keys it excludes
-/// from re-admission, and the cumulative drain/eviction counters (lane
-/// `"drain"` of the registry handed in at construction).
+impl InflightDrain {
+    /// The copy-out of `generation` of one extent, `bytes` long at
+    /// admission.
+    pub fn new(path: String, stripe: u64, generation: u64, bytes: u64) -> Self {
+        InflightDrain {
+            path,
+            stripe,
+            generation,
+            bytes,
+            cost: bytes,
+        }
+    }
+}
+
+/// Per-server copy-out bookkeeping: the drain lane's in-flight ledger, the
+/// durable sub-queue, the keys in flight in either, and the cumulative
+/// drain/eviction counters (lane `"drain"` of the registry handed in at
+/// construction).
 #[derive(Debug)]
 pub struct DrainPipeline {
     config: DrainConfig,
     queue: ClassQueue<InflightDrain>,
+    replicate: ReplicatePipeline,
+    /// Extents in flight in either sub-queue, excluded from re-admission:
+    /// each dirty extent is in at most one of them.
     inflight_keys: HashSet<(String, u64)>,
     drained_bytes: Counter,
     drained_ops: Counter,
@@ -200,12 +225,22 @@ pub struct DrainPipeline {
 
 impl DrainPipeline {
     /// Creates the pipeline of `server` under `config`, counting into
-    /// `registry`.
-    pub fn new(server: usize, config: DrainConfig, registry: &MetricsRegistry) -> Self {
+    /// `registry`. With a `durability` spec and the Replicate class enabled,
+    /// extents whose last write owes a copy go to the durable sub-queue;
+    /// otherwise every extent drains.
+    pub fn new(
+        server: usize,
+        config: DrainConfig,
+        durability: Option<DurabilitySpec>,
+        registry: &MetricsRegistry,
+    ) -> Self {
         let key = SeriesKey::class(server, TrafficClass::Drain.name());
+        let depth = config.max_inflight;
+        let durability = durability.filter(|_| config.classes.is_enabled(TrafficClass::Replicate));
         DrainPipeline {
             config,
-            queue: ClassQueue::new(TrafficClass::Drain, server, config.max_inflight),
+            queue: ClassQueue::new(TrafficClass::Drain, server, depth),
+            replicate: ReplicatePipeline::new(server, durability, depth, registry),
             inflight_keys: HashSet::new(),
             drained_bytes: registry.counter(key, "drained_bytes"),
             drained_ops: registry.counter(key, "drained_ops"),
@@ -224,14 +259,14 @@ impl DrainPipeline {
         self.queue.meta()
     }
 
+    /// The durable sub-queue, mutably (for the `sync` ack counters).
+    pub fn replicate_mut(&mut self) -> &mut ReplicatePipeline {
+        &mut self.replicate
+    }
+
     /// How many more drains may be admitted right now.
     pub fn admission_capacity(&self) -> usize {
         self.queue.capacity()
-    }
-
-    /// Extent keys currently in flight (excluded from re-admission).
-    pub fn inflight_keys(&self) -> &HashSet<(String, u64)> {
-        &self.inflight_keys
     }
 
     /// Whether any in-flight extent belongs to `path`.
@@ -239,63 +274,74 @@ impl DrainPipeline {
         self.inflight_keys.iter().any(|(p, _)| p == path)
     }
 
-    /// Admits a drain of one extent: records it in flight and returns the
-    /// [`IoRequest`] to feed to the policy engine. The request is a *read* of
-    /// the burst-buffer device (the drain's cost on the contended resource);
-    /// the matching capacity-tier write is charged by the caller when the
-    /// read completes.
+    /// Admits the copy-out of one extent, into the durable sub-queue when
+    /// `durable`: records it in flight and returns the [`IoRequest`] to feed
+    /// to the policy engine. The request is a *read* of the burst-buffer
+    /// device (the copy's cost on the contended resource); the matching
+    /// capacity-tier write is charged by the caller when the read completes.
     pub fn admit(
         &mut self,
         seq: u64,
-        path: String,
-        stripe: u64,
-        generation: u64,
-        bytes: u64,
+        target: InflightDrain,
+        durable: bool,
         now_ns: u64,
     ) -> IoRequest {
-        self.inflight_keys.insert((path.clone(), stripe));
-        let target = InflightDrain {
-            path,
-            stripe,
-            generation,
-            bytes,
-        };
-        self.queue.admit(seq, target, OpKind::Read, bytes, now_ns)
+        self.inflight_keys
+            .insert((target.path.clone(), target.stripe));
+        if durable {
+            self.replicate.admit(seq, target, now_ns)
+        } else {
+            let cost = target.cost;
+            self.queue.admit(seq, target, OpKind::Read, cost, now_ns)
+        }
     }
 
-    /// Looks up an in-flight drain by request sequence number.
+    /// Looks up an in-flight copy of either sub-queue by request sequence
+    /// number.
     pub fn inflight(&self, seq: u64) -> Option<&InflightDrain> {
-        self.queue.get(seq)
+        self.queue
+            .get(seq)
+            .or_else(|| self.replicate.queue.get(seq))
     }
 
     /// Records the snapshot that was written back for `seq`: its dirty
     /// generation — taken at service time, so it may be newer than the one
     /// seen at admission — and its length, which is what the landing
-    /// accounts as drained.
+    /// accounts as copied.
     pub fn snapshotted(&mut self, seq: u64, generation: u64, bytes: u64) {
-        if let Some(d) = self.queue.get_mut(seq) {
+        let queued = self.queue.get_mut(seq);
+        if let Some(d) = queued.or_else(|| self.replicate.queue.get_mut(seq)) {
             d.generation = generation;
             d.bytes = bytes;
         }
     }
 
-    /// Completes a drain that wrote nothing when the engine released it:
-    /// the extent was unlinked, truncated or already clean, another copy
-    /// had claimed its generation, or delete-wins dropped the write-back.
-    /// It frees its slot and key but counts as no drained bytes or op.
+    /// Completes a copy that wrote nothing when the engine released it: the
+    /// extent was unlinked, truncated or already clean, or delete-wins
+    /// dropped the write-back. It frees its slot and key but counts as no
+    /// copied bytes or op.
     pub fn complete(&mut self, seq: u64) -> Option<InflightDrain> {
-        let d = self.queue.remove(seq)?;
+        let d = self
+            .queue
+            .remove(seq)
+            .or_else(|| self.replicate.complete(seq))?;
         self.inflight_keys.remove(&(d.path.clone(), d.stripe));
         Some(d)
     }
 
-    /// The next drain whose capacity-tier write finished at or before
-    /// `now_ns`, removed from flight and accounted at the bytes it wrote.
+    /// The next copy of either sub-queue whose capacity-tier write finished
+    /// at or before `now_ns`, removed from flight and accounted at the bytes
+    /// it wrote.
     pub fn pop_due(&mut self, now_ns: u64) -> Option<InflightDrain> {
-        let d = self.queue.pop_due(now_ns)?;
+        let d = match self.queue.pop_due(now_ns) {
+            Some(d) => {
+                self.drained_bytes.add(d.bytes);
+                self.drained_ops.inc();
+                d
+            }
+            None => self.replicate.pop_due(now_ns)?,
+        };
         self.inflight_keys.remove(&(d.path.clone(), d.stripe));
-        self.drained_bytes.add(d.bytes);
-        self.drained_ops.inc();
         Some(d)
     }
 
@@ -319,7 +365,7 @@ impl DrainPipeline {
             resident_bytes,
             dirty_bytes,
             backing_bytes,
-            inflight_extents: self.queue.len(),
+            inflight_extents: self.queue.len() + self.replicate.queue.len(),
             drained_bytes: self.drained_bytes.get(),
             drained_ops: self.drained_ops.get(),
             evicted_bytes: self.evicted_bytes.get(),
@@ -329,32 +375,61 @@ impl DrainPipeline {
             restored_ops: restore.restored_ops.get(),
         }
     }
+
+    /// Builds the durable sub-queue's status snapshot, counting the durable
+    /// dirty extents of this server's shard that wait for admission.
+    pub fn replicate_status(&self, fs: &BurstBufferFs) -> ReplicateStatus {
+        let waiting = |key: &(String, u64), d: &DirtyExtent| {
+            !self.inflight_keys.contains(key) && self.replicate.owes(&key.0, d)
+        };
+        let queued = fs.dirty_extents_on(self.queue.server(), usize::MAX, &waiting);
+        self.replicate.status(queued.len() as u64)
+    }
 }
 
 impl ClassLifecycle for DrainPipeline {
-    /// Synthesizes a drain for the next dirty extent of this server's shard
-    /// that is not already in flight.
+    /// Synthesizes the copy-out of the next dirty extent of this server's
+    /// shard that is not already in flight and whose sub-queue has room:
+    /// a durable extent (its last writer's durability owes a copy) as a
+    /// replicate request, any other as a drain.
     fn admit_next(&mut self, seq: u64, now_ns: u64, ctx: &AdmitContext<'_>) -> Option<IoRequest> {
-        if self.queue.capacity() == 0 {
+        let drain_open = self.queue.capacity() > 0;
+        let durable_open = self.replicate.enabled() && self.replicate.queue.capacity() > 0;
+        if !drain_open && !durable_open {
             return None;
         }
-        let (path, stripe, generation, len) = ctx
+        let lane_open = |key: &(String, u64), d: &DirtyExtent| {
+            !self.inflight_keys.contains(key)
+                && if self.replicate.owes(&key.0, d) {
+                    durable_open
+                } else {
+                    drain_open
+                }
+        };
+        let (path, stripe, dirty, len) = ctx
             .fs
-            .dirty_extents_on(self.queue.server(), 1, &self.inflight_keys)
+            .dirty_extents_on(self.queue.server(), 1, &lane_open)
             .pop()?;
-        Some(self.admit(seq, path, stripe, generation, len.max(1), now_ns))
+        let durable = self.replicate.owes(&path, &dirty);
+        let target = InflightDrain::new(path, stripe, dirty.generation, len.max(1));
+        Some(self.admit(seq, target, durable, now_ns))
     }
 
     fn dispatched(&mut self, seq: u64, finish_ns: u64) {
         self.queue.dispatched(seq, finish_ns);
+        self.replicate.queue.dispatched(seq, finish_ns);
     }
 
     fn next_finish_ns(&self) -> Option<u64> {
-        self.queue.next_finish_ns()
+        let finishes = [
+            self.queue.next_finish_ns(),
+            self.replicate.queue.next_finish_ns(),
+        ];
+        finishes.into_iter().flatten().min()
     }
 
     fn is_busy(&self) -> bool {
-        !self.queue.is_empty()
+        !self.queue.is_empty() || !self.replicate.queue.is_empty()
     }
 }
 
@@ -363,7 +438,7 @@ impl ClassLifecycle for DrainPipeline {
 /// unlink/truncate-vs-drain race.
 ///
 /// In a threaded deployment, a peer server can `unlink` or truncate the
-/// path between the drain's `claim_for_copy_on` and this `write_back`:
+/// path between the drain's `copy_snapshot_on` and this `write_back`:
 /// both purge the shard extents *and* call [`BackingStore::remove_path`],
 /// but a write-back that lands afterwards would resurrect a stale copy in
 /// the shared tier — readable forever via stage-in even though the data is
@@ -698,7 +773,7 @@ mod tests {
         assert_eq!(p.restored_bytes(), 1 << 20);
         assert!(!p.is_pending(&(1, "/f".to_string(), 0)));
         assert!(p.admit_next(12, 0, &ctx).is_some());
-        let drain = DrainPipeline::new(1, DrainConfig::default(), &registry);
+        let drain = DrainPipeline::new(1, DrainConfig::default(), None, &registry);
         let status = drain.status(&p, 0, 0, 0);
         assert_eq!(status.restored_ops, 1);
         assert_eq!(status.pending_restore_bytes, 2 << 20);
@@ -751,7 +826,7 @@ mod tests {
         let old: Vec<u8> = (0..1u32 << 20).map(|i| (i % 251) as u8).collect();
         fs.write_at("/ckpt", 0, &old, 1).unwrap();
         let tier = CapacityTier::hdd();
-        let (snapshot, generation) = fs.claim_for_copy_on(0, "/ckpt", 0).unwrap();
+        let (snapshot, generation) = fs.copy_snapshot_on(0, "/ckpt", 0).unwrap();
         assert!(write_back_guarded(&tier, "/ckpt", 0, snapshot, || true));
         assert!(fs.mark_clean_on(0, "/ckpt", 0, generation));
         let drained = crate::backing::verified_extent(&tier, "/ckpt", 0).unwrap();
@@ -777,16 +852,21 @@ mod tests {
                 max_inflight: 2,
                 ..DrainConfig::default()
             },
+            None,
             &MetricsRegistry::new(),
         );
         assert_eq!(p.admission_capacity(), 2);
-        let r = p.admit(7, "/ckpt".into(), 0, 42, 1 << 20, 100);
+        let r = p.admit(
+            7,
+            InflightDrain::new("/ckpt".into(), 0, 42, 1 << 20),
+            false,
+            100,
+        );
         assert_eq!(r.seq, 7);
         assert_eq!(r.meta, TrafficClass::Drain.meta(1));
         assert_eq!(r.kind, OpKind::Read);
         assert_eq!(r.bytes, 1 << 20);
         assert_eq!(p.admission_capacity(), 1);
-        assert!(p.inflight_keys().contains(&("/ckpt".to_string(), 0)));
         assert!(p.has_inflight_for("/ckpt"));
         let d = p.complete(7).unwrap();
         assert_eq!(d.generation, 42);
@@ -795,7 +875,12 @@ mod tests {
         assert!(p.complete(7).is_none());
         // A drain that was written back lands with the generation of the
         // snapshot actually written, once its capacity-tier write is done.
-        p.admit(8, "/ckpt".into(), 1, 42, 1 << 20, 100);
+        p.admit(
+            8,
+            InflightDrain::new("/ckpt".into(), 1, 42, 1 << 20),
+            false,
+            100,
+        );
         p.snapshotted(8, 43, 3 << 19);
         p.dispatched(8, 900);
         assert!(p.pop_due(899).is_none());
@@ -820,7 +905,7 @@ mod tests {
             max_inflight: 2,
             ..DrainConfig::default()
         };
-        let mut p = DrainPipeline::new(0, config, &MetricsRegistry::new());
+        let mut p = DrainPipeline::new(0, config, None, &MetricsRegistry::new());
         let r0 = p.admit_next(1, 0, &ctx).expect("first dirty extent");
         p.admit_next(2, 0, &ctx).expect("second dirty extent");
         assert_eq!((r0.kind, r0.bytes), (OpKind::Read, 1 << 20));
@@ -836,13 +921,13 @@ mod tests {
     fn status_aggregates_counters() {
         let registry = MetricsRegistry::new();
         let restore = RestorePipeline::new(0, 4, &registry);
-        let mut p = DrainPipeline::new(0, DrainConfig::default(), &registry);
-        p.admit(1, "/a".into(), 0, 1, 100, 0);
+        let mut p = DrainPipeline::new(0, DrainConfig::default(), None, &registry);
+        p.admit(1, InflightDrain::new("/a".into(), 0, 1, 100), false, 0);
         p.snapshotted(1, 1, 100);
         p.dispatched(1, 0);
         p.pop_due(0);
         // A drain that wrote nothing frees its slot without counting.
-        p.admit(2, "/a".into(), 1, 2, 70, 0);
+        p.admit(2, InflightDrain::new("/a".into(), 1, 2, 70), false, 0);
         p.complete(2);
         p.record_eviction(2, 300);
         let s = p.status(&restore, 1_000, 400, 100);

@@ -1,140 +1,97 @@
-//! The per-server durability pipeline: the bookkeeping of the copy-out
-//! *debt* acknowledged durable writes create and the synthesis of the
-//! policy-visible traffic that pays it down.
+//! Durability as copy-out priority: the durable sub-queue of a server's
+//! copy-out, and the `ReplicateStatus` view of it.
 //!
 //! Durability classes split a write's lifecycle from its guarantee: the
 //! burst buffer acks against local NVMe, and a write whose
-//! [`DurabilityMode`] owes one copy off the burst buffer is **drained
-//! early**: its extents are copied to the shared capacity tier as ordinary
-//! [`IoRequest`]s under the [`TrafficClass::Replicate`] identity, at the
-//! replicate weight rather than the drain weight. There is no second store.
-//! The capacity tier already outlives a burst server, and a sharded tier
-//! keeps its own replicas.
+//! [`DurabilityMode`](themis_core::durability::DurabilityMode) owes one copy
+//! off the burst buffer is **drained early**. There is no second store and
+//! no second copier. The server that owns a shard copies each of its dirty
+//! extents out once, through its
+//! [`DrainPipeline`](crate::pipeline::DrainPipeline), which admits the
+//! extent into one of two sub-queues by the mode its last writer and its
+//! path resolve to:
 //!
-//! The pipeline does not move bytes itself. The server core executes a
-//! released copy exactly as a drain of its extent: it claims the extent's
-//! dirty generation on the shard the stripe maps to, writes it back to the
-//! capacity tier under the delete-wins guard, and lands it by marking that
-//! generation clean. The drain lane copies out the same extents, so the
-//! shard lets each dirty generation be written back at most once, whichever
-//! lane claims it first (`themis_fs::Shard::claim_for_copy`). A copy that
-//! finds its generation claimed by the other lane is *held*
-//! ([`ReplicatePipeline::hold`]) until that copy lands
-//! ([`ReplicatePipeline::resolve_held`]). The pipeline's job is to make the
-//! debt *policy-visible and observable*:
+//! * a durable extent goes to this pipeline's queue and runs as a
+//!   [`TrafficClass::Replicate`] request, at the replicate weight;
+//! * every other extent runs as a [`TrafficClass::Drain`] request, at the
+//!   drain weight.
 //!
-//! * every queued byte of debt is surfaced as replication **lag**
-//!   (`requested - completed`, saturating — the satellite-1 audit rule for
+//! One in-flight key set spans both queues, so an extent is in at most one
+//! of them and each dirty generation is written back at most once. With the
+//! replicate class disabled, durable extents drain in the drain lane.
+//!
+//! What is the lane's own is observation, reported through the
+//! `ReplicateStatus` control-plane message:
+//!
+//! * admitted bytes and the **lag** of copies not yet retired (`requested -
+//!   completed`, saturating — the satellite-1 audit rule for
 //!   independently-maintained totals);
-//! * each copy is admitted through the staged engine's replicate lane, so
-//!   the bandwidth early drains steal from foreground is bounded by
-//!   [`ClassWeights`](crate::class::ClassWeights)' replicate weight exactly
-//!   like drain/restore/scrub/rebalance;
-//! * `sync` writes park their acks on the pipeline
-//!   ([`ReplicatePipeline::record_sync_deferred`]) until their bytes are in
-//!   the capacity tier, so a client never observes a success a burst-tier
-//!   crash could still lose.
+//! * the bytes and extents it wrote, and the copies that found their stripe
+//!   gone;
+//! * the `sync` acks the *writing* server deferred until the extent's shard
+//!   reported a copy of their generation in the capacity tier
+//!   (`themis_fs::DirtyExtent::landed`).
 
 use crate::class::TrafficClass;
-use crate::lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
+use crate::lifecycle::ClassQueue;
+use crate::pipeline::InflightDrain;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
-use themis_core::durability::DurabilityMode;
+use themis_core::durability::DurabilitySpec;
 use themis_core::request::{IoRequest, OpKind};
+use themis_fs::DirtyExtent;
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
-
-/// One extent owing a copy off the burst buffer: where the copy comes from
-/// and what debt it retires.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaTarget {
-    /// Path of the file the extent belongs to.
-    pub path: String,
-    /// Stripe index of the extent.
-    pub stripe: u64,
-    /// Extent length at enqueue time (the admitted cost on the burst
-    /// device; the copy itself reads the extent's *current* bytes, so a
-    /// grown extent still copies whole).
-    pub bytes: u64,
-    /// The durability mode that created the debt. `Sync` targets carry
-    /// deferred acks the server releases on completion.
-    pub mode: DurabilityMode,
-    /// The `(generation, bytes)` of the snapshot this copy wrote back,
-    /// once executed ([`ReplicatePipeline::copied`]); `None` before, and
-    /// for a copy that wrote nothing.
-    pub copied: Option<(u64, u64)>,
-}
-
-/// What a held copy finds when it looks at its extent again
-/// ([`ReplicatePipeline::resolve_held`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExtentState {
-    /// Dirty, and another copy of its current generation is in flight.
-    Claimed,
-    /// Dirty and unclaimed: the other copy gave its claim back, or a newer
-    /// write replaced its generation.
-    Dirty,
-    /// Clean: a copy of its latest generation landed in the capacity tier.
-    Clean,
-    /// The stripe no longer exists: the path was unlinked or truncated.
-    Gone,
-}
-
-impl ReplicaTarget {
-    /// The `(path, stripe)` key replication work deduplicates on.
-    pub fn key(&self) -> (String, u64) {
-        (self.path.clone(), self.stripe)
-    }
-}
 
 /// A point-in-time snapshot of one server's replication state, reported
 /// through the `ReplicateStatus` control-plane message.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplicateStatus {
-    /// Whether a durability spec gave the pipeline work to do.
+    /// Whether the durable sub-queue runs: the replicate class is enabled
+    /// and a durability spec owes copies.
     pub enabled: bool,
-    /// Extents queued for replication (debt not yet admitted).
+    /// Durable dirty extents on this server's shard waiting for admission.
     pub queued_extents: u64,
-    /// Copies currently in flight.
+    /// Durable copies admitted and not yet landed.
     pub inflight: u64,
-    /// Total bytes of copy-out debt enqueued since boot.
+    /// Total bytes of durable copies admitted since boot, at the admitted
+    /// cost.
     pub requested_bytes: u64,
-    /// Total bytes of copy-out debt retired since boot (at the admitted
-    /// cost, success or failure — the unit matching `requested_bytes`).
+    /// Total bytes of admitted durable copies retired since boot, at the
+    /// admitted cost, whether or not the copy wrote anything.
     pub completed_bytes: u64,
-    /// Replication lag: debt enqueued but not yet retired. Derived
+    /// Replication lag: admitted copies not yet retired. Derived
     /// `requested - completed` saturating — independently-maintained totals
     /// saturate instead of trusting update order (the satellite-1 audit
     /// rule).
     pub lag_bytes: u64,
-    /// Total bytes this lane wrote to the capacity tier since boot. Debt a
-    /// drain paid first retires without adding here.
+    /// Total bytes the durable sub-queue wrote to the capacity tier since
+    /// boot.
     pub replicated_bytes: u64,
-    /// Total extents this lane wrote to the capacity tier since boot.
+    /// Total extents the durable sub-queue wrote to the capacity tier since
+    /// boot.
     pub replicated_extents: u64,
-    /// Copies abandoned because their stripe was unlinked or truncated
-    /// first.
+    /// Durable copies that found their stripe unlinked or truncated.
     pub failed_replications: u64,
-    /// `sync` write acks deferred until their bytes are in the capacity
-    /// tier.
+    /// `sync` write acks this server deferred until their bytes were in the
+    /// capacity tier.
     pub sync_acks_deferred: u64,
     /// Deferred `sync` acks released once their bytes landed.
     pub sync_acks_released: u64,
 }
 
 impl ReplicateStatus {
-    /// Whether the pipeline is fully caught up: no lag, nothing in flight,
-    /// and no `sync` ack still parked.
+    /// Whether the pipeline is fully caught up: nothing waiting, no lag,
+    /// nothing in flight, and no `sync` ack still parked.
     pub fn is_idle(&self) -> bool {
-        self.lag_bytes == 0
+        self.queued_extents == 0
+            && self.lag_bytes == 0
             && self.inflight == 0
             && self.sync_acks_deferred == self.sync_acks_released
     }
 }
 
-/// Per-server durability bookkeeping: the queue of extents owing a copy,
-/// the in-flight ledger, the copies held behind another lane's copy, and
-/// the cumulative counters (lane `"replicate"` of the registry handed in at
-/// construction).
+/// The durable sub-queue of one server's copy-out: the spec that picks its
+/// extents, the ledger of the copies it admitted, and the counters of lane
+/// `"replicate"` of the registry handed in at construction.
 ///
 /// The lag is **derived**, not stored: `replicate_completed_bytes` sorts
 /// before `replicate_requested_bytes`, so a registry snapshot reads the
@@ -143,17 +100,10 @@ impl ReplicateStatus {
 /// `MetricsRegistry::snapshot`).
 #[derive(Debug)]
 pub struct ReplicatePipeline {
-    enabled: bool,
-    waiting: VecDeque<ReplicaTarget>,
-    queue: ClassQueue<ReplicaTarget>,
-    /// Released copies that wrote nothing, waiting for the copy that holds
-    /// their extent's claim to land.
-    held: Vec<ReplicaTarget>,
-    /// Keys waiting or admitted but not yet executed, for deduplication: a
-    /// re-dirtied extent already owing a copy owes exactly one (the copy
-    /// reads the latest bytes at execution time). A write after the copy
-    /// executed owes a new one.
-    pending_keys: HashSet<(String, u64)>,
+    /// The durability spec while the sub-queue runs; `None` when the class
+    /// is disabled or the spec owes no copy anywhere.
+    durability: Option<DurabilitySpec>,
+    pub(crate) queue: ClassQueue<InflightDrain>,
     requested_bytes: Counter,
     completed_bytes: Counter,
     replicated_bytes: Counter,
@@ -164,23 +114,19 @@ pub struct ReplicatePipeline {
 }
 
 impl ReplicatePipeline {
-    /// Creates the replication pipeline of `server`, admitting at most
-    /// `max_inflight` copies at a time and counting into `registry`. A
-    /// disabled pipeline accepts no debt — the server constructs it
-    /// disabled when no durability spec demands replicas.
+    /// Creates the durable sub-queue of `server`, admitting at most
+    /// `max_inflight` copies at a time and counting into `registry`. It runs
+    /// when given a `durability` spec that owes a copy somewhere.
     pub fn new(
         server: usize,
-        enabled: bool,
+        durability: Option<DurabilitySpec>,
         max_inflight: usize,
         registry: &MetricsRegistry,
     ) -> Self {
         let key = SeriesKey::class(server, TrafficClass::Replicate.name());
         ReplicatePipeline {
-            enabled,
-            waiting: VecDeque::new(),
+            durability: durability.filter(DurabilitySpec::any_replicated),
             queue: ClassQueue::new(TrafficClass::Replicate, server, max_inflight),
-            held: Vec::new(),
-            pending_keys: HashSet::new(),
             requested_bytes: registry.counter(key, "replicate_requested_bytes"),
             completed_bytes: registry.counter(key, "replicate_completed_bytes"),
             replicated_bytes: registry.counter(key, "replicate_replicated_bytes"),
@@ -191,137 +137,54 @@ impl ReplicatePipeline {
         }
     }
 
-    /// Whether a durability spec gave this pipeline work to do.
+    /// Whether the sub-queue runs.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.durability.is_some()
     }
 
-    /// Records the copy-out debt of one acknowledged write. Returns whether
-    /// new debt was queued: `local_only` writes owe nothing, a disabled
-    /// pipeline takes nothing, and an extent already owing a copy that has
-    /// not executed yet owes exactly one (the copy reads the latest bytes
-    /// when it executes).
-    pub fn note_write(
-        &mut self,
-        path: impl Into<String>,
-        stripe: u64,
-        bytes: u64,
-        mode: DurabilityMode,
-    ) -> bool {
-        if !self.enabled || !mode.replicates() {
+    /// Whether a dirty extent of `path` belongs in this sub-queue: the
+    /// durability its last write resolves to owes a copy. A restore-for-write
+    /// pin no write has landed on yet, or a write through the writer-less
+    /// API, is the system's own: its reserved identity matches no job rule,
+    /// so path rules and the default decide.
+    pub fn owes(&self, path: &str, dirty: &DirtyExtent) -> bool {
+        let Some(spec) = &self.durability else {
             return false;
-        }
-        let path = path.into();
-        let key = (path.clone(), stripe);
-        if self.pending_keys.contains(&key) {
-            // One pending copy suffices, but a sync write behind it must
-            // still defer its ack on the *pending* copy — upgrade the mode
-            // so status reporting reflects the strongest waiter.
-            if mode.defers_ack() {
-                let pending = self.waiting.iter_mut().chain(self.queue.targets_mut());
-                for t in pending.filter(|t| t.key() == key) {
-                    t.mode = DurabilityMode::Sync;
-                }
-            }
-            return false;
-        }
-        let bytes = bytes.max(1);
-        self.pending_keys.insert(key);
-        self.requested_bytes.add(bytes);
-        self.waiting.push_back(ReplicaTarget {
-            path,
-            stripe,
-            bytes,
-            mode,
-            copied: None,
-        });
-        true
+        };
+        let system = self.queue.meta();
+        let (job, user) = dirty
+            .writer
+            .map_or((system.job, system.user), |w| (w.job, w.user));
+        spec.resolve(job, user, path).replicates()
     }
 
-    /// Looks up an in-flight copy by request sequence number.
-    pub fn inflight(&self, seq: u64) -> Option<&ReplicaTarget> {
-        self.queue.get(seq)
+    /// Admits a durable copy (see
+    /// [`DrainPipeline::admit`](crate::pipeline::DrainPipeline::admit)).
+    pub(crate) fn admit(&mut self, seq: u64, target: InflightDrain, now_ns: u64) -> IoRequest {
+        let cost = target.cost;
+        self.requested_bytes.add(cost);
+        self.queue.admit(seq, target, OpKind::Read, cost, now_ns)
     }
 
-    /// Records that the released copy `seq` wrote back the snapshot of
-    /// `generation`, `bytes` long. It lands when its charges finish; a
-    /// write from now on owes a new copy.
-    pub fn copied(&mut self, seq: u64, generation: u64, bytes: u64) {
-        if let Some(target) = self.queue.get_mut(seq) {
-            target.copied = Some((generation, bytes));
-            self.pending_keys.remove(&target.key());
-        }
-    }
-
-    /// Holds the released copy `seq`, which found nothing to write: another
-    /// copy holds its extent's claim, the extent is already clean, or it is
-    /// gone. [`resolve_held`](Self::resolve_held) decides what it became.
-    pub fn hold(&mut self, seq: u64) {
-        if let Some(target) = self.queue.remove(seq) {
-            self.pending_keys.remove(&target.key());
-            self.held.push(target);
-        }
-    }
-
-    /// The next copy whose capacity-tier write finished at or before
-    /// `now_ns`: removed from flight and its debt retired at the admitted
-    /// cost, so the caller can land it (mark its generation clean, account
-    /// [`record_replicated`](Self::record_replicated), release `sync`
-    /// acks).
-    pub fn pop_due(&mut self, now_ns: u64) -> Option<ReplicaTarget> {
-        let target = self.queue.pop_due(now_ns)?;
-        if target.copied.is_none() {
-            self.pending_keys.remove(&target.key());
-        }
-        self.completed_bytes.add(target.bytes);
+    /// Retires a copy that wrote nothing.
+    pub(crate) fn complete(&mut self, seq: u64) -> Option<InflightDrain> {
+        let target = self.queue.remove(seq)?;
+        self.completed_bytes.add(target.cost);
         Some(target)
     }
 
-    /// Looks at every held copy's extent again through `look` and settles
-    /// the ones whose wait is over. A clean extent retires the debt
-    /// without writing (a drain landed those bytes); a gone one retires it
-    /// as a failed copy; a dirty, unclaimed one goes back to the front of
-    /// the queue (or retires, when a later write's copy already waits);
-    /// a claimed one stays held. Returns the keys of the retired copies —
-    /// for those, every write so far is in the capacity tier or gone.
-    pub fn resolve_held(
-        &mut self,
-        mut look: impl FnMut(&ReplicaTarget) -> ExtentState,
-    ) -> Vec<(String, u64)> {
-        let mut settled = Vec::new();
-        for target in std::mem::take(&mut self.held) {
-            match look(&target) {
-                ExtentState::Claimed => {
-                    self.held.push(target);
-                    continue;
-                }
-                ExtentState::Dirty => {
-                    if self.pending_keys.insert(target.key()) {
-                        self.waiting.push_front(target);
-                    } else {
-                        self.completed_bytes.add(target.bytes);
-                    }
-                    continue;
-                }
-                ExtentState::Clean => {}
-                ExtentState::Gone => self.record_failed(),
-            }
-            self.completed_bytes.add(target.bytes);
-            settled.push(target.key());
-        }
-        settled
-    }
-
-    /// Accounts one copy this lane wrote to the capacity tier (`bytes` is
-    /// the copy's true length).
-    pub fn record_replicated(&mut self, bytes: u64) {
-        self.replicated_bytes.add(bytes);
+    /// The next copy whose capacity-tier write finished at or before
+    /// `now_ns`, retired and accounted as replicated at the bytes it wrote.
+    pub(crate) fn pop_due(&mut self, now_ns: u64) -> Option<InflightDrain> {
+        let target = self.queue.pop_due(now_ns)?;
+        self.completed_bytes.add(target.cost);
+        self.replicated_bytes.add(target.bytes);
         self.replicated_extents.inc();
+        Some(target)
     }
 
-    /// Accounts a copy abandoned because its source no longer exists — the
-    /// debt is retired without a copy, and the failure is visible rather
-    /// than hidden.
+    /// Accounts a copy abandoned because its stripe no longer exists — the
+    /// failure is visible rather than hidden.
     pub fn record_failed(&mut self) {
         self.failed_replications.inc();
     }
@@ -336,14 +199,15 @@ impl ReplicatePipeline {
         self.sync_acks_released.inc();
     }
 
-    /// Builds the status snapshot.
-    pub fn status(&self) -> ReplicateStatus {
+    /// Builds the status snapshot, with `queued_extents` durable extents
+    /// waiting for admission.
+    pub fn status(&self, queued_extents: u64) -> ReplicateStatus {
         let completed_bytes = self.completed_bytes.get();
         let requested_bytes = self.requested_bytes.get();
         ReplicateStatus {
-            enabled: self.enabled,
-            queued_extents: self.waiting.len() as u64,
-            inflight: (self.queue.len() + self.held.len()) as u64,
+            enabled: self.enabled(),
+            queued_extents,
+            inflight: self.queue.len() as u64,
             requested_bytes,
             completed_bytes,
             // Independently-maintained totals: saturate instead of trusting
@@ -358,120 +222,138 @@ impl ReplicatePipeline {
     }
 }
 
-impl ClassLifecycle for ReplicatePipeline {
-    /// Admits the next waiting copy — a *read* of the burst-buffer device
-    /// (the copy's cost on the contended resource); the matching
-    /// capacity-tier write is charged by the caller when the engine
-    /// releases the request, exactly as for a drain.
-    fn admit_next(&mut self, seq: u64, now_ns: u64, _: &AdmitContext<'_>) -> Option<IoRequest> {
-        if self.queue.capacity() == 0 {
-            return None;
-        }
-        let target = self.waiting.pop_front()?;
-        let bytes = target.bytes;
-        Some(self.queue.admit(seq, target, OpKind::Read, bytes, now_ns))
-    }
-
-    fn dispatched(&mut self, seq: u64, finish_ns: u64) {
-        self.queue.dispatched(seq, finish_ns);
-    }
-
-    fn next_finish_ns(&self) -> Option<u64> {
-        self.queue.next_finish_ns()
-    }
-
-    fn is_busy(&self) -> bool {
-        !self.waiting.is_empty() || !self.queue.is_empty() || !self.held.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backing::CapacityTier;
-    use themis_fs::BurstBufferFs;
+    use crate::class::ClassWeights;
+    use crate::lifecycle::{AdmitContext, ClassLifecycle};
+    use crate::pipeline::{DrainConfig, DrainPipeline};
+    use themis_core::durability::DurabilityMode;
+    use themis_core::entity::{JobId, UserId};
+    use themis_fs::{BurstBufferFs, Writer};
 
-    fn pipeline(server: usize, enabled: bool, max_inflight: usize) -> ReplicatePipeline {
-        ReplicatePipeline::new(server, enabled, max_inflight, &MetricsRegistry::new())
+    const MIB: usize = 1 << 20;
+
+    fn writer(job: u64) -> Option<Writer> {
+        Some(Writer {
+            job: JobId(job),
+            user: UserId(1),
+        })
     }
 
-    fn admit(p: &mut ReplicatePipeline, seq: u64) -> Option<IoRequest> {
+    /// A one-server file system with `stripes` 1 MiB extents of `/f`, each
+    /// written by `job`.
+    fn dirty_fs(stripes: u64, job: u64) -> BurstBufferFs {
+        let fs = BurstBufferFs::new(1);
+        fs.create_striped("/f", themis_fs::StripeConfig::new(MIB as u64, 1), 0)
+            .unwrap();
+        fs.write_at_as("/f", 0, &vec![1; stripes as usize * MIB], 0, writer(job))
+            .unwrap();
+        fs
+    }
+
+    /// The copy-out of a server whose spec is `spec`, `depth` deep per
+    /// sub-queue.
+    fn copier(
+        spec: Option<DurabilitySpec>,
+        depth: usize,
+        registry: &MetricsRegistry,
+    ) -> DrainPipeline {
+        let config = DrainConfig {
+            max_inflight: depth,
+            classes: ClassWeights::default().enable(TrafficClass::Replicate, 16),
+            ..DrainConfig::default()
+        };
+        DrainPipeline::new(0, config, spec, registry)
+    }
+
+    fn admit(p: &mut DrainPipeline, fs: &BurstBufferFs, seq: u64) -> Option<IoRequest> {
+        let tier = CapacityTier::hdd();
         let ctx = AdmitContext {
-            fs: &BurstBufferFs::new(1),
-            backing: &CapacityTier::hdd(),
+            fs,
+            backing: &tier,
             owns: &|_, _| true,
         };
         p.admit_next(seq, 0, &ctx)
     }
 
     /// Walks one admitted copy through release and landing.
-    fn land(p: &mut ReplicatePipeline, seq: u64) -> ReplicaTarget {
+    fn land(p: &mut DrainPipeline, seq: u64) -> InflightDrain {
         p.dispatched(seq, 0);
         p.pop_due(0).expect("released copy lands")
     }
 
-    #[test]
-    fn local_only_and_disabled_pipelines_take_no_debt() {
-        let mut off = pipeline(0, false, 4);
-        assert!(!off.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
-        assert!(!off.is_busy());
-        let mut on = pipeline(0, true, 4);
-        assert!(!on.note_write("/f", 0, 1 << 20, DurabilityMode::LocalOnly));
-        assert!(!on.is_busy());
-        assert!(on.note_write("/f", 0, 1 << 20, DurabilityMode::LocalPlusOne));
-        assert!(on.is_busy());
-        assert_eq!(on.status().lag_bytes, 1 << 20);
+    fn sync_spec() -> Option<DurabilitySpec> {
+        Some(DurabilitySpec::new(DurabilityMode::Sync))
     }
 
     #[test]
-    fn dedup_keeps_one_copy_and_upgrades_to_sync() {
-        let mut p = pipeline(1, true, 4);
-        assert!(p.note_write("/f", 0, 1 << 20, DurabilityMode::LocalPlusOne));
-        // The re-dirtied extent owes exactly one copy…
-        assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::LocalPlusOne));
-        // …and a sync writer behind it upgrades the pending copy's mode.
-        assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
-        assert_eq!(p.status().lag_bytes, 1 << 20);
-        let r = admit(&mut p, 10).expect("admit");
-        assert_eq!(r.meta, TrafficClass::Replicate.meta(1));
-        assert_eq!(r.kind, OpKind::Read);
-        assert_eq!(p.inflight(10).unwrap().mode, DurabilityMode::Sync);
+    fn local_only_and_disabled_pipelines_take_no_debt() {
+        let registry = MetricsRegistry::new();
+        let fs = dirty_fs(1, 1);
+        // No spec, or one that owes nothing: the extent drains.
+        let local = Some(DurabilitySpec::new(DurabilityMode::LocalOnly));
+        for spec in [None, local] {
+            let mut p = copier(spec, 4, &registry);
+            assert!(!p.replicate_status(&fs).enabled);
+            let r = admit(&mut p, &fs, 1).unwrap();
+            assert_eq!(r.meta, TrafficClass::Drain.meta(0));
+            assert_eq!(p.replicate_status(&fs).requested_bytes, 0);
+        }
+        // A job rule makes job 1's extent durable: it is copied early.
+        let spec = DurabilitySpec::new(DurabilityMode::LocalOnly)
+            .with_job(1, DurabilityMode::LocalPlusOne)
+            .unwrap();
+        let mut p = copier(Some(spec), 4, &registry);
+        assert_eq!(p.replicate_status(&fs).queued_extents, 1);
+        let r = admit(&mut p, &fs, 1).unwrap();
+        assert_eq!(
+            (r.meta, r.kind),
+            (TrafficClass::Replicate.meta(0), OpKind::Read)
+        );
+        let s = p.replicate_status(&fs);
+        assert_eq!(
+            (s.queued_extents, s.inflight, s.lag_bytes),
+            (0, 1, MIB as u64)
+        );
     }
 
     #[test]
     fn depth_limits_inflight_and_completion_retires_debt() {
-        let mut p = pipeline(0, true, 2);
-        for stripe in 0..3u64 {
-            assert!(p.note_write("/ckpt", stripe, 1 << 20, DurabilityMode::LocalPlusOne));
-        }
-        assert!(admit(&mut p, 1).is_some());
-        assert!(admit(&mut p, 2).is_some());
-        assert!(admit(&mut p, 3).is_none(), "depth 2 reached");
-        assert_eq!(p.status().lag_bytes, 3 << 20);
+        let fs = dirty_fs(3, 1);
+        let mut p = copier(sync_spec(), 2, &MetricsRegistry::new());
+        assert!(admit(&mut p, &fs, 1).is_some());
+        assert!(admit(&mut p, &fs, 2).is_some());
+        // The third extent is durable too: it waits for the durable
+        // sub-queue, never slipping into the drain lane.
+        assert!(admit(&mut p, &fs, 3).is_none(), "depth 2 reached");
+        assert_eq!(p.admission_capacity(), 2);
+        let s = p.replicate_status(&fs);
+        assert_eq!((s.queued_extents, s.lag_bytes), (1, 2 * MIB as u64));
         let done = land(&mut p, 1);
-        assert_eq!(done.path, "/ckpt");
-        p.record_replicated(done.bytes);
-        assert_eq!(p.status().lag_bytes, 2 << 20);
-        // The retired key may be re-dirtied into new debt.
-        assert!(p.note_write("/ckpt", done.stripe, 1 << 20, DurabilityMode::LocalPlusOne));
+        assert_eq!(done.path, "/f");
+        assert_eq!(p.replicate_status(&fs).lag_bytes, MIB as u64);
         // Depth freed: admission resumes.
-        assert!(admit(&mut p, 3).is_some());
-        let s = p.status();
-        assert_eq!(s.requested_bytes, 4 << 20);
-        assert_eq!(s.completed_bytes, 1 << 20);
-        assert_eq!(s.lag_bytes, 3 << 20);
+        let r = admit(&mut p, &fs, 3).unwrap();
+        assert_eq!(r.meta, TrafficClass::Replicate.meta(0));
+        let s = p.replicate_status(&fs);
+        assert_eq!(s.requested_bytes, 3 * MIB as u64);
+        assert_eq!(s.completed_bytes, MIB as u64);
         assert_eq!(s.replicated_extents, 1);
         assert!(!s.is_idle());
     }
 
     #[test]
     fn failed_copies_retire_debt_without_replicas() {
-        let mut p = pipeline(0, true, 4);
-        p.note_write("/gone", 0, 1 << 20, DurabilityMode::LocalPlusOne);
-        admit(&mut p, 1).unwrap();
-        land(&mut p, 1);
-        p.record_failed();
-        let s = p.status();
+        let fs = dirty_fs(1, 1);
+        let mut p = copier(sync_spec(), 4, &MetricsRegistry::new());
+        admit(&mut p, &fs, 1).unwrap();
+        fs.unlink("/f", 0).unwrap();
+        // The copy finds its stripe gone: it retires unwritten.
+        assert!(p.complete(1).is_some());
+        p.replicate_mut().record_failed();
+        let s = p.replicate_status(&fs);
         assert_eq!(s.lag_bytes, 0);
         assert_eq!(s.replicated_bytes, 0);
         assert_eq!(s.failed_replications, 1);
@@ -480,102 +362,114 @@ mod tests {
 
     #[test]
     fn sync_ack_parking_blocks_idle_until_released() {
-        let mut p = pipeline(0, true, 4);
-        p.note_write("/db", 0, 4096, DurabilityMode::Sync);
-        p.record_sync_deferred();
-        admit(&mut p, 1).unwrap();
-        let done = land(&mut p, 1);
-        assert!(done.mode.defers_ack());
-        p.record_replicated(4096);
-        assert!(!p.status().is_idle(), "parked ack still outstanding");
-        p.record_sync_released();
-        let s = p.status();
-        assert_eq!(s.sync_acks_deferred, 1);
-        assert_eq!(s.sync_acks_released, 1);
+        let fs = BurstBufferFs::new(1);
+        let mut p = copier(sync_spec(), 4, &MetricsRegistry::new());
+        p.replicate_mut().record_sync_deferred();
+        assert!(!p.replicate_status(&fs).is_idle(), "parked ack outstanding");
+        p.replicate_mut().record_sync_released();
+        let s = p.replicate_status(&fs);
+        assert_eq!((s.sync_acks_deferred, s.sync_acks_released), (1, 1));
         assert!(s.is_idle());
     }
 
     #[test]
     fn a_write_after_the_copy_executed_owes_a_new_copy() {
-        let mut p = pipeline(0, true, 4);
-        assert!(p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
-        admit(&mut p, 1).unwrap();
-        // Admitted but not executed: a second write folds into it.
-        assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
-        p.copied(1, 7, 1 << 20);
-        assert_eq!(p.inflight(1).unwrap().copied, Some((7, 1 << 20)));
-        // The snapshot is taken: a later write's bytes are not in it.
-        assert!(p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
-        p.dispatched(1, 0);
-        assert_eq!(p.pop_due(0).unwrap().copied, Some((7, 1 << 20)));
-        assert!(!p.note_write("/f", 0, 1 << 20, DurabilityMode::Sync));
-        assert_eq!(p.status().lag_bytes, 1 << 20);
+        let fs = dirty_fs(1, 1);
+        let mut p = copier(sync_spec(), 4, &MetricsRegistry::new());
+        admit(&mut p, &fs, 1).unwrap();
+        // In flight: the extent is not admitted twice.
+        assert!(admit(&mut p, &fs, 2).is_none());
+        let (_, generation) = fs.copy_snapshot_on(0, "/f", 0).unwrap();
+        p.snapshotted(1, generation, MIB as u64);
+        // A write after the snapshot: the landing cannot clean the extent,
+        // so it is copied again.
+        fs.write_at_as("/f", 0, &[2; 8], 1, writer(1)).unwrap();
+        let done = land(&mut p, 1);
+        assert!(!fs.mark_clean_on(0, "/f", 0, done.generation));
+        assert!(admit(&mut p, &fs, 2).is_some());
+        assert_eq!(p.replicate_status(&fs).requested_bytes, 2 * MIB as u64);
     }
 
+    /// One copier: whatever durability the writers resolve to, each dirty
+    /// extent is in flight in at most one sub-queue, and one that changed
+    /// writer while in flight moves lanes only after it landed.
     #[test]
-    fn held_copies_settle_on_what_their_extent_became() {
-        let mut p = pipeline(0, true, 8);
-        for (seq, stripe) in (1..=5).zip(0u64..) {
-            p.note_write("/h", stripe, 100, DurabilityMode::LocalPlusOne);
-            admit(&mut p, seq).unwrap();
-            p.hold(seq);
-        }
-        // Held copies free their admission slot but are still owed.
-        let s = p.status();
-        assert_eq!((s.queued_extents, s.inflight, s.lag_bytes), (0, 5, 500));
-        assert!(p.is_busy());
-        // Stripe 4 was re-written while held: that write's copy waits.
-        assert!(p.note_write("/h", 4, 100, DurabilityMode::LocalPlusOne));
-        let states = [
-            ExtentState::Claimed,
-            ExtentState::Clean,
-            ExtentState::Gone,
-            ExtentState::Dirty,
-            ExtentState::Dirty,
-        ];
-        let mut settled = p.resolve_held(|t| states[t.stripe as usize]);
-        settled.sort();
-        assert_eq!(settled, vec![("/h".to_string(), 1), ("/h".to_string(), 2)]);
-        let s = p.status();
-        // Stripe 0 still held; stripe 3 back in the queue ahead of stripe
-        // 4's new copy, which covers the held one.
-        assert_eq!((s.queued_extents, s.inflight), (2, 1));
-        assert_eq!((s.replicated_extents, s.failed_replications), (0, 1));
-        assert_eq!(s.requested_bytes - s.completed_bytes, 300);
-        let next = admit(&mut p, 6).unwrap();
-        assert_eq!(p.inflight(next.seq).unwrap().stripe, 3);
-        // The claim holder landed: the last held copy retires unwritten.
-        assert_eq!(p.resolve_held(|_| ExtentState::Clean).len(), 1);
-        assert_eq!(p.status().inflight, 1, "only the re-admitted copy");
+    fn copy_out_each_dirty_extent_sits_in_one_lane() {
+        let fs = dirty_fs(4, 1);
+        // Job 2 writes stripes 2 and 3: its writes are durable.
+        fs.write_at_as("/f", 2 * MIB as u64, &vec![2; 2 * MIB], 1, writer(2))
+            .unwrap();
+        let spec = DurabilitySpec::new(DurabilityMode::LocalOnly)
+            .with_job(2, DurabilityMode::Sync)
+            .unwrap();
+        let mut p = copier(Some(spec), 4, &MetricsRegistry::new());
+        let lanes: Vec<_> = (1..=4)
+            .map(|seq| {
+                let r = admit(&mut p, &fs, seq).unwrap();
+                (
+                    p.inflight(seq).unwrap().stripe,
+                    TrafficClass::of(r.meta.job).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            lanes,
+            vec![
+                (0, TrafficClass::Drain),
+                (1, TrafficClass::Drain),
+                (2, TrafficClass::Replicate),
+                (3, TrafficClass::Replicate),
+            ]
+        );
+        assert!(admit(&mut p, &fs, 5).is_none(), "every extent in flight");
+        // Job 2 rewrites stripe 0 while its drain is in flight: still one
+        // copy of it in flight. After the drain lands, the extent is
+        // durable.
+        fs.write_at_as("/f", 0, &[3; 8], 2, writer(2)).unwrap();
+        assert!(admit(&mut p, &fs, 5).is_none());
+        let done = land(&mut p, 1);
+        assert!(!fs.mark_clean_on(0, "/f", 0, done.generation));
+        let r = admit(&mut p, &fs, 5).unwrap();
+        assert_eq!(r.meta, TrafficClass::Replicate.meta(0));
+        assert_eq!(p.inflight(5).unwrap().stripe, 0);
+        assert_eq!(
+            p.status(
+                &crate::pipeline::RestorePipeline::new(0, 1, &MetricsRegistry::new()),
+                0,
+                0,
+                0
+            )
+            .inflight_extents,
+            4
+        );
     }
 
     #[test]
     fn telemetry_mirrors_every_counter() {
         let registry = MetricsRegistry::new();
-        let mut p = ReplicatePipeline::new(0, true, 4, &registry);
-        p.note_write("/f", 0, 1000, DurabilityMode::Sync);
-        p.record_sync_deferred();
-        admit(&mut p, 1).unwrap();
+        let fs = dirty_fs(2, 1);
+        let mut p = copier(sync_spec(), 4, &registry);
+        p.replicate_mut().record_sync_deferred();
+        admit(&mut p, &fs, 1).unwrap();
+        p.snapshotted(1, 1, 1000);
         land(&mut p, 1);
-        p.record_replicated(1000);
-        p.record_sync_released();
-        p.note_write("/f", 1, 500, DurabilityMode::LocalPlusOne);
-        admit(&mut p, 2).unwrap();
-        land(&mut p, 2);
-        p.record_failed();
+        p.replicate_mut().record_sync_released();
+        admit(&mut p, &fs, 2).unwrap();
+        p.complete(2);
+        p.replicate_mut().record_failed();
         let snap = registry.snapshot(0);
         let c = |name: &str| snap.counter(0, 0, "replicate", name);
-        assert_eq!(c("replicate_requested_bytes"), 1500);
-        assert_eq!(c("replicate_completed_bytes"), 1500);
+        assert_eq!(c("replicate_requested_bytes"), 2 * MIB as u64);
+        assert_eq!(c("replicate_completed_bytes"), 2 * MIB as u64);
         assert_eq!(c("replicate_replicated_bytes"), 1000);
         assert_eq!(c("replicated_extents"), 1);
         assert_eq!(c("failed_replications"), 1);
         assert_eq!(c("sync_acks_deferred"), 1);
         assert_eq!(c("sync_acks_released"), 1);
         // The registry view and the pipeline's own status agree.
-        let s = p.status();
-        assert_eq!(s.requested_bytes, 1500);
-        assert_eq!(s.completed_bytes, 1500);
+        let s = p.replicate_status(&fs);
+        assert_eq!(s.requested_bytes, 2 * MIB as u64);
+        assert_eq!(s.completed_bytes, 2 * MIB as u64);
         assert_eq!(s.lag_bytes, 0);
     }
 }
