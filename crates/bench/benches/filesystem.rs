@@ -1,9 +1,14 @@
 //! Criterion micro-benchmarks of the user-space file system: consistent-hash
 //! lookup, write/read round trips, metadata operations, the capacity tier's
 //! extent checksum, and one extent's drain-and-restore round trip.
+//!
+//! Three 1 MiB writes sit side by side in `fs_io`: `write_1MiB` copies over
+//! an existing extent, `write_fresh_1MiB` copies into a new one (allocate,
+//! zero-fill, copy) and `write_owned_1MiB` keeps the caller's buffer as the
+//! new extent, the path a server takes for a whole-extent write.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use themis_fs::{BurstBufferFs, HashRing, StripeConfig};
+use themis_fs::{BurstBufferFs, Extent, HashRing, StripeConfig};
 use themis_stage::{extent_checksum, verified_extent, write_back_guarded, CapacityTier};
 
 fn bench_ring(c: &mut Criterion) {
@@ -32,6 +37,44 @@ fn bench_fs_io(c: &mut Criterion) {
         let mut off = 0u64;
         b.iter(|| {
             fs.write_at("/bench", off % (64 << 20), &block, 1).unwrap();
+            off += 1 << 20;
+        })
+    });
+    // Each write lands in a new extent (the file is truncated every 64
+    // writes): an allocation, a zero fill and a copy per MiB.
+    fs.create("/fresh", 0).unwrap();
+    group.bench_function("write_fresh_1MiB", |b| {
+        let mut off = 0u64;
+        b.iter(|| {
+            if off.is_multiple_of(64 << 20) {
+                fs.truncate("/fresh", 1).unwrap();
+            }
+            fs.write_at("/fresh", off % (64 << 20), &block, 1).unwrap();
+            off += 1 << 20;
+        })
+    });
+    // The same writes keeping the caller's buffer as the extent. At each
+    // truncate the buffers come back out of the dropped extents, so the
+    // loop times the write alone, not the caller's allocation and copy.
+    fs.create("/owned", 0).unwrap();
+    let layout = fs.layout_of("/owned").unwrap();
+    let mut pool: Vec<Vec<u8>> = (0..64).map(|_| block.clone()).collect();
+    group.bench_function("write_owned_1MiB", |b| {
+        let mut off = 0u64;
+        b.iter(|| {
+            if off.is_multiple_of(64 << 20) {
+                let held: Vec<Extent> = (0..64)
+                    .filter_map(|s| {
+                        let server = layout.server_for_stripe(s).unwrap().0;
+                        fs.resident_extent_on(server, "/owned", s)
+                    })
+                    .collect();
+                fs.truncate("/owned", 1).unwrap();
+                pool.extend(held.into_iter().map(Extent::into_vec));
+            }
+            let mut buffer = pool.pop().unwrap();
+            fs.write_at_owned_as("/owned", off % (64 << 20), &mut buffer, 1, None)
+                .unwrap();
             off += 1 << 20;
         })
     });

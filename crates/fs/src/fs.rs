@@ -439,33 +439,88 @@ impl BurstBufferFs {
         now_ns: u64,
         writer: Option<Writer>,
     ) -> FsResult<u64> {
+        let (p, stripe_size, chunks) = self.plan_write(p, offset, data.len())?;
+        self.copy_chunks(&p, stripe_size, &chunks, offset, data, writer)?;
+        self.finish_write(&p, offset, data.len(), now_ns)
+    }
+
+    /// [`BurstBufferFs::write_at_as`] of a buffer the caller gives up: a
+    /// write that starts on a stripe boundary and stays inside that stripe
+    /// keeps `data`'s buffer as the extent instead of copying it
+    /// ([`Shard::write_whole_extent`]), leaving `data` empty. Every other
+    /// write copies, exactly as `write_at_as` does, and leaves `data` as it
+    /// was. A write refused before it reaches the extent, `NotResident`
+    /// included, leaves the buffer in place, so the caller can stage an
+    /// evicted extent back in and retry with it.
+    pub fn write_at_owned_as(
+        &self,
+        p: &str,
+        offset: u64,
+        data: &mut Vec<u8>,
+        now_ns: u64,
+        writer: Option<Writer>,
+    ) -> FsResult<u64> {
+        let len = data.len();
+        let (p, stripe_size, chunks) = self.plan_write(p, offset, len)?;
+        match chunks[..] {
+            [chunk] if chunk.offset % stripe_size == 0 => self
+                .shard(chunk.server)
+                .write()
+                .write_whole_extent(&p, chunk.offset / stripe_size, data, writer)?,
+            _ => self.copy_chunks(&p, stripe_size, &chunks, offset, data, writer)?,
+        }
+        self.finish_write(&p, offset, len, now_ns)
+    }
+
+    /// The normalised path, stripe size and per-server chunks of a write
+    /// of `len` bytes at `offset`, rejecting one that would overflow the
+    /// file address space.
+    fn plan_write(&self, p: &str, offset: u64, len: usize) -> FsResult<(String, u64, Vec<Chunk>)> {
         let p = path::normalize(p)?;
-        if offset.checked_add(data.len() as u64).is_none() {
+        if offset.checked_add(len as u64).is_none() {
             return Err(FsError::InvalidArgument(format!(
-                "write of {} bytes at offset {offset} overflows the file address space",
-                data.len()
+                "write of {len} bytes at offset {offset} overflows the file address space"
             )));
         }
         let layout = self.layout_of(&p)?;
-        let chunks = layout.chunks(offset, data.len() as u64);
-        for chunk in &chunks {
-            let stripe = chunk.offset / layout.config.stripe_size;
-            let within = chunk.offset % layout.config.stripe_size;
+        let chunks = layout.chunks(offset, len as u64);
+        Ok((p, layout.config.stripe_size, chunks))
+    }
+
+    /// Copies each chunk of `data` (written at `offset`) into its extent.
+    fn copy_chunks(
+        &self,
+        p: &str,
+        stripe_size: u64,
+        chunks: &[Chunk],
+        offset: u64,
+        data: &[u8],
+        writer: Option<Writer>,
+    ) -> FsResult<()> {
+        for chunk in chunks {
+            let stripe = chunk.offset / stripe_size;
+            let within = chunk.offset % stripe_size;
             let lo = (chunk.offset - offset) as usize;
             let hi = lo + chunk.len as usize;
             self.shard(chunk.server).write().write_extent(
-                &p,
+                p,
                 stripe,
                 within,
                 &data[lo..hi],
                 writer,
             )?;
         }
-        let owner = self.meta_owner(&p);
+        Ok(())
+    }
+
+    /// Grows the file size to cover a write of `len` bytes at `offset`,
+    /// returning `len`.
+    fn finish_write(&self, p: &str, offset: u64, len: usize, now_ns: u64) -> FsResult<u64> {
+        let owner = self.meta_owner(p);
         self.shard(owner)
             .write()
-            .update_size(&p, offset + data.len() as u64, now_ns)?;
-        Ok(data.len() as u64)
+            .update_size(p, offset + len as u64, now_ns)?;
+        Ok(len as u64)
     }
 
     /// Reads up to `len` bytes at `offset`; the result is truncated at the
@@ -634,15 +689,25 @@ impl BurstBufferFs {
         now_ns: u64,
         writer: Option<Writer>,
     ) -> FsResult<u64> {
-        let (path, cursor) = {
-            let fds = self.inner.fds.lock();
-            let f = fds.get(&fd).ok_or(FsError::BadDescriptor(fd))?;
-            (f.path.clone(), f.cursor)
-        };
+        let (path, cursor) = self.fd_cursor(fd)?;
         let written = self.write_at_as(&path, cursor, data, now_ns, writer)?;
-        if let Some(f) = self.inner.fds.lock().get_mut(&fd) {
-            f.cursor = cursor + written;
-        }
+        self.set_cursor(fd, cursor + written);
+        Ok(written)
+    }
+
+    /// [`BurstBufferFs::write_as`] through
+    /// [`BurstBufferFs::write_at_owned_as`]: a write from a cursor on a
+    /// stripe boundary keeps `data`'s buffer as its extent.
+    pub fn write_owned_as(
+        &self,
+        fd: u64,
+        data: &mut Vec<u8>,
+        now_ns: u64,
+        writer: Option<Writer>,
+    ) -> FsResult<u64> {
+        let (path, cursor) = self.fd_cursor(fd)?;
+        let written = self.write_at_owned_as(&path, cursor, data, now_ns, writer)?;
+        self.set_cursor(fd, cursor + written);
         Ok(written)
     }
 
@@ -659,26 +724,16 @@ impl BurstBufferFs {
         len: u64,
         fetch: &dyn Fn(&str, u64) -> Option<Extent>,
     ) -> FsResult<Vec<u8>> {
-        let (path, cursor) = {
-            let fds = self.inner.fds.lock();
-            let f = fds.get(&fd).ok_or(FsError::BadDescriptor(fd))?;
-            (f.path.clone(), f.cursor)
-        };
+        let (path, cursor) = self.fd_cursor(fd)?;
         let data = self.read_at_with(&path, cursor, len, fetch)?;
-        if let Some(f) = self.inner.fds.lock().get_mut(&fd) {
-            f.cursor = cursor + data.len() as u64;
-        }
+        self.set_cursor(fd, cursor + data.len() as u64);
         Ok(data)
     }
 
     /// Repositions the descriptor's cursor (`lseek()`), returning the new
     /// absolute offset.
     pub fn lseek(&self, fd: u64, offset: i64, whence: Whence) -> FsResult<u64> {
-        let (path, cursor) = {
-            let fds = self.inner.fds.lock();
-            let f = fds.get(&fd).ok_or(FsError::BadDescriptor(fd))?;
-            (f.path.clone(), f.cursor)
-        };
+        let (path, cursor) = self.fd_cursor(fd)?;
         let base = match whence {
             Whence::Set => 0i64,
             Whence::Cur => cursor as i64,
@@ -691,10 +746,22 @@ impl BurstBufferFs {
             )));
         }
         let target = target as u64;
-        if let Some(f) = self.inner.fds.lock().get_mut(&fd) {
-            f.cursor = target;
-        }
+        self.set_cursor(fd, target);
         Ok(target)
+    }
+
+    /// The path and cursor of an open descriptor.
+    fn fd_cursor(&self, fd: u64) -> FsResult<(String, u64)> {
+        let fds = self.inner.fds.lock();
+        let f = fds.get(&fd).ok_or(FsError::BadDescriptor(fd))?;
+        Ok((f.path.clone(), f.cursor))
+    }
+
+    /// Moves an open descriptor's cursor (a no-op once it is closed).
+    fn set_cursor(&self, fd: u64, cursor: u64) {
+        if let Some(f) = self.inner.fds.lock().get_mut(&fd) {
+            f.cursor = cursor;
+        }
     }
 }
 
@@ -1153,5 +1220,185 @@ mod tests {
             }
         }
         assert!(pins > 0, "no case pinned a restore-for-write");
+    }
+
+    #[test]
+    fn cow_owned_and_copying_writes_are_indistinguishable_property() {
+        // Twin file systems on 1-3 servers take the same seeded steps; one
+        // writes through the copying `write_at_as`/`write_as`, the other
+        // through their owned variants. Whether a buffer was kept or copied
+        // must never show: bytes, sizes, residency, dirty state (generation,
+        // landed, writer) and error kinds stay equal after every step.
+        use std::collections::BTreeMap;
+        use themis_core::entity::{JobId, UserId};
+        let mut seed: u64 = 0x0c0f_fee5;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1)
+        };
+        // The last stripe of the address space starts here (ss = 64).
+        let last_stripe = u64::MAX - 63;
+        // Per write kind: how often the owned side kept the buffer, and how
+        // often it copied or failed.
+        let mut kept: BTreeMap<&str, u32> = BTreeMap::new();
+        let mut other: BTreeMap<&str, u32> = BTreeMap::new();
+        for case in 0..48 {
+            let servers = 1 + next(3) as usize;
+            let ss = 64u64;
+            let twins = [0, 1].map(|_| {
+                let f = BurstBufferFs::with_stripe_config(servers, StripeConfig::new(ss, servers));
+                f.create("/w", 0).unwrap();
+                f.create("/edge", 0).unwrap();
+                f
+            });
+            let [copying, owned] = &twins;
+            let fd = copying.open("/w", OpenFlags::read_only(), 0).unwrap();
+            assert_eq!(owned.open("/w", OpenFlags::read_only(), 0).unwrap(), fd);
+            let mut tiers: [BTreeMap<(String, u64), Extent>; 2] = Default::default();
+            for step in 0..150 {
+                let kind = match next(8) {
+                    0 | 1 => "whole",
+                    2 => "short",
+                    3 => "unaligned",
+                    4 => "multi",
+                    5 => "edge",
+                    6 => "drain",
+                    _ => "evict",
+                };
+                if kind == "drain" || kind == "evict" {
+                    // Drain a random subset (same choices on both twins),
+                    // then maybe evict everything clean.
+                    for server in 0..servers {
+                        for (p, stripe, _, _) in
+                            copying.dirty_extents_on(server, usize::MAX, &|_, _| true)
+                        {
+                            if next(2) == 0 {
+                                for (f, tier) in twins.iter().zip(tiers.iter_mut()) {
+                                    let (data, g) = f.copy_snapshot_on(server, &p, stripe).unwrap();
+                                    assert!(
+                                        f.mark_clean_on(server, &p, stripe, g),
+                                        "case {case} step {step}"
+                                    );
+                                    tier.insert((p.clone(), stripe), data);
+                                }
+                            }
+                        }
+                        if kind == "evict" {
+                            for f in &twins {
+                                f.evict_clean_on(server, 0);
+                            }
+                        }
+                    }
+                } else {
+                    let (path, off, len) = match kind {
+                        "whole" => ("/w", next(6) * ss, ss),
+                        "short" => ("/w", next(6) * ss, 1 + next(ss - 1)),
+                        "unaligned" => ("/w", next(6) * ss + 1 + next(ss - 1), 1 + next(ss - 1)),
+                        "multi" => ("/w", next(6 * ss), ss + 1 + next(2 * ss)),
+                        _ => match next(3) {
+                            // In the last stripe: aligned, unaligned, or
+                            // overflowing the address space.
+                            0 => ("/edge", last_stripe, 1 + next(ss - 1)),
+                            1 => ("/edge", last_stripe + 1 + next(ss - 2), 1),
+                            _ => ("/edge", u64::MAX - next(ss), ss),
+                        },
+                    };
+                    let job = 1 + next(4);
+                    let writer = Some(Writer {
+                        job: JobId(job),
+                        user: UserId(100 + job as u32),
+                    });
+                    let data: Vec<u8> = (0..len).map(|i| (step * 7 + i) as u8).collect();
+                    let mut buffer = data.clone();
+                    let ptr = buffer.as_ptr();
+                    let by_cursor = path == "/w" && next(3) == 0;
+                    let (want, got) = if by_cursor {
+                        copying.lseek(fd, off as i64, Whence::Set).unwrap();
+                        owned.lseek(fd, off as i64, Whence::Set).unwrap();
+                        (
+                            copying.write_as(fd, &data, step, writer),
+                            owned.write_owned_as(fd, &mut buffer, step, writer),
+                        )
+                    } else {
+                        (
+                            copying.write_at_as(path, off, &data, step, writer),
+                            owned.write_at_owned_as(path, off, &mut buffer, step, writer),
+                        )
+                    };
+                    assert_eq!(got, want, "case {case} step {step} {kind}");
+                    if buffer.is_empty() {
+                        // A kept buffer is the extent itself, on a stripe
+                        // start, and only when the write succeeded.
+                        assert!(got.is_ok() && off % ss == 0, "case {case} step {step}");
+                        let layout = owned.layout_of(path).unwrap();
+                        let server = layout.server_for_offset(off).unwrap().0;
+                        let extent = owned.resident_extent_on(server, path, off / ss).unwrap();
+                        assert_eq!(extent.as_ptr(), ptr, "case {case} step {step}");
+                        *kept.entry(kind).or_default() += 1;
+                    } else {
+                        assert_eq!(buffer, data, "case {case} step {step}");
+                        *other.entry(kind).or_default() += 1;
+                    }
+                    if by_cursor {
+                        let cursor = |f: &BurstBufferFs| f.lseek(fd, 0, Whence::Cur).unwrap();
+                        assert_eq!(cursor(owned), cursor(copying));
+                    }
+                }
+                for server in 0..servers {
+                    let all =
+                        |f: &BurstBufferFs| f.dirty_extents_on(server, usize::MAX, &|_, _| true);
+                    assert_eq!(all(owned), all(copying), "case {case} step {step}");
+                    let state = |f: &BurstBufferFs| {
+                        (
+                            f.resident_bytes_on(server),
+                            f.dirty_bytes_on(server),
+                            f.evicted_extents_on(server, None),
+                            (0..8)
+                                .map(|s| f.dirty_state_on(server, "/w", s))
+                                .collect::<Vec<_>>(),
+                        )
+                    };
+                    assert_eq!(state(owned), state(copying), "case {case} step {step}");
+                }
+                for (path, at) in [("/w", 0), ("/edge", last_stripe - ss)] {
+                    let read = |i: usize| {
+                        let tier = &tiers[i];
+                        let fetch =
+                            |p: &str, stripe: u64| tier.get(&(p.to_string(), stripe)).cloned();
+                        (
+                            twins[i].stat(path).unwrap().size,
+                            twins[i].read_at_with(path, at, 9 * ss, &fetch),
+                        )
+                    };
+                    assert_eq!(read(1), read(0), "case {case} step {step}");
+                }
+            }
+        }
+        // Every write kind ran, and the owned side kept buffers exactly
+        // where it may: whole and short aligned writes and the last stripe.
+        for kind in ["whole", "short", "unaligned", "multi", "edge"] {
+            assert!(
+                kept.get(kind).copied().unwrap_or(0) + other.get(kind).copied().unwrap_or(0) > 100,
+                "{kind}"
+            );
+        }
+        for kind in ["whole", "short", "edge"] {
+            assert!(
+                kept.get(kind).copied().unwrap_or(0) > 20,
+                "{kind} never kept: {kept:?}"
+            );
+        }
+        for kind in ["short", "edge"] {
+            assert!(
+                other.get(kind).copied().unwrap_or(0) > 20,
+                "{kind} never copied: {other:?}"
+            );
+        }
+        assert!(
+            !kept.contains_key("unaligned") && !kept.contains_key("multi"),
+            "{kept:?}"
+        );
     }
 }

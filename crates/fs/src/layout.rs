@@ -89,7 +89,8 @@ impl FileLayout {
     }
 
     /// Splits the byte range `[offset, offset+len)` into per-server chunks,
-    /// each fully contained in one stripe unit.
+    /// each fully contained in one stripe unit. The range must not wrap the
+    /// 64-bit address space; one that ends in the last stripe is fine.
     pub fn chunks(&self, offset: u64, len: u64) -> Vec<Chunk> {
         let mut out = Vec::new();
         if len == 0 || self.servers.is_empty() {
@@ -100,7 +101,9 @@ impl FileLayout {
         let end = offset + len;
         while cur < end {
             let stripe_index = cur / ss;
-            let stripe_end = (stripe_index + 1) * ss;
+            // Saturating: the last stripe of the address space ends past
+            // u64::MAX, and `end` never does.
+            let stripe_end = (stripe_index + 1).saturating_mul(ss);
             let chunk_end = stripe_end.min(end);
             let server = self.servers[ring_slot(stripe_index, self.servers.len())];
             out.push(Chunk {
@@ -227,5 +230,21 @@ mod tests {
         assert_eq!(chunks[0].server, l.servers[2]);
         // u64::MAX stays in range too (u64::MAX ≡ 0 mod 5 fails; it is 15·…).
         assert_eq!(ring_slot(u64::MAX, 5), (u64::MAX % 5) as usize);
+    }
+
+    /// Regression: the last stripe of the address space ends at 2^64, one
+    /// past `u64::MAX`. Its end used to overflow — a panic in debug builds,
+    /// and in release a wrapped end that restarted the walk at offset 0.
+    #[test]
+    fn chunks_in_the_last_stripe_of_the_address_space() {
+        let l = layout(3, 1 << 20, 3);
+        let chunks = l.chunks(u64::MAX - 9, 9);
+        assert_eq!(chunks.len(), 1);
+        assert_eq!((chunks[0].offset, chunks[0].len), (u64::MAX - 9, 9));
+        let start = u64::MAX - (u64::MAX % (1 << 20)) - (1 << 20);
+        let chunks = l.chunks(start + 5, (2 << 20) - 6);
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(chunks[1].offset, start + (1 << 20));
+        assert_eq!(chunks[1].offset + chunks[1].len, u64::MAX);
     }
 }

@@ -25,7 +25,10 @@
 //!   injected corruption never reaches the shard or another replica.
 //!
 //! Nothing else mutates a buffer in place, so every other hand-off is a
-//! reference-count bump.
+//! reference-count bump. A write that covers an extent from its first byte
+//! does not mutate at all: [`Shard::write_whole_extent`] keeps the writer's
+//! own buffer as the extent and drops the shard's hold on the old one,
+//! which any drain snapshot or tier copy still holding it keeps unchanged.
 
 use crate::error::{FsError, FsResult};
 use crate::layout::FileLayout;
@@ -385,13 +388,61 @@ impl Shard {
             extent.resize(end, 0);
         }
         extent[offset_in_stripe as usize..end].copy_from_slice(data);
-        // Dirty accounting: dirty bytes are the full lengths of dirty
-        // extents — a clean→dirty transition adds the whole extent, a write
-        // to an already-dirty extent adds only its growth.
         let new_len = extent.len() as u64;
+        self.account_write(key, old_len, new_len, writer);
+        Ok(())
+    }
+
+    /// [`Shard::write_extent`] of `data` at the start of the extent, keeping
+    /// `data`'s buffer as the extent instead of copying it when no older
+    /// byte survives the write (the extent is absent or no longer than
+    /// `data`). `data` is left empty when its buffer was kept; a longer
+    /// extent takes the copying path and `data` is left as it was.
+    ///
+    /// A kept buffer replaces the extent's `Arc` rather than mutating it, so
+    /// a drain snapshot or tier copy still holding the old buffer keeps the
+    /// old bytes. Spare capacity is given back first: the extent's length
+    /// is all that `bytes_stored` counts.
+    ///
+    /// Fails with [`FsError::NotResident`], `data` untouched, when the
+    /// extent was evicted: the caller stages it back in and retries.
+    pub fn write_whole_extent(
+        &mut self,
+        path: &str,
+        stripe: u64,
+        data: &mut Vec<u8>,
+        writer: Option<Writer>,
+    ) -> FsResult<()> {
+        let key = (path.to_string(), stripe);
+        if self.evicted.contains_key(&key) {
+            return Err(FsError::NotResident(path.to_string()));
+        }
+        let old_len = self.extents.get(&key).map_or(0, |e| e.len() as u64);
+        let new_len = data.len() as u64;
+        if old_len > new_len {
+            return self.write_extent(path, stripe, 0, data, writer);
+        }
+        data.shrink_to_fit();
+        self.extents
+            .insert(key.clone(), Extent::from(std::mem::take(data)));
+        self.bytes_stored += new_len - old_len;
+        self.account_write(key, old_len, new_len, writer);
+        Ok(())
+    }
+
+    /// Dirty accounting of a write that took extent `key` from `old_len` to
+    /// `new_len` bytes: dirty bytes are the full lengths of dirty extents —
+    /// a clean→dirty transition adds the whole extent, a write to an
+    /// already-dirty extent adds only its growth.
+    fn account_write(
+        &mut self,
+        key: (String, u64),
+        old_len: u64,
+        new_len: u64,
+        writer: Option<Writer>,
+    ) {
         let fresh = self.dirty_with(key, writer);
         self.bytes_dirty += if fresh { new_len } else { new_len - old_len };
-        Ok(())
     }
 
     /// Borrows up to `len` bytes from stripe `stripe` of `path` starting at
@@ -946,6 +997,54 @@ mod tests {
         s.evict_clean_until(0);
         s.restore_extent("/c", 0, latest.clone(), false);
         assert!(latest.shares_buffer(&s.resident_extent("/c", 0).unwrap()));
+    }
+
+    #[test]
+    fn cow_whole_extent_write_keeps_the_callers_buffer() {
+        // A write from the first byte of an extent no longer than it keeps
+        // the caller's buffer; the accounting and generation bump match the
+        // copying path, and a drain snapshot keeps the buffer it took.
+        let mut s = Shard::new(ServerId(0));
+        let mut first = vec![1u8; 64];
+        let ptr = first.as_ptr();
+        s.write_whole_extent("/w", 0, &mut first, None).unwrap();
+        assert!(first.is_empty());
+        assert_eq!(s.resident_extent("/w", 0).unwrap().as_ptr(), ptr);
+        assert_eq!((s.bytes_stored(), s.bytes_dirty()), (64, 64));
+        let (snapshot, generation) = s.copy_snapshot("/w", 0).unwrap();
+
+        // An adopting overwrite (growing the extent) while the snapshot is
+        // out: the snapshot keeps its bytes and the extent stays dirty.
+        let mut second = vec![2u8; 80];
+        s.write_whole_extent("/w", 0, &mut second, None).unwrap();
+        assert_eq!(snapshot, vec![1u8; 64]);
+        assert!(!s.mark_clean("/w", 0, generation));
+        assert_eq!((s.bytes_stored(), s.bytes_dirty()), (80, 80));
+        let (_, generation) = s.copy_snapshot("/w", 0).unwrap();
+        assert!(s.mark_clean("/w", 0, generation));
+        assert_eq!(s.bytes_dirty(), 0);
+
+        // A shorter write copies into the longer extent and leaves the
+        // caller's buffer alone; clean→dirty adds the whole extent.
+        let mut short = vec![3u8; 16];
+        s.write_whole_extent("/w", 0, &mut short, None).unwrap();
+        assert_eq!(short, vec![3u8; 16]);
+        assert_eq!(
+            &read(&s, "/w", 0, 0, 80)[..],
+            &[[3u8; 16], [2u8; 16], [2u8; 16], [2u8; 16], [2u8; 16]].concat()[..]
+        );
+        assert_eq!((s.bytes_stored(), s.bytes_dirty()), (80, 80));
+
+        // An evicted extent refuses the write and the buffer stays put.
+        let (_, generation) = s.copy_snapshot("/w", 0).unwrap();
+        s.mark_clean("/w", 0, generation);
+        s.evict_clean_until(0);
+        let mut late = vec![4u8; 80];
+        assert!(matches!(
+            s.write_whole_extent("/w", 0, &mut late, None),
+            Err(FsError::NotResident(_))
+        ));
+        assert_eq!(late, vec![4u8; 80]);
     }
 
     #[test]

@@ -543,20 +543,20 @@ impl ServerCore {
                 .pending
                 .remove(&request.seq)
                 .expect("every queued request has a pending op");
-            if self.park_if_needs_restore(request_id, &request, &op, now_ns) {
+            let Some(op) = self.park_if_needs_restore(request_id, &request, op, now_ns) else {
                 // The op waits for its restores; the worker stays free for
                 // other traffic (including the restores themselves).
                 continue;
-            }
-            if self.park_if_overlaps_parked(request_id, &request, &op, now_ns) {
+            };
+            let Some(op) = self.park_if_overlaps_parked(request_id, &request, op, now_ns) else {
                 // Every extent the op targets is resident, but an *earlier*
                 // parked op overlaps them: executing now would let this
                 // op's bytes be clobbered when the earlier op's restores
                 // land and it executes last. Park behind it instead
                 // (admission order), with no restores of its own.
                 continue;
-            }
-            self.run_foreground(request_id, request, &op, now_ns, &mut ready);
+            };
+            self.run_foreground(request_id, request, op, now_ns, &mut ready);
         }
         ready
     }
@@ -564,24 +564,25 @@ impl ServerCore {
     /// Executes a foreground operation whose extents are resident — fresh
     /// from the scheduler or woken from parking: charges the device,
     /// performs the file system work, completes the request with the engine
-    /// and delivers (or, for a `sync` write, parks) the reply.
+    /// and delivers (or, for a `sync` write, parks) the reply. A write's
+    /// payload may become the extent it writes ([`ServerCore::execute`]).
     pub(crate) fn run_foreground(
         &mut self,
         request_id: u64,
         request: IoRequest,
-        op: &FsOp,
+        mut op: FsOp,
         now_ns: u64,
         ready: &mut Vec<ReadyReply>,
     ) {
         // The stripes a write dirties are computed *before* execution:
         // cursor writes move their descriptor's cursor when they run.
-        let stripes = self.write_stripes(op);
+        let stripes = self.write_stripes(&op);
         let (start_ns, finish_ns) = self.device.dispatch(&request, now_ns);
         let writer = Writer {
             job: request.meta.job,
             user: request.meta.user,
         };
-        let reply = self.execute(op, writer, finish_ns);
+        let reply = self.execute(&mut op, writer, finish_ns);
         let completion = Completion {
             request,
             start_ns,
@@ -707,7 +708,12 @@ impl ServerCore {
     /// restore below remain as the fallback for the cross-server race —
     /// a peer evicting a shared-shard extent after the parking pre-check.
     /// Every extent a write dirties records `writer` as its last writer.
-    pub(crate) fn execute(&mut self, op: &FsOp, writer: Writer, now_ns: u64) -> FsReply {
+    ///
+    /// A write that covers its extent from the first byte keeps the op's
+    /// payload as the extent instead of copying it, leaving the op's `data`
+    /// empty ([`BurstBufferFs::write_at_owned_as`]). A failed attempt leaves
+    /// the payload in place for the retry.
+    pub(crate) fn execute(&mut self, op: &mut FsOp, writer: Writer, now_ns: u64) -> FsReply {
         match self.try_execute(op, writer, now_ns) {
             Ok(reply) => reply,
             Err(FsError::NotResident(path)) if self.staging.is_some() => {
@@ -723,7 +729,12 @@ impl ServerCore {
         }
     }
 
-    fn try_execute(&mut self, op: &FsOp, writer: Writer, now_ns: u64) -> Result<FsReply, FsError> {
+    fn try_execute(
+        &mut self,
+        op: &mut FsOp,
+        writer: Writer,
+        now_ns: u64,
+    ) -> Result<FsReply, FsError> {
         match op {
             FsOp::Open {
                 path,
@@ -748,11 +759,11 @@ impl ServerCore {
             FsOp::Close { fd } => self.fs.close(*fd).map(|_| FsReply::Ok),
             FsOp::Write { fd, data } => self
                 .fs
-                .write_as(*fd, data, now_ns, Some(writer))
+                .write_owned_as(*fd, data, now_ns, Some(writer))
                 .map(FsReply::Count),
             FsOp::WriteAt { path, offset, data } => self
                 .fs
-                .write_at_as(path, *offset, data, now_ns, Some(writer))
+                .write_at_owned_as(path, *offset, data, now_ns, Some(writer))
                 .map(FsReply::Count),
             FsOp::Read { fd, len } => self
                 .read_through(ReadTarget::Fd(*fd), *len, now_ns)

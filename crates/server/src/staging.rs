@@ -874,7 +874,7 @@ impl ServerCore {
                 .park_ns
                 .record(now_ns.saturating_sub(parked.parked_at_ns));
             self.trace_park_event(now_ns, TraceKind::Wake, &parked.request);
-            self.run_foreground(parked.request_id, parked.request, &parked.op, now_ns, ready);
+            self.run_foreground(parked.request_id, parked.request, parked.op, now_ns, ready);
         }
     }
 
@@ -1160,26 +1160,28 @@ impl ServerCore {
     }
 
     /// Parks a foreground request behind policy-admitted restores when its
-    /// target extents are evicted. Returns whether the request was parked
-    /// (the caller must not execute it).
+    /// target extents are evicted. The parked op is moved, not copied, so
+    /// its payload can still become its extent when it wakes. Returns the
+    /// op when it was not parked (the caller executes it), `None` when it
+    /// was.
     pub(crate) fn park_if_needs_restore(
         &mut self,
         request_id: u64,
         request: &IoRequest,
-        op: &FsOp,
+        op: FsOp,
         now_ns: u64,
-    ) -> bool {
-        let targets = self.restore_targets_for(op);
+    ) -> Option<FsOp> {
+        let targets = self.restore_targets_for(&op);
         if targets.is_empty() {
-            return false;
+            return Some(op);
         }
         // Conflict tracking covers the op's *full* extent range, not just
         // the evicted keys it queues restores for: a stripe of this op that
         // is resident today is still written when the op finally executes,
         // so a later op touching it must order behind this one.
-        let mut all_keys = self.target_extent_keys(op);
+        let mut all_keys = self.target_extent_keys(&op);
         let Some(st) = self.staging.as_mut() else {
-            return false;
+            return Some(op);
         };
         let mut keys = HashSet::new();
         for target in targets {
@@ -1190,7 +1192,7 @@ impl ServerCore {
         st.parked_ops.push(ParkedOp {
             request_id,
             request: *request,
-            op: op.clone(),
+            op,
             parked_at_ns: now_ns,
             all_keys,
             keys,
@@ -1200,7 +1202,7 @@ impl ServerCore {
         // Give the engine the new restore work immediately so it competes in
         // this same poll.
         self.admit_classes(&[TrafficClass::Restore], now_ns);
-        true
+        None
     }
 
     /// Parks a foreground request behind *earlier* parked operations whose
@@ -1212,46 +1214,47 @@ impl ServerCore {
     /// executes *after* it and silently clobbers its bytes. The blocked op
     /// queues no restores of its own; it wakes (strictly after the ops it
     /// is ordered behind) in the same restore-landing pass that releases
-    /// them. Returns whether the request was parked.
+    /// them. Like [`ServerCore::park_if_needs_restore`], returns the op
+    /// when it was not parked.
     pub(crate) fn park_if_overlaps_parked(
         &mut self,
         request_id: u64,
         request: &IoRequest,
-        op: &FsOp,
+        op: FsOp,
         now_ns: u64,
-    ) -> bool {
+    ) -> Option<FsOp> {
         if self
             .staging
             .as_ref()
             .is_none_or(|st| st.parked_ops.is_empty())
         {
-            return false;
+            return Some(op);
         }
-        let keys = self.target_extent_keys(op);
+        let keys = self.target_extent_keys(&op);
         if keys.is_empty() {
-            return false;
+            return Some(op);
         }
         let Some(st) = self.staging.as_mut() else {
-            return false;
+            return Some(op);
         };
         if !st
             .parked_ops
             .iter()
             .any(|p| p.all_keys.iter().any(|k| keys.contains(k)))
         {
-            return false;
+            return Some(op);
         }
         st.parked_ops.push(ParkedOp {
             request_id,
             request: *request,
-            op: op.clone(),
+            op,
             parked_at_ns: now_ns,
             keys: HashSet::new(),
             all_keys: keys,
         });
         self.telemetry.parked_ops.inc();
         self.trace_park_event(now_ns, TraceKind::Park, request);
-        true
+        None
     }
 
     /// Reads up to `len` bytes, serving evicted extents straight from the
@@ -1333,7 +1336,7 @@ mod tests {
     use crate::core::ServerConfig;
     use std::sync::Mutex;
     use themis_core::durability::DurabilityMode;
-    use themis_fs::Extent;
+    use themis_fs::{Extent, OpenFlags};
     use themis_stage::DeviceConfig;
 
     /// A capacity tier that counts every byte handed to it, and records
@@ -1497,8 +1500,8 @@ mod tests {
     /// One copy out: whatever the durability mode, each user byte reaches
     /// the capacity tier once, and the lanes account exactly what they
     /// wrote — on one core, and on two where the writing core does not own
-    /// the shard (its replicate lane copies out of the peer's shard, racing
-    /// the peer's drain).
+    /// the shard (the owner copies the extent out; the writer only waits
+    /// for the landing).
     #[test]
     fn copy_out_writes_each_user_byte_to_the_tier_once() {
         const BYTES: usize = 8 << 20;
@@ -2027,5 +2030,141 @@ mod tests {
         let repaired = themis_stage::verified_extent(tier.as_ref(), "/x", 0).unwrap();
         assert_eq!(repaired, vec![0xAB; 1 << 20]);
         assert!(repaired.shares_buffer(&resident), "the repair copied");
+    }
+
+    /// Polls `s` from `t` in 100 µs steps until request `id` is answered,
+    /// returning the reply and the time reached.
+    fn await_reply(s: &mut ServerCore, id: u64, mut t: u64) -> (FsReply, u64) {
+        loop {
+            if let Some(r) = s.poll(t).into_iter().find(|r| r.request_id == id) {
+                return (r.reply, t);
+            }
+            t += 100_000;
+            assert!(t < 120_000_000_000, "request {id} never answered");
+        }
+    }
+
+    fn write_at(path: &str, offset: u64, data: Vec<u8>) -> FsOp {
+        FsOp::WriteAt {
+            path: path.into(),
+            offset,
+            data,
+        }
+    }
+
+    /// A whole-extent write through `submit`/`poll` — positional, or from a
+    /// cursor on a stripe start — keeps the client's buffer as its extent.
+    #[test]
+    fn cow_whole_extent_write_keeps_the_submitted_buffer() {
+        let mut s = staged_server(fast_staging());
+        s.heartbeat(meta(1, 1), 0);
+        let data = vec![0x5A; 1 << 20];
+        let ptr = data.as_ptr();
+        s.submit(
+            1,
+            meta(1, 1),
+            FsOp::Open {
+                path: "/z".into(),
+                create: true,
+                truncate: false,
+                append: false,
+            },
+            0,
+        );
+        s.submit(2, meta(1, 1), write_at("/z", 0, data), 0);
+        let (reply, t) = await_reply(&mut s, 2, 0);
+        assert_eq!(reply, FsReply::Count(1 << 20));
+        let extent = s.fs().resident_extent_on(0, "/z", 0).unwrap();
+        assert_eq!(extent.as_ptr(), ptr, "the write copied its payload");
+        assert_eq!(extent, vec![0x5A; 1 << 20]);
+
+        let fd = s.fs().open("/z", OpenFlags::read_only(), t).unwrap();
+        s.fs().lseek(fd, 1 << 20, Whence::Set).unwrap();
+        let data = vec![0x5B; 1 << 20];
+        let ptr = data.as_ptr();
+        s.submit(3, meta(1, 1), FsOp::Write { fd, data }, t);
+        assert_eq!(await_reply(&mut s, 3, t).0, FsReply::Count(1 << 20));
+        let extent = s.fs().resident_extent_on(0, "/z", 1).unwrap();
+        assert_eq!(extent.as_ptr(), ptr, "the cursor write copied its payload");
+        assert_eq!(s.fs().stat("/z").unwrap().size, 2 << 20);
+    }
+
+    /// A whole-extent write parked behind its own restore is moved, not
+    /// copied, into the park queue: when it wakes, its extent is still the
+    /// buffer the client submitted.
+    #[test]
+    fn cow_parked_whole_extent_write_keeps_the_submitted_buffer() {
+        let mut staging = fast_staging();
+        staging.drain.high_watermark_bytes = 1 << 20;
+        staging.drain.low_watermark_bytes = 0;
+        let mut s = staged_server(staging);
+        s.heartbeat(meta(1, 1), 0);
+        write_file(&mut s, "/p", 2 << 20, 0);
+        poll_until_clean(&mut s, 1_000_000);
+        s.poll(60_000_000);
+        assert_eq!(s.fs().evicted_count_on(0), 2, "the extents must be evicted");
+        let parked = |s: &ServerCore| {
+            let snap = s.metrics_registry().snapshot(0);
+            snap.counter(0, 0, "foreground", "parked_ops")
+        };
+        let before = parked(&s);
+        let data = vec![0x3C; 1 << 20];
+        let ptr = data.as_ptr();
+        s.submit(4, meta(1, 1), write_at("/p", 0, data), 70_000_000);
+        assert_eq!(
+            await_reply(&mut s, 4, 70_000_000).0,
+            FsReply::Count(1 << 20)
+        );
+        assert_eq!(parked(&s), before + 1, "the write did not park");
+        let extent = s.fs().resident_extent_on(0, "/p", 0).unwrap();
+        assert_eq!(extent.as_ptr(), ptr, "parking copied the payload");
+        assert_eq!(extent, vec![0x3C; 1 << 20]);
+    }
+
+    /// Copy-on-write isolation at the server: an adopting overwrite while a
+    /// drain of the previous generation is in flight leaves that drain's
+    /// bytes in the tier and the extent dirty; the next drain lands the new
+    /// bytes.
+    #[test]
+    fn cow_adopting_overwrite_during_a_drain_lands_old_bytes_then_new() {
+        let mut s = staged_server(fast_staging());
+        s.heartbeat(meta(1, 1), 0);
+        s.fs().create("/d", 0).unwrap();
+        s.submit(5, meta(1, 1), write_at("/d", 0, vec![0x11; 1 << 20]), 0);
+        let (_, mut t) = await_reply(&mut s, 5, 0);
+        let old = s.fs().dirty_state_on(0, "/d", 0).unwrap().generation;
+        // Step until the drain has written its snapshot back but not landed.
+        while tier_copy(&s, "/d", 0).is_none() {
+            t += 1_000;
+            s.poll(t);
+            assert!(t < 1_000_000_000, "the drain never started");
+        }
+        assert_eq!(s.fs().dirty_state_on(0, "/d", 0).unwrap().generation, old);
+        let data = vec![0x22; 1 << 20];
+        let ptr = data.as_ptr();
+        s.submit(6, meta(1, 1), write_at("/d", 0, data), t);
+        let (_, mut t) = await_reply(&mut s, 6, t);
+        assert_eq!(s.fs().resident_extent_on(0, "/d", 0).unwrap().as_ptr(), ptr);
+        assert_eq!(tier_copy(&s, "/d", 0), Some(vec![0x11; 1 << 20]));
+        let new = s.fs().dirty_state_on(0, "/d", 0).unwrap().generation;
+        assert!(new > old);
+        // The old drain lands: its generation is recorded, the extent stays
+        // dirty under the overwrite's generation.
+        let landed = loop {
+            let state = s.fs().dirty_state_on(0, "/d", 0).unwrap();
+            if state.landed >= old {
+                break state;
+            }
+            t += 1_000;
+            s.poll(t);
+            assert!(t < 1_000_000_000, "the old drain never landed");
+        };
+        assert_eq!((landed.generation, landed.landed), (new, old));
+        poll_until_clean(&mut s, t);
+        assert_eq!(tier_copy(&s, "/d", 0), Some(vec![0x22; 1 << 20]));
+        assert_eq!(
+            s.fs().read_at("/d", 0, 1 << 20).unwrap(),
+            vec![0x22; 1 << 20]
+        );
     }
 }
