@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the arbitration algorithms: admit +
 //! select() throughput for ThemisIO, FIFO, GIFT and TBF under a saturated
 //! two-job workload, driven through the `PolicyEngine` object API exactly as
-//! the server and simulator drive them — plus the three-lane `StagedEngine`
+//! the server and simulator drive them; ThemisIO's opportunity-fairness
+//! redistribution at 4 096 jobs — plus the three-lane `StagedEngine`
 //! select/complete hot path (foreground + drain + restore + scrub all
 //! backlogged), whose wall-clock median also lands in the machine-readable
 //! perf report (`themis_bench::experiments::staged_select_wallclock_pair`).
@@ -55,7 +56,49 @@ fn bench_schedulers(c: &mut Criterion) {
             b.iter(|| drive(alg, 1000))
         });
     }
+    group.bench_function("redistribute_4096", redistribute_4096);
     group.finish();
+}
+
+/// 4 096 job-fair jobs at queue depth 1. Each iteration serves 1 024
+/// requests: a served job re-submits at once, except one job in eight, which
+/// re-submits only when the iteration ends. A draw that lands on such an
+/// idle job misses and redistributes its share, and since the last miss
+/// another job has drained, so every miss rebuilds the restricted table.
+fn redistribute_4096(b: &mut criterion::Bencher) {
+    const JOBS: u64 = 4_096;
+    let policy = Policy::job_fair();
+    let mut engine = Algorithm::Themis(policy.clone()).build();
+    let metas: Vec<JobMeta> = (1..=JOBS)
+        .map(|j| JobMeta::new(j, j as u32, 1u32, 1))
+        .collect();
+    let mut table = JobTable::new();
+    for m in &metas {
+        table.heartbeat(*m, 0);
+    }
+    engine.reconfigure(&table, &policy);
+    let mut seq = 0;
+    for m in &metas {
+        engine.admit(IoRequest::write(seq, *m, 4096, 0));
+        seq += 1;
+    }
+    let mut rng = SmallRng::seed_from_u64(11);
+    let mut late = Vec::new();
+    b.iter(|| {
+        for _ in 0..1_024 {
+            let served = engine.select(0, &mut rng).expect("backlogged").meta;
+            if served.job.0 % 8 == 0 {
+                late.push(served);
+            } else {
+                engine.admit(IoRequest::write(seq, served, 4096, 0));
+                seq += 1;
+            }
+        }
+        for m in late.drain(..) {
+            engine.admit(IoRequest::write(seq, m, 4096, 0));
+            seq += 1;
+        }
+    });
 }
 
 fn bench_staged_engine(c: &mut Criterion) {

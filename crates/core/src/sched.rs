@@ -12,7 +12,7 @@ use crate::entity::{JobId, JobMeta};
 use crate::job_table::JobTable;
 use crate::policy::Policy;
 use crate::request::{Completion, IoRequest};
-use crate::sampler::TokenSampler;
+use crate::sampler::{TokenSampler, NO_HINT};
 use crate::shares::{compute_shares, localize_shares, ShareMap};
 use rand::RngCore;
 use std::cmp::Reverse;
@@ -169,9 +169,29 @@ pub struct JobQueues {
     hot: Option<(JobId, u32)>,
     /// Number of jobs with at least one queued request. A plain counter —
     /// the hot path pays one increment/decrement on an idle↔backlogged
-    /// transition and nothing else; membership itself is implicit in the
-    /// slots (`front.is_some()`).
+    /// transition and nothing else.
     backlogged_count: usize,
+    /// One bit per arena slot, set exactly while `fronts[s].is_some()`:
+    /// the backlogged set as a dense bitmap (512 bytes at 4 096 slots), so
+    /// a consumer that caches `(job, slot)` pairs can test membership
+    /// without touching the cache-line-per-slot `fronts`. Flipped on the
+    /// idle↔backlogged transitions in `push` and `pop_slot`, and nowhere
+    /// else. See [`Self::holds_backlog`].
+    backlog_bits: Vec<u64>,
+    /// `owners[s]` is the job slot `s` was last assigned to. A slot keeps
+    /// its owner while drained-but-retained; [`Self::maybe_compact`] may
+    /// free it and `push` reassign it, so a cached `(job, slot)` pair is
+    /// only current while the owner still matches.
+    owners: Vec<JobId>,
+    /// Slot assignments made since the consumer last drained the log
+    /// ([`Self::track_slots`], [`Self::drain_slot_log`]), in order. Off
+    /// (cap 0) for consumers that never ask, so the baselines pay nothing.
+    slot_log: Vec<(JobId, u32)>,
+    /// Length past which `slot_log` is dropped instead of grown.
+    slot_log_cap: usize,
+    /// Whether the log outgrew its cap since the last drain: the consumer
+    /// must then re-resolve every slot it caches.
+    slot_log_dropped: bool,
     /// Cached ascending `(job, slot)` snapshot of the backlogged jobs —
     /// the deterministic iteration surface over the arena (incidental
     /// iteration order must never leak into scheduling decisions).
@@ -223,21 +243,7 @@ impl JobQueues {
             Some((hot_job, s)) if hot_job == job => s,
             _ => match self.index.get(&job) {
                 Some(&s) => s,
-                None => {
-                    let s = match self.free.pop() {
-                        Some(s) => s,
-                        None => {
-                            self.fronts.push(None);
-                            self.rest_lens.push(0);
-                            self.rests.push(VecDeque::new());
-                            (self.fronts.len() - 1) as u32
-                        }
-                    };
-                    debug_assert!(self.fronts[s as usize].is_none());
-                    debug_assert_eq!(self.rest_lens[s as usize], 0);
-                    self.index.insert(job, s);
-                    s
-                }
+                None => self.assign_slot(job),
             },
         };
         self.hot = Some((job, slot_idx));
@@ -252,6 +258,7 @@ impl JobQueues {
             false
         };
         if becomes_front {
+            self.backlog_bits[i / 64] |= 1 << (i % 64);
             self.backlogged_count += 1;
             self.sorted_valid = false;
             if self.front_index_live {
@@ -262,6 +269,36 @@ impl JobQueues {
         }
         self.total += 1;
         becomes_front
+    }
+
+    /// Gives `job` an arena slot — a freed one if any, else a new one — and
+    /// logs the assignment. Kept out of line: it runs once per job (again
+    /// only after compaction freed the job's slot), never on the steady
+    /// pop/re-enqueue cycle `push` is tuned for.
+    #[cold]
+    #[inline(never)]
+    fn assign_slot(&mut self, job: JobId) -> u32 {
+        let s = match self.free.pop() {
+            Some(s) => {
+                self.owners[s as usize] = job;
+                s
+            }
+            None => {
+                self.fronts.push(None);
+                self.rest_lens.push(0);
+                self.rests.push(VecDeque::new());
+                self.owners.push(job);
+                if self.fronts.len() > self.backlog_bits.len() * 64 {
+                    self.backlog_bits.push(0);
+                }
+                (self.fronts.len() - 1) as u32
+            }
+        };
+        debug_assert!(self.fronts[s as usize].is_none());
+        debug_assert_eq!(self.rest_lens[s as usize], 0);
+        self.index.insert(job, s);
+        self.log_slot(job, s);
+        s
     }
 
     /// Reclaims lazy-deletion garbage — stale `front_index` entries and
@@ -339,10 +376,10 @@ impl JobQueues {
     /// [`TokenSampler::draw_hinted`](crate::sampler::TokenSampler::draw_hinted)).
     /// A valid hint — in bounds, owned by `job`, non-empty — pops straight
     /// from the arena without touching the hash index; anything else
-    /// (including [`NO_HINT`](crate::sampler::NO_HINT), a slot that was
-    /// freed and reassigned, or a job that moved slots since the hint was
-    /// minted) falls back to the full id lookup, so a stale hint can never
-    /// change the outcome — only its cost.
+    /// (including [`NO_HINT`], a slot that was freed and reassigned, or a
+    /// job that moved slots since the hint was minted) falls back to the
+    /// full id lookup, so a stale hint can never change the outcome — only
+    /// its cost.
     pub fn pop_noting_drained_hinted(
         &mut self,
         job: JobId,
@@ -389,12 +426,60 @@ impl JobQueues {
             // The drained slot is retained for reuse (see the `fronts`
             // field doc) and reclaimed in batch by `maybe_compact`.
             None => {
+                self.backlog_bits[i / 64] &= !(1 << (i % 64));
                 self.backlogged_count -= 1;
                 self.sorted_valid = false;
                 true
             }
         };
         Some((req, drained))
+    }
+
+    /// Whether arena slot `slot` currently holds queued work of `job`: its
+    /// backlog bit is set and `job` still owns it. One bit test and one
+    /// compare, no hash probe; an out-of-range slot (e.g.
+    /// [`NO_HINT`]) is never backlogged.
+    fn holds_backlog(&self, slot: u32, job: JobId) -> bool {
+        let i = slot as usize;
+        self.backlog_bits
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 != 0)
+            && self.owners[i] == job
+    }
+
+    /// Starts a fresh slot-assignment log for a consumer that caches the
+    /// slots of `cap` jobs. Past `cap` entries replaying the log would cost
+    /// more than re-resolving every cached slot, so the log is dropped
+    /// instead (see [`Self::drain_slot_log`]).
+    fn track_slots(&mut self, cap: usize) {
+        self.slot_log.clear();
+        self.slot_log_cap = cap;
+        self.slot_log_dropped = false;
+    }
+
+    fn log_slot(&mut self, job: JobId, slot: u32) {
+        if self.slot_log_dropped || self.slot_log_cap == 0 {
+            return;
+        }
+        if self.slot_log.len() < self.slot_log_cap {
+            self.slot_log.push((job, slot));
+        } else {
+            self.slot_log.clear();
+            self.slot_log_dropped = true;
+        }
+    }
+
+    /// Hands every `(job, slot)` assignment logged since the last drain to
+    /// `apply`, oldest first, and empties the log. Returns `false`, having
+    /// applied nothing, when the log was dropped for outgrowing its cap:
+    /// the caller must then re-resolve its cached slots through
+    /// [`Self::slot_of`].
+    fn drain_slot_log(&mut self, mut apply: impl FnMut(JobId, u32)) -> bool {
+        let complete = !std::mem::take(&mut self.slot_log_dropped);
+        for (job, slot) in self.slot_log.drain(..) {
+            apply(job, slot);
+        }
+        complete
     }
 
     /// The arena slot currently holding `job`'s queue, if any — the
@@ -409,6 +494,12 @@ impl JobQueues {
     /// Ties on `(arrival_ns, seq)` break toward the lowest job id, matching
     /// the historical first-minimal scan over the ordered queue map.
     pub fn pop_oldest(&mut self) -> Option<IoRequest> {
+        self.pop_oldest_noting_drained().map(|(req, _)| req)
+    }
+
+    /// [`Self::pop_oldest`], also reporting whether the pop drained the
+    /// served job's queue (see [`Self::pop_noting_drained`]).
+    fn pop_oldest_noting_drained(&mut self) -> Option<(IoRequest, bool)> {
         if !self.front_index_live {
             // First FIFO-order pop on this queue set: build the index from
             // the live fronts and keep it maintained from here on. Fair
@@ -424,7 +515,7 @@ impl JobQueues {
             if is_live {
                 // Every live front is indexed, so the minimal live entry is
                 // the globally oldest request.
-                return self.pop(job);
+                return self.pop_noting_drained(job);
             }
             // Stale: the indexed request was already popped via `pop`.
         }
@@ -465,11 +556,12 @@ impl JobQueues {
     /// (`O(backlogged log backlogged)`), but steady traffic over a stable
     /// backlog — the common case between sampler rebuilds — returns the
     /// previous snapshot for free. This is the iteration surface
-    /// order-sensitive consumers (tie-breaking argmax scans, the
-    /// opportunity-sampler rebuild) must use; see
-    /// [`Self::backlogged_unordered`] for order-insensitive folds. The
-    /// slot rides along so sampler rebuilds can mint draw hints without a
-    /// hash probe per job.
+    /// order-sensitive consumers (tie-breaking argmax scans such as GIFT's)
+    /// must use; see [`Self::backlogged_unordered`] for order-insensitive
+    /// folds. The slot rides along so a consumer can reach each job's queue
+    /// without a hash probe. [`ThemisScheduler`]'s opportunity-fairness
+    /// rebuild does not come here: it walks its share list in job order and
+    /// tests each cached slot's backlog bit, which needs no sort.
     pub fn backlogged_sorted(&mut self) -> &[(JobId, u32)] {
         if !self.sorted_valid {
             self.sorted_backlog.clear();
@@ -542,7 +634,9 @@ impl JobQueues {
 ///   draw is retried against a sampler restricted to backlogged jobs
 ///   (renormalised shares), which is exactly the opportunity-fairness rule:
 ///   idle segments are redistributed so the device never idles while any job
-///   has work.
+///   has work. The restricted sampler is rebuilt only when the backlogged
+///   set changed since the last rebuild, in one pass over the share list
+///   (see `rebuild_active_sampler`).
 /// * Jobs that appear in the traffic before the next refresh (unknown to the
 ///   share map) are still served — they fall back to a FIFO pick — so no
 ///   request can be starved by bootstrap races.
@@ -550,9 +644,16 @@ impl JobQueues {
 pub struct ThemisScheduler {
     queues: JobQueues,
     shares: ShareMap,
+    /// `shares` as a flat list in ascending job order, each entry with the
+    /// arena slot the job's queue last held ([`NO_HINT`] if none). Rebuilt
+    /// by `refresh`; slots assigned later reach it through the queues' slot
+    /// log.
+    share_entries: Vec<ShareEntry>,
     sampler: TokenSampler,
     /// Sampler restricted to backlogged jobs; rebuilt lazily.
     active_sampler: TokenSampler,
+    /// Whether the backlogged set (or the share list) changed since
+    /// `active_sampler` was built.
     active_dirty: bool,
     policy: Policy,
     /// `(job-table revision, policy)` of the last share recomputation.
@@ -562,12 +663,23 @@ pub struct ThemisScheduler {
     last_refresh: Option<(u64, Policy)>,
 }
 
+/// One job of [`ThemisScheduler`]'s share list.
+#[derive(Debug, Clone, Copy)]
+struct ShareEntry {
+    job: JobId,
+    weight: f64,
+    /// The job's arena slot as last seen; trusted only while
+    /// [`JobQueues::holds_backlog`] confirms it.
+    slot: u32,
+}
+
 impl ThemisScheduler {
     /// Creates a scheduler with the given policy and no known jobs yet.
     pub fn new(policy: Policy) -> Self {
         ThemisScheduler {
             queues: JobQueues::new(),
             shares: ShareMap::empty(),
+            share_entries: Vec::new(),
             sampler: TokenSampler::default(),
             active_sampler: TokenSampler::default(),
             active_dirty: true,
@@ -591,23 +703,47 @@ impl ThemisScheduler {
     /// Rebuilds the opportunity-fairness sampler over the currently
     /// backlogged jobs, in place.
     ///
-    /// `O(backlogged × log jobs)`: one ordered walk of the backlogged set
-    /// with a `BTreeMap` share lookup per job, reusing the sampler's
-    /// allocations. (The old path materialised the backlogged set as a `Vec`
-    /// and probed it with `Vec::contains` per share entry —
-    /// `O(backlogged × jobs)`, quadratic at production cardinality.) Jobs
-    /// without a share contribute weight 0 and are skipped, exactly like the
-    /// `restricted_to` + `from_shares` chain this replaces; the resulting
-    /// table is bit-identical, so RNG draw sequences are unchanged.
+    /// One pass over the share list, already in ascending job order: an
+    /// entry is kept when its cached slot's backlog bit is set and the job
+    /// still owns that slot ([`JobQueues::holds_backlog`]). No sort, no
+    /// share-map probe, no allocation. First the slots assigned since the
+    /// last pass are folded into the cache (a binary search each), or, if
+    /// that log was dropped for outgrowing the share list, every cached
+    /// slot is re-resolved.
+    ///
+    /// The table is bit-identical to `restricted_to` + `from_shares` over
+    /// the backlogged set: backlogged jobs without a share are absent from
+    /// both, entries arrive in the same order with the same weights, and
+    /// each hint is the job's current slot. RNG draw sequences are
+    /// therefore unchanged.
     fn rebuild_active_sampler(&mut self) {
-        let shares = &self.shares;
-        let backlogged = self.queues.backlogged_sorted();
+        let entries = &mut self.share_entries;
+        let complete = self.queues.drain_slot_log(|job, slot| {
+            if let Ok(i) = entries.binary_search_by_key(&job, |e| e.job) {
+                entries[i].slot = slot;
+            }
+        });
+        let queues = &self.queues;
+        if !complete {
+            for e in entries.iter_mut() {
+                e.slot = queues.slot_of(e.job).unwrap_or(NO_HINT);
+            }
+        }
         self.active_sampler.rebuild_normalized_hinted(
-            backlogged
+            entries
                 .iter()
-                .map(|&(job, slot)| (job, slot, shares.share(job))),
+                .filter(|e| queues.holds_backlog(e.slot, e.job))
+                .map(|e| (e.job, e.slot, e.weight)),
         );
         self.active_dirty = false;
+    }
+
+    /// Marks the restricted sampler stale when a pop drained its job.
+    fn note_pop(&mut self, (req, drained): (IoRequest, bool)) -> IoRequest {
+        if drained {
+            self.active_dirty = true;
+        }
+        req
     }
 }
 
@@ -629,8 +765,10 @@ impl Scheduler for ThemisScheduler {
         // A live swap to `fifo` keeps the engine (and its queues) in place
         // but switches arbitration to strict arrival order.
         if !self.policy.is_fair() {
-            self.active_dirty = true;
-            return self.queues.pop_oldest();
+            return self
+                .queues
+                .pop_oldest_noting_drained()
+                .map(|p| self.note_pop(p));
         }
         // Fast path: draw over the full assignment; serve if the drawn job
         // has work. The draw carries the job's arena-slot hint, so the pop
@@ -638,11 +776,8 @@ impl Scheduler for ThemisScheduler {
         // `pop_noting_drained` folds the has-work probe, the pop and the
         // did-it-drain check into that same walk.
         if let Some((job, hint)) = self.sampler.draw_hinted(rng) {
-            if let Some((req, drained)) = self.queues.pop_noting_drained_hinted(job, hint) {
-                if drained {
-                    self.active_dirty = true;
-                }
-                return Some(req);
+            if let Some(popped) = self.queues.pop_noting_drained_hinted(job, hint) {
+                return Some(self.note_pop(popped));
             }
         }
         // Opportunity fairness: redistribute idle segments over backlogged
@@ -651,18 +786,15 @@ impl Scheduler for ThemisScheduler {
             self.rebuild_active_sampler();
         }
         if let Some((job, hint)) = self.active_sampler.draw_hinted(rng) {
-            if let Some((req, drained)) = self.queues.pop_noting_drained_hinted(job, hint) {
-                if drained {
-                    self.active_dirty = true;
-                }
-                return Some(req);
+            if let Some(popped) = self.queues.pop_noting_drained_hinted(job, hint) {
+                return Some(self.note_pop(popped));
             }
         }
         // Backlogged jobs that have no share yet (seen before the first
         // refresh): serve them FIFO so nothing is starved.
-        let req = self.queues.pop_oldest();
-        self.active_dirty = true;
-        req
+        self.queues
+            .pop_oldest_noting_drained()
+            .map(|p| self.note_pop(p))
     }
 
     fn on_complete(&mut self, _completion: &Completion) {
@@ -699,11 +831,22 @@ impl Scheduler for ThemisScheduler {
         // Jobs already queued get their arena slot as a draw hint, so the
         // fast path pops without a hash probe; jobs seen here before any
         // traffic fall back to the id lookup on their first draws (hints
-        // are re-minted on the next refresh).
+        // are re-minted on the next refresh). The share list caches the
+        // same slots, and the queues log every slot assigned from here on.
         let queues = &self.queues;
+        self.share_entries.clear();
+        self.share_entries
+            .extend(self.shares.iter().map(|(job, weight)| ShareEntry {
+                job,
+                weight,
+                slot: queues.slot_of(job).unwrap_or(NO_HINT),
+            }));
+        let mut cached = self.share_entries.iter();
         self.sampler = TokenSampler::from_shares_hinted(&self.shares, |job| {
-            queues.slot_of(job).unwrap_or(crate::sampler::NO_HINT)
+            // Consulted in ascending job order, a subsequence of the list.
+            cached.find(|e| e.job == job).map_or(NO_HINT, |e| e.slot)
         });
+        self.queues.track_slots(self.share_entries.len());
         self.active_dirty = true;
         self.last_refresh = Some((table.revision(), policy.clone()));
     }
@@ -772,6 +915,51 @@ mod tests {
             occupied <= 192,
             "retained drained slots leaked: {occupied} survive compaction"
         );
+    }
+
+    #[test]
+    fn job_queues_backlog_bits_and_slot_log_follow_compaction() {
+        // Drain-and-refill churn over 200 jobs (one push to four pops)
+        // compacts the arena and hands freed slots to other jobs. After every step, each slot's backlog
+        // bit must say whether it holds a front, `holds_backlog` must name
+        // exactly the job whose request sits there, and replaying the slot
+        // log over the refresh-time slots must reproduce the index.
+        let mut q = JobQueues::new();
+        let mut cached: HashMap<JobId, u32> = HashMap::new();
+        let mut reassigned = 0u64;
+        q.track_slots(usize::MAX);
+        let mut rng = SmallRng::seed_from_u64(5);
+        for step in 0..20_000u64 {
+            let job = JobId(rand::Rng::gen_range(&mut rng, 1u64..200));
+            if rand::Rng::gen_bool(&mut rng, 0.2) {
+                q.push(IoRequest::write(step, meta(job.0, 1, 1), 10, step));
+            } else {
+                q.pop(job);
+            }
+            for (s, front) in q.fronts.iter().enumerate() {
+                let bit = q.backlog_bits[s / 64] >> (s % 64) & 1 != 0;
+                assert_eq!(bit, front.is_some(), "step {step} slot {s}");
+                if let Some(r) = front {
+                    assert!(q.holds_backlog(s as u32, r.meta.job), "step {step}");
+                    assert!(!q.holds_backlog(s as u32, JobId(0)), "step {step}");
+                }
+            }
+            assert!(!q.holds_backlog(NO_HINT, job));
+            assert!(q.drain_slot_log(|job, slot| {
+                reassigned += u64::from(cached.insert(job, slot).is_some());
+            }));
+            for (&job, &slot) in &q.index {
+                assert_eq!(cached.get(&job), Some(&slot), "step {step}");
+            }
+        }
+        assert!(reassigned > 100, "the churn never compacted the arena");
+        // A log that outgrows its cap is dropped, and the drain says so.
+        q.track_slots(2);
+        for j in 1_000..1_003u64 {
+            q.push(IoRequest::write(j, meta(j, 1, 1), 10, 0));
+        }
+        assert!(!q.drain_slot_log(|_, _| panic!("a dropped log replays nothing")));
+        assert!(q.drain_slot_log(|_, _| panic!("the drain emptied the log")));
     }
 
     #[test]

@@ -833,6 +833,235 @@ fn cardinality_incremental_rebuild_matches_restricted_chain_bitwise() {
     });
 }
 
+/// ThemisIO arbitration spelled out naively: an ordered map of per-job
+/// deques, and on every miss the opportunity-fairness table rebuilt from
+/// scratch (`restricted_to` over the current backlog, then `from_shares`),
+/// with an oldest-first pick when that table is empty too. What
+/// `ThemisScheduler` keeps incrementally (backlog bits, cached slots, the
+/// slot log, the dirty flag) this recomputes on every draw.
+struct NaiveThemis {
+    queues: std::collections::BTreeMap<JobId, std::collections::VecDeque<IoRequest>>,
+    shares: ShareMap,
+    sampler: TokenSampler,
+    fair: bool,
+}
+
+impl NaiveThemis {
+    fn new(policy: &Policy) -> Self {
+        NaiveThemis {
+            queues: Default::default(),
+            shares: ShareMap::empty(),
+            sampler: TokenSampler::default(),
+            fair: policy.is_fair(),
+        }
+    }
+
+    fn enqueue(&mut self, request: IoRequest) {
+        self.queues
+            .entry(request.meta.job)
+            .or_default()
+            .push_back(request);
+    }
+
+    fn refresh(&mut self, table: &JobTable, policy: &Policy) {
+        let global = compute_shares(policy, &table.active_jobs());
+        self.shares = themisio::core::shares::localize_shares(&global, table);
+        self.sampler = TokenSampler::from_shares(&self.shares);
+        self.fair = policy.is_fair();
+    }
+
+    fn pop(&mut self, job: JobId) -> Option<IoRequest> {
+        let queue = self.queues.get_mut(&job)?;
+        let request = queue.pop_front();
+        if queue.is_empty() {
+            self.queues.remove(&job);
+        }
+        request
+    }
+
+    /// Oldest `(arrival, seq)` first, ties to the lowest job id.
+    fn pop_oldest(&mut self) -> Option<IoRequest> {
+        let (_, _, job) = self
+            .queues
+            .iter()
+            .map(|(&job, q)| (q[0].arrival_ns, q[0].seq, job))
+            .min()?;
+        self.pop(job)
+    }
+
+    fn next(&mut self, rng: &mut SmallRng) -> Option<IoRequest> {
+        if self.queues.is_empty() {
+            return None;
+        }
+        if !self.fair {
+            return self.pop_oldest();
+        }
+        if let Some(request) = self.sampler.draw(rng).and_then(|job| self.pop(job)) {
+            return Some(request);
+        }
+        let queues = &self.queues;
+        let active =
+            TokenSampler::from_shares(&self.shares.restricted_to(|j| queues.contains_key(&j)));
+        if let Some(request) = active.draw(rng).and_then(|job| self.pop(job)) {
+            return Some(request);
+        }
+        self.pop_oldest()
+    }
+}
+
+/// `ThemisScheduler` and [`NaiveThemis`] fed the same calls, each drawing
+/// from its own copy of one RNG.
+struct Lockstep {
+    real: ThemisScheduler,
+    naive: NaiveThemis,
+    real_rng: SmallRng,
+    naive_rng: SmallRng,
+    seq: u64,
+    served: u64,
+    case: u64,
+}
+
+impl Lockstep {
+    fn enqueue(&mut self, meta: JobMeta, arrival_ns: u64) {
+        let request = IoRequest::write(self.seq, meta, 4096, arrival_ns);
+        self.seq += 1;
+        self.real.enqueue(request);
+        self.naive.enqueue(request);
+    }
+
+    fn refresh(&mut self, table: &JobTable, policy: &Policy) {
+        self.real.refresh(table, policy);
+        self.naive.refresh(table, policy);
+    }
+
+    /// Calls `next` on both and asserts they serve the same `(job, seq)`;
+    /// returns whether anything was served.
+    fn serve(&mut self) -> bool {
+        let got = self
+            .real
+            .next(0, &mut self.real_rng)
+            .map(|r| (r.meta.job, r.seq));
+        let want = self
+            .naive
+            .next(&mut self.naive_rng)
+            .map(|r| (r.meta.job, r.seq));
+        assert_eq!(
+            got, want,
+            "case {}: diverges after {} served",
+            self.case, self.served
+        );
+        self.served += u64::from(got.is_some());
+        got.is_some()
+    }
+
+    fn queued(&self) -> usize {
+        Scheduler::queued(&self.real)
+    }
+}
+
+/// Drives a [`Lockstep`] pair through a seeded sequence of enqueues, `next`
+/// calls and refreshes over `population` job ids. Returns how many requests
+/// were served.
+///
+/// Every round mutates the job table (adds, drops and reweights jobs; some
+/// ids never join it and are served by the oldest-first fallback), refreshes
+/// both schedulers under a random fair policy or, one round in eight,
+/// `fifo`, then fills a random subset of jobs and drains the backlog back
+/// down with refills mixed in. The drains leave most slots idle, so the
+/// next fill compacts the arena and hands freed slots to other jobs.
+fn drive_against_naive(rng: &mut SmallRng, population: u64, rounds: usize, case: u64) -> u64 {
+    let policies = [
+        Policy::job_fair(),
+        Policy::size_fair(),
+        Policy::user_then_size_fair(),
+        Policy::group_user_size_fair(),
+        Policy::priority_fair(),
+    ];
+    let meta_of = |job: u64, nodes: u32| {
+        JobMeta::new(job, (job % 13) as u32 + 1, (job % 3) as u32 + 1, nodes)
+            .with_priority(1.0 + (job % 4) as f64)
+    };
+    let arrive = |rng: &mut SmallRng, pair: &mut Lockstep| {
+        let job = rng.gen_range(1..population + 1);
+        pair.enqueue(meta_of(job, 1), rng.gen_range(0u64..64));
+    };
+    let first_policy = policies[rng.gen_range(0..policies.len())].clone();
+    let draw_seed = rng.gen::<u64>();
+    let mut pair = Lockstep {
+        real: ThemisScheduler::new(first_policy.clone()),
+        naive: NaiveThemis::new(&first_policy),
+        real_rng: SmallRng::seed_from_u64(draw_seed),
+        naive_rng: SmallRng::seed_from_u64(draw_seed),
+        seq: 0,
+        served: 0,
+        case,
+    };
+    // Jobs queue (and some are served) before the first refresh.
+    for _ in 0..rng.gen_range(1..population.min(200) + 1) {
+        arrive(rng, &mut pair);
+    }
+    for _ in 0..rng.gen_range(0..8) {
+        pair.serve();
+    }
+    let mut table = JobTable::new();
+    for job in 1..=population {
+        if rng.gen_bool(0.8) {
+            table.heartbeat(meta_of(job, 1), 0);
+        }
+    }
+    for round in 0..rounds {
+        // Add, drop and reweight: about a tenth of the population each.
+        for _ in 0..=population / 10 {
+            let job = rng.gen_range(1..population + 1);
+            match rng.gen_range(0u32..3) {
+                0 => table.heartbeat(meta_of(job, 1), 0),
+                1 => {
+                    table.remove(JobId::from(job));
+                }
+                _ => table.heartbeat(meta_of(job, rng.gen_range(1u32..9)), 0),
+            }
+        }
+        let policy = if round % 8 == 7 {
+            Policy::Fifo
+        } else {
+            policies[rng.gen_range(0..policies.len())].clone()
+        };
+        pair.refresh(&table, &policy);
+        for _ in 0..rng.gen_range(1..population + 1) {
+            arrive(rng, &mut pair);
+        }
+        let floor = rng.gen_range(0..pair.queued() / 4 + 1);
+        while pair.queued() > floor {
+            if rng.gen_bool(0.15) {
+                arrive(rng, &mut pair);
+            }
+            assert!(pair.serve(), "case {case}: backlog ran dry");
+        }
+    }
+    while pair.serve() {}
+    assert_eq!(pair.queued(), 0, "case {case}");
+    assert!(pair.naive.queues.is_empty(), "case {case}");
+    pair.served
+}
+
+/// Opportunity fairness draw for draw: the one-pass redistribution over
+/// backlog bits and cached slots serves exactly the `(job, seq)` sequence a
+/// from-scratch `restricted_to` + `from_shares` rebuild serves on every
+/// miss, from the same RNG, through jobs queued before their first
+/// refresh, refreshes that add, drop and reweight jobs, live swaps to
+/// `fifo` and back, arena compaction handing slots to other jobs, and one
+/// population of 4 096 jobs.
+#[test]
+fn cardinality_redistribution_matches_naive_reference_draw_for_draw() {
+    cases(24, |rng, case| {
+        let population = rng.gen_range(2u64..300);
+        let served = drive_against_naive(rng, population, 16, case);
+        assert!(served > 0, "case {case}");
+    });
+    let mut rng = SmallRng::seed_from_u64(0x4096_0000);
+    drive_against_naive(&mut rng, 4_096, 3, 4_096);
+}
+
 /// The bucketed select index is an accelerator, not an arbiter: `select(p)`
 /// must agree with a flat `partition_point` over the `(upper, job)` table
 /// reconstructed through the public `segment` API, for random points, exact
