@@ -73,24 +73,10 @@ pub fn run_conformance(seed: u64) -> ConformanceReport {
             &live.metrics,
         ));
     }
-    violations.extend(oracle::check_work_conservation(
-        &scenario,
-        "sim",
-        &sim.metrics,
-        oracle::MIN_UTILISATION_SIM,
-    ));
-    violations.extend(oracle::check_work_conservation(
-        &scenario,
-        "live",
-        &live.metrics,
-        oracle::MIN_UTILISATION_LIVE,
-    ));
-    violations.extend(oracle::check_no_starvation(&scenario, "sim", &sim.metrics));
-    violations.extend(oracle::check_no_starvation(
-        &scenario,
-        "live",
-        &live.metrics,
-    ));
+    for (run, metrics) in [("sim", &sim.metrics), ("live", &live.metrics)] {
+        violations.extend(oracle::check_work_conservation(&scenario, run, metrics));
+        violations.extend(oracle::check_no_starvation(&scenario, run, metrics));
+    }
     // Maintenance-class liveness: scrub-enabled scenarios must actually
     // verify bytes (in both runtimes) without detecting corruption the
     // harness never injected. The sim-side share-bounds oracle above keeps

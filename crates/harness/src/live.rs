@@ -3,7 +3,10 @@
 //! [`Deployment`](themis_server::Deployment) runs, minus the threads — on a
 //! virtual clock, so a run is bit-reproducible from the scenario seed and
 //! directly comparable to the discrete-event simulator's replay of the same
-//! scenario.
+//! scenario. Every core takes the runtime's own [`ServerCore::turn`] over a
+//! shared peer fabric, and the clock jumps from one instant at which
+//! something can happen to the next, as the runtime sleeps until
+//! [`ServerCore::next_deadline_ns`].
 //!
 //! The driver mirrors the simulator's closed loop exactly: each tenant rank
 //! keeps `queue_depth` operations in flight, an operation's kind/payload
@@ -23,16 +26,16 @@ use themis_baselines::Algorithm;
 use themis_core::policy::Policy;
 use themis_fs::BurstBufferFs;
 use themis_net::message::{FsOp, FsReply};
+use themis_net::transport::PeerFabric;
+use themis_net::PeerMessage;
 use themis_server::{ServerConfig, ServerCore};
 use themis_sim::{Metrics, ServiceRecord};
 use themis_stage::{BackingStore, CapacityTier, DeviceConfig, ShardMap, ShardedStore};
 use themis_telemetry::{MetricsRegistry, MetricsSnapshot};
 
-/// Virtual-clock granularity of the live driver. Poll quantisation idles the
-/// device for at most one tick per worker wake-up, which is why the
-/// work-conservation threshold for live runs is slightly looser than the
-/// simulator's (see [`crate::oracle`]).
-pub const TICK_NS: u64 = 25_000;
+/// Turns one virtual instant may take before the driver calls the run
+/// stuck: a core whose deadline stays at `now` would never let time move.
+const MAX_TURNS_PER_INSTANT: u32 = 64;
 
 /// The outcome of one live replay.
 #[derive(Debug)]
@@ -115,7 +118,24 @@ struct RankState {
     rank_id: usize,
     ops_issued: u64,
     inflight: usize,
-    next_ready_ns: u64,
+}
+
+/// The earliest deadline of any core after its turn at `now`.
+fn next_deadline(cores: &[ServerCore], now: u64) -> u64 {
+    cores
+        .iter()
+        .filter_map(|c| c.next_deadline_ns(now))
+        .min()
+        .unwrap_or(u64::MAX)
+}
+
+/// Moves the virtual clock to `next`. A `next` not after `now` is another
+/// turn at the same instant, as the runtime takes one after a turn that did
+/// work; false once one instant has taken [`MAX_TURNS_PER_INSTANT`] turns.
+fn advance(now: &mut u64, next: u64, stalls: &mut u32) -> bool {
+    *stalls = if next > *now { 0 } else { *stalls + 1 };
+    *now = (*now).max(next);
+    *stalls <= MAX_TURNS_PER_INSTANT
 }
 
 /// Replays `scenario` through an in-process server cluster and collects the
@@ -154,9 +174,11 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
             Arc::new(CapacityTier::new(sc.backing_device)) as Arc<dyn BackingStore>
         }
     });
-    // One registry for the whole cluster, exactly as the threaded
-    // `Deployment` wires it — the telemetry oracle checks cluster-wide sums.
+    // One registry and one peer fabric for the whole cluster, exactly as the
+    // threaded `Deployment` wires them — the telemetry oracle checks
+    // cluster-wide sums.
     let registry = MetricsRegistry::new();
+    let fabric = PeerFabric::<PeerMessage>::new(n);
     let mut cores: Vec<ServerCore> = (0..n)
         .map(|idx| {
             ServerCore::with_telemetry(
@@ -225,7 +247,6 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
                 rank_id,
                 ops_issued: 0,
                 inflight: 0,
-                next_ready_ns: 0,
             });
         }
     }
@@ -246,8 +267,10 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
     let mut next_swap = 0usize;
     let deadline_ns = scenario.window_ns * 40 + 10_000_000_000;
     let mut now: u64 = 0;
+    let mut stalls = 0;
 
-    let mut resharded = false;
+    // The tier the mid-window reshard still has to change.
+    let mut reshard = sharded.clone();
     loop {
         // 1. Live SetPolicy swaps that are due.
         while next_swap < scenario.swaps.len() && scenario.swaps[next_swap].0 <= now {
@@ -265,8 +288,8 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
         //     pipeline notices the generation bump on its next tick and
         //     starts migrating its share of the misplaced extents as
         //     policy-arbitrated Rebalance traffic.
-        if !resharded && now >= scenario.reshard_at_ns() {
-            if let Some(store) = &sharded {
+        if now >= scenario.reshard_at_ns() {
+            if let Some(store) = reshard.take() {
                 if scenario.reshard_retires_backend() {
                     store
                         .install_map(ShardMap::parse("00-ff=1").unwrap(), 1)
@@ -278,7 +301,6 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
                         .expect("split map is valid");
                 }
             }
-            resharded = true;
         }
 
         // 2. Completions that have happened by now free their rank slot.
@@ -289,16 +311,12 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
             completions.pop();
             let r = &mut ranks[rank_idx];
             r.inflight = r.inflight.saturating_sub(1);
-            r.next_ready_ns = r.next_ready_ns.max(finish);
         }
 
         // 3. Issue from every rank that is ready (inside the window only).
         for (rank_idx, rank) in ranks.iter_mut().enumerate() {
             let t = &scenario.tenants[rank.tenant];
-            while now < scenario.window_ns
-                && rank.next_ready_ns <= now
-                && rank.inflight < t.queue_depth
-            {
+            while now < scenario.window_ns && rank.inflight < t.queue_depth {
                 let (kind, bytes) = t.pattern.op(rank.ops_issued);
                 let job = t.meta.job.0;
                 let path = rank_path(job, rank.rank_id);
@@ -343,9 +361,10 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
             }
         }
 
-        // 4. Worker loop on every server; route completions back to ranks.
+        // 4. One server turn on every core (the staging replies it drains
+        //    answer nobody here); route completions back to ranks.
         for core in cores.iter_mut() {
-            for ready in core.poll(now) {
+            for ready in core.turn(now, &fabric).0 {
                 if let FsReply::Error(e) = &ready.reply {
                     errors.push(format!("request {}: {e}", ready.request_id));
                 }
@@ -363,23 +382,7 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
             }
         }
 
-        // 5. λ-sync all-gather for servers whose round is due.
-        if n > 1 {
-            let due: Vec<usize> = (0..n).filter(|i| cores[*i].sync_due(now)).collect();
-            if !due.is_empty() {
-                let tables: Vec<_> = cores.iter().map(|c| c.local_table()).collect();
-                for i in due {
-                    let peers = tables
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != i)
-                        .map(|(_, t)| t);
-                    cores[i].absorb_peer_tables(peers, now);
-                }
-            }
-        }
-
-        // 6. Done once the window has passed, every op completed, every
+        // 5. Done once the window has passed, every op completed, every
         //    staging pipeline drained and — after a reshard — every
         //    migration pass converged on the final map generation.
         if now >= scenario.window_ns && completions.is_empty() && inflight_reqs.is_empty() {
@@ -404,10 +407,22 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
                 break;
             }
         }
-        now += TICK_NS;
-        if now > deadline_ns {
+
+        // 6. Jump to the next instant anything can happen: a core's deadline,
+        //    a completion (the only thing that readies a rank), the end of
+        //    the window, a swap or the reshard.
+        let next = [
+            Some(next_deadline(&cores, now)),
+            completions.peek().map(|Reverse((t, _))| *t),
+            (now < scenario.window_ns).then_some(scenario.window_ns),
+            scenario.swaps.get(next_swap).map(|(at, _)| *at),
+            reshard.as_ref().map(|_| scenario.reshard_at_ns()),
+        ];
+        let next = next.into_iter().flatten().min().unwrap_or(u64::MAX);
+        if !advance(&mut now, next, &mut stalls) || now > deadline_ns {
             errors.push(format!(
-                "run did not quiesce within {deadline_ns} ns (drain stuck?)"
+                "run did not quiesce: stopped at {now} ns (limit {deadline_ns} ns; drain \
+                 stuck, or a deadline pinned at now?)"
             ));
             break;
         }
@@ -458,9 +473,10 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
         }
     }
     let readback_deadline = now + 60_000_000_000;
-    while !expected.is_empty() && now <= readback_deadline {
+    stalls = 0;
+    loop {
         for core in cores.iter_mut() {
-            for ready in core.poll(now) {
+            for ready in core.turn(now, &fabric).0 {
                 let Some((want, what)) = expected.remove(&ready.request_id) else {
                     continue;
                 };
@@ -475,7 +491,13 @@ pub fn run_live(scenario: &Scenario) -> LiveOutcome {
                 }
             }
         }
-        now += TICK_NS;
+        if expected.is_empty() {
+            break;
+        }
+        let next = next_deadline(&cores, now);
+        if !advance(&mut now, next, &mut stalls) || now > readback_deadline {
+            break;
+        }
     }
     for (_, (_, what)) in expected {
         errors.push(format!("integrity: {what}: read-back never completed"));

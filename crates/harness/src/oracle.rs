@@ -7,9 +7,7 @@
 //!   the paper's WFQ guarantee stated as an invariant.
 //! * **Work conservation** — the device is never idle while requests queue:
 //!   summed service time over the issuing window reaches
-//!   [`MIN_UTILISATION_SIM`] / [`MIN_UTILISATION_LIVE`] of worker capacity
-//!   (the live bound is looser only because the live driver polls on a
-//!   [`TICK_NS`](crate::live::TICK_NS) quantum).
+//!   [`MIN_UTILISATION`] of worker capacity, in both runtimes.
 //! * **No starvation** — every tenant is served in every (trimmed) policy
 //!   epoch, and no completion gap exceeds [`STARVATION_GAP_FRACTION`] of
 //!   the window.
@@ -91,12 +89,8 @@ pub fn share_tolerance(p: f64, n: usize, n_servers: usize) -> f64 {
 /// differently, so this is a statistical bound, not an exactness claim.
 pub const EPS_AGREEMENT: f64 = 0.10;
 
-/// Minimum device utilisation over the issuing window, simulator runs.
-pub const MIN_UTILISATION_SIM: f64 = 0.88;
-
-/// Minimum device utilisation over the issuing window, live runs (poll
-/// quantisation can idle a worker for up to one tick per wake-up).
-pub const MIN_UTILISATION_LIVE: f64 = 0.78;
+/// Minimum device utilisation over the issuing window, either runtime.
+pub const MIN_UTILISATION: f64 = 0.88;
 
 /// Largest tolerated gap between consecutive completions of a backlogged
 /// tenant, as a fraction of the issuing window.
@@ -205,7 +199,7 @@ pub fn check_share_bounds(
 }
 
 /// Work-conservation oracle: summed per-request service time over the
-/// issuing window must reach `min_utilisation` of total worker capacity.
+/// issuing window must reach [`MIN_UTILISATION`] of total worker capacity.
 /// Only meaningful without staging (drain service is charged to the same
 /// device but reported out-of-band); staged runs are instead required to
 /// drain fully, which the integrity oracle checks.
@@ -213,7 +207,6 @@ pub fn check_work_conservation(
     scenario: &Scenario,
     run: &'static str,
     metrics: &Metrics,
-    min_utilisation: f64,
 ) -> Vec<Violation> {
     if scenario.staging.is_some() {
         return Vec::new();
@@ -227,12 +220,12 @@ pub fn check_work_conservation(
     let workers = scenario.device.workers.max(1) as u64 * scenario.n_servers as u64;
     let capacity_ns = scenario.window_ns * workers;
     let utilisation = busy_ns as f64 / capacity_ns as f64;
-    if utilisation < min_utilisation {
+    if utilisation < MIN_UTILISATION {
         vec![Violation {
             oracle: "work-conservation",
             run,
             detail: format!(
-                "device utilisation {utilisation:.3} below {min_utilisation} while every \
+                "device utilisation {utilisation:.3} below {MIN_UTILISATION} while every \
                  tenant ran a saturating closed loop"
             ),
         }]

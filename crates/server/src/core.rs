@@ -19,6 +19,8 @@ use themis_core::sync::{LambdaClock, SyncConfig};
 use themis_device::{DeviceConfig, DeviceModel, DeviceTimeline};
 use themis_fs::{BurstBufferFs, FsError, OpenFlags, Whence, Writer};
 use themis_net::message::{FsOp, FsReply, StageReply};
+use themis_net::transport::PeerFabric;
+use themis_net::PeerMessage;
 use themis_stage::{BackingStore, StagedEngine, StagingConfig, TrafficClass};
 use themis_telemetry::{
     Counter, DecisionTrace, Gauge, Histogram, MetricsRegistry, SeriesKey, TraceDump, TraceEvent,
@@ -428,6 +430,43 @@ impl ServerCore {
         }
         self.lambda.mark(now_ns);
         self.engine.reconfigure(&self.jobs, &self.policy);
+    }
+
+    /// One server turn after ingest, as every driver of a core runs it:
+    /// serve what the device has room for ([`poll`](Self::poll)), collect
+    /// the staging replies, run the λ round if it is due, then expire silent
+    /// jobs (after the merge, so the turn ends with the expiry bound the
+    /// merge reset made exact again). Alone in `fabric` there is nobody to
+    /// tell and nothing to hear: the round is only marked. Returns the
+    /// foreground and the staging replies that became ready; when to turn
+    /// again is [`next_deadline_ns`](Self::next_deadline_ns).
+    pub fn turn(
+        &mut self,
+        now_ns: u64,
+        fabric: &PeerFabric<PeerMessage>,
+    ) -> (Vec<ReadyReply>, Vec<StageReady>) {
+        let ready = self.poll(now_ns);
+        let stage = self.take_stage_replies();
+        if self.sync_due(now_ns) {
+            let me = self.server_index;
+            if fabric.len() > 1 {
+                fabric.broadcast(
+                    me,
+                    PeerMessage::JobTable {
+                        from_server: me,
+                        table: self.local_table(),
+                        sent_ns: now_ns,
+                    },
+                );
+            }
+            let peers = fabric.drain(me);
+            let tables = peers
+                .iter()
+                .map(|PeerMessage::JobTable { table, .. }| table);
+            self.absorb_peer_tables(tables, now_ns);
+        }
+        self.expire_jobs(now_ns);
+        (ready, stage)
     }
 
     /// The earliest time this server needs the processor again if no new
@@ -943,6 +982,56 @@ pub(crate) mod tests {
         assert!((a.shares().share(JobId(1)) - 0.5).abs() < 1e-9);
         assert!((b.shares().share(JobId(1)) - 0.5).abs() < 1e-9);
         assert!(!a.sync_due(600_000_000));
+    }
+
+    #[test]
+    fn a_lone_turn_marks_the_lambda_round() {
+        let mut s = server(Policy::size_fair());
+        let fabric = PeerFabric::new(1);
+        let due = s.lambda_interval_ns();
+        assert_eq!(s.next_deadline_ns(due), Some(due));
+        s.turn(due, &fabric);
+        // Idle and alone, the core next needs the processor a round later.
+        assert_eq!(s.next_deadline_ns(due), Some(2 * due));
+    }
+
+    /// Two cores over one fabric: core 0's table reaches core 1 in the
+    /// round both take at the same instant.
+    #[test]
+    fn a_turn_gathers_peer_tables_over_the_fabric() {
+        let fs = BurstBufferFs::new(2);
+        let mut cores = [0, 1].map(|i| ServerCore::new(i, fs.clone(), ServerConfig::default()));
+        let fabric = PeerFabric::new(2);
+        cores[0].heartbeat(meta(1, 4), 0);
+        let due = cores[0].lambda_interval_ns();
+        for core in cores.iter_mut() {
+            core.turn(due, &fabric);
+        }
+        let merged = cores[1].local_table();
+        assert!(merged.get(JobId(1)).is_some_and(|e| e.status.is_active()));
+        assert!((cores[1].shares().share(JobId(1)) - 1.0).abs() < 1e-9);
+    }
+
+    /// A peer still reports a job whose heartbeat lapsed long ago: the turn
+    /// that merges it in expires it again, after the merge.
+    #[test]
+    fn a_turn_expires_a_lapsed_job_after_the_merge() {
+        let fs = BurstBufferFs::new(2);
+        let config = ServerConfig {
+            heartbeat_timeout_ns: 1_000,
+            ..ServerConfig::default()
+        };
+        let mut cores = [0, 1].map(|i| ServerCore::new(i, fs.clone(), config.clone()));
+        let fabric = PeerFabric::new(2);
+        cores[1].heartbeat(meta(1, 4), 0);
+        let due = cores[0].lambda_interval_ns();
+        // Core 1 broadcasts its table before its own expiry runs.
+        cores[1].turn(due, &fabric);
+        assert!(cores[0].local_table().get(JobId(1)).is_none());
+        cores[0].turn(due, &fabric);
+        let entry = cores[0].local_table().get(JobId(1)).copied();
+        assert!(entry.is_some_and(|e| !e.status.is_active()), "{entry:?}");
+        assert_eq!(cores[0].shares().share(JobId(1)), 0.0);
     }
 
     #[test]
@@ -2076,10 +2165,12 @@ pub(crate) mod tests {
         AllClasses,
     }
 
-    /// A core driven the way `server_loop` drives it — inputs, `poll` until
-    /// nothing moves, λ round, expiry — at times the test chooses.
+    /// A core driven the way `server_loop` drives it — inputs, then
+    /// [`ServerCore::turn`] until nothing moves — at times the test chooses.
     struct Driven {
         core: ServerCore,
+        /// The core is alone in its fabric.
+        fabric: PeerFabric<PeerMessage>,
         script: Vec<(u64, Input)>,
         next_input: usize,
         now: u64,
@@ -2190,6 +2281,7 @@ pub(crate) mod tests {
             }
             Driven {
                 core: ServerCore::new(0, BurstBufferFs::new(1), config),
+                fabric: PeerFabric::new(1),
                 script,
                 next_input: 0,
                 now: 0,
@@ -2257,15 +2349,12 @@ pub(crate) mod tests {
             }
             loop {
                 let moved = self.fingerprint();
-                events += self.core.poll(t).len() + self.core.take_stage_replies().len();
+                let (ready, stage) = self.core.turn(t, &self.fabric);
+                events += ready.len() + stage.len();
                 if self.fingerprint() == moved {
                     break;
                 }
             }
-            if self.core.sync_due(t) {
-                self.core.absorb_peer_tables(std::iter::empty(), t);
-            }
-            self.core.expire_jobs(t);
             events > 0 || self.fingerprint() != before
         }
     }

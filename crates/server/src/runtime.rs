@@ -171,9 +171,9 @@ fn now_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// One server thread. Each turn takes whatever the inbox holds, lets the
-/// core serve what the device has room for, sends the replies, and runs the
-/// housekeeping that is due. A turn that found nothing to do ends by
+/// One server thread. Each turn takes whatever the inbox holds, runs the
+/// core's [`ServerCore::turn`] (serve, λ round, expiry) and sends the
+/// replies it made ready. A turn that found nothing to do ends by
 /// sleeping *on the inbox* until [`ServerCore::next_deadline_ns`] — so the
 /// thread wakes for a message at once, for a deadline on time, and
 /// otherwise not at all.
@@ -206,10 +206,10 @@ fn server_loop(
             route.insert(t, (conn_id, request_id));
             t
         };
-    let my_index = core.server_index();
-    let turns = core
-        .metrics_registry()
-        .counter(SeriesKey::class(my_index, "runtime"), "loop_turns");
+    let turns = core.metrics_registry().counter(
+        SeriesKey::class(core.server_index(), "runtime"),
+        "loop_turns",
+    );
     // The message that cut the last turn's sleep short, if one did.
     let mut woken_by: Option<Inbound> = None;
 
@@ -328,62 +328,21 @@ fn server_loop(
             }
         }
 
-        // Worker loop: serve whatever the scheduler releases (foreground
-        // replies plus, with staging, drain progress).
-        for ready in core.poll(now) {
-            did_work = true;
-            if let Some((conn_id, request_id)) = reply_route.remove(&ready.request_id) {
-                reply(
-                    &clients,
-                    conn_id,
-                    ServerMessage::IoReply {
-                        request_id,
-                        reply: ready.reply,
-                    },
-                );
+        // Serve what the scheduler releases, run the λ round and the expiry
+        // that are due, and route the replies the turn made ready.
+        let (ready, stage) = core.turn(now, &fabric);
+        did_work |= !ready.is_empty() || !stage.is_empty();
+        // `Ok` carries an I/O reply, `Err` a staging one.
+        let io = ready.into_iter().map(|r| (r.request_id, Ok(r.reply)));
+        for (t, msg) in io.chain(stage.into_iter().map(|s| (s.request_id, Err(s.reply)))) {
+            if let Some((conn_id, request_id)) = reply_route.remove(&t) {
+                let msg = match msg {
+                    Ok(reply) => ServerMessage::IoReply { request_id, reply },
+                    Err(reply) => ServerMessage::Stage { request_id, reply },
+                };
+                reply(&clients, conn_id, msg);
             }
         }
-
-        // Staging acknowledgements that became ready (flush/stage-in/status).
-        for stage in core.take_stage_replies() {
-            did_work = true;
-            if let Some((conn_id, request_id)) = reply_route.remove(&stage.request_id) {
-                reply(
-                    &clients,
-                    conn_id,
-                    ServerMessage::Stage {
-                        request_id,
-                        reply: stage.reply,
-                    },
-                );
-            }
-        }
-
-        // λ-sync, then the job monitor's timeout check (after the merge, so
-        // the turn ends with the expiry bound the merge reset made exact
-        // again). Alone in the fabric there is nobody to tell and nothing to
-        // hear: the round is only marked.
-        if core.sync_due(now) {
-            if fabric.len() == 1 {
-                core.absorb_peer_tables(std::iter::empty(), now);
-            } else {
-                fabric.broadcast(
-                    my_index,
-                    PeerMessage::JobTable {
-                        from_server: my_index,
-                        table: core.local_table(),
-                        sent_ns: now,
-                    },
-                );
-                let peer_tables: Vec<_> = fabric
-                    .drain(my_index)
-                    .into_iter()
-                    .map(|PeerMessage::JobTable { table, .. }| table)
-                    .collect();
-                core.absorb_peer_tables(peer_tables.iter(), now);
-            }
-        }
-        core.expire_jobs(now);
 
         if did_work {
             continue;

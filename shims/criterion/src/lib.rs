@@ -44,18 +44,15 @@ pub fn measure_min_ns<O>(iters: u32, reps: u32, mut routine: impl FnMut() -> O) 
     }
     let mut best_ns = f64::MAX;
     for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(routine());
-        }
-        best_ns = best_ns.min(t0.elapsed().as_nanos() as f64 / f64::from(iters));
+        best_ns = best_ns.min(block_ns(iters, &mut routine));
     }
     best_ns
 }
 
 /// Times two routines **interleaved** — alternating timed blocks of
-/// `iters` calls each, `reps` repetitions, keeping each side's minimum
-/// block time — and returns `(a_ns, b_ns)` per iteration.
+/// `iters` calls each, `reps` repetitions with the side that goes first
+/// alternating too, keeping each side's minimum block time — and returns
+/// `(a_ns, b_ns)` per iteration.
 ///
 /// This is the right shape for measuring a *difference* between two
 /// variants of the same hot path (e.g. an instrumented scheduler round
@@ -79,19 +76,27 @@ pub fn measure_interleaved_min_ns<O1, O2>(
     }
     let mut a_ns = f64::MAX;
     let mut b_ns = f64::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(a());
+    // The side that runs second inherits the first one's cache and frequency
+    // state, so the two take turns going first.
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            a_ns = a_ns.min(block_ns(iters, &mut a));
+            b_ns = b_ns.min(block_ns(iters, &mut b));
+        } else {
+            b_ns = b_ns.min(block_ns(iters, &mut b));
+            a_ns = a_ns.min(block_ns(iters, &mut a));
         }
-        a_ns = a_ns.min(t0.elapsed().as_nanos() as f64 / f64::from(iters));
-        let t1 = Instant::now();
-        for _ in 0..iters {
-            black_box(b());
-        }
-        b_ns = b_ns.min(t1.elapsed().as_nanos() as f64 / f64::from(iters));
     }
     (a_ns, b_ns)
+}
+
+/// Times one block of `iters` calls; nanoseconds per call.
+fn block_ns<O>(iters: u32, routine: &mut impl FnMut() -> O) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        black_box(routine());
+    }
+    t0.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
 /// Identifier of one benchmark within a group.
