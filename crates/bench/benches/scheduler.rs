@@ -2,10 +2,11 @@
 //! select() throughput for ThemisIO, FIFO, GIFT and TBF under a saturated
 //! two-job workload, driven through the `PolicyEngine` object API exactly as
 //! the server and simulator drive them; ThemisIO's opportunity-fairness
-//! redistribution at 4 096 jobs — plus the three-lane `StagedEngine`
-//! select/complete hot path (foreground + drain + restore + scrub all
-//! backlogged), whose wall-clock median also lands in the machine-readable
-//! perf report (`themis_bench::experiments::staged_select_wallclock_pair`).
+//! redistribution at 4 096 jobs and over a sparse backlog of 10⁵ shares —
+//! plus the three-lane `StagedEngine` select/complete hot path
+//! (foreground + drain + restore + scrub all backlogged), whose wall-clock
+//! median also lands in the machine-readable perf report
+//! (`themis_bench::experiments::staged_select_wallclock_pair`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -57,6 +58,7 @@ fn bench_schedulers(c: &mut Criterion) {
         });
     }
     group.bench_function("redistribute_4096", redistribute_4096);
+    group.bench_function("redistribute_sparse_1e5", redistribute_sparse_1e5);
     group.finish();
 }
 
@@ -64,30 +66,51 @@ fn bench_schedulers(c: &mut Criterion) {
 /// requests: a served job re-submits at once, except one job in eight, which
 /// re-submits only when the iteration ends. A draw that lands on such an
 /// idle job misses and redistributes its share, and since the last miss
-/// another job has drained, so every miss rebuilds the restricted table.
+/// other jobs have drained and refilled, so every miss reconciles the sum
+/// tree against the slots that changed.
 fn redistribute_4096(b: &mut criterion::Bencher) {
-    const JOBS: u64 = 4_096;
+    redistribute(b, 4_096, 1, 1_024);
+}
+
+/// 10⁵ job-fair shares, of which only 256 jobs (every 390th) ever queue,
+/// with `redistribute_4096`'s one-in-eight-late pattern over 256 serves per
+/// iteration. Nearly every draw lands on a job that never queued, so
+/// nearly every serve is a miss: this times what a miss costs when the
+/// share list is ~400× longer than the backlog.
+fn redistribute_sparse_1e5(b: &mut criterion::Bencher) {
+    redistribute(b, 256, 390, 256);
+}
+
+/// Registers `queuing · stride` job-fair jobs, queues one request for each
+/// of the `queuing` jobs at ids `k · stride + 1`, and times `serves`
+/// selects per iteration. A served job `j` re-submits at once unless
+/// `j / stride` is a multiple of eight, in which case it re-submits when
+/// the iteration ends.
+fn redistribute(b: &mut criterion::Bencher, queuing: u64, stride: u64, serves: usize) {
     let policy = Policy::job_fair();
     let mut engine = Algorithm::Themis(policy.clone()).build();
-    let metas: Vec<JobMeta> = (1..=JOBS)
-        .map(|j| JobMeta::new(j, j as u32, 1u32, 1))
-        .collect();
     let mut table = JobTable::new();
-    for m in &metas {
-        table.heartbeat(*m, 0);
+    for j in 1..=queuing * stride {
+        table.heartbeat(JobMeta::new(j, j as u32, 1u32, 1), 0);
     }
     engine.reconfigure(&table, &policy);
     let mut seq = 0;
-    for m in &metas {
-        engine.admit(IoRequest::write(seq, *m, 4096, 0));
+    for k in 0..queuing {
+        let j = k * stride + 1;
+        engine.admit(IoRequest::write(
+            seq,
+            JobMeta::new(j, j as u32, 1u32, 1),
+            4096,
+            0,
+        ));
         seq += 1;
     }
     let mut rng = SmallRng::seed_from_u64(11);
     let mut late = Vec::new();
     b.iter(|| {
-        for _ in 0..1_024 {
+        for _ in 0..serves {
             let served = engine.select(0, &mut rng).expect("backlogged").meta;
-            if served.job.0 % 8 == 0 {
+            if (served.job.0 / stride).is_multiple_of(8) {
                 late.push(served);
             } else {
                 engine.admit(IoRequest::write(seq, served, 4096, 0));

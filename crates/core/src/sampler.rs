@@ -119,9 +119,9 @@ impl TokenSampler {
     }
 
     /// Rebuilds the draw-acceleration structures (`select_pairs`,
-    /// `bucket_starts`) from `jobs`/`cumulative`. `O(n)` — both
-    /// construction paths already walk the segments, so this doesn't change
-    /// their complexity.
+    /// `bucket_starts`) from `jobs`/`cumulative`. `O(n)` — the
+    /// construction already walks the segments, so this doesn't change its
+    /// complexity.
     fn rebuild_select_index(&mut self) {
         let n = self.cumulative.len();
         debug_assert_eq!(self.hints.len(), n);
@@ -152,62 +152,6 @@ impl TokenSampler {
         }
     }
 
-    /// Rebuilds this sampler in place from `(job, weight)` entries, reusing
-    /// the existing allocations.
-    ///
-    /// Entries must arrive in ascending job order (the callers iterate
-    /// `BTreeMap`s, which guarantees it); non-positive and non-finite weights
-    /// are skipped. Weights are always renormalised by their sum, replicating
-    /// the exact operation order of [`ShareMap::from_pairs`] followed by
-    /// [`TokenSampler::from_shares`] — per-entry divide, then accumulate — so
-    /// the resulting table is bit-identical to the allocate-and-filter path
-    /// it replaces on the scheduler's opportunity-fairness hot path.
-    pub fn rebuild_normalized<I>(&mut self, entries: I)
-    where
-        I: IntoIterator<Item = (JobId, f64)>,
-    {
-        self.rebuild_normalized_hinted(entries.into_iter().map(|(job, w)| (job, NO_HINT, w)));
-    }
-
-    /// [`rebuild_normalized`](Self::rebuild_normalized) with a location
-    /// hint per entry (see [`draw_hinted`](Self::draw_hinted)). Hints never
-    /// affect which job a draw selects, so the resulting table is
-    /// bit-identical to the unhinted rebuild over the same `(job, weight)`
-    /// sequence.
-    pub fn rebuild_normalized_hinted<I>(&mut self, entries: I)
-    where
-        I: IntoIterator<Item = (JobId, u32, f64)>,
-    {
-        self.jobs.clear();
-        self.cumulative.clear();
-        self.hints.clear();
-        let mut total = 0.0;
-        for (job, hint, weight) in entries {
-            if !(weight.is_finite() && weight > 0.0) {
-                continue;
-            }
-            debug_assert!(
-                self.jobs.last().is_none_or(|prev| *prev < job),
-                "rebuild_normalized requires ascending job order"
-            );
-            total += weight;
-            self.jobs.push(job);
-            self.cumulative.push(weight);
-            self.hints.push(hint);
-        }
-        if total > 0.0 {
-            let mut acc = 0.0;
-            for slot in self.cumulative.iter_mut() {
-                acc += *slot / total;
-                *slot = acc;
-            }
-        }
-        if let Some(last) = self.cumulative.last_mut() {
-            *last = last.max(1.0);
-        }
-        self.rebuild_select_index();
-    }
-
     /// Number of jobs with a segment.
     pub fn len(&self) -> usize {
         self.jobs.len()
@@ -220,8 +164,8 @@ impl TokenSampler {
 
     /// The segment `[lo, hi)` assigned to `job`, if any.
     ///
-    /// `jobs` is always sorted ascending (both construction paths iterate
-    /// ordered maps), so the job→index lookup is a binary search — `O(log n)`
+    /// `jobs` is always sorted ascending (the construction iterates an
+    /// ordered map), so the job→index lookup is a binary search — `O(log n)`
     /// instead of the linear scan that dominated at 10⁵ jobs.
     pub fn segment(&self, job: JobId) -> Option<(f64, f64)> {
         let idx = self.jobs.binary_search(&job).ok()?;
@@ -395,29 +339,6 @@ mod tests {
         let (lo, hi) = s.segment(JobId(2)).unwrap();
         assert!((lo - 0.25).abs() < 1e-9);
         assert!((hi - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rebuild_normalized_matches_from_shares_bit_for_bit() {
-        let pairs = [
-            (JobId(2), 0.125),
-            (JobId(5), 0.5),
-            (JobId(9), 0.25),
-            (JobId(11), 0.125),
-        ];
-        let built = TokenSampler::from_shares(&ShareMap::from_pairs(pairs));
-        let mut rebuilt = TokenSampler::default();
-        rebuilt.rebuild_normalized(pairs);
-        // Derived PartialEq compares the cumulative bounds exactly: the
-        // in-place rebuild must be draw-for-draw identical.
-        assert_eq!(built, rebuilt);
-        // Rebuilding over an already-used sampler clears the old contents.
-        rebuilt.rebuild_normalized([(JobId(1), 1.0)]);
-        assert_eq!(rebuilt.len(), 1);
-        assert_eq!(rebuilt.select(0.5), Some(JobId(1)));
-        // Non-finite and non-positive weights are skipped, like from_pairs.
-        rebuilt.rebuild_normalized([(JobId(1), f64::NAN), (JobId(2), -1.0), (JobId(3), 0.0)]);
-        assert!(rebuilt.is_empty());
     }
 
     #[test]

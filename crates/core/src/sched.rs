@@ -14,7 +14,7 @@ use crate::policy::Policy;
 use crate::request::{Completion, IoRequest};
 use crate::sampler::{TokenSampler, NO_HINT};
 use crate::shares::{compute_shares, localize_shares, ShareMap};
-use rand::RngCore;
+use rand::{Rng, RngCore};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -123,7 +123,7 @@ type JobIdBuildHasher = std::hash::BuildHasherDefault<JobIdHasher>;
 /// parallel arrays by access temperature, and a hash `index` maps job id →
 /// slot. Consumers that learn a job's slot from a draw hint (see
 /// [`TokenSampler::draw_hinted`](crate::sampler::TokenSampler::draw_hinted))
-/// can pop with [`Self::pop_noting_drained_hinted`] — one bounds check and
+/// can pop with [`Self::pop_hinted`] — one bounds check and
 /// a job-id compare instead of a hash probe, which at 10⁵ tenants is the
 /// difference between one dependent cache miss and three.
 #[derive(Debug, Default, Clone)]
@@ -173,25 +173,17 @@ pub struct JobQueues {
     backlogged_count: usize,
     /// One bit per arena slot, set exactly while `fronts[s].is_some()`:
     /// the backlogged set as a dense bitmap (512 bytes at 4 096 slots), so
-    /// a consumer that caches `(job, slot)` pairs can test membership
-    /// without touching the cache-line-per-slot `fronts`. Flipped on the
-    /// idle↔backlogged transitions in `push` and `pop_slot`, and nowhere
-    /// else. See [`Self::holds_backlog`].
+    /// a consumer that mirrors the backlog can find what changed since it
+    /// last looked by comparing words, without touching the
+    /// cache-line-per-slot `fronts`. Flipped on the idle↔backlogged
+    /// transitions in `push` and `pop_slot`, and nowhere else.
     backlog_bits: Vec<u64>,
-    /// `owners[s]` is the job slot `s` was last assigned to. A slot keeps
-    /// its owner while drained-but-retained; [`Self::maybe_compact`] may
-    /// free it and `push` reassign it, so a cached `(job, slot)` pair is
-    /// only current while the owner still matches.
-    owners: Vec<JobId>,
-    /// Slot assignments made since the consumer last drained the log
-    /// ([`Self::track_slots`], [`Self::drain_slot_log`]), in order. Off
-    /// (cap 0) for consumers that never ask, so the baselines pay nothing.
-    slot_log: Vec<(JobId, u32)>,
-    /// Length past which `slot_log` is dropped instead of grown.
-    slot_log_cap: usize,
-    /// Whether the log outgrew its cap since the last drain: the consumer
-    /// must then re-resolve every slot it caches.
-    slot_log_dropped: bool,
+    /// One bit per arena slot, set when `assign_slot` hands the slot to a
+    /// job and cleared only by the consumer that mirrors `backlog_bits`
+    /// ([`ThemisScheduler`]'s reconcile). A slot whose backlog bit looks
+    /// unchanged may still have changed hands: its job drained, compaction
+    /// freed it and another job queued there. This bit says so.
+    assigned: Vec<u64>,
     /// Cached ascending `(job, slot)` snapshot of the backlogged jobs —
     /// the deterministic iteration surface over the arena (incidental
     /// iteration order must never leak into scheduling decisions).
@@ -233,11 +225,8 @@ impl JobQueues {
         Self::default()
     }
 
-    /// Appends a request to its job's queue. Returns `true` when the job
-    /// was idle and this request became its queue front — the caller-side
-    /// signal that the backlogged set grew, reported from the same map walk
-    /// instead of costing the caller a second `len_for` probe.
-    pub fn push(&mut self, request: IoRequest) -> bool {
+    /// Appends a request to its job's queue.
+    pub fn push(&mut self, request: IoRequest) {
         let job = request.meta.job;
         let slot_idx = match self.hot {
             Some((hot_job, s)) if hot_job == job => s,
@@ -248,16 +237,9 @@ impl JobQueues {
         };
         self.hot = Some((job, slot_idx));
         let i = slot_idx as usize;
-        let becomes_front = if self.fronts[i].is_none() {
+        if self.fronts[i].is_none() {
             debug_assert_eq!(self.rest_lens[i], 0);
             self.fronts[i] = Some(request);
-            true
-        } else {
-            self.rests[i].push_back(request);
-            self.rest_lens[i] += 1;
-            false
-        };
-        if becomes_front {
             self.backlog_bits[i / 64] |= 1 << (i % 64);
             self.backlogged_count += 1;
             self.sorted_valid = false;
@@ -266,38 +248,35 @@ impl JobQueues {
                     .push(Reverse((request.arrival_ns, request.seq, job)));
             }
             self.maybe_compact();
+        } else {
+            self.rests[i].push_back(request);
+            self.rest_lens[i] += 1;
         }
         self.total += 1;
-        becomes_front
     }
 
     /// Gives `job` an arena slot — a freed one if any, else a new one — and
-    /// logs the assignment. Kept out of line: it runs once per job (again
+    /// marks it in `assigned`. Kept out of line: it runs once per job (again
     /// only after compaction freed the job's slot), never on the steady
     /// pop/re-enqueue cycle `push` is tuned for.
     #[cold]
     #[inline(never)]
     fn assign_slot(&mut self, job: JobId) -> u32 {
-        let s = match self.free.pop() {
-            Some(s) => {
-                self.owners[s as usize] = job;
-                s
+        let s = self.free.pop().unwrap_or_else(|| {
+            self.fronts.push(None);
+            self.rest_lens.push(0);
+            self.rests.push(VecDeque::new());
+            if self.fronts.len() > self.backlog_bits.len() * 64 {
+                self.backlog_bits.push(0);
+                self.assigned.push(0);
             }
-            None => {
-                self.fronts.push(None);
-                self.rest_lens.push(0);
-                self.rests.push(VecDeque::new());
-                self.owners.push(job);
-                if self.fronts.len() > self.backlog_bits.len() * 64 {
-                    self.backlog_bits.push(0);
-                }
-                (self.fronts.len() - 1) as u32
-            }
-        };
-        debug_assert!(self.fronts[s as usize].is_none());
-        debug_assert_eq!(self.rest_lens[s as usize], 0);
+            (self.fronts.len() - 1) as u32
+        });
+        let i = s as usize;
+        debug_assert!(self.fronts[i].is_none());
+        debug_assert_eq!(self.rest_lens[i], 0);
         self.index.insert(job, s);
-        self.log_slot(job, s);
+        self.assigned[i / 64] |= 1 << (i % 64);
         s
     }
 
@@ -356,15 +335,6 @@ impl JobQueues {
 
     /// Pops the oldest request of `job`.
     pub fn pop(&mut self, job: JobId) -> Option<IoRequest> {
-        self.pop_noting_drained(job).map(|(req, _)| req)
-    }
-
-    /// Pops the oldest request of `job`, also reporting whether the pop
-    /// drained the job's queue (`true` = nothing left) — the signal the
-    /// fair scheduler needs to mark its opportunity sampler dirty, reported
-    /// from the same map walk instead of costing a second `len_for` probe
-    /// on the hottest path.
-    pub fn pop_noting_drained(&mut self, job: JobId) -> Option<(IoRequest, bool)> {
         let slot_idx = match self.hot {
             Some((hot_job, s)) if hot_job == job => s,
             _ => *self.index.get(&job)?,
@@ -372,7 +342,7 @@ impl JobQueues {
         self.pop_slot(slot_idx)
     }
 
-    /// [`Self::pop_noting_drained`] with a location hint (e.g. from
+    /// [`Self::pop`] with a location hint (e.g. from
     /// [`TokenSampler::draw_hinted`](crate::sampler::TokenSampler::draw_hinted)).
     /// A valid hint — in bounds, owned by `job`, non-empty — pops straight
     /// from the arena without touching the hash index; anything else
@@ -380,24 +350,20 @@ impl JobQueues {
     /// job that moved slots since the hint was minted) falls back to the
     /// full id lookup, so a stale hint can never change the outcome — only
     /// its cost.
-    pub fn pop_noting_drained_hinted(
-        &mut self,
-        job: JobId,
-        hint: u32,
-    ) -> Option<(IoRequest, bool)> {
+    pub fn pop_hinted(&mut self, job: JobId, hint: u32) -> Option<IoRequest> {
         // A front holding a request of `job` proves the hint names `job`'s
         // one live slot: every push resolves through the index (or its
         // memo), so a job's requests can never sit in a slot the index
         // doesn't map it to.
         match self.fronts.get(hint as usize) {
             Some(Some(front)) if front.meta.job == job => self.pop_slot(hint),
-            _ => self.pop_noting_drained(job),
+            _ => self.pop(job),
         }
     }
 
     /// Pops from a validated arena slot, maintaining the counters and (when
     /// live) the FIFO front index.
-    fn pop_slot(&mut self, slot_idx: u32) -> Option<(IoRequest, bool)> {
+    fn pop_slot(&mut self, slot_idx: u32) -> Option<IoRequest> {
         let i = slot_idx as usize;
         let req = self.fronts[i].take()?;
         // The spill-length mirror keeps the common "nothing behind the
@@ -411,7 +377,7 @@ impl JobQueues {
         self.fronts[i] = successor;
         self.hot = Some((req.meta.job, slot_idx));
         self.total -= 1;
-        let drained = match successor {
+        match successor {
             // The successor is the job's new front; index it (when the
             // index is live). The popped request's own index entry (if
             // still present) goes stale and is discarded lazily by
@@ -421,7 +387,6 @@ impl JobQueues {
                     self.front_index
                         .push(Reverse((next.arrival_ns, next.seq, req.meta.job)));
                 }
-                false
             }
             // The drained slot is retained for reuse (see the `fronts`
             // field doc) and reclaimed in batch by `maybe_compact`.
@@ -429,57 +394,9 @@ impl JobQueues {
                 self.backlog_bits[i / 64] &= !(1 << (i % 64));
                 self.backlogged_count -= 1;
                 self.sorted_valid = false;
-                true
             }
-        };
-        Some((req, drained))
-    }
-
-    /// Whether arena slot `slot` currently holds queued work of `job`: its
-    /// backlog bit is set and `job` still owns it. One bit test and one
-    /// compare, no hash probe; an out-of-range slot (e.g.
-    /// [`NO_HINT`]) is never backlogged.
-    fn holds_backlog(&self, slot: u32, job: JobId) -> bool {
-        let i = slot as usize;
-        self.backlog_bits
-            .get(i / 64)
-            .is_some_and(|word| word >> (i % 64) & 1 != 0)
-            && self.owners[i] == job
-    }
-
-    /// Starts a fresh slot-assignment log for a consumer that caches the
-    /// slots of `cap` jobs. Past `cap` entries replaying the log would cost
-    /// more than re-resolving every cached slot, so the log is dropped
-    /// instead (see [`Self::drain_slot_log`]).
-    fn track_slots(&mut self, cap: usize) {
-        self.slot_log.clear();
-        self.slot_log_cap = cap;
-        self.slot_log_dropped = false;
-    }
-
-    fn log_slot(&mut self, job: JobId, slot: u32) {
-        if self.slot_log_dropped || self.slot_log_cap == 0 {
-            return;
         }
-        if self.slot_log.len() < self.slot_log_cap {
-            self.slot_log.push((job, slot));
-        } else {
-            self.slot_log.clear();
-            self.slot_log_dropped = true;
-        }
-    }
-
-    /// Hands every `(job, slot)` assignment logged since the last drain to
-    /// `apply`, oldest first, and empties the log. Returns `false`, having
-    /// applied nothing, when the log was dropped for outgrowing its cap:
-    /// the caller must then re-resolve its cached slots through
-    /// [`Self::slot_of`].
-    fn drain_slot_log(&mut self, mut apply: impl FnMut(JobId, u32)) -> bool {
-        let complete = !std::mem::take(&mut self.slot_log_dropped);
-        for (job, slot) in self.slot_log.drain(..) {
-            apply(job, slot);
-        }
-        complete
+        Some(req)
     }
 
     /// The arena slot currently holding `job`'s queue, if any — the
@@ -494,12 +411,6 @@ impl JobQueues {
     /// Ties on `(arrival_ns, seq)` break toward the lowest job id, matching
     /// the historical first-minimal scan over the ordered queue map.
     pub fn pop_oldest(&mut self) -> Option<IoRequest> {
-        self.pop_oldest_noting_drained().map(|(req, _)| req)
-    }
-
-    /// [`Self::pop_oldest`], also reporting whether the pop drained the
-    /// served job's queue (see [`Self::pop_noting_drained`]).
-    fn pop_oldest_noting_drained(&mut self) -> Option<(IoRequest, bool)> {
         if !self.front_index_live {
             // First FIFO-order pop on this queue set: build the index from
             // the live fronts and keep it maintained from here on. Fair
@@ -515,7 +426,7 @@ impl JobQueues {
             if is_live {
                 // Every live front is indexed, so the minimal live entry is
                 // the globally oldest request.
-                return self.pop_noting_drained(job);
+                return self.pop(job);
             }
             // Stale: the indexed request was already popped via `pop`.
         }
@@ -560,8 +471,8 @@ impl JobQueues {
     /// must use; see [`Self::backlogged_unordered`] for order-insensitive
     /// folds. The slot rides along so a consumer can reach each job's queue
     /// without a hash probe. [`ThemisScheduler`]'s opportunity-fairness
-    /// rebuild does not come here: it walks its share list in job order and
-    /// tests each cached slot's backlog bit, which needs no sort.
+    /// draw does not come here: it reconciles its sum tree against the
+    /// backlog bits, which needs no sort.
     pub fn backlogged_sorted(&mut self) -> &[(JobId, u32)] {
         if !self.sorted_valid {
             self.sorted_backlog.clear();
@@ -631,12 +542,15 @@ impl JobQueues {
 ///   policy's transition-matrix chain and rebuilds the `[0,1]` segment table.
 /// * [`next`](Scheduler::next) draws one uniform number per service slot. If
 ///   the drawn job has queued work its oldest request is served; otherwise the
-///   draw is retried against a sampler restricted to backlogged jobs
-///   (renormalised shares), which is exactly the opportunity-fairness rule:
-///   idle segments are redistributed so the device never idles while any job
-///   has work. The restricted sampler is rebuilt only when the backlogged
-///   set changed since the last rebuild, in one pass over the share list
-///   (see `rebuild_active_sampler`).
+///   draw is retried over the backlogged jobs alone, each with probability
+///   `s_j/B` (`B` = the backlogged jobs' total share), which is exactly the
+///   opportunity-fairness rule: idle segments are redistributed so the device
+///   never idles while any job has work. That second draw descends an
+///   integer sum tree over the share list in which only backlogged jobs'
+///   weights are switched on. Idle↔backlogged transitions never touch the
+///   tree: they flip the queues' backlog bits, and a miss first reconciles
+///   the tree against the slots that changed since the previous miss (see
+///   `reconcile`).
 /// * Jobs that appear in the traffic before the next refresh (unknown to the
 ///   share map) are still served — they fall back to a FIFO pick — so no
 ///   request can be starved by bootstrap races.
@@ -644,17 +558,18 @@ impl JobQueues {
 pub struct ThemisScheduler {
     queues: JobQueues,
     shares: ShareMap,
-    /// `shares` as a flat list in ascending job order, each entry with the
-    /// arena slot the job's queue last held ([`NO_HINT`] if none). Rebuilt
-    /// by `refresh`; slots assigned later reach it through the queues' slot
-    /// log.
+    /// `shares` as a flat list in ascending job order, with fixed-point
+    /// weights for `backlog_tree`. Rebuilt by `refresh`.
     share_entries: Vec<ShareEntry>,
     sampler: TokenSampler,
-    /// Sampler restricted to backlogged jobs; rebuilt lazily.
-    active_sampler: TokenSampler,
-    /// Whether the backlogged set (or the share list) changed since
-    /// `active_sampler` was built.
-    active_dirty: bool,
+    /// Sum tree over `share_entries`' weights, counting exactly the entries
+    /// of the jobs that were backlogged at the last reconcile.
+    backlog_tree: SumTree,
+    /// The queues' backlog bits as `backlog_tree` reflects them.
+    mirror: Vec<u64>,
+    /// `counted[s]` is the `share_entries` index `backlog_tree` counts for
+    /// arena slot `s`, or [`UNCOUNTED`].
+    counted: Vec<u32>,
     policy: Policy,
     /// `(job-table revision, policy)` of the last share recomputation.
     /// [`Scheduler::refresh`] is a no-op while both are unchanged, so
@@ -667,10 +582,109 @@ pub struct ThemisScheduler {
 #[derive(Debug, Clone, Copy)]
 struct ShareEntry {
     job: JobId,
-    weight: f64,
-    /// The job's arena slot as last seen; trusted only while
-    /// [`JobQueues::holds_backlog`] confirms it.
+    /// The job's share in fixed point (see [`WEIGHT_SCALE`]).
+    weight: u64,
+    /// The arena slot `backlog_tree` counts this entry for, or [`NO_HINT`]
+    /// while it is uncounted. A restricted draw hands it to the pop as the
+    /// slot hint.
     slot: u32,
+}
+
+/// `ThemisScheduler::counted`'s value for a slot whose job the sum tree
+/// does not count.
+const UNCOUNTED: u32 = u32::MAX;
+
+/// The shares (all positive) are quantised to integers summing to about
+/// 2⁵³, the resolution of the `f64` uniform a draw consumes. Each weight is
+/// at least 1, so a share too small to resolve still gets drawn when its job
+/// is the only one backlogged. Integer weights never drift, however often an
+/// entry is switched on and off.
+const WEIGHT_SCALE: f64 = (1u64 << 53) as f64;
+
+/// A Fenwick tree (Fenwick 1994) over integer weights: a point update and
+/// the descent to the entry holding a given rank each cost `O(log n)`.
+#[derive(Debug, Default)]
+struct SumTree {
+    /// `nodes[i]` (1-based) sums the weights of entries `i - lowbit(i)`
+    /// up to `i - 1` (0-based); `nodes[0]` is unused.
+    nodes: Vec<u64>,
+    /// Sum of every weight in the tree.
+    total: u64,
+}
+
+impl SumTree {
+    /// Rebuilds the tree over `weights`, in `O(n)`.
+    fn build(&mut self, weights: impl Iterator<Item = u64>) {
+        self.nodes.clear();
+        self.nodes.push(0);
+        self.nodes.extend(weights);
+        self.total = self.nodes.iter().sum();
+        for i in 1..self.nodes.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < self.nodes.len() {
+                self.nodes[parent] += self.nodes[i];
+            }
+        }
+    }
+
+    /// Adds `delta` to an entry's weight. A removal passes the weight's
+    /// two's complement: the sums wrap back to their true values.
+    fn add(&mut self, entry: usize, delta: u64) {
+        self.total = self.total.wrapping_add(delta);
+        let mut i = entry + 1;
+        while i < self.nodes.len() {
+            self.nodes[i] = self.nodes[i].wrapping_add(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The entry whose segment holds `rank`: the first whose prefix sum,
+    /// itself included, exceeds `rank`. `rank` must be below `total`.
+    fn find(&self, rank: u64) -> usize {
+        let n = self.nodes.len() - 1;
+        let (mut pos, mut rest) = (0, rank);
+        let mut step = (n + 1).next_power_of_two() / 2;
+        while step > 0 {
+            if pos + step <= n && self.nodes[pos + step] <= rest {
+                pos += step;
+                rest -= self.nodes[pos];
+            }
+            step /= 2;
+        }
+        pos
+    }
+}
+
+/// The arena slots whose bits are set in word `word` of a slot bitmap.
+fn set_bits(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            word * 64 + bit
+        })
+    })
+}
+
+/// Marks the share entry of the job queued at backlogged arena slot `s` as
+/// counted there and returns its index, or `None` when that job has no
+/// share.
+fn count_slot(
+    entries: &mut [ShareEntry],
+    counted: &mut [u32],
+    fronts: &[Option<IoRequest>],
+    s: usize,
+) -> Option<usize> {
+    let job = fronts[s]
+        .as_ref()
+        .expect("a set backlog bit implies a front")
+        .meta
+        .job;
+    let e = entries.binary_search_by_key(&job, |e| e.job).ok()?;
+    debug_assert_eq!(entries[e].slot, NO_HINT, "{job:?} counted twice");
+    entries[e].slot = s as u32;
+    counted[s] = e as u32;
+    Some(e)
 }
 
 impl ThemisScheduler {
@@ -681,8 +695,9 @@ impl ThemisScheduler {
             shares: ShareMap::empty(),
             share_entries: Vec::new(),
             sampler: TokenSampler::default(),
-            active_sampler: TokenSampler::default(),
-            active_dirty: true,
+            backlog_tree: SumTree::default(),
+            mirror: Vec::new(),
+            counted: Vec::new(),
             policy,
             last_refresh: None,
         }
@@ -700,50 +715,67 @@ impl ThemisScheduler {
         self.last_refresh = None;
     }
 
-    /// Rebuilds the opportunity-fairness sampler over the currently
-    /// backlogged jobs, in place.
+    /// Brings `backlog_tree` up to date with the queues' backlog.
     ///
-    /// One pass over the share list, already in ascending job order: an
-    /// entry is kept when its cached slot's backlog bit is set and the job
-    /// still owns that slot ([`JobQueues::holds_backlog`]). No sort, no
-    /// share-map probe, no allocation. First the slots assigned since the
-    /// last pass are folded into the cache (a binary search each), or, if
-    /// that log was dropped for outgrowing the share list, every cached
-    /// slot is re-resolved.
-    ///
-    /// The table is bit-identical to `restricted_to` + `from_shares` over
-    /// the backlogged set: backlogged jobs without a share are absent from
-    /// both, entries arrive in the same order with the same weights, and
-    /// each hint is the job's current slot. RNG draw sequences are
-    /// therefore unchanged.
-    fn rebuild_active_sampler(&mut self) {
-        let entries = &mut self.share_entries;
-        let complete = self.queues.drain_slot_log(|job, slot| {
-            if let Ok(i) = entries.binary_search_by_key(&job, |e| e.job) {
-                entries[i].slot = slot;
-            }
-        });
-        let queues = &self.queues;
-        if !complete {
-            for e in entries.iter_mut() {
-                e.slot = queues.slot_of(e.job).unwrap_or(NO_HINT);
+    /// The slots that changed since the last reconcile are those whose
+    /// backlog bit differs from `mirror`, plus those `assign_slot` handed
+    /// out: a slot can change hands between two reconciles with its bit set
+    /// at both. Pass 1 uncounts the entry counted for each changed slot.
+    /// Pass 2 counts the entry of the job now at the front of each changed
+    /// slot that is backlogged, found by binary search. The passes must stay
+    /// apart: a job that moved from slot A to slot B must be uncounted at A
+    /// before it is counted at B, whichever slot comes first. Cost:
+    /// `O(slots / 64 + changed · log entries)`.
+    fn reconcile(&mut self) {
+        let ThemisScheduler {
+            queues,
+            share_entries: entries,
+            backlog_tree: tree,
+            mirror,
+            counted,
+            ..
+        } = self;
+        mirror.resize(queues.backlog_bits.len(), 0);
+        counted.resize(queues.fronts.len(), UNCOUNTED);
+        for (w, (&bits, &seen)) in queues.backlog_bits.iter().zip(mirror.iter()).enumerate() {
+            for s in set_bits(w, bits ^ seen | queues.assigned[w]) {
+                let e = std::mem::replace(&mut counted[s], UNCOUNTED);
+                if e != UNCOUNTED {
+                    let entry = &mut entries[e as usize];
+                    tree.add(e as usize, entry.weight.wrapping_neg());
+                    entry.slot = NO_HINT;
+                }
             }
         }
-        self.active_sampler.rebuild_normalized_hinted(
-            entries
-                .iter()
-                .filter(|e| queues.holds_backlog(e.slot, e.job))
-                .map(|e| (e.job, e.slot, e.weight)),
-        );
-        self.active_dirty = false;
+        for (w, (&bits, seen)) in queues
+            .backlog_bits
+            .iter()
+            .zip(mirror.iter_mut())
+            .enumerate()
+        {
+            for s in set_bits(w, (bits ^ *seen | queues.assigned[w]) & bits) {
+                if let Some(e) = count_slot(entries, counted, &queues.fronts, s) {
+                    tree.add(e, entries[e].weight);
+                }
+            }
+            *seen = bits;
+            queues.assigned[w] = 0;
+        }
     }
 
-    /// Marks the restricted sampler stale when a pop drained its job.
-    fn note_pop(&mut self, (req, drained): (IoRequest, bool)) -> IoRequest {
-        if drained {
-            self.active_dirty = true;
+    /// The opportunity-fairness draw: reconciles the sum tree, then maps
+    /// one uniform onto the backlogged jobs in proportion to their shares,
+    /// returning the job and its slot as the pop hint. Draws nothing, and
+    /// consumes no sample, when no backlogged job has a share.
+    fn draw_backlogged(&mut self, rng: &mut dyn RngCore) -> Option<(JobId, u32)> {
+        self.reconcile();
+        let total = self.backlog_tree.total;
+        if total == 0 {
+            return None;
         }
-        req
+        let rank = ((rng.gen::<f64>() * total as f64) as u64).min(total - 1);
+        let entry = self.share_entries[self.backlog_tree.find(rank)];
+        Some((entry.job, entry.slot))
     }
 }
 
@@ -753,9 +785,7 @@ impl Scheduler for ThemisScheduler {
     }
 
     fn enqueue(&mut self, request: IoRequest) {
-        if self.queues.push(request) {
-            self.active_dirty = true;
-        }
+        self.queues.push(request);
     }
 
     fn next(&mut self, _now_ns: u64, rng: &mut dyn RngCore) -> Option<IoRequest> {
@@ -765,36 +795,27 @@ impl Scheduler for ThemisScheduler {
         // A live swap to `fifo` keeps the engine (and its queues) in place
         // but switches arbitration to strict arrival order.
         if !self.policy.is_fair() {
-            return self
-                .queues
-                .pop_oldest_noting_drained()
-                .map(|p| self.note_pop(p));
+            return self.queues.pop_oldest();
         }
         // Fast path: draw over the full assignment; serve if the drawn job
         // has work. The draw carries the job's arena-slot hint, so the pop
-        // is a direct slot access — no hash probe — and
-        // `pop_noting_drained` folds the has-work probe, the pop and the
-        // did-it-drain check into that same walk.
+        // is a direct slot access — no hash probe — and `pop_hinted` folds
+        // the has-work probe and the pop into that same walk. Opportunity
+        // fairness: on a miss, redistribute idle segments over backlogged
+        // jobs and draw again.
         if let Some((job, hint)) = self.sampler.draw_hinted(rng) {
-            if let Some(popped) = self.queues.pop_noting_drained_hinted(job, hint) {
-                return Some(self.note_pop(popped));
+            if let Some(req) = self.queues.pop_hinted(job, hint) {
+                return Some(req);
             }
         }
-        // Opportunity fairness: redistribute idle segments over backlogged
-        // jobs and draw again.
-        if self.active_dirty {
-            self.rebuild_active_sampler();
-        }
-        if let Some((job, hint)) = self.active_sampler.draw_hinted(rng) {
-            if let Some(popped) = self.queues.pop_noting_drained_hinted(job, hint) {
-                return Some(self.note_pop(popped));
+        if let Some((job, hint)) = self.draw_backlogged(rng) {
+            if let Some(req) = self.queues.pop_hinted(job, hint) {
+                return Some(req);
             }
         }
         // Backlogged jobs that have no share yet (seen before the first
         // refresh): serve them FIFO so nothing is starved.
-        self.queues
-            .pop_oldest_noting_drained()
-            .map(|p| self.note_pop(p))
+        self.queues.pop_oldest()
     }
 
     fn on_complete(&mut self, _completion: &Completion) {
@@ -831,23 +852,34 @@ impl Scheduler for ThemisScheduler {
         // Jobs already queued get their arena slot as a draw hint, so the
         // fast path pops without a hash probe; jobs seen here before any
         // traffic fall back to the id lookup on their first draws (hints
-        // are re-minted on the next refresh). The share list caches the
-        // same slots, and the queues log every slot assigned from here on.
-        let queues = &self.queues;
+        // are re-minted on the next refresh).
+        let queues = &mut self.queues;
+        self.sampler = TokenSampler::from_shares_hinted(&self.shares, |job| {
+            queues.slot_of(job).unwrap_or(NO_HINT)
+        });
+        // The sum tree is built over the current backlog, in
+        // O(entries + slots + backlogged · log entries); from here on each
+        // miss reconciles it.
+        let total = self.shares.total();
         self.share_entries.clear();
         self.share_entries
-            .extend(self.shares.iter().map(|(job, weight)| ShareEntry {
+            .extend(self.shares.iter().map(|(job, share)| ShareEntry {
                 job,
-                weight,
-                slot: queues.slot_of(job).unwrap_or(NO_HINT),
+                weight: (share / total * WEIGHT_SCALE).round().max(1.0) as u64,
+                slot: NO_HINT,
             }));
-        let mut cached = self.share_entries.iter();
-        self.sampler = TokenSampler::from_shares_hinted(&self.shares, |job| {
-            // Consulted in ascending job order, a subsequence of the list.
-            cached.find(|e| e.job == job).map_or(NO_HINT, |e| e.slot)
-        });
-        self.queues.track_slots(self.share_entries.len());
-        self.active_dirty = true;
+        self.counted.clear();
+        self.counted.resize(queues.fronts.len(), UNCOUNTED);
+        let (entries, counted) = (&mut self.share_entries, &mut self.counted);
+        for (w, &bits) in queues.backlog_bits.iter().enumerate() {
+            for s in set_bits(w, bits) {
+                count_slot(entries, counted, &queues.fronts, s);
+            }
+        }
+        let weight = |e: &ShareEntry| if e.slot == NO_HINT { 0 } else { e.weight };
+        self.backlog_tree.build(entries.iter().map(weight));
+        self.mirror.clone_from(&queues.backlog_bits);
+        queues.assigned.fill(0);
         self.last_refresh = Some((table.revision(), policy.clone()));
     }
 
@@ -918,16 +950,15 @@ mod tests {
     }
 
     #[test]
-    fn job_queues_backlog_bits_and_slot_log_follow_compaction() {
+    fn job_queues_backlog_and_assigned_bits_follow_compaction() {
         // Drain-and-refill churn over 200 jobs (one push to four pops)
-        // compacts the arena and hands freed slots to other jobs. After every step, each slot's backlog
-        // bit must say whether it holds a front, `holds_backlog` must name
-        // exactly the job whose request sits there, and replaying the slot
-        // log over the refresh-time slots must reproduce the index.
+        // compacts the arena and hands freed slots to other jobs. After
+        // every step, each slot's backlog bit must say whether it holds a
+        // front, and a slot→job cache updated only at the slots whose
+        // `assigned` bit is set must reproduce the index.
         let mut q = JobQueues::new();
-        let mut cached: HashMap<JobId, u32> = HashMap::new();
+        let mut cached: HashMap<u32, JobId> = HashMap::new();
         let mut reassigned = 0u64;
-        q.track_slots(usize::MAX);
         let mut rng = SmallRng::seed_from_u64(5);
         for step in 0..20_000u64 {
             let job = JobId(rand::Rng::gen_range(&mut rng, 1u64..200));
@@ -939,27 +970,176 @@ mod tests {
             for (s, front) in q.fronts.iter().enumerate() {
                 let bit = q.backlog_bits[s / 64] >> (s % 64) & 1 != 0;
                 assert_eq!(bit, front.is_some(), "step {step} slot {s}");
-                if let Some(r) = front {
-                    assert!(q.holds_backlog(s as u32, r.meta.job), "step {step}");
-                    assert!(!q.holds_backlog(s as u32, JobId(0)), "step {step}");
+            }
+            let owner: HashMap<u32, JobId> = q.index.iter().map(|(&j, &s)| (s, j)).collect();
+            for (w, word) in q.assigned.iter_mut().enumerate() {
+                for s in set_bits(w, std::mem::take(word)) {
+                    let job = owner[&(s as u32)];
+                    reassigned += u64::from(cached.insert(s as u32, job).is_some());
                 }
             }
-            assert!(!q.holds_backlog(NO_HINT, job));
-            assert!(q.drain_slot_log(|job, slot| {
-                reassigned += u64::from(cached.insert(job, slot).is_some());
-            }));
-            for (&job, &slot) in &q.index {
-                assert_eq!(cached.get(&job), Some(&slot), "step {step}");
+            for (&slot, &job) in &owner {
+                assert_eq!(cached.get(&slot), Some(&job), "step {step}");
             }
         }
         assert!(reassigned > 100, "the churn never compacted the arena");
-        // A log that outgrows its cap is dropped, and the drain says so.
-        q.track_slots(2);
-        for j in 1_000..1_003u64 {
-            q.push(IoRequest::write(j, meta(j, 1, 1), 10, 0));
+    }
+
+    /// `backlog_tree`'s prefix sum over the first `n` entries.
+    fn prefix(tree: &SumTree, mut n: usize) -> u64 {
+        let mut sum = 0;
+        while n > 0 {
+            sum += tree.nodes[n];
+            n -= n & n.wrapping_neg();
         }
-        assert!(!q.drain_slot_log(|_, _| panic!("a dropped log replays nothing")));
-        assert!(q.drain_slot_log(|_, _| panic!("the drain emptied the log")));
+        sum
+    }
+
+    /// Asserts that the sum tree counts exactly the backlogged jobs that
+    /// have a share, each once and at its current slot, so that its total
+    /// is the naive sum of the weights masked to the backlog.
+    fn assert_tree_counts_backlog(sched: &ThemisScheduler) {
+        let q = &sched.queues;
+        let mut masked = 0;
+        for (e, entry) in sched.share_entries.iter().enumerate() {
+            let slot = q
+                .slot_of(entry.job)
+                .filter(|&s| q.fronts[s as usize].is_some());
+            let counted = (entry.slot != NO_HINT).then_some(entry.slot);
+            assert_eq!(counted, slot, "{:?}", entry.job);
+            let weight = slot.map_or(0, |_| entry.weight);
+            let tree = &sched.backlog_tree;
+            assert_eq!(
+                prefix(tree, e + 1) - prefix(tree, e),
+                weight,
+                "{:?}",
+                entry.job
+            );
+            masked += weight;
+        }
+        assert_eq!(sched.backlog_tree.total, masked);
+    }
+
+    #[test]
+    fn restricted_draws_follow_backlogged_shares() {
+        // 512 of 4 096 size-fair jobs backlogged: over 10⁵ restricted draws
+        // every backlogged job's frequency is within 4σ of s_j/B, and no
+        // idle job is ever drawn.
+        const DRAWS: u64 = 100_000;
+        let jobs: Vec<JobMeta> = (1..=4_096u64)
+            .map(|j| meta(j, j as u32, (j % 5) as u32 + 1))
+            .collect();
+        let mut sched = ThemisScheduler::new(Policy::size_fair());
+        sched.refresh(&table_with(&jobs), &Policy::size_fair());
+        for m in jobs.iter().step_by(8) {
+            sched.enqueue(IoRequest::write(m.job.0, *m, 4096, 0));
+        }
+        let shares = sched.shares();
+        let backlogged: f64 = jobs.iter().step_by(8).map(|m| shares.share(m.job)).sum();
+        let mut rng = SmallRng::seed_from_u64(42);
+        let mut hits: HashMap<JobId, u64> = HashMap::new();
+        for _ in 0..DRAWS {
+            let (job, hint) = sched.draw_backlogged(&mut rng).expect("512 backlogged");
+            assert_eq!(sched.queues.slot_of(job), Some(hint));
+            *hits.entry(job).or_default() += 1;
+        }
+        assert_tree_counts_backlog(&sched);
+        for m in &jobs {
+            let n = hits.get(&m.job).copied().unwrap_or(0);
+            if (m.job.0 - 1) % 8 != 0 {
+                assert_eq!(n, 0, "idle {:?} drawn", m.job);
+                continue;
+            }
+            let p = shares.share(m.job) / backlogged;
+            let sigma = (p * (1.0 - p) / DRAWS as f64).sqrt();
+            let f = n as f64 / DRAWS as f64;
+            assert!(
+                (f - p).abs() <= 4.0 * sigma,
+                "{:?}: frequency {f}, share {p}, σ {sigma}",
+                m.job
+            );
+        }
+    }
+
+    #[test]
+    fn restricted_draws_follow_a_reassigned_slot_to_its_new_job() {
+        // Between two misses, job A drains, compaction frees its slot and
+        // job B takes that slot and queues. The slot's backlog bit is set at
+        // both misses, so only `assigned` tells the tree that A left.
+        let jobs: Vec<JobMeta> = (1..=101u64).map(|j| meta(j, 1, 1)).collect();
+        let mut sched = ThemisScheduler::new(Policy::job_fair());
+        for m in &jobs[..100] {
+            sched.enqueue(IoRequest::write(m.job.0, *m, 10, 0));
+        }
+        sched.refresh(&table_with(&jobs), &Policy::job_fair());
+        let mut rng = SmallRng::seed_from_u64(9);
+        assert!(sched.draw_backlogged(&mut rng).is_some());
+        let owner: HashMap<u32, JobId> = sched.queues.index.iter().map(|(&j, &s)| (s, j)).collect();
+        for j in 1..=70 {
+            assert!(sched.queues.pop(JobId(j)).is_some());
+        }
+        sched.queues.maybe_compact();
+        let b = jobs[100].job;
+        sched.enqueue(IoRequest::write(101, jobs[100], 10, 0));
+        let slot = sched.queues.slot_of(b).expect("queued");
+        let a = owner[&slot];
+        assert!(a.0 <= 70, "{b:?} took a fresh slot, not a freed one");
+        let mut drew_b = 0;
+        for _ in 0..10_000 {
+            let (job, hint) = sched.draw_backlogged(&mut rng).expect("31 backlogged");
+            assert_ne!(job, a, "drew {a:?}, which drained");
+            drew_b += u32::from(job == b && hint == slot);
+        }
+        assert!(drew_b > 0, "never drew {b:?}");
+        assert_tree_counts_backlog(&sched);
+    }
+
+    #[test]
+    fn a_job_that_moves_slots_between_misses_is_counted_once() {
+        // Job J drains at slot A and re-queues at a lower slot B between two
+        // misses: the reconcile must uncount it at A before it counts it at
+        // B, though B comes first.
+        let jobs: Vec<JobMeta> = (1..=100u64).map(|j| meta(j, 1, 1)).collect();
+        let mut sched = ThemisScheduler::new(Policy::job_fair());
+        for m in &jobs {
+            sched.enqueue(IoRequest::write(m.job.0, *m, 10, 0));
+        }
+        sched.refresh(&table_with(&jobs), &Policy::job_fair());
+        let mut rng = SmallRng::seed_from_u64(3);
+        assert!(sched.draw_backlogged(&mut rng).is_some());
+        let j = jobs[99];
+        let a = sched.queues.slot_of(j.job).expect("queued");
+        assert_eq!(a, 99, "jobs take fresh slots in arrival order");
+        for job in 31..=100 {
+            assert!(sched.queues.pop(JobId(job)).is_some());
+        }
+        sched.queues.maybe_compact();
+        if sched.queues.free.last() == Some(&a) {
+            // A job without a share takes A, so J lands elsewhere.
+            sched.enqueue(IoRequest::write(200, meta(200, 1, 1), 10, 0));
+        }
+        sched.enqueue(IoRequest::write(100, j, 10, 0));
+        let b = sched.queues.slot_of(j.job).expect("queued");
+        assert!(b < a, "J moved from slot {a} to slot {b}");
+        assert!(sched.draw_backlogged(&mut rng).is_some());
+        assert_tree_counts_backlog(&sched);
+    }
+
+    #[test]
+    fn a_share_below_the_tree_resolution_is_still_drawn() {
+        // At priorities 10¹⁸:1 job 2's share quantises below 1. The weight
+        // floor keeps it drawable when it is the only job backlogged.
+        let jobs = [meta(1, 1, 1).with_priority(1e18), meta(2, 2, 1)];
+        let mut sched = ThemisScheduler::new(Policy::priority_fair());
+        sched.refresh(&table_with(&jobs), &Policy::priority_fair());
+        assert!(sched.shares().share(JobId(2)) * WEIGHT_SCALE < 0.5);
+        sched.enqueue(IoRequest::write(0, jobs[1], 10, 0));
+        let slot = sched.queues.slot_of(JobId(2));
+        let mut rng = SmallRng::seed_from_u64(1);
+        assert_eq!(
+            sched.draw_backlogged(&mut rng),
+            Some((JobId(2), slot.unwrap()))
+        );
     }
 
     #[test]

@@ -761,7 +761,8 @@ mod tests {
 
     #[test]
     fn pinned_seeds_cover_durability() {
-        // The conformance suite pins seeds 0–23; the derived durability
+        // The conformance suite pins seeds 0–99; its first 24, the
+        // original set, bound these checks. The derived durability
         // dimension must put at least two durable scenarios — with copy
         // traffic actually flowing — inside it, or the replicate-liveness
         // and crash-before-replicate oracles would be vacuous.
@@ -777,7 +778,8 @@ mod tests {
 
     #[test]
     fn pinned_seeds_cover_resharding() {
-        // The conformance suite pins seeds 0–23; the derived reshard
+        // The conformance suite pins seeds 0–99; its first 24, the
+        // original set, bound these checks. The derived reshard
         // dimension must put at least two resharding scenarios (and both
         // kinds across a slightly wider range) inside it, or the
         // reshard-mid-workload oracles would be vacuous.
