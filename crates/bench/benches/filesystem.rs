@@ -6,6 +6,8 @@
 //! an existing extent, `write_fresh_1MiB` copies into a new one (allocate,
 //! zero-fill, copy) and `write_owned_1MiB` keeps the caller's buffer as the
 //! new extent, the path a server takes for a whole-extent write.
+//! `small_rw_4096_paths` is the other end: 512 B calls over many small
+//! files, where finding the file costs more than copying its bytes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use themis_fs::{BurstBufferFs, Extent, HashRing, StripeConfig};
@@ -88,7 +90,43 @@ fn bench_fs_io(c: &mut Criterion) {
         })
     });
     group.bench_function("stat", |b| b.iter(|| fs.stat("/bench").unwrap()));
+    bench_small_rw(&mut group);
     group.finish();
+}
+
+/// `fs_io/small_rw_4096_paths`: one 512 B `write_at` and one 512 B
+/// `read_at` per iteration, each on a seeded file of 4 096 with 8 KiB
+/// written, at a seeded block offset — the per-call shape of the
+/// benchmark's `backlog_fair` workload.
+fn bench_small_rw(group: &mut criterion::BenchmarkGroup<'_>) {
+    const FILES: u64 = 4096;
+    const FILE_BYTES: u64 = 8 << 10;
+    const OP: u64 = 512;
+    let fs = BurstBufferFs::new(1);
+    fs.mkdir("/bl", 0).unwrap();
+    let paths: Vec<String> = (0..FILES).map(|j| format!("/bl/j{j}")).collect();
+    for p in &paths {
+        fs.create(p, 0).unwrap();
+        fs.write_at(p, 0, &[1u8; FILE_BYTES as usize], 0).unwrap();
+    }
+    let payload = [7u8; OP as usize];
+    let mut seed = 0x5eed_u64;
+    let mut next = move || {
+        // xorshift64*: a seeded file and block per call.
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        let r = seed.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        ((r % FILES) as usize, (r >> 32) % (FILE_BYTES / OP) * OP)
+    };
+    group.bench_function("small_rw_4096_paths", |b| {
+        b.iter(|| {
+            let (file, offset) = next();
+            fs.write_at(&paths[file], offset, &payload, 1).unwrap();
+            let (file, offset) = next();
+            black_box(fs.read_at(&paths[file], offset, OP).unwrap())
+        })
+    });
 }
 
 /// The capacity tier's extent checksum over the same 1 MiB block that

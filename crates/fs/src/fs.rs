@@ -18,6 +18,7 @@ use crate::store::{
     extent_range, DirtyExtent, Extent, ExtentRead, FileMeta, Shard, StatInfo, Writer,
 };
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,6 +59,15 @@ pub enum Whence {
     Cur,
     /// Seek relative to the end of the file.
     End,
+}
+
+/// A write resolved once: its normalised path, the server owning the path's
+/// metadata, the file's stripe size and the write's per-server chunks.
+struct WritePlan<'p> {
+    path: Cow<'p, str>,
+    owner: ServerId,
+    stripe_size: u64,
+    chunks: Vec<Chunk>,
 }
 
 /// An open file descriptor.
@@ -174,7 +184,7 @@ impl BurstBufferFs {
 
     /// Whether `path` has dirty extents on `server`'s shard.
     pub fn path_dirty_on(&self, server: usize, p: &str) -> FsResult<bool> {
-        let p = path::normalize(p)?;
+        let p = path::normalized(p)?;
         Ok(self.inner.shards[server].read().has_dirty_for(&p))
     }
 
@@ -364,7 +374,7 @@ impl BurstBufferFs {
 
     /// Stats a path.
     pub fn stat(&self, p: &str) -> FsResult<StatInfo> {
-        let p = path::normalize(p)?;
+        let p = path::normalized(p)?;
         let owner = self.meta_owner(&p);
         self.shard(owner).read().stat(&p)
     }
@@ -377,16 +387,26 @@ impl BurstBufferFs {
     /// The stripe layout of a file, used by clients and the simulator to
     /// route per-chunk requests to the right servers.
     pub fn layout_of(&self, p: &str) -> FsResult<FileLayout> {
-        let p = path::normalize(p)?;
-        let owner = self.meta_owner(&p);
+        let p = path::normalized(p)?;
+        self.with_file(self.meta_owner(&p), &p, |meta| meta.layout.clone())
+    }
+
+    /// `f` of the metadata of the regular file at normalised path `p`,
+    /// under the read lock of `owner`, the server its metadata hashes to.
+    fn with_file<T>(
+        &self,
+        owner: ServerId,
+        p: &str,
+        f: impl FnOnce(&FileMeta) -> T,
+    ) -> FsResult<T> {
         let shard = self.shard(owner).read();
         let meta = shard
-            .get_meta(&p)
-            .ok_or_else(|| FsError::NotFound(p.clone()))?;
+            .get_meta(p)
+            .ok_or_else(|| FsError::NotFound(p.to_string()))?;
         if meta.is_dir {
-            return Err(FsError::IsADirectory(p));
+            return Err(FsError::IsADirectory(p.to_string()));
         }
-        Ok(meta.layout.clone())
+        Ok(f(meta))
     }
 
     /// Splits a write of `len` bytes at `offset` into per-server chunks
@@ -439,9 +459,9 @@ impl BurstBufferFs {
         now_ns: u64,
         writer: Option<Writer>,
     ) -> FsResult<u64> {
-        let (p, stripe_size, chunks) = self.plan_write(p, offset, data.len())?;
-        self.copy_chunks(&p, stripe_size, &chunks, offset, data, writer)?;
-        self.finish_write(&p, offset, data.len(), now_ns)
+        let plan = self.plan_write(p, offset, data.len())?;
+        self.copy_chunks(&plan, offset, data, writer)?;
+        self.finish_write(&plan, offset, data.len(), now_ns)
     }
 
     /// [`BurstBufferFs::write_at_as`] of a buffer the caller gives up: a
@@ -461,49 +481,55 @@ impl BurstBufferFs {
         writer: Option<Writer>,
     ) -> FsResult<u64> {
         let len = data.len();
-        let (p, stripe_size, chunks) = self.plan_write(p, offset, len)?;
-        match chunks[..] {
-            [chunk] if chunk.offset % stripe_size == 0 => self
+        let plan = self.plan_write(p, offset, len)?;
+        match plan.chunks[..] {
+            [chunk] if chunk.offset % plan.stripe_size == 0 => self
                 .shard(chunk.server)
                 .write()
-                .write_whole_extent(&p, chunk.offset / stripe_size, data, writer)?,
-            _ => self.copy_chunks(&p, stripe_size, &chunks, offset, data, writer)?,
+                .write_whole_extent(&plan.path, chunk.offset / plan.stripe_size, data, writer)?,
+            _ => self.copy_chunks(&plan, offset, data, writer)?,
         }
-        self.finish_write(&p, offset, len, now_ns)
+        self.finish_write(&plan, offset, len, now_ns)
     }
 
-    /// The normalised path, stripe size and per-server chunks of a write
-    /// of `len` bytes at `offset`, rejecting one that would overflow the
-    /// file address space.
-    fn plan_write(&self, p: &str, offset: u64, len: usize) -> FsResult<(String, u64, Vec<Chunk>)> {
-        let p = path::normalize(p)?;
+    /// Resolves a write of `len` bytes at `offset` with one normalisation
+    /// and one metadata lookup, rejecting one that would overflow the file
+    /// address space.
+    fn plan_write<'p>(&self, p: &'p str, offset: u64, len: usize) -> FsResult<WritePlan<'p>> {
+        let path = path::normalized(p)?;
         if offset.checked_add(len as u64).is_none() {
             return Err(FsError::InvalidArgument(format!(
                 "write of {len} bytes at offset {offset} overflows the file address space"
             )));
         }
-        let layout = self.layout_of(&p)?;
-        let chunks = layout.chunks(offset, len as u64);
-        Ok((p, layout.config.stripe_size, chunks))
+        let owner = self.meta_owner(&path);
+        let (stripe_size, chunks) = self.with_file(owner, &path, |meta| {
+            let layout = &meta.layout;
+            (layout.config.stripe_size, layout.chunks(offset, len as u64))
+        })?;
+        Ok(WritePlan {
+            path,
+            owner,
+            stripe_size,
+            chunks,
+        })
     }
 
     /// Copies each chunk of `data` (written at `offset`) into its extent.
     fn copy_chunks(
         &self,
-        p: &str,
-        stripe_size: u64,
-        chunks: &[Chunk],
+        plan: &WritePlan<'_>,
         offset: u64,
         data: &[u8],
         writer: Option<Writer>,
     ) -> FsResult<()> {
-        for chunk in chunks {
-            let stripe = chunk.offset / stripe_size;
-            let within = chunk.offset % stripe_size;
+        for chunk in &plan.chunks {
+            let stripe = chunk.offset / plan.stripe_size;
+            let within = chunk.offset % plan.stripe_size;
             let lo = (chunk.offset - offset) as usize;
             let hi = lo + chunk.len as usize;
             self.shard(chunk.server).write().write_extent(
-                p,
+                &plan.path,
                 stripe,
                 within,
                 &data[lo..hi],
@@ -515,11 +541,16 @@ impl BurstBufferFs {
 
     /// Grows the file size to cover a write of `len` bytes at `offset`,
     /// returning `len`.
-    fn finish_write(&self, p: &str, offset: u64, len: usize, now_ns: u64) -> FsResult<u64> {
-        let owner = self.meta_owner(p);
-        self.shard(owner)
+    fn finish_write(
+        &self,
+        plan: &WritePlan<'_>,
+        offset: u64,
+        len: usize,
+        now_ns: u64,
+    ) -> FsResult<u64> {
+        self.shard(plan.owner)
             .write()
-            .update_size(p, offset + len as u64, now_ns)?;
+            .update_size(&plan.path, offset + len as u64, now_ns)?;
         Ok(len as u64)
     }
 
@@ -546,29 +577,22 @@ impl BurstBufferFs {
         len: u64,
         fetch: &dyn Fn(&str, u64) -> Option<Extent>,
     ) -> FsResult<Vec<u8>> {
-        let p = path::normalize(p)?;
-        let size = {
-            let owner = self.meta_owner(&p);
-            let shard = self.shard(owner).read();
-            let meta = shard
-                .get_meta(&p)
-                .ok_or_else(|| FsError::NotFound(p.clone()))?;
-            if meta.is_dir {
-                return Err(FsError::IsADirectory(p));
-            }
-            meta.size
-        };
-        if offset >= size {
+        let p = path::normalized(p)?;
+        // The size, clamped length and chunks, in one metadata lookup.
+        let Some((len, stripe_size, chunks)) = self.with_file(self.meta_owner(&p), &p, |meta| {
+            let len = len.min(meta.size.checked_sub(offset).filter(|&n| n > 0)?);
+            let layout = &meta.layout;
+            Some((len, layout.config.stripe_size, layout.chunks(offset, len)))
+        })?
+        else {
             return Ok(Vec::new());
-        }
-        let len = len.min(size - offset);
-        let layout = self.layout_of(&p)?;
+        };
         let mut out = Vec::with_capacity(len as usize);
         // The chunks tile `[offset, offset + len)` in order, so each one
         // appends where the previous one ended.
-        for chunk in layout.chunks(offset, len) {
-            let stripe = chunk.offset / layout.config.stripe_size;
-            let within = chunk.offset % layout.config.stripe_size;
+        for chunk in chunks {
+            let stripe = chunk.offset / stripe_size;
+            let within = chunk.offset % stripe_size;
             let evicted = match self
                 .shard(chunk.server)
                 .read()
@@ -586,7 +610,8 @@ impl BurstBufferFs {
             // or surface the miss so a staging-aware caller can stage in and
             // retry.
             if evicted {
-                let extent = fetch(&p, stripe).ok_or_else(|| FsError::NotResident(p.clone()))?;
+                let extent =
+                    fetch(&p, stripe).ok_or_else(|| FsError::NotResident(p.to_string()))?;
                 out.extend_from_slice(extent_range(&extent, within, chunk.len));
             }
             // A hole inside the file size, or the tail past a short extent,

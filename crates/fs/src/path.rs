@@ -6,6 +6,7 @@
 //! host file system untouched.
 
 use crate::error::{FsError, FsResult};
+use std::borrow::Cow;
 
 /// The default namespace prefix applications point their I/O at.
 pub const DEFAULT_NAMESPACE: &str = "/fs";
@@ -13,22 +14,27 @@ pub const DEFAULT_NAMESPACE: &str = "/fs";
 /// Normalises an absolute path: collapses repeated separators and resolves
 /// `.` components. `..` is rejected so paths cannot escape the namespace.
 pub fn normalize(path: &str) -> FsResult<String> {
-    if !path.starts_with('/') {
+    normalized(path).map(Cow::into_owned)
+}
+
+/// [`normalize`] that borrows a path that is already normal, so the data
+/// path pays no allocation for the paths clients send.
+pub fn normalized(path: &str) -> FsResult<Cow<'_, str>> {
+    let Some(rest) = path.strip_prefix('/') else {
         return Err(FsError::InvalidPath(path.to_string()));
+    };
+    if rest.is_empty() || rest.split('/').all(|c| !matches!(c, "" | "." | "..")) {
+        return Ok(Cow::Borrowed(path));
     }
     let mut parts: Vec<&str> = Vec::new();
-    for comp in path.split('/') {
+    for comp in rest.split('/') {
         match comp {
             "" | "." => continue,
             ".." => return Err(FsError::InvalidPath(path.to_string())),
             c => parts.push(c),
         }
     }
-    if parts.is_empty() {
-        Ok("/".to_string())
-    } else {
-        Ok(format!("/{}", parts.join("/")))
-    }
+    Ok(Cow::Owned(format!("/{}", parts.join("/"))))
 }
 
 /// Splits a normalised path into its components (no leading empty component).
@@ -86,6 +92,30 @@ mod tests {
         assert_eq!(normalize("/").unwrap(), "/");
         assert_eq!(normalize("///").unwrap(), "/");
         assert_eq!(normalize("/a/b/").unwrap(), "/a/b");
+    }
+
+    #[test]
+    fn normalized_borrows_exactly_the_normal_paths() {
+        for p in ["/", "/a", "/a/b.c", "/j42/f", "/.a/..b"] {
+            assert!(
+                matches!(normalized(p).unwrap(), Cow::Borrowed(b) if b == p),
+                "{p}"
+            );
+        }
+        for (p, want) in [
+            ("//", "/"),
+            ("/a/", "/a"),
+            ("/./a", "/a"),
+            ("/a//b/.", "/a/b"),
+        ] {
+            assert!(
+                matches!(normalized(p).unwrap(), Cow::Owned(o) if o == want),
+                "{p}"
+            );
+        }
+        for p in ["a", "", "/..", "/a/../b", "/a/.."] {
+            assert!(normalized(p).is_err(), "{p}");
+        }
     }
 
     #[test]

@@ -5,7 +5,23 @@
 //! metadata are spread across ThemisIO servers using a consistent hash
 //! function … an index specifies the NVMe region of the file's contents."
 //! The shard plays the role of that NVMe region plus its index: stripe
-//! contents live in byte-addressable extents keyed by `(path, stripe)`.
+//! contents live in byte-addressable extents, found through a hash table
+//! keyed by path. A path's entry holds each of its stripes on this shard, in
+//! stripe order: the extent and its dirty state, or the length it had when
+//! it was evicted. A data call finds all of it with one hash probe on the
+//! `&str` path, and a write or read of an existing extent allocates no key.
+//!
+//! # The ordered views
+//!
+//! Two scans have an order that callers see: the drain admits dirty extents
+//! in `(path, stripe)` order ([`Shard::dirty_extents`]), and eviction picks
+//! clean victims in that order ([`Shard::evict_clean_until`]). Hash-table
+//! order differs from one process to the next, so these scans never walk
+//! the table. They walk two ordered sets of `(path, stripe)` keys instead,
+//! one of dirty keys and one of clean resident keys. A key enters or leaves
+//! a set only when its state changes: created, removed, dirtied, cleaned,
+//! evicted or restored. A write to an extent that is already dirty, the
+//! steady state of a small-write workload, touches neither set.
 //!
 //! # Who shares an extent buffer
 //!
@@ -34,7 +50,7 @@ use crate::error::{FsError, FsResult};
 use crate::layout::FileLayout;
 use crate::ring::ServerId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use themis_core::entity::{JobId, UserId};
 
@@ -192,6 +208,29 @@ pub struct DirtyExtent {
     pub writer: Option<Writer>,
 }
 
+/// One stripe of a path on a shard: resident bytes, or the record that they
+/// were evicted to the capacity tier.
+#[derive(Debug, Clone)]
+enum Stripe {
+    /// In the burst buffer: the bytes and, while a write has no copy in the
+    /// capacity tier yet, the dirty state.
+    Resident {
+        extent: Extent,
+        dirty: Option<DirtyExtent>,
+    },
+    /// Drained, then evicted: the bytes exist only in the capacity tier.
+    /// Holds the extent's logical length at eviction.
+    Evicted(u64),
+}
+
+/// Every stripe of one path stored on a shard, in stripe order, and how
+/// many of them are dirty.
+#[derive(Debug, Clone, Default)]
+struct FileStripes {
+    stripes: BTreeMap<u64, Stripe>,
+    dirty: usize,
+}
+
 /// One server's slice of the file system: the metadata of paths that hash to
 /// it, the directory entries of directories that hash to it, and the stripe
 /// extents placed on it.
@@ -200,8 +239,8 @@ pub struct DirtyExtent {
 /// every written extent is *dirty* (tagged with a monotonically increasing
 /// generation) until a copy of that generation lands in the capacity tier,
 /// and *clean* extents may be evicted under memory pressure — their key
-/// stays in the evicted set so reads can tell "hole" apart from "data lives
-/// in the capacity tier".
+/// stays behind as an evicted record so reads can tell "hole" apart from
+/// "data lives in the capacity tier".
 ///
 /// Only the server that owns the shard copies its dirty extents out, one
 /// copy per extent at a time, so each dirty generation is written back at
@@ -212,22 +251,26 @@ pub struct DirtyExtent {
 pub struct Shard {
     server: usize,
     /// Metadata keyed by path.
-    meta: BTreeMap<String, FileMeta>,
+    meta: HashMap<String, FileMeta>,
     /// Directory entries (child names) keyed by directory path.
     dirents: BTreeMap<String, BTreeSet<String>>,
-    /// Stripe extents keyed by `(path, stripe_index)`.
-    extents: BTreeMap<(String, u64), Extent>,
+    /// Every stripe stored here, one entry per path: a data call finds its
+    /// extent, dirty state and residency with one hash probe on the path.
+    files: HashMap<String, FileStripes>,
+    /// The dirty keys in `(path, stripe)` order, the order in which
+    /// [`Shard::dirty_extents`] offers them for a copy-out.
+    dirty_keys: BTreeSet<(String, u64)>,
+    /// The clean resident keys in `(path, stripe)` order, the order in
+    /// which [`Shard::evict_clean_until`] picks victims.
+    clean_keys: BTreeSet<(String, u64)>,
+    /// Number of evicted stripes.
+    evicted: usize,
     /// Bytes stored in extents on this shard.
     bytes_stored: u64,
-    /// Dirty extents: key → the last write and the generation landed so
-    /// far. Absent keys with a resident extent are clean (drained).
-    dirty: BTreeMap<(String, u64), DirtyExtent>,
     /// Bytes in dirty extents (sum of their full lengths).
     bytes_dirty: u64,
     /// Monotonic write-generation counter for drain snapshot validation.
     next_generation: u64,
-    /// Evicted extents: key → logical length at eviction time.
-    evicted: BTreeMap<(String, u64), u64>,
 }
 
 impl Shard {
@@ -376,21 +419,15 @@ impl Shard {
         data: &[u8],
         writer: Option<Writer>,
     ) -> FsResult<()> {
-        let key = (path.to_string(), stripe);
-        if self.evicted.contains_key(&key) {
-            return Err(FsError::NotResident(path.to_string()));
-        }
-        let extent = self.extents.entry(key.clone()).or_default().make_mut();
-        let old_len = extent.len() as u64;
-        let end = offset_in_stripe as usize + data.len();
-        if extent.len() < end {
-            self.bytes_stored += (end - extent.len()) as u64;
-            extent.resize(end, 0);
-        }
-        extent[offset_in_stripe as usize..end].copy_from_slice(data);
-        let new_len = extent.len() as u64;
-        self.account_write(key, old_len, new_len, writer);
-        Ok(())
+        let start = offset_in_stripe as usize;
+        let end = start + data.len();
+        self.write_with(path, stripe, writer, |extent| {
+            let bytes = extent.make_mut();
+            if bytes.len() < end {
+                bytes.resize(end, 0);
+            }
+            bytes[start..end].copy_from_slice(data);
+        })
     }
 
     /// [`Shard::write_extent`] of `data` at the start of the extent, keeping
@@ -413,36 +450,77 @@ impl Shard {
         data: &mut Vec<u8>,
         writer: Option<Writer>,
     ) -> FsResult<()> {
-        let key = (path.to_string(), stripe);
-        if self.evicted.contains_key(&key) {
+        self.write_with(path, stripe, writer, |extent| {
+            if extent.len() > data.len() {
+                extent.make_mut()[..data.len()].copy_from_slice(data);
+            } else {
+                data.shrink_to_fit();
+                *extent = Extent::from(std::mem::take(data));
+            }
+        })
+    }
+
+    /// Applies a write that never shrinks the extent of stripe `stripe` of
+    /// `path` (created empty if absent), then dirties it under a fresh
+    /// generation written by `writer`. Dirty bytes are the full lengths of
+    /// dirty extents: a clean→dirty transition adds the whole extent, a
+    /// write to an already-dirty extent adds only its growth and touches no
+    /// ordered index.
+    fn write_with(
+        &mut self,
+        path: &str,
+        stripe: u64,
+        writer: Option<Writer>,
+        apply: impl FnOnce(&mut Extent),
+    ) -> FsResult<()> {
+        let file = match self.files.get_mut(path) {
+            Some(file) => file,
+            None => self.files.entry(path.to_string()).or_default(),
+        };
+        let mut created = false;
+        let state = file.stripes.entry(stripe).or_insert_with(|| {
+            created = true;
+            Stripe::Resident {
+                extent: Extent::default(),
+                dirty: None,
+            }
+        });
+        let Stripe::Resident { extent, dirty } = state else {
             return Err(FsError::NotResident(path.to_string()));
-        }
-        let old_len = self.extents.get(&key).map_or(0, |e| e.len() as u64);
-        let new_len = data.len() as u64;
-        if old_len > new_len {
-            return self.write_extent(path, stripe, 0, data, writer);
-        }
-        data.shrink_to_fit();
-        self.extents
-            .insert(key.clone(), Extent::from(std::mem::take(data)));
+        };
+        let old_len = extent.len() as u64;
+        apply(extent);
+        let new_len = extent.len() as u64;
         self.bytes_stored += new_len - old_len;
-        self.account_write(key, old_len, new_len, writer);
+        self.next_generation += 1;
+        let generation = self.next_generation;
+        match dirty {
+            Some(d) => {
+                d.generation = generation;
+                d.writer = writer;
+                self.bytes_dirty += new_len - old_len;
+            }
+            None => {
+                *dirty = Some(DirtyExtent {
+                    generation,
+                    landed: generation - 1,
+                    writer,
+                });
+                file.dirty += 1;
+                self.bytes_dirty += new_len;
+                let key = (path.to_string(), stripe);
+                if !created {
+                    self.clean_keys.remove(&key);
+                }
+                self.dirty_keys.insert(key);
+            }
+        }
         Ok(())
     }
 
-    /// Dirty accounting of a write that took extent `key` from `old_len` to
-    /// `new_len` bytes: dirty bytes are the full lengths of dirty extents —
-    /// a clean→dirty transition adds the whole extent, a write to an
-    /// already-dirty extent adds only its growth.
-    fn account_write(
-        &mut self,
-        key: (String, u64),
-        old_len: u64,
-        new_len: u64,
-        writer: Option<Writer>,
-    ) {
-        let fresh = self.dirty_with(key, writer);
-        self.bytes_dirty += if fresh { new_len } else { new_len - old_len };
+    /// The state of stripe `stripe` of `path`, `None` for a hole.
+    fn stripe(&self, path: &str, stripe: u64) -> Option<&Stripe> {
+        self.files.get(path)?.stripes.get(&stripe)
     }
 
     /// Borrows up to `len` bytes from stripe `stripe` of `path` starting at
@@ -454,45 +532,46 @@ impl Shard {
         offset_in_stripe: u64,
         len: u64,
     ) -> ExtentRead<'_> {
-        let key = (path.to_string(), stripe);
-        if self.evicted.contains_key(&key) {
-            return ExtentRead::Evicted;
-        }
-        match self.extents.get(&key) {
+        match self.stripe(path, stripe) {
             None => ExtentRead::Hole,
-            Some(extent) => ExtentRead::Data(extent_range(extent, offset_in_stripe, len)),
+            Some(Stripe::Evicted(_)) => ExtentRead::Evicted,
+            Some(Stripe::Resident { extent, .. }) => {
+                ExtentRead::Data(extent_range(extent, offset_in_stripe, len))
+            }
         }
     }
 
     /// The whole buffer of a *resident* extent (clean or dirty), shared, or
     /// `None` for holes and evicted extents.
     pub fn resident_extent(&self, path: &str, stripe: u64) -> Option<Extent> {
-        self.extents.get(&(path.to_string(), stripe)).cloned()
+        match self.stripe(path, stripe)? {
+            Stripe::Resident { extent, .. } => Some(extent.clone()),
+            Stripe::Evicted(_) => None,
+        }
     }
 
     /// Drops every extent of `path` stored on this shard, returning the
     /// number of bytes freed. Dirty and evicted bookkeeping for the path is
     /// purged with the data.
     pub fn remove_extents(&mut self, path: &str) -> u64 {
-        let range = (path.to_string(), 0)..=(path.to_string(), u64::MAX);
-        let keys: Vec<(String, u64)> = self
-            .extents
-            .range(range.clone())
-            .map(|(k, _)| k.clone())
-            .collect();
+        let Some(file) = self.files.remove(path) else {
+            return 0;
+        };
         let mut freed = 0;
-        for k in keys {
-            if let Some(e) = self.extents.remove(&k) {
-                freed += e.len() as u64;
-                if self.dirty.remove(&k).is_some() {
-                    self.bytes_dirty = self.bytes_dirty.saturating_sub(e.len() as u64);
-                }
+        for (stripe, state) in file.stripes {
+            let Stripe::Resident { extent, dirty } = state else {
+                self.evicted -= 1;
+                continue;
+            };
+            let len = extent.len() as u64;
+            freed += len;
+            let key = (path.to_string(), stripe);
+            if dirty.is_some() {
+                self.bytes_dirty = self.bytes_dirty.saturating_sub(len);
+                self.dirty_keys.remove(&key);
+            } else {
+                self.clean_keys.remove(&key);
             }
-        }
-        let evicted_keys: Vec<(String, u64)> =
-            self.evicted.range(range).map(|(k, _)| k.clone()).collect();
-        for k in evicted_keys {
-            self.evicted.remove(&k);
         }
         self.bytes_stored = self.bytes_stored.saturating_sub(freed);
         freed
@@ -512,33 +591,35 @@ impl Shard {
 
     /// Whether `path` has any dirty extent on this shard.
     pub fn has_dirty_for(&self, path: &str) -> bool {
-        self.dirty
-            .range((path.to_string(), 0)..=(path.to_string(), u64::MAX))
-            .next()
-            .is_some()
+        self.files.get(path).is_some_and(|file| file.dirty > 0)
     }
 
     /// Up to `limit` dirty extents `keep` accepts, as `(path, stripe, state,
-    /// length)`.
+    /// length)`, in `(path, stripe)` order.
     pub fn dirty_extents(
         &self,
         limit: usize,
         keep: impl Fn(&(String, u64), &DirtyExtent) -> bool,
     ) -> Vec<(String, u64, DirtyExtent, u64)> {
-        self.dirty
+        self.dirty_keys
             .iter()
-            .filter(|(k, d)| keep(k, d))
-            .take(limit)
-            .map(|(key, d)| {
-                let len = self.extents.get(key).map_or(0, |e| e.len() as u64);
-                (key.0.clone(), key.1, *d, len)
+            .filter_map(|key| match self.stripe(&key.0, key.1)? {
+                Stripe::Resident {
+                    extent,
+                    dirty: Some(d),
+                } if keep(key, d) => Some((key.0.clone(), key.1, *d, extent.len() as u64)),
+                _ => None,
             })
+            .take(limit)
             .collect()
     }
 
     /// The dirty state of one extent, `None` when it is clean or absent.
     pub fn dirty_state(&self, path: &str, stripe: u64) -> Option<DirtyExtent> {
-        self.dirty.get(&(path.to_string(), stripe)).copied()
+        match self.stripe(path, stripe)? {
+            Stripe::Resident { dirty, .. } => *dirty,
+            Stripe::Evicted(_) => None,
+        }
     }
 
     /// A consistent snapshot of a dirty extent for its copy to the capacity
@@ -547,9 +628,13 @@ impl Shard {
     /// only way a dirty extent's bytes leave the shard. `None` when the
     /// extent is clean or absent.
     pub fn copy_snapshot(&self, path: &str, stripe: u64) -> Option<(Extent, u64)> {
-        let key = (path.to_string(), stripe);
-        let generation = self.dirty.get(&key)?.generation;
-        Some((self.extents.get(&key)?.clone(), generation))
+        match self.stripe(path, stripe)? {
+            Stripe::Resident {
+                extent,
+                dirty: Some(d),
+            } => Some((extent.clone(), d.generation)),
+            _ => None,
+        }
     }
 
     /// Lands a copy of `generation`: marks the extent clean if — and only
@@ -558,12 +643,20 @@ impl Shard {
     /// records that `generation` is in the capacity tier
     /// ([`DirtyExtent::landed`]). Returns whether the extent is now clean.
     pub fn mark_clean(&mut self, path: &str, stripe: u64, generation: u64) -> bool {
-        let key = (path.to_string(), stripe);
-        match self.dirty.get_mut(&key) {
+        let Some(file) = self.files.get_mut(path) else {
+            return false;
+        };
+        let Some(Stripe::Resident { extent, dirty }) = file.stripes.get_mut(&stripe) else {
+            return false;
+        };
+        match dirty {
             Some(d) if d.generation == generation => {
-                self.dirty.remove(&key);
-                let len = self.extents.get(&key).map_or(0, |e| e.len() as u64);
-                self.bytes_dirty = self.bytes_dirty.saturating_sub(len);
+                *dirty = None;
+                file.dirty -= 1;
+                self.bytes_dirty = self.bytes_dirty.saturating_sub(extent.len() as u64);
+                let key = (path.to_string(), stripe);
+                self.dirty_keys.remove(&key);
+                self.clean_keys.insert(key);
                 true
             }
             Some(d) => {
@@ -579,28 +672,30 @@ impl Shard {
     /// are **never** evicted — their only copy is this shard.
     pub fn evict_clean_until(&mut self, target_bytes: u64) -> Vec<(String, u64, u64)> {
         let mut evicted = Vec::new();
-        // Nothing to do when already at target — or when every stored byte
-        // is dirty (unevictable): the server polls this under sustained
-        // watermark pressure, so bail out before walking the extent map.
-        if self.bytes_stored <= target_bytes || self.bytes_clean() == 0 {
+        // Nothing to do when every stored byte is dirty (unevictable): the
+        // server polls this under sustained watermark pressure.
+        if self.bytes_clean() == 0 {
             return evicted;
         }
-        let clean_keys: Vec<(String, u64)> = self
-            .extents
-            .keys()
-            .filter(|k| !self.dirty.contains_key(*k))
-            .cloned()
-            .collect();
-        for key in clean_keys {
-            if self.bytes_stored <= target_bytes {
+        while self.bytes_stored > target_bytes {
+            let Some(key) = self.clean_keys.pop_first() else {
                 break;
-            }
-            if let Some(e) = self.extents.remove(&key) {
-                let len = e.len() as u64;
-                self.bytes_stored = self.bytes_stored.saturating_sub(len);
-                self.evicted.insert(key.clone(), len);
-                evicted.push((key.0, key.1, len));
-            }
+            };
+            let state = self
+                .files
+                .get_mut(&key.0)
+                .and_then(|file| file.stripes.get_mut(&key.1));
+            let Some(state) = state else {
+                continue;
+            };
+            let Stripe::Resident { extent, .. } = state else {
+                continue;
+            };
+            let len = extent.len() as u64;
+            *state = Stripe::Evicted(len);
+            self.evicted += 1;
+            self.bytes_stored = self.bytes_stored.saturating_sub(len);
+            evicted.push((key.0, key.1, len));
         }
         evicted
     }
@@ -616,54 +711,75 @@ impl Shard {
     /// concurrent evictor until the write lands (the write would re-dirty it
     /// anyway).
     pub fn restore_extent(&mut self, path: &str, stripe: u64, data: Extent, mark_dirty: bool) {
-        let key = (path.to_string(), stripe);
-        if self.extents.contains_key(&key) {
-            return;
-        }
-        self.evicted.remove(&key);
-        self.bytes_stored += data.len() as u64;
-        if mark_dirty {
-            self.bytes_dirty += data.len() as u64;
-            self.dirty_with(key.clone(), None);
-        }
-        self.extents.insert(key, data);
-    }
-
-    /// Dirties `key` under a fresh generation written by `writer`, returning
-    /// whether it was clean. A clean extent has every earlier generation in
-    /// the capacity tier.
-    fn dirty_with(&mut self, key: (String, u64), writer: Option<Writer>) -> bool {
-        self.next_generation += 1;
-        let generation = self.next_generation;
-        let landed = self.dirty.get(&key).map_or(generation - 1, |d| d.landed);
-        let entry = DirtyExtent {
-            generation,
-            landed,
-            writer,
+        let file = match self.files.get_mut(path) {
+            Some(file) => file,
+            None => self.files.entry(path.to_string()).or_default(),
         };
-        self.dirty.insert(key, entry).is_none()
+        match file.stripes.get(&stripe) {
+            Some(Stripe::Resident { .. }) => return,
+            Some(Stripe::Evicted(_)) => self.evicted -= 1,
+            None => {}
+        }
+        let len = data.len() as u64;
+        self.bytes_stored += len;
+        let key = (path.to_string(), stripe);
+        let dirty = if mark_dirty {
+            self.next_generation += 1;
+            self.bytes_dirty += len;
+            file.dirty += 1;
+            self.dirty_keys.insert(key);
+            Some(DirtyExtent {
+                generation: self.next_generation,
+                landed: self.next_generation - 1,
+                writer: None,
+            })
+        } else {
+            self.clean_keys.insert(key);
+            None
+        };
+        file.stripes.insert(
+            stripe,
+            Stripe::Resident {
+                extent: data,
+                dirty,
+            },
+        );
     }
 
     /// Number of evicted extents on this shard (O(1) — the staging hot path
     /// uses it to skip residency scans when nothing is evicted).
     pub fn evicted_len(&self) -> usize {
-        self.evicted.len()
+        self.evicted
     }
 
     /// The evicted extents of `path` (or of every path when `None`) as
-    /// `(path, stripe, length)`.
+    /// `(path, stripe, length)`, in `(path, stripe)` order.
     pub fn evicted_extents(&self, path: Option<&str>) -> Vec<(String, u64, u64)> {
+        let evicted_of = |path: &str, file: &FileStripes| {
+            file.stripes
+                .iter()
+                .filter_map(|(&stripe, state)| match state {
+                    Stripe::Evicted(len) => Some((path.to_string(), stripe, *len)),
+                    Stripe::Resident { .. } => None,
+                })
+                .collect::<Vec<_>>()
+        };
         match path {
             Some(p) => self
-                .evicted
-                .range((p.to_string(), 0)..=(p.to_string(), u64::MAX))
-                .map(|((path, stripe), len)| (path.clone(), *stripe, *len))
-                .collect(),
-            None => self
-                .evicted
-                .iter()
-                .map(|((path, stripe), len)| (path.clone(), *stripe, *len))
-                .collect(),
+                .files
+                .get(p)
+                .map_or_else(Vec::new, |file| evicted_of(p, file)),
+            None => {
+                // Hash-table order differs from one process to the next:
+                // sort, so callers see key order as they do for one path.
+                let mut all: Vec<_> = self
+                    .files
+                    .iter()
+                    .flat_map(|(p, file)| evicted_of(p, file))
+                    .collect();
+                all.sort_unstable();
+                all
+            }
         }
     }
 }
@@ -1290,5 +1406,341 @@ mod tests {
         assert_eq!(s.remove_extents("/a"), 75);
         assert_eq!(s.bytes_stored(), 10);
         assert_eq!(read(&s, "/b", 0, 0, 10).len(), 10);
+    }
+
+    /// The stripe state as it was kept before the hashed per-path entries:
+    /// three `BTreeMap`s keyed by `(path, stripe)`, scanned in key order.
+    /// The reference [`Shard`]'s stripe operations are held to.
+    #[derive(Default)]
+    struct KeyedStripes {
+        extents: BTreeMap<(String, u64), Vec<u8>>,
+        dirty: BTreeMap<(String, u64), DirtyExtent>,
+        evicted: BTreeMap<(String, u64), u64>,
+        bytes_stored: u64,
+        bytes_dirty: u64,
+        next_generation: u64,
+    }
+
+    impl KeyedStripes {
+        fn key(path: &str, stripe: u64) -> (String, u64) {
+            (path.to_string(), stripe)
+        }
+
+        fn range(path: &str) -> std::ops::RangeInclusive<(String, u64)> {
+            Self::key(path, 0)..=Self::key(path, u64::MAX)
+        }
+
+        fn write(&mut self, path: &str, stripe: u64, offset: u64, data: &[u8]) -> bool {
+            let key = Self::key(path, stripe);
+            if self.evicted.contains_key(&key) {
+                return false;
+            }
+            let extent = self.extents.entry(key.clone()).or_default();
+            let old_len = extent.len() as u64;
+            let end = offset as usize + data.len();
+            if extent.len() < end {
+                extent.resize(end, 0);
+            }
+            extent[offset as usize..end].copy_from_slice(data);
+            let new_len = extent.len() as u64;
+            self.bytes_stored += new_len - old_len;
+            let fresh = self.dirty_with(key);
+            self.bytes_dirty += if fresh { new_len } else { new_len - old_len };
+            true
+        }
+
+        fn dirty_with(&mut self, key: (String, u64)) -> bool {
+            self.next_generation += 1;
+            let generation = self.next_generation;
+            let landed = self.dirty.get(&key).map_or(generation - 1, |d| d.landed);
+            let entry = DirtyExtent {
+                generation,
+                landed,
+                writer: None,
+            };
+            self.dirty.insert(key, entry).is_none()
+        }
+
+        fn read(&self, path: &str, stripe: u64, offset: u64, len: u64) -> ExtentRead<'_> {
+            let key = Self::key(path, stripe);
+            if self.evicted.contains_key(&key) {
+                return ExtentRead::Evicted;
+            }
+            match self.extents.get(&key) {
+                None => ExtentRead::Hole,
+                Some(extent) => ExtentRead::Data(extent_range(extent, offset, len)),
+            }
+        }
+
+        fn mark_clean(&mut self, path: &str, stripe: u64, generation: u64) -> bool {
+            let key = Self::key(path, stripe);
+            match self.dirty.get_mut(&key) {
+                Some(d) if d.generation == generation => {
+                    self.dirty.remove(&key);
+                    let len = self.extents.get(&key).map_or(0, |e| e.len() as u64);
+                    self.bytes_dirty -= len;
+                    true
+                }
+                Some(d) => {
+                    d.landed = d.landed.max(generation);
+                    false
+                }
+                None => false,
+            }
+        }
+
+        fn evict_clean_until(&mut self, target: u64) -> Vec<(String, u64, u64)> {
+            let mut evicted = Vec::new();
+            if self.bytes_stored <= target || self.bytes_stored == self.bytes_dirty {
+                return evicted;
+            }
+            let clean: Vec<(String, u64)> = self
+                .extents
+                .keys()
+                .filter(|k| !self.dirty.contains_key(*k))
+                .cloned()
+                .collect();
+            for key in clean {
+                if self.bytes_stored <= target {
+                    break;
+                }
+                let len = self.extents.remove(&key).map_or(0, |e| e.len() as u64);
+                self.bytes_stored -= len;
+                self.evicted.insert(key.clone(), len);
+                evicted.push((key.0, key.1, len));
+            }
+            evicted
+        }
+
+        fn restore(&mut self, path: &str, stripe: u64, data: &[u8], mark_dirty: bool) {
+            let key = Self::key(path, stripe);
+            if self.extents.contains_key(&key) {
+                return;
+            }
+            self.evicted.remove(&key);
+            self.bytes_stored += data.len() as u64;
+            if mark_dirty {
+                self.bytes_dirty += data.len() as u64;
+                self.dirty_with(key.clone());
+            }
+            self.extents.insert(key, data.to_vec());
+        }
+
+        fn remove(&mut self, path: &str) -> u64 {
+            let keys: Vec<_> = self
+                .extents
+                .range(Self::range(path))
+                .map(|(k, _)| k.clone())
+                .collect();
+            let mut freed = 0;
+            for key in keys {
+                let len = self.extents.remove(&key).map_or(0, |e| e.len() as u64);
+                freed += len;
+                if self.dirty.remove(&key).is_some() {
+                    self.bytes_dirty -= len;
+                }
+            }
+            self.evicted.retain(|k, _| k.0 != path);
+            self.bytes_stored -= freed;
+            freed
+        }
+
+        fn dirty_extents(
+            &self,
+            limit: usize,
+            keep: impl Fn(&(String, u64), &DirtyExtent) -> bool,
+        ) -> Vec<(String, u64, DirtyExtent, u64)> {
+            self.dirty
+                .iter()
+                .filter(|(k, d)| keep(k, d))
+                .take(limit)
+                .map(|(k, d)| (k.0.clone(), k.1, *d, self.extents[k].len() as u64))
+                .collect()
+        }
+    }
+
+    /// The shard's ordered indexes and counters agree with its per-path
+    /// entries: every dirty key is in `dirty_keys`, every clean resident key
+    /// in `clean_keys`, and nothing else is in either.
+    fn assert_indexes_agree(s: &Shard, context: &str) {
+        let (mut dirty, mut clean, mut evicted) = (BTreeSet::new(), BTreeSet::new(), 0);
+        for (path, file) in &s.files {
+            let mut dirty_here = 0;
+            for (&stripe, state) in &file.stripes {
+                let key = (path.clone(), stripe);
+                match state {
+                    Stripe::Resident { dirty: Some(_), .. } => {
+                        dirty_here += 1;
+                        dirty.insert(key);
+                    }
+                    Stripe::Resident { dirty: None, .. } => {
+                        clean.insert(key);
+                    }
+                    Stripe::Evicted(_) => evicted += 1,
+                }
+            }
+            assert_eq!(file.dirty, dirty_here, "{context}: dirty count of {path}");
+        }
+        assert_eq!(s.dirty_keys, dirty, "{context}: dirty index");
+        assert_eq!(s.clean_keys, clean, "{context}: clean index");
+        assert_eq!(s.evicted, evicted, "{context}: evicted count");
+    }
+
+    /// Twin model: seeded sequences of every stripe operation, on paths
+    /// that share prefixes and several stripes each, leave the hashed
+    /// shard's every view equal to the `(path, stripe)`-keyed reference
+    /// after every step: reads, dirty state, copy snapshots, dirty scans in
+    /// admission order (all, and the first one a filter keeps), eviction
+    /// victims in order, evicted records and the byte counters.
+    #[test]
+    fn hashed_stripes_match_the_keyed_reference_property() {
+        let mut seed: u64 = 0x7a1e_5eed;
+        let mut next = move |n: u64| {
+            // xorshift64*: deterministic, no external RNG in this crate.
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1)
+        };
+        let paths = ["/a", "/a/b", "/ab", "/b", "/c/d"];
+        let keep =
+            |key: &(String, u64), d: &DirtyExtent| key.1 % 2 == 1 || d.generation.is_multiple_of(3);
+        // How often each operation changed something, so a generator
+        // change cannot quietly stop exercising one.
+        let mut hits = [0u32; 8];
+        for case in 0..64 {
+            let mut s = Shard::new(ServerId(0));
+            let mut m = KeyedStripes::default();
+            for step in 0..300 {
+                let context = format!("case {case} step {step}");
+                let path = paths[next(paths.len() as u64) as usize];
+                let stripe = next(4);
+                let byte = 1 + next(255) as u8;
+                let key = (path.to_string(), stripe);
+                match next(10) {
+                    0..=2 => {
+                        let (offset, len) = (next(48), 1 + next(48));
+                        let data = vec![byte; len as usize];
+                        let got = s.write_extent(path, stripe, offset, &data, None);
+                        let want = m.write(path, stripe, offset, &data);
+                        assert_eq!(got.is_ok(), want, "{context}: copying write");
+                        hits[0] += u32::from(want);
+                    }
+                    3 => {
+                        let mut data = vec![byte; 1 + next(64) as usize];
+                        let keeps = m.extents.get(&key).is_none_or(|e| e.len() <= data.len());
+                        let want = m.write(path, stripe, 0, &data.clone());
+                        let got = s.write_whole_extent(path, stripe, &mut data, None);
+                        assert_eq!(got.is_ok(), want, "{context}: whole write");
+                        assert_eq!(data.is_empty(), want && keeps, "{context}: kept buffer");
+                        hits[1] += u32::from(want);
+                    }
+                    4 => {
+                        let current = m.dirty.get(&key).map_or(next(8), |d| d.generation);
+                        let cleaned = m.mark_clean(path, stripe, current);
+                        assert_eq!(s.mark_clean(path, stripe, current), cleaned, "{context}");
+                        hits[2] += u32::from(cleaned);
+                    }
+                    5 => {
+                        let stale = m
+                            .dirty
+                            .get(&key)
+                            .map_or(0, |d| d.generation.saturating_sub(1 + next(3)));
+                        let cleaned = m.mark_clean(path, stripe, stale);
+                        assert_eq!(s.mark_clean(path, stripe, stale), cleaned, "{context}");
+                        hits[3] += u32::from(m.dirty.get(&key).is_some_and(|d| d.landed == stale));
+                    }
+                    6 => {
+                        let target = next(m.bytes_stored + 16);
+                        let victims = m.evict_clean_until(target);
+                        assert_eq!(s.evict_clean_until(target), victims, "{context}: victims");
+                        hits[4] += u32::from(!victims.is_empty());
+                    }
+                    7 | 8 => {
+                        let mark_dirty = next(2) == 0;
+                        let data = vec![byte; next(64) as usize];
+                        let evicted = m.evicted.contains_key(&key);
+                        m.restore(path, stripe, &data, mark_dirty);
+                        s.restore_extent(path, stripe, Extent::from(data), mark_dirty);
+                        hits[5 + usize::from(mark_dirty)] += u32::from(evicted);
+                    }
+                    _ => {
+                        let freed = m.remove(path);
+                        assert_eq!(s.remove_extents(path), freed, "{context}: freed");
+                        hits[7] += u32::from(freed > 0);
+                    }
+                }
+                for path in paths {
+                    assert_eq!(
+                        s.has_dirty_for(path),
+                        m.dirty.range(KeyedStripes::range(path)).next().is_some(),
+                        "{context}: {path}"
+                    );
+                    for stripe in 0..4 {
+                        let key = format!("{context}: {path} stripe {stripe}");
+                        let (offset, len) = (next(32), next(64));
+                        assert_eq!(
+                            s.read_extent_checked(path, stripe, offset, len),
+                            m.read(path, stripe, offset, len),
+                            "{key}"
+                        );
+                        assert_eq!(
+                            s.read_extent_checked(path, stripe, 0, u64::MAX),
+                            m.read(path, stripe, 0, u64::MAX),
+                            "{key}"
+                        );
+                        let state = m.dirty.get(&(path.to_string(), stripe)).copied();
+                        assert_eq!(s.dirty_state(path, stripe), state, "{key}");
+                        let snapshot = s.copy_snapshot(path, stripe).map(|(e, g)| (e.to_vec(), g));
+                        let want = state.map(|d| {
+                            (m.extents[&(path.to_string(), stripe)].clone(), d.generation)
+                        });
+                        assert_eq!(snapshot, want, "{key}");
+                    }
+                }
+                assert_eq!(
+                    s.dirty_extents(usize::MAX, |_, _| true),
+                    m.dirty_extents(usize::MAX, |_, _| true),
+                    "{context}"
+                );
+                assert_eq!(
+                    s.dirty_extents(1, keep),
+                    m.dirty_extents(1, keep),
+                    "{context}"
+                );
+                let evicted: Vec<_> = m
+                    .evicted
+                    .iter()
+                    .map(|(k, len)| (k.0.clone(), k.1, *len))
+                    .collect();
+                assert_eq!(s.evicted_extents(None), evicted, "{context}");
+                assert_eq!(s.evicted_len(), m.evicted.len(), "{context}");
+                assert_eq!(
+                    (s.bytes_stored(), s.bytes_dirty(), s.bytes_clean()),
+                    (
+                        m.bytes_stored,
+                        m.bytes_dirty,
+                        m.bytes_stored - m.bytes_dirty
+                    ),
+                    "{context}"
+                );
+                assert_indexes_agree(&s, &context);
+            }
+        }
+        for (what, n) in [
+            "copying writes",
+            "whole writes",
+            "current cleans",
+            "stale landings",
+            "evictions",
+            "clean restores",
+            "dirty restores",
+            "removals",
+        ]
+        .iter()
+        .zip(hits)
+        {
+            assert!(n > 100, "only {n} steps changed state by {what}");
+        }
     }
 }

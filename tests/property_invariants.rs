@@ -816,6 +816,8 @@ struct NaiveThemis {
     shares: ShareMap,
     sampler: TokenSampler,
     fair: bool,
+    /// Fair draws whose full-table pick was idle.
+    misses: u64,
 }
 
 impl NaiveThemis {
@@ -825,6 +827,7 @@ impl NaiveThemis {
             shares: ShareMap::empty(),
             sampler: TokenSampler::default(),
             fair: policy.is_fair(),
+            misses: 0,
         }
     }
 
@@ -851,6 +854,16 @@ impl NaiveThemis {
         request
     }
 
+    /// Whether the next fair `next` from `rng` serves its full-table pick,
+    /// so neither side reconciles or rebuilds anything.
+    fn next_draw_hits(&self, rng: &SmallRng) -> bool {
+        self.fair
+            && self
+                .sampler
+                .draw(&mut rng.clone())
+                .is_some_and(|job| self.queues.contains_key(&job))
+    }
+
     /// Oldest `(arrival, seq)` first, ties to the lowest job id.
     fn pop_oldest(&mut self) -> Option<IoRequest> {
         let (_, _, job) = self
@@ -871,6 +884,7 @@ impl NaiveThemis {
         if let Some(request) = self.sampler.draw(rng).and_then(|job| self.pop(job)) {
             return Some(request);
         }
+        self.misses += 1;
         let queues = &self.queues;
         let active =
             TokenSampler::from_shares(&self.shares.restricted_to(|j| queues.contains_key(&j)));
@@ -941,7 +955,22 @@ impl Lockstep {
 /// `fifo`, then fills a random subset of jobs and drains the backlog back
 /// down with refills mixed in. The drains leave most slots idle, so the
 /// next fill compacts the arena and hands freed slots to other jobs.
-fn drive_against_naive(rng: &mut SmallRng, population: u64, rounds: usize, case: u64) -> u64 {
+///
+/// With `reassign`, each fair round then also hands slots to other jobs
+/// between two misses with no refresh in between: every job queues, the
+/// backlog drains to a third (misses allowed), one more miss reconciles,
+/// and only draws that hit are served, each draining a job that miss
+/// counted. Every idle job then queues before the next miss; the first
+/// push compacts the arena and the rest take the freed slots, some of them
+/// slots whose backlog bit was set at the miss and is set again with
+/// another job behind it.
+fn drive_against_naive(
+    rng: &mut SmallRng,
+    population: u64,
+    rounds: usize,
+    reassign: bool,
+    case: u64,
+) -> u64 {
     let policies = [
         Policy::job_fair(),
         Policy::size_fair(),
@@ -1009,6 +1038,22 @@ fn drive_against_naive(rng: &mut SmallRng, population: u64, rounds: usize, case:
             }
             assert!(pair.serve(), "case {case}: backlog ran dry");
         }
+        if reassign && policy.is_fair() {
+            let queue_idle = |rng: &mut SmallRng, pair: &mut Lockstep| {
+                for job in 1..=population {
+                    if !pair.naive.queues.contains_key(&JobId::from(job)) {
+                        pair.enqueue(meta_of(job, 1), rng.gen_range(0u64..64));
+                    }
+                }
+            };
+            queue_idle(rng, &mut pair);
+            let third = pair.naive.queues.len() / 3;
+            while pair.naive.queues.len() > third && pair.serve() {}
+            let misses = pair.naive.misses;
+            while pair.naive.misses == misses && pair.serve() {}
+            while pair.naive.next_draw_hits(&pair.naive_rng) && pair.serve() {}
+            queue_idle(rng, &mut pair);
+        }
     }
     while pair.serve() {}
     assert_eq!(pair.queued(), 0, "case {case}");
@@ -1027,11 +1072,13 @@ fn drive_against_naive(rng: &mut SmallRng, population: u64, rounds: usize, case:
 fn cardinality_redistribution_matches_naive_reference_draw_for_draw() {
     cases(24, |rng, case| {
         let population = rng.gen_range(2u64..300);
-        let served = drive_against_naive(rng, population, 16, case);
+        let served = drive_against_naive(rng, population, 16, true, case);
         assert!(served > 0, "case {case}");
     });
     let mut rng = SmallRng::seed_from_u64(0x4096_0000);
-    drive_against_naive(&mut rng, 4_096, 3, 4_096);
+    // Without the slot hand-over phase: the naive side's per-miss rebuild
+    // over 4 096 shares would make it most of this test's time.
+    drive_against_naive(&mut rng, 4_096, 3, false, 4_096);
 }
 
 /// The bucketed select index is an accelerator, not an arbiter: `select(p)`
