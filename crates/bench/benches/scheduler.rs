@@ -130,7 +130,8 @@ fn bench_staged_engine(c: &mut Criterion) {
     group.bench_function("three_lane_select_complete", |b| {
         // The same fixture + round the machine-readable report measures
         // (`staged_select_wallclock_pair`), so the criterion line and the
-        // BENCH_pr5.json number can never drift apart.
+        // report's `staged_select_ns` key (BENCH_pr10.json) can never drift
+        // apart.
         let (mut engine, mut rng, fg) = staged_bench_fixture();
         let mut seq = 0u64;
         b.iter(|| staged_round(&mut engine, &mut rng, fg, &mut seq));

@@ -31,11 +31,13 @@ use themis_sim::metrics::NS_PER_SEC;
 use themis_sim::{OpPattern, SimConfig, SimJob, SimStagingConfig, Simulation};
 use themis_stage::TrafficClass;
 
-/// The machine-readable perf snapshot of one revision: foreground slowdown
-/// under weighted drain and restore pressure, sustained class bandwidth,
-/// and tail latency. Serialized as flat JSON, one numeric field per key.
+/// The 17 sim-derived series of a revision: foreground slowdown under
+/// weighted drain, restore, scrub, rebalance and replicate pressure,
+/// sustained class bandwidth, and tail latency. The simulator runs on a
+/// virtual clock and its arithmetic is `+ − × ÷` only, so these values are
+/// bit-stable per revision on every platform.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchReport {
+pub struct SimSeries {
     /// Checkpoint slowdown (%) vs the no-staging baseline, drain at 1:1.
     pub drain_fg_slowdown_pct_1_1: f64,
     /// Checkpoint slowdown (%) vs the no-staging baseline, drain at 8:1 —
@@ -89,6 +91,15 @@ pub struct BenchReport {
     /// Sustained replication bandwidth (MiB/s of replicated bytes over the
     /// 8:1 run).
     pub replicate_replicated_mib_s_8_1: f64,
+}
+
+/// The machine-readable perf snapshot of one revision: the sim-derived
+/// [`SimSeries`] plus the wall-clock scheduler numbers. Serialized as flat
+/// JSON, one numeric field per key.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchReport {
+    /// The sim-derived series (the first 17 keys).
+    pub sim: SimSeries,
     /// Wall-clock median of one three-lane
     /// [`StagedEngine`](themis_stage::StagedEngine) select/complete round
     /// (ns/iter), measured through the vendored criterion shim.
@@ -139,12 +150,9 @@ pub struct BenchReport {
     pub staged_select_ns_1e5_jobs: f64,
 }
 
-impl BenchReport {
-    /// Runs every sim-derived interference experiment and the wall-clock
-    /// `(plain, telemetry)` staged-select pair, and joins them with the
-    /// cardinality `scaling` numbers the caller already measured (the
-    /// `sched_scaling` bin prints its sweep first and must not run it twice).
-    pub fn measure_with(scaling: ScalingNumbers) -> Self {
+impl SimSeries {
+    /// Runs every sim-derived interference experiment.
+    pub fn measure() -> Self {
         let drain = drain_experiment();
         let restore = restore_experiment();
         let [scrub, rebalance, replicate] = [
@@ -153,10 +161,7 @@ impl BenchReport {
             TrafficClass::Replicate,
         ]
         .map(|class| ClassInterference::of(class).experiment());
-        // The two halves gate against each other, so they are measured
-        // together.
-        let (staged_select_ns, staged_select_telemetry_ns) = staged_select_wallclock_pair();
-        BenchReport {
+        SimSeries {
             drain_fg_slowdown_pct_1_1: drain.fg_slowdown_pct_1_1,
             drain_fg_slowdown_pct_8_1: drain.fg_slowdown_pct_8_1,
             drain_drained_mib_s_8_1: drain.drained_mib_s_8_1,
@@ -174,18 +179,10 @@ impl BenchReport {
             replicate_fg_slowdown_pct_1_1: replicate.fg_slowdown_pct_1_1,
             replicate_fg_slowdown_pct_8_1: replicate.fg_slowdown_pct_8_1,
             replicate_replicated_mib_s_8_1: replicate.moved_mib_s_8_1,
-            staged_select_ns,
-            staged_select_telemetry_ns,
-            select_ns_1e3_jobs: scaling.select_ns_1e3_jobs,
-            select_ns_1e4_jobs: scaling.select_ns_1e4_jobs,
-            select_ns_1e5_jobs: scaling.select_ns_1e5_jobs,
-            refresh_ns_1e5_jobs: scaling.refresh_ns_1e5_jobs,
-            enqueue_ns_1e5_jobs: scaling.enqueue_ns_1e5_jobs,
-            staged_select_ns_1e5_jobs: scaling.staged_select_ns_1e5_jobs,
         }
     }
 
-    /// The report's `(key, value)` pairs in serialization order.
+    /// The series' `(key, value)` pairs in serialization order.
     pub fn entries(&self) -> Vec<(&'static str, f64)> {
         vec![
             ("drain_fg_slowdown_pct_1_1", self.drain_fg_slowdown_pct_1_1),
@@ -232,6 +229,38 @@ impl BenchReport {
                 "replicate_replicated_mib_s_8_1",
                 self.replicate_replicated_mib_s_8_1,
             ),
+        ]
+    }
+}
+
+impl BenchReport {
+    /// Runs every sim-derived interference experiment and the wall-clock
+    /// `(plain, telemetry)` staged-select pair, and joins them with the
+    /// cardinality `scaling` numbers the caller already measured (the
+    /// `sched_scaling` bin prints its sweep first and must not run it twice).
+    pub fn measure_with(scaling: ScalingNumbers) -> Self {
+        let sim = SimSeries::measure();
+        // The two halves gate against each other, so they are measured
+        // together.
+        let (staged_select_ns, staged_select_telemetry_ns) = staged_select_wallclock_pair();
+        BenchReport {
+            sim,
+            staged_select_ns,
+            staged_select_telemetry_ns,
+            select_ns_1e3_jobs: scaling.select_ns_1e3_jobs,
+            select_ns_1e4_jobs: scaling.select_ns_1e4_jobs,
+            select_ns_1e5_jobs: scaling.select_ns_1e5_jobs,
+            refresh_ns_1e5_jobs: scaling.refresh_ns_1e5_jobs,
+            enqueue_ns_1e5_jobs: scaling.enqueue_ns_1e5_jobs,
+            staged_select_ns_1e5_jobs: scaling.staged_select_ns_1e5_jobs,
+        }
+    }
+
+    /// The report's `(key, value)` pairs in serialization order: the
+    /// [`SimSeries`] keys, then the wall-clock ones.
+    pub fn entries(&self) -> Vec<(&'static str, f64)> {
+        let mut entries = self.sim.entries();
+        entries.extend([
             ("staged_select_ns", self.staged_select_ns),
             (
                 "staged_select_telemetry_ns",
@@ -243,7 +272,8 @@ impl BenchReport {
             ("refresh_ns_1e5_jobs", self.refresh_ns_1e5_jobs),
             ("enqueue_ns_1e5_jobs", self.enqueue_ns_1e5_jobs),
             ("staged_select_ns_1e5_jobs", self.staged_select_ns_1e5_jobs),
-        ]
+        ]);
+        entries
     }
 
     /// Flat JSON rendering (the workspace is offline — no serde_json — so
@@ -1136,23 +1166,25 @@ mod tests {
 
     fn sample_report() -> BenchReport {
         BenchReport {
-            drain_fg_slowdown_pct_1_1: 18.3,
-            drain_fg_slowdown_pct_8_1: 2.4,
-            drain_drained_mib_s_8_1: 1234.5,
-            restore_fg_slowdown_pct_1_1: 30.0,
-            restore_fg_slowdown_pct_8_1: 5.0,
-            restore_restored_mib_s_8_1: 456.7,
-            restore_fg_p99_ms_8_1: 1.25,
-            restore_reader_p99_ms_8_1: 42.0,
-            scrub_fg_slowdown_pct_1_1: 6.0,
-            scrub_fg_slowdown_pct_8_1: 1.5,
-            scrub_scrubbed_mib_s_8_1: 789.0,
-            rebalance_fg_slowdown_pct_1_1: 7.0,
-            rebalance_fg_slowdown_pct_8_1: 1.8,
-            rebalance_migrated_mib_s_8_1: 654.0,
-            replicate_fg_slowdown_pct_1_1: 9.0,
-            replicate_fg_slowdown_pct_8_1: 2.0,
-            replicate_replicated_mib_s_8_1: 321.0,
+            sim: SimSeries {
+                drain_fg_slowdown_pct_1_1: 18.3,
+                drain_fg_slowdown_pct_8_1: 2.4,
+                drain_drained_mib_s_8_1: 1234.5,
+                restore_fg_slowdown_pct_1_1: 30.0,
+                restore_fg_slowdown_pct_8_1: 5.0,
+                restore_restored_mib_s_8_1: 456.7,
+                restore_fg_p99_ms_8_1: 1.25,
+                restore_reader_p99_ms_8_1: 42.0,
+                scrub_fg_slowdown_pct_1_1: 6.0,
+                scrub_fg_slowdown_pct_8_1: 1.5,
+                scrub_scrubbed_mib_s_8_1: 789.0,
+                rebalance_fg_slowdown_pct_1_1: 7.0,
+                rebalance_fg_slowdown_pct_8_1: 1.8,
+                rebalance_migrated_mib_s_8_1: 654.0,
+                replicate_fg_slowdown_pct_1_1: 9.0,
+                replicate_fg_slowdown_pct_8_1: 2.0,
+                replicate_replicated_mib_s_8_1: 321.0,
+            },
             staged_select_ns: 350.0,
             staged_select_telemetry_ns: 360.0,
             select_ns_1e3_jobs: 120.0,
@@ -1184,36 +1216,36 @@ mod tests {
         let baseline = parse_flat_json(&report.to_json());
         assert!(check_regression(&report, &baseline).is_empty());
         // Within the 1-point absolute floor: still fine.
-        report.drain_fg_slowdown_pct_8_1 = 3.3;
+        report.sim.drain_fg_slowdown_pct_8_1 = 3.3;
         assert!(check_regression(&report, &baseline).is_empty());
         // Beyond base + max(0.2·|base|, 1.0): trips, naming the key.
-        report.drain_fg_slowdown_pct_8_1 = 3.5;
+        report.sim.drain_fg_slowdown_pct_8_1 = 3.5;
         let violations = check_regression(&report, &baseline);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("drain_fg_slowdown_pct_8_1"));
         // A negative baseline (a protected foreground can be *faster* than
         // its comparison run) keeps proportional 20% headroom: base −15 →
         // limit −12.
-        report.drain_fg_slowdown_pct_8_1 = 2.4;
+        report.sim.drain_fg_slowdown_pct_8_1 = 2.4;
         let negative = parse_flat_json(
             "{\"drain_fg_slowdown_pct_8_1\": 2.4, \"restore_fg_slowdown_pct_8_1\": -15.0, \
              \"scrub_fg_slowdown_pct_8_1\": 1.5, \"rebalance_fg_slowdown_pct_8_1\": 1.8, \
              \"replicate_fg_slowdown_pct_8_1\": 2.0}",
         );
-        report.restore_fg_slowdown_pct_8_1 = -12.5;
+        report.sim.restore_fg_slowdown_pct_8_1 = -12.5;
         assert!(check_regression(&report, &negative).is_empty());
-        report.restore_fg_slowdown_pct_8_1 = -11.0;
+        report.sim.restore_fg_slowdown_pct_8_1 = -11.0;
         assert_eq!(check_regression(&report, &negative).len(), 1);
         // The scrub slowdown is gated exactly like the other two.
-        report.restore_fg_slowdown_pct_8_1 = -12.5;
-        report.scrub_fg_slowdown_pct_8_1 = 2.6;
+        report.sim.restore_fg_slowdown_pct_8_1 = -12.5;
+        report.sim.scrub_fg_slowdown_pct_8_1 = 2.6;
         let violations = check_regression(&report, &negative);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("scrub_fg_slowdown_pct_8_1"));
         // A baseline missing a gated key is itself a failure — the five
         // slowdown keys, nothing wall-clock.
-        report.restore_fg_slowdown_pct_8_1 = 5.0;
-        report.scrub_fg_slowdown_pct_8_1 = 1.5;
+        report.sim.restore_fg_slowdown_pct_8_1 = 5.0;
+        report.sim.scrub_fg_slowdown_pct_8_1 = 1.5;
         let empty = HashMap::new();
         assert_eq!(check_regression(&report, &empty).len(), 5);
     }
@@ -1276,6 +1308,23 @@ mod tests {
         let violations = check_regression(&report, &baseline);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("cardinality-flatness"));
+    }
+
+    #[test]
+    fn sim_series_match_the_committed_report() {
+        // The simulator runs on a virtual clock with `+ − × ÷` arithmetic
+        // only, so its series are bit-stable per revision on every platform:
+        // every one of them must print as the committed report does. The
+        // wall-clock keys are neither run nor compared.
+        let committed = parse_flat_json(include_str!("../../../BENCH_pr10.json"));
+        let series = SimSeries::measure().entries();
+        assert_eq!(series.len(), 17);
+        for (key, value) in series {
+            let pinned = committed
+                .get(key)
+                .unwrap_or_else(|| panic!("{key} not committed"));
+            assert_eq!(format!("{value:.3}"), format!("{pinned:.3}"), "{key}");
+        }
     }
 
     #[test]

@@ -188,16 +188,6 @@ impl PolicySpec {
         self.tiers.len()
     }
 
-    /// The innermost (job-level) tier.
-    pub fn job_tier(&self) -> WeightedLevel {
-        *self.tiers.last().expect("validated spec is non-empty")
-    }
-
-    /// Whether any tier carries a weight above 1.
-    pub fn is_weighted(&self) -> bool {
-        self.tiers.iter().any(|t| !t.is_unweighted())
-    }
-
     /// Checks the structural invariants listed in the [module docs](self).
     pub fn validate(&self) -> Result<(), PolicyError> {
         let tiers = &self.tiers;

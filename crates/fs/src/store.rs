@@ -287,11 +287,6 @@ impl Shard {
         ServerId(self.server)
     }
 
-    /// Number of metadata entries owned by this shard.
-    pub fn meta_count(&self) -> usize {
-        self.meta.len()
-    }
-
     /// Total stripe bytes stored on this shard.
     pub fn bytes_stored(&self) -> u64 {
         self.bytes_stored

@@ -62,39 +62,6 @@ struct PendingStageIn {
     restored_bytes: u64,
 }
 
-/// How a class's released request is charged beyond the burst-device slot
-/// the engine granted it: which transfers the capacity tier's timeline runs
-/// back to back, and whether they run beside the burst slot or behind it.
-struct Charge {
-    /// The transfers start when the burst slot finishes (they move the bytes
-    /// the slot read) instead of at release time (they feed the slot).
-    after_burst: bool,
-    /// The transfers, each costed at the request's bytes; a write is costed
-    /// once per copy it places.
-    legs: &'static [OpKind],
-}
-
-impl Charge {
-    /// The charge row of `class`. Every class's burst slot is what its
-    /// foreground:class weight bounds; the row is what the tier behind it
-    /// pays at its own speed.
-    fn of(class: TrafficClass) -> Charge {
-        let (after_burst, legs): (bool, &'static [OpKind]) = match class {
-            // Read the snapshot off the burst device, then write it to the
-            // capacity tier. A durable extent's copy is a drain at another
-            // weight.
-            TrafficClass::Drain | TrafficClass::Replicate => (true, &[OpKind::Write]),
-            // The capacity tier is read while the burst device takes the
-            // extent write (restore) or the verification slot (scrub).
-            TrafficClass::Restore | TrafficClass::Scrub => (false, &[OpKind::Read]),
-            // The verified source read, then one write per copy the plan
-            // places.
-            TrafficClass::Rebalance => (false, &[OpKind::Read, OpKind::Write]),
-        };
-        Charge { after_burst, legs }
-    }
-}
-
 /// The shard `stripe` of `path` lives on — not necessarily the server that
 /// wrote it. `None` once the path is gone.
 fn stripe_shard(fs: &BurstBufferFs, path: &str, stripe: u64) -> Option<usize> {
@@ -412,11 +379,6 @@ impl StageState {
 }
 
 impl ServerCore {
-    /// Whether this server runs the staging subsystem.
-    pub fn staging_enabled(&self) -> bool {
-        self.staging.is_some()
-    }
-
     /// The capacity tier behind this server (for tests and inspection).
     pub fn backing(&self) -> Option<&Arc<dyn BackingStore>> {
         self.staging.as_ref().map(|s| &s.backing)
@@ -915,10 +877,12 @@ impl ServerCore {
     /// Executes a class request the engine released. The burst-buffer
     /// device is charged the request itself — the slot the engine granted,
     /// which is what keeps every class bounded by its foreground:class
-    /// weight — and the tier behind it is charged the class's [`Charge`]
-    /// row at its own speed. The request lands when both finish (in a later
-    /// [`ServerCore::poll`]), and whatever bytes it moves are read *then*,
-    /// so an extent re-dirtied meanwhile lands its latest contents.
+    /// weight — and the tier behind it is charged the class's registry
+    /// legs ([`tier_legs`](themis_stage::TrafficClassDef::tier_legs)) at
+    /// its own speed, a write once per copy it places. The request lands
+    /// when both finish (in a later [`ServerCore::poll`]), and whatever
+    /// bytes it moves are read *then*, so an extent re-dirtied meanwhile
+    /// lands its latest contents.
     pub(crate) fn execute_class(&mut self, class: TrafficClass, request: &IoRequest, now_ns: u64) {
         let (_, burst_finish) = self.device.dispatch(request, now_ns);
         let Some(st) = self.staging.as_mut() else {
@@ -940,13 +904,13 @@ impl ServerCore {
             }
             _ => (request.bytes, 1),
         };
-        let charge = Charge::of(class);
-        let mut at = if charge.after_burst {
+        let def = class.def();
+        let mut at = if def.tier_after_burst {
             burst_finish
         } else {
             now_ns
         };
-        for &kind in charge.legs {
+        for &kind in def.tier_legs {
             let cost = if kind == OpKind::Write {
                 bytes * copies
             } else {

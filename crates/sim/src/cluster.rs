@@ -309,50 +309,79 @@ struct SimServer {
     staging: Option<SimServerStaging>,
 }
 
-/// Per-server staging state of a drain scenario: the byte-level model of the
-/// server's dirty backlog and its capacity-tier device.
+/// Per-server staging state of a drain scenario: the byte-level model of
+/// the server's class backlogs and its capacity-tier device.
 struct SimServerStaging {
     config: SimStagingConfig,
     backing: DeviceTimeline,
-    /// Bytes written into the burst buffer and not yet drained, durable
-    /// bytes aside.
-    dirty_bytes: u64,
-    /// Subset of `dirty_bytes` already admitted as drain requests.
-    queued_bytes: u64,
-    /// Drain requests admitted and not yet fully drained.
-    inflight: usize,
-    /// Total bytes drained to the capacity tier.
-    drained_bytes: u64,
-    /// Restore requests admitted and not yet landed.
-    restore_inflight: usize,
-    /// Total bytes restored from the capacity tier.
-    restored_bytes: u64,
-    /// Scrub bytes admitted so far (the pass cursor over the verification
-    /// target: boot backlog plus drained bytes).
-    scrub_cursor_bytes: u64,
-    /// Scrub requests admitted and not yet verified.
-    scrub_inflight: usize,
-    /// Total bytes verified by the scrubber.
-    scrubbed_bytes: u64,
-    /// Injected checksum mismatches reported so far.
+    /// One byte ledger per traffic class, indexed by `TrafficClass as usize`.
+    lanes: [SimLane; TrafficClass::COUNT],
+    /// Injected checksum mismatches the scrub lane reported so far.
     scrub_errors: u64,
-    /// Migration bytes admitted so far (the pass cursor over the reshard's
-    /// backlog).
-    rebalance_cursor_bytes: u64,
-    /// Migration requests admitted and not yet landed.
-    rebalance_inflight: usize,
-    /// Total bytes migrated.
-    migrated_bytes: u64,
-    /// Durable dirty bytes not yet copied out: the boot debt, plus the
-    /// durable share of this run's writes.
-    durable_bytes: u64,
-    /// Subset of `durable_bytes` already admitted as replicate requests.
-    durable_queued_bytes: u64,
-    /// Copy requests admitted and not yet landed in the capacity tier.
-    replicate_inflight: usize,
-    /// Total bytes the replicate class wrote into the capacity tier.
-    replicated_bytes: u64,
 }
+
+/// The byte ledger of one traffic class on one simulated server. The class
+/// owes `owed` bytes in total, has admitted `admitted` of them as requests
+/// and landed `done`; `owed − done` is its backlog (for the drain lane, the
+/// dirty bytes) and `admitted − done` the part already queued or charged.
+#[derive(Default)]
+struct SimLane {
+    /// Whether the class synthesizes traffic at all.
+    enabled: bool,
+    owed: u64,
+    admitted: u64,
+    done: u64,
+    /// Requests admitted and not yet landed.
+    inflight: usize,
+    /// Virtual time before which nothing is admitted (the reshard instant
+    /// for rebalance, 0 elsewhere).
+    opens_at_ns: u64,
+}
+
+impl SimLane {
+    /// The boot ledger of `class` under `sc`: whether it runs, the backlog
+    /// it already owes (the tier's unverified bytes, the reshard's
+    /// misplaced ones, the replication debt) and when it opens. Drain and
+    /// restore start empty and are fed by foreground traffic.
+    fn boot(class: TrafficClass, sc: &SimStagingConfig) -> SimLane {
+        let (enabled, backlog, opens_at_ns) = match class {
+            TrafficClass::Drain | TrafficClass::Restore => (true, 0, 0),
+            TrafficClass::Scrub => (sc.scrub_enabled, sc.scrub_backlog_bytes, 0),
+            TrafficClass::Rebalance => (
+                sc.rebalance_enabled,
+                sc.rebalance_backlog_bytes,
+                sc.reshard_at_ns,
+            ),
+            TrafficClass::Replicate => (sc.replicate_enabled, sc.replicate_backlog_bytes, 0),
+        };
+        SimLane {
+            enabled,
+            owed: if enabled { backlog } else { 0 },
+            opens_at_ns,
+            ..SimLane::default()
+        }
+    }
+
+    /// Bytes owed and not yet admitted (0 while the lane is off or shut).
+    fn due(&self, now: u64) -> u64 {
+        if self.enabled && now >= self.opens_at_ns {
+            self.owed - self.admitted
+        } else {
+            0
+        }
+    }
+
+    /// Whether the lane still keeps the run alive: it owes bytes that have
+    /// not landed. (A request in flight is owed and not landed, and only
+    /// enabled lanes admit any.)
+    fn busy(&self) -> bool {
+        self.enabled && self.done < self.owed
+    }
+}
+
+/// A class request's landing: `(landed_ns, server, class, seq, bytes)`,
+/// popped earliest first.
+type Landing = Reverse<(u64, usize, TrafficClass, u64, u64)>;
 
 impl SimServer {
     fn new(config: &SimConfig) -> Self {
@@ -371,55 +400,17 @@ impl SimServer {
             staging: config.staging.map(|sc| SimServerStaging {
                 config: sc,
                 backing: DeviceTimeline::new(DeviceModel::new(sc.backing_device)),
-                dirty_bytes: 0,
-                queued_bytes: 0,
-                inflight: 0,
-                drained_bytes: 0,
-                restore_inflight: 0,
-                restored_bytes: 0,
-                scrub_cursor_bytes: 0,
-                scrub_inflight: 0,
-                scrubbed_bytes: 0,
+                lanes: TrafficClass::ALL.map(|class| SimLane::boot(class, &sc)),
                 scrub_errors: 0,
-                rebalance_cursor_bytes: 0,
-                rebalance_inflight: 0,
-                migrated_bytes: 0,
-                durable_bytes: if sc.replicate_enabled {
-                    sc.replicate_backlog_bytes
-                } else {
-                    0
-                },
-                durable_queued_bytes: 0,
-                replicate_inflight: 0,
-                replicated_bytes: 0,
             }),
         }
     }
 
-    /// Whether the staging pipeline still has work: dirty or durable
-    /// backlog, copies or restores in flight, or — with scrub enabled —
-    /// verification-target bytes the scrub pass has not verified yet.
+    /// Whether any staging lane still has work.
     fn staging_busy(&self) -> bool {
-        self.staging.as_ref().is_some_and(|st| {
-            st.dirty_bytes > 0
-                || st.inflight > 0
-                || st.durable_bytes > 0
-                || st.replicate_inflight > 0
-                || st.restore_inflight > 0
-                || (st.config.scrub_enabled
-                    && (st.scrubbed_bytes < st.scrub_target() || st.scrub_inflight > 0))
-                || (st.config.rebalance_enabled
-                    && (st.migrated_bytes < st.config.rebalance_backlog_bytes
-                        || st.rebalance_inflight > 0))
-        })
-    }
-}
-
-impl SimServerStaging {
-    /// The scrub pass's verification target: everything the tier holds —
-    /// the boot backlog plus whatever this run has drained so far.
-    fn scrub_target(&self) -> u64 {
-        self.config.scrub_backlog_bytes + self.drained_bytes
+        self.staging
+            .as_ref()
+            .is_some_and(|st| st.lanes.iter().any(SimLane::busy))
     }
 }
 
@@ -484,19 +475,11 @@ impl Simulation {
 
         // Completion events: (finish_ns, rank index).
         let mut completions: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        // Drain completion events: (capacity-tier finish_ns, server, bytes).
-        let mut drain_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Restore completion events: (landed_ns, server, restore seq, bytes).
-        let mut restore_events: BinaryHeap<Reverse<(u64, usize, u64, u64)>> = BinaryHeap::new();
-        // Scrub completion events: (verified_ns, server, bytes).
-        let mut scrub_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Rebalance completion events: (migrated_ns, server, bytes).
-        let mut rebalance_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Replicate completion events: (landed_ns, server, bytes).
-        let mut replicate_events: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        // Foreground reads parked behind a restore: restore seq → (server,
-        // the read to admit once its bytes are back in the burst buffer).
-        let mut waiting_restore: HashMap<u64, (usize, IoRequest)> = HashMap::new();
+        // Class request landings, every class in one heap.
+        let mut landings: BinaryHeap<Landing> = BinaryHeap::new();
+        // Foreground reads parked behind a restore: restore seq → the read
+        // to admit once its bytes are back in the burst buffer.
+        let mut waiting_restore: HashMap<u64, IoRequest> = HashMap::new();
         // Request sequence → issuing rank.
         let mut seq_to_rank: HashMap<u64, usize> = HashMap::new();
         let mut next_seq: u64 = 0;
@@ -538,96 +521,51 @@ impl Simulation {
                 r.next_ready_ns = r.next_ready_ns.max(finish + think);
             }
 
-            // 1a. Apply drain completions (capacity-tier writes) by `now`.
-            while let Some(Reverse((finish, server_idx, bytes))) = drain_events.peek().copied() {
-                if finish > now {
-                    break;
-                }
-                drain_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.dirty_bytes = st.dirty_bytes.saturating_sub(bytes);
-                    st.queued_bytes = st.queued_bytes.saturating_sub(bytes);
-                    st.inflight = st.inflight.saturating_sub(1);
-                    st.drained_bytes += bytes;
-                }
-            }
-
-            // 1b. Apply restore completions by `now`: the missed bytes are
-            // back in the burst buffer, so the read that waited on them is
-            // finally admitted to its server's engine (its arrival time —
-            // and therefore its recorded latency — still dates from issue,
+            // 1a. Land the class requests whose device charges finished by
+            // `now`. Three landings do more than count bytes: a drained
+            // chunk joins the scrub pass's verification target; a scrubbed
+            // chunk may report an injected checksum mismatch (the rng is
+            // only consulted when errors are possible, so a sound scrubber
+            // never perturbs the foreground token draws of a fixed seed);
+            // and a restore's bytes are back in the burst buffer, so the
+            // read that waited on them is finally admitted (its arrival time
+            // — and therefore its recorded latency — still dates from issue,
             // charging the restore queue delay to the read).
-            while let Some(Reverse((finish, server_idx, seq, bytes))) =
-                restore_events.peek().copied()
+            while let Some(Reverse((landed, server_idx, class, seq, bytes))) =
+                landings.peek().copied()
             {
-                if finish > now {
+                if landed > now {
                     break;
                 }
-                restore_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.restore_inflight = st.restore_inflight.saturating_sub(1);
-                    st.restored_bytes += bytes;
-                }
-                if let Some((server, parked)) = waiting_restore.remove(&seq) {
-                    servers[server].engine.admit(parked);
-                }
-            }
-
-            // 1b'. Apply scrub completions by `now`: the verification of one
-            // chunk of drained bytes finished; with a non-zero injected
-            // error rate, some chunks report a checksum mismatch. (The rng
-            // is only consulted when errors are possible, so enabling a
-            // sound scrubber never perturbs the foreground token draws of a
-            // pre-existing seed.)
-            while let Some(Reverse((finish, server_idx, bytes))) = scrub_events.peek().copied() {
-                if finish > now {
-                    break;
-                }
-                scrub_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.scrub_inflight = st.scrub_inflight.saturating_sub(1);
-                    st.scrubbed_bytes += bytes;
-                    if st.config.scrub_error_rate > 0.0
-                        && (rng.gen_range(0u64..1_000_000) as f64)
-                            < st.config.scrub_error_rate * 1e6
-                    {
-                        st.scrub_errors += 1;
+                landings.pop();
+                let server = &mut servers[server_idx];
+                let st = server
+                    .staging
+                    .as_mut()
+                    .expect("class traffic only exists with staging");
+                let lane = &mut st.lanes[class as usize];
+                lane.inflight -= 1;
+                lane.done += bytes;
+                match class {
+                    TrafficClass::Drain => st.lanes[TrafficClass::Scrub as usize].owed += bytes,
+                    TrafficClass::Scrub => {
+                        if st.config.scrub_error_rate > 0.0
+                            && (rng.gen_range(0u64..1_000_000) as f64)
+                                < st.config.scrub_error_rate * 1e6
+                        {
+                            st.scrub_errors += 1;
+                        }
                     }
+                    TrafficClass::Restore => {
+                        if let Some(parked) = waiting_restore.remove(&seq) {
+                            server.engine.admit(parked);
+                        }
+                    }
+                    TrafficClass::Rebalance | TrafficClass::Replicate => {}
                 }
             }
 
-            // 1b''. Apply rebalance completions by `now`: one chunk of the
-            // reshard's migration backlog landed on its new replica set.
-            while let Some(Reverse((finish, server_idx, bytes))) = rebalance_events.peek().copied()
-            {
-                if finish > now {
-                    break;
-                }
-                rebalance_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.rebalance_inflight = st.rebalance_inflight.saturating_sub(1);
-                    st.migrated_bytes += bytes;
-                }
-            }
-
-            // 1b'''. Apply replicate completions by `now`: one chunk of the
-            // durable backlog landed in the capacity tier, exactly as a
-            // drained chunk does.
-            while let Some(Reverse((finish, server_idx, bytes))) = replicate_events.peek().copied()
-            {
-                if finish > now {
-                    break;
-                }
-                replicate_events.pop();
-                if let Some(st) = servers[server_idx].staging.as_mut() {
-                    st.replicate_inflight = st.replicate_inflight.saturating_sub(1);
-                    st.durable_bytes = st.durable_bytes.saturating_sub(bytes);
-                    st.durable_queued_bytes = st.durable_queued_bytes.saturating_sub(bytes);
-                    st.replicated_bytes += bytes;
-                }
-            }
-
-            // 1c. Stop once every bounded job has completed all of its work
+            // 1b. Stop once every bounded job has completed all of its work
             // *and* every staging pipeline has fully drained; unbounded
             // background jobs do not keep the simulation alive.
             if any_finite {
@@ -696,16 +634,21 @@ impl Simulation {
                     if miss {
                         let restore_seq = next_seq;
                         next_seq += 1;
+                        // The restore is owed and admitted at once: it is
+                        // never queued behind the lane's pipelining depth.
                         let st = server.staging.as_mut().expect("miss implies staging");
-                        st.restore_inflight += 1;
+                        let lane = &mut st.lanes[TrafficClass::Restore as usize];
+                        lane.owed += bytes;
+                        lane.admitted += bytes;
+                        lane.inflight += 1;
                         let restore = IoRequest::new(
                             restore_seq,
                             TrafficClass::Restore.meta(server_idx),
-                            OpKind::Write,
+                            TrafficClass::Restore.def().burst,
                             bytes,
                             now,
                         );
-                        waiting_restore.insert(restore_seq, (server_idx, req));
+                        waiting_restore.insert(restore_seq, req);
                         server.engine.admit(restore);
                     } else {
                         server.engine.admit(req);
@@ -715,127 +658,29 @@ impl Simulation {
                 }
             }
 
-            // 2a. Synthesize replicate traffic for the durable backlog: the
-            // same chunks as the drain pass below, under the replicate class
-            // and its weight. It runs first, so durable bytes leave early.
+            // 2a. Synthesize class traffic for every lane's due backlog:
+            // chunks of it become policy-arbitrated requests under the
+            // class's job, up to the pipelining depth.
             for (server_idx, server) in servers.iter_mut().enumerate() {
                 let Some(st) = server.staging.as_mut() else {
                     continue;
                 };
-                while st.replicate_inflight < st.config.max_inflight
-                    && st.durable_bytes > st.durable_queued_bytes
-                {
-                    let chunk = st
-                        .config
-                        .drain_chunk_bytes
-                        .min(st.durable_bytes - st.durable_queued_bytes)
-                        .max(1);
-                    let req = IoRequest::new(
-                        next_seq,
-                        TrafficClass::Replicate.meta(server_idx),
-                        OpKind::Read,
-                        chunk,
-                        now,
-                    );
-                    next_seq += 1;
-                    st.durable_queued_bytes += chunk;
-                    st.replicate_inflight += 1;
-                    server.engine.admit(req);
-                }
-            }
-
-            // 2b. Synthesize drain traffic for the dirty backlog: chunks of
-            // the backlog become policy-arbitrated requests under the drain
-            // job, up to the pipelining depth.
-            for (server_idx, server) in servers.iter_mut().enumerate() {
-                let Some(st) = server.staging.as_mut() else {
-                    continue;
-                };
-                while st.inflight < st.config.max_inflight && st.dirty_bytes > st.queued_bytes {
-                    let chunk = st
-                        .config
-                        .drain_chunk_bytes
-                        .min(st.dirty_bytes - st.queued_bytes)
-                        .max(1);
-                    let req = IoRequest::new(
-                        next_seq,
-                        TrafficClass::Drain.meta(server_idx),
-                        OpKind::Read,
-                        chunk,
-                        now,
-                    );
-                    next_seq += 1;
-                    st.queued_bytes += chunk;
-                    st.inflight += 1;
-                    server.engine.admit(req);
-                }
-            }
-
-            // 2c. Synthesize scrub traffic: with scrub enabled, the pass
-            // cursor chases the verification target (the boot backlog plus
-            // the drained bytes) — every tier chunk is re-read from the
-            // capacity tier for verification exactly once, as a
-            // policy-arbitrated request under the scrub class.
-            for (server_idx, server) in servers.iter_mut().enumerate() {
-                let Some(st) = server.staging.as_mut() else {
-                    continue;
-                };
-                if !st.config.scrub_enabled {
-                    continue;
-                }
-                while st.scrub_inflight < st.config.max_inflight
-                    && st.scrub_cursor_bytes < st.scrub_target()
-                {
-                    let chunk = st
-                        .config
-                        .drain_chunk_bytes
-                        .min(st.scrub_target() - st.scrub_cursor_bytes)
-                        .max(1);
-                    let req = IoRequest::new(
-                        next_seq,
-                        TrafficClass::Scrub.meta(server_idx),
-                        OpKind::Read,
-                        chunk,
-                        now,
-                    );
-                    next_seq += 1;
-                    st.scrub_cursor_bytes += chunk;
-                    st.scrub_inflight += 1;
-                    server.engine.admit(req);
-                }
-            }
-
-            // 2d. Synthesize rebalance traffic: once the reshard instant has
-            // passed, the migration cursor chases the backlog of misplaced
-            // bytes — each chunk a policy-arbitrated *write* under the
-            // rebalance class (one verified copy streaming onto its new
-            // replica set), mirroring the live pipeline's costing.
-            for (server_idx, server) in servers.iter_mut().enumerate() {
-                let Some(st) = server.staging.as_mut() else {
-                    continue;
-                };
-                if !st.config.rebalance_enabled || now < st.config.reshard_at_ns {
-                    continue;
-                }
-                while st.rebalance_inflight < st.config.max_inflight
-                    && st.rebalance_cursor_bytes < st.config.rebalance_backlog_bytes
-                {
-                    let chunk = st
-                        .config
-                        .drain_chunk_bytes
-                        .min(st.config.rebalance_backlog_bytes - st.rebalance_cursor_bytes)
-                        .max(1);
-                    let req = IoRequest::new(
-                        next_seq,
-                        TrafficClass::Rebalance.meta(server_idx),
-                        OpKind::Write,
-                        chunk,
-                        now,
-                    );
-                    next_seq += 1;
-                    st.rebalance_cursor_bytes += chunk;
-                    st.rebalance_inflight += 1;
-                    server.engine.admit(req);
+                for class in TrafficClass::ALL {
+                    let lane = &mut st.lanes[class as usize];
+                    while lane.inflight < st.config.max_inflight && lane.due(now) > 0 {
+                        let chunk = st.config.drain_chunk_bytes.min(lane.due(now)).max(1);
+                        let req = IoRequest::new(
+                            next_seq,
+                            class.meta(server_idx),
+                            class.def().burst,
+                            chunk,
+                            now,
+                        );
+                        next_seq += 1;
+                        lane.admitted += chunk;
+                        lane.inflight += 1;
+                        server.engine.admit(req);
+                    }
                 }
             }
 
@@ -846,105 +691,29 @@ impl Simulation {
                         break;
                     };
                     let (start, finish) = server.device.dispatch(&req, now);
-                    match TrafficClass::of(req.meta.job) {
-                        Some(TrafficClass::Drain) => {
-                            // The drained chunk leaves the burst buffer at
-                            // `finish` and lands in the capacity tier when
-                            // the (slower) backing device completes the
-                            // write.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("drain traffic only exists with staging");
-                            let write =
-                                IoRequest::new(req.seq, req.meta, OpKind::Write, req.bytes, finish);
-                            let (_, backing_finish) = st.backing.dispatch(&write, finish);
-                            drain_events.push(Reverse((backing_finish, server_idx, req.bytes)));
-                            continue;
+                    if let Some(class) = TrafficClass::of(req.meta.job) {
+                        // The engine granted the class its burst slot; the
+                        // capacity tier behind it runs the class's registry
+                        // legs — the live core's costing — and the request
+                        // lands when both are done.
+                        let st = server
+                            .staging
+                            .as_mut()
+                            .expect("class traffic only exists with staging");
+                        let def = class.def();
+                        let mut at = if def.tier_after_burst { finish } else { now };
+                        for &kind in def.tier_legs {
+                            let leg = IoRequest::new(req.seq, req.meta, kind, req.bytes, at);
+                            (_, at) = st.backing.dispatch(&leg, at);
                         }
-                        Some(TrafficClass::Restore) => {
-                            // The engine granted the burst-buffer write; the
-                            // capacity-tier read is charged in parallel, and
-                            // the bytes land when both are done.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("restore traffic only exists with staging");
-                            let read =
-                                IoRequest::new(req.seq, req.meta, OpKind::Read, req.bytes, now);
-                            let (_, backing_finish) = st.backing.dispatch(&read, now);
-                            restore_events.push(Reverse((
-                                finish.max(backing_finish),
-                                server_idx,
-                                req.seq,
-                                req.bytes,
-                            )));
-                            continue;
-                        }
-                        Some(TrafficClass::Scrub) => {
-                            // The engine granted the verification its service
-                            // slot; the capacity-tier read that actually
-                            // fetches the bytes is charged in parallel, and
-                            // the chunk counts as verified when both finish.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("scrub traffic only exists with staging");
-                            let read =
-                                IoRequest::new(req.seq, req.meta, OpKind::Read, req.bytes, now);
-                            let (_, backing_finish) = st.backing.dispatch(&read, now);
-                            scrub_events.push(Reverse((
-                                finish.max(backing_finish),
-                                server_idx,
-                                req.bytes,
-                            )));
-                            continue;
-                        }
-                        Some(TrafficClass::Rebalance) => {
-                            // The engine granted the migration its service
-                            // slot; the capacity tier is charged the verified
-                            // source read followed by the replica write, and
-                            // the chunk counts as migrated when everything
-                            // lands — the same costing as the live core.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("rebalance traffic only exists with staging");
-                            let read =
-                                IoRequest::new(req.seq, req.meta, OpKind::Read, req.bytes, now);
-                            let (_, read_finish) = st.backing.dispatch(&read, now);
-                            let write = IoRequest::new(
-                                req.seq,
-                                req.meta,
-                                OpKind::Write,
-                                req.bytes,
-                                read_finish,
-                            );
-                            let (_, write_finish) = st.backing.dispatch(&write, read_finish);
-                            rebalance_events.push(Reverse((
-                                finish.max(write_finish),
-                                server_idx,
-                                req.bytes,
-                            )));
-                            continue;
-                        }
-                        Some(TrafficClass::Replicate) => {
-                            // The engine granted the copy its burst-read
-                            // slot; the capacity-tier write is charged once
-                            // the read finishes, exactly as for a drain, and
-                            // the chunk counts as replicated when it lands —
-                            // the same costing as the live core.
-                            let st = server
-                                .staging
-                                .as_mut()
-                                .expect("replicate traffic only exists with staging");
-                            let write =
-                                IoRequest::new(req.seq, req.meta, OpKind::Write, req.bytes, finish);
-                            let (_, backing_finish) = st.backing.dispatch(&write, finish);
-                            replicate_events.push(Reverse((backing_finish, server_idx, req.bytes)));
-                            continue;
-                        }
-                        None => {}
+                        landings.push(Reverse((
+                            finish.max(at),
+                            server_idx,
+                            class,
+                            req.seq,
+                            req.bytes,
+                        )));
+                        continue;
                     }
                     let completion = themis_core::request::Completion {
                         request: req,
@@ -963,8 +732,8 @@ impl Simulation {
                             } else {
                                 0
                             };
-                            st.durable_bytes += durable;
-                            st.dirty_bytes += req.bytes - durable;
+                            st.lanes[TrafficClass::Replicate as usize].owed += durable;
+                            st.lanes[TrafficClass::Drain as usize].owed += req.bytes - durable;
                         }
                     }
                     metrics.record(ServiceRecord {
@@ -998,55 +767,18 @@ impl Simulation {
             if let Some(Reverse((finish, _))) = completions.peek() {
                 next = next.min(*finish);
             }
-            if let Some(Reverse((finish, _, _))) = drain_events.peek() {
-                next = next.min(*finish);
+            if let Some(Reverse((landed, ..))) = landings.peek() {
+                next = next.min(*landed);
             }
-            if let Some(Reverse((finish, _, _, _))) = restore_events.peek() {
-                next = next.min(*finish);
-            }
-            if let Some(Reverse((finish, _, _))) = scrub_events.peek() {
-                next = next.min(*finish);
-            }
-            if let Some(Reverse((finish, _, _))) = rebalance_events.peek() {
-                next = next.min(*finish);
-            }
-            if let Some(Reverse((finish, _, _))) = replicate_events.peek() {
-                next = next.min(*finish);
-            }
-            for server in servers.iter() {
-                if let Some(st) = server.staging.as_ref() {
-                    // New dirty bytes appeared after this iteration's
-                    // admission pass: admit them on the next tick. Same for
-                    // freshly drained bytes the scrub cursor has not chased
-                    // yet.
-                    if st.inflight < st.config.max_inflight && st.dirty_bytes > st.queued_bytes {
+            for st in servers.iter().filter_map(|s| s.staging.as_ref()) {
+                for lane in st.lanes.iter().filter(|l| l.enabled && l.admitted < l.owed) {
+                    // Backlog appeared after this iteration's admission
+                    // pass: admit it on the next tick. A lane not yet open
+                    // keeps the run alive until it opens.
+                    if now < lane.opens_at_ns {
+                        next = next.min(lane.opens_at_ns);
+                    } else if lane.inflight < st.config.max_inflight {
                         next = next.min(now + 1);
-                    }
-                    if st.config.scrub_enabled
-                        && st.scrub_inflight < st.config.max_inflight
-                        && st.scrub_cursor_bytes < st.scrub_target()
-                    {
-                        next = next.min(now + 1);
-                    }
-                    if st.replicate_inflight < st.config.max_inflight
-                        && st.durable_bytes > st.durable_queued_bytes
-                    {
-                        next = next.min(now + 1);
-                    }
-                    if st.config.rebalance_enabled
-                        && st.rebalance_cursor_bytes < st.config.rebalance_backlog_bytes
-                    {
-                        // Migration backlog still owed: chase it next tick if
-                        // the reshard has fired, otherwise make sure the run
-                        // stays alive long enough to reach the reshard
-                        // instant at all.
-                        if now >= st.config.reshard_at_ns {
-                            if st.rebalance_inflight < st.config.max_inflight {
-                                next = next.min(now + 1);
-                            }
-                        } else {
-                            next = next.min(st.config.reshard_at_ns.max(now + 1));
-                        }
                     }
                 }
             }
@@ -1098,57 +830,24 @@ impl Simulation {
             }
         }
 
-        let drained_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.drained_bytes)
-            .sum();
-        let restored_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.restored_bytes)
-            .sum();
-        let scrubbed_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.scrubbed_bytes)
-            .sum();
-        let scrub_errors = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.scrub_errors)
-            .sum();
-        let residual_dirty_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.dirty_bytes + st.durable_bytes)
-            .sum();
-        let migrated_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.migrated_bytes)
-            .sum();
-        let replicated_bytes = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.replicated_bytes)
-            .sum();
-        let residual_replication_lag = servers
-            .iter()
-            .filter_map(|s| s.staging.as_ref())
-            .map(|st| st.durable_bytes)
-            .sum();
+        // Every lane's totals, summed over the servers.
+        let staged: Vec<&SimServerStaging> =
+            servers.iter().filter_map(|s| s.staging.as_ref()).collect();
+        let lanes = |class: TrafficClass| staged.iter().map(move |st| &st.lanes[class as usize]);
+        let done = |class| lanes(class).map(|l| l.done).sum::<u64>();
+        let backlog = |class| lanes(class).map(|l| l.owed - l.done).sum::<u64>();
+        let residual_replication_lag = backlog(TrafficClass::Replicate);
         SimResult {
             metrics,
             job_finish_ns: job_finish,
             sim_end_ns: now,
-            drained_bytes,
-            restored_bytes,
-            scrubbed_bytes,
-            scrub_errors,
-            residual_dirty_bytes,
-            migrated_bytes,
-            replicated_bytes,
+            drained_bytes: done(TrafficClass::Drain),
+            restored_bytes: done(TrafficClass::Restore),
+            scrubbed_bytes: done(TrafficClass::Scrub),
+            scrub_errors: staged.iter().map(|st| st.scrub_errors).sum(),
+            residual_dirty_bytes: backlog(TrafficClass::Drain) + residual_replication_lag,
+            migrated_bytes: done(TrafficClass::Rebalance),
+            replicated_bytes: done(TrafficClass::Replicate),
             residual_replication_lag,
             policy_epochs,
         }
@@ -1479,6 +1178,44 @@ mod tests {
     }
 
     #[test]
+    fn rebalance_waits_for_the_reshard_instant() {
+        // Nothing migrates before the shard map changes: a checkpoint that
+        // finishes before the reshard runs exactly as fast as with
+        // rebalancing off, and the run stays alive until the reshard
+        // instant, then migrates the whole backlog.
+        let reshard_at_ns = NS_PER_SEC;
+        let run = |enabled| {
+            let job = SimJob::new(
+                meta(1, 1, 2),
+                4,
+                OpPattern::WriteOnly {
+                    bytes_per_op: 1 << 20,
+                },
+            )
+            .with_max_ops(16)
+            .with_queue_depth(4);
+            let config = SimConfig {
+                device: fast_device(),
+                staging: Some(SimStagingConfig {
+                    backing_device: fast_device(),
+                    rebalance_enabled: enabled,
+                    rebalance_backlog_bytes: 64 << 20,
+                    reshard_at_ns,
+                    ..SimStagingConfig::default()
+                }),
+                ..SimConfig::new(1, Algorithm::Themis(Policy::size_fair()))
+            };
+            Simulation::new(config, vec![job]).run()
+        };
+        let off = run(false);
+        let on = run(true);
+        assert!(off.job_finish_ns[&JobId(1)] < reshard_at_ns);
+        assert_eq!(on.job_finish_ns[&JobId(1)], off.job_finish_ns[&JobId(1)]);
+        assert_eq!(on.migrated_bytes, 64 << 20);
+        assert!(on.sim_end_ns > reshard_at_ns);
+    }
+
+    #[test]
     fn replication_lag_drains_to_zero_before_quiescence() {
         // Byte-level durability model: with replication enabled, every
         // foreground write byte (fraction 1.0) plus the per-server boot debt
@@ -1623,6 +1360,49 @@ mod tests {
             (on.residual_dirty_bytes, on.residual_replication_lag),
             (0, 0)
         );
+    }
+
+    #[test]
+    fn every_class_at_once_conserves_bytes() {
+        // All five lanes share one landing heap, one admission loop and one
+        // dispatch path: with every class busy at once, each must still move
+        // exactly its own bytes, and the run must quiesce with nothing owed.
+        const MIB: u64 = 1 << 20;
+        let writer = SimJob::new(meta(1, 1, 2), 4, OpPattern::WriteOnly { bytes_per_op: MIB })
+            .with_max_ops(16)
+            .with_queue_depth(4);
+        let reader = SimJob::new(meta(2, 2, 1), 2, OpPattern::ReadOnly { bytes_per_op: MIB })
+            .with_max_ops(8)
+            .with_queue_depth(4);
+        let config = SimConfig {
+            device: fast_device(),
+            staging: Some(SimStagingConfig {
+                backing_device: fast_device(),
+                restore_miss_rate: 1.0,
+                scrub_enabled: true,
+                scrub_backlog_bytes: 3 * MIB,
+                rebalance_enabled: true,
+                rebalance_backlog_bytes: 5 * MIB,
+                reshard_at_ns: 1_000_000,
+                replicate_enabled: true,
+                replicate_fraction: 0.5,
+                replicate_backlog_bytes: 2 * MIB,
+                drain_chunk_bytes: MIB,
+                ..SimStagingConfig::default()
+            }),
+            ..SimConfig::new(2, Algorithm::Themis(Policy::size_fair()))
+        };
+        let r = Simulation::new(config, vec![writer, reader]).run();
+        let written = 4 * 16 * MIB;
+        assert_eq!(r.metrics.total_bytes(JobId(1)), written);
+        assert_eq!(r.residual_dirty_bytes, 0);
+        assert_eq!(r.residual_replication_lag, 0);
+        assert_eq!(r.scrub_errors, 0);
+        assert_eq!(r.replicated_bytes, written / 2 + 2 * 2 * MIB);
+        assert_eq!(r.drained_bytes + r.replicated_bytes, written + 2 * 2 * MIB);
+        assert_eq!(r.scrubbed_bytes, 2 * 3 * MIB + r.drained_bytes);
+        assert_eq!(r.migrated_bytes, 2 * 5 * MIB);
+        assert_eq!(r.restored_bytes, 2 * 8 * MIB);
     }
 
     #[test]

@@ -115,21 +115,6 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Mean queueing delay of one job's requests, in nanoseconds.
-    pub fn mean_queue_delay_ns(&self, job: JobId) -> f64 {
-        let delays: Vec<u64> = self
-            .records
-            .iter()
-            .filter(|r| r.job == job)
-            .map(|r| r.queue_delay_ns)
-            .collect();
-        if delays.is_empty() {
-            0.0
-        } else {
-            delays.iter().sum::<u64>() as f64 / delays.len() as f64
-        }
-    }
-
     /// The distinct jobs that appear in the records, in id order.
     pub fn jobs(&self) -> Vec<JobId> {
         let mut jobs: Vec<JobId> = self.records.iter().map(|r| r.job).collect();

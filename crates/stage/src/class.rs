@@ -17,25 +17,31 @@
 //! ## The class registry
 //!
 //! Every per-class fact — the reserved sub-range index, the display name,
-//! the telemetry lane key, the default foreground:class weight, and whether
-//! the class's pipeline synthesizes traffic without being asked — lives in
-//! one table, [`TRAFFIC_CLASSES`]: `index()`, `name()`,
-//! [`ClassWeights::default`] and the engine's lane construction all follow
-//! it. The registry holds a class's *facts*; its *behaviour* is three more
-//! pieces, so adding a class is this checklist:
+//! the telemetry lane key, the default foreground:class weight, whether
+//! the class's pipeline synthesizes traffic without being asked, and how a
+//! released request is costed — lives in one table, [`TRAFFIC_CLASSES`]:
+//! `index()`, `name()`, [`ClassWeights::default`], the engine's lane
+//! construction, the pipelines' admitted request kind, the server's device
+//! charge and the simulator's all follow it. The registry holds a class's
+//! *facts*; its *behaviour* is three more pieces, so adding a class is this
+//! checklist:
 //!
-//! 1. a [`TrafficClassDef`] row here (and the enum variant);
+//! 1. a [`TrafficClassDef`] row here (and the enum variant), costing
+//!    included: the burst slot, the capacity-tier legs, and whether those
+//!    legs start beside the burst slot or after it;
 //! 2. a pipeline embedding a [`ClassQueue`](crate::lifecycle::ClassQueue)
 //!    and implementing
 //!    [`ClassLifecycle`](crate::lifecycle::ClassLifecycle) — what the class
 //!    wants moved, and when;
 //! 3. one `land_*` body in the server's `staging` module — what a landed
 //!    request does to the file system, the tiers and the waiting foreground;
-//! 4. one `Charge` row there — what the request costs the tier behind the
-//!    burst device.
+//! 4. one simulator lane in `themis_sim::cluster` — the class's weight and
+//!    switch in `SimStagingConfig`, its row in the lane set-up (enabled,
+//!    boot backlog, opening instant), a landing side effect if it has one,
+//!    and its `SimResult` total.
 //!
-//! The server's per-class `match`es are exhaustive, so a missing piece is a
-//! compile error, not a silently idle class.
+//! The server's and the simulator's per-class `match`es are exhaustive, so
+//! a missing piece is a compile error, not a silently idle class.
 //!
 //! | class | job-id sub-range | direction | default weight |
 //! |-------|------------------|-----------|----------------|
@@ -63,6 +69,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use themis_core::entity::{reserved_job_id, JobId, JobMeta};
+use themis_core::request::OpKind;
 
 /// One class of system-internal traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -96,8 +103,9 @@ pub enum TrafficClass {
 ///
 /// The row owns the class's reserved sub-range assignment (`index`), its
 /// display name, the telemetry lane key its [`MetricsRegistry`] series and
-/// trace slots carry, its default foreground:class WFQ weight, and whether
-/// the class's pipeline synthesizes traffic by default. Call sites read
+/// trace slots carry, its default foreground:class WFQ weight, whether the
+/// class's pipeline synthesizes traffic by default, and its device costing
+/// (the burst slot and the capacity-tier legs behind it). Call sites read
 /// these facts through [`TrafficClass::def`] instead of matching on the
 /// enum (the module docs list what else a new class needs).
 ///
@@ -128,6 +136,16 @@ pub struct TrafficClassDef {
     /// enabled; maintenance and debt-driven classes start where their PRs
     /// left their `DrainConfig` flags.
     pub default_enabled: bool,
+    /// The burst-device slot a request of the class asks the policy engine
+    /// for — the cost its foreground:class weight bounds.
+    pub burst: OpKind,
+    /// The transfers the capacity tier behind the burst device runs back to
+    /// back for one released request, each costed at the request's bytes (a
+    /// write once per copy it places).
+    pub tier_legs: &'static [OpKind],
+    /// Whether the tier legs start when the burst slot finishes (they move
+    /// the bytes the slot read) instead of at release (they feed the slot).
+    pub tier_after_burst: bool,
 }
 
 /// The traffic-class registry: one row per class, in reserved sub-range
@@ -141,6 +159,11 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         lane: "drain",
         default_weight: 8,
         default_enabled: true,
+        // Read the snapshot off the burst device, then write it to the
+        // capacity tier.
+        burst: OpKind::Read,
+        tier_legs: &[OpKind::Write],
+        tier_after_burst: true,
     },
     TrafficClassDef {
         class: TrafficClass::Restore,
@@ -149,6 +172,11 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         lane: "restore",
         default_weight: 8,
         default_enabled: true,
+        // The capacity tier is read while the burst device takes the extent
+        // write.
+        burst: OpKind::Write,
+        tier_legs: &[OpKind::Read],
+        tier_after_burst: false,
     },
     TrafficClassDef {
         class: TrafficClass::Scrub,
@@ -159,6 +187,11 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         // background traffic with no foreground waiting on it.
         default_weight: 16,
         default_enabled: false,
+        // The capacity tier is read while the burst device takes the
+        // verification slot.
+        burst: OpKind::Read,
+        tier_legs: &[OpKind::Read],
+        tier_after_burst: false,
     },
     TrafficClassDef {
         class: TrafficClass::Rebalance,
@@ -167,6 +200,11 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         lane: "rebalance",
         default_weight: 16,
         default_enabled: true,
+        // The verified source read, then one write per copy the plan
+        // places.
+        burst: OpKind::Write,
+        tier_legs: &[OpKind::Read, OpKind::Write],
+        tier_after_burst: false,
     },
     TrafficClassDef {
         class: TrafficClass::Replicate,
@@ -177,6 +215,10 @@ pub const TRAFFIC_CLASSES: [TrafficClassDef; TrafficClass::COUNT] = [
         // debt; the class stays off until one does.
         default_weight: 16,
         default_enabled: false,
+        // A durable extent's copy is a drain at another weight.
+        burst: OpKind::Read,
+        tier_legs: &[OpKind::Write],
+        tier_after_burst: true,
     },
 ];
 

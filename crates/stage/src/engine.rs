@@ -194,11 +194,6 @@ impl StagedEngine {
         self.epoch = epoch;
     }
 
-    /// The policy epoch currently stamped onto trace events.
-    pub fn trace_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The newest `max` retained scheduler decisions, oldest first.
     pub fn trace_dump(&self, max: usize) -> TraceDump {
         self.trace.dump(max)
@@ -265,20 +260,9 @@ impl StagedEngine {
         staged_shares(self.weights.weight(class))
     }
 
-    /// The nominal (foreground, drain) share split (legacy view of
-    /// [`StagedEngine::class_shares_of`]).
-    pub fn class_shares(&self) -> (f64, f64) {
-        self.class_shares_of(TrafficClass::Drain)
-    }
-
     /// Number of queued requests of one class.
     pub fn queued_class(&self, class: TrafficClass) -> usize {
         self.lanes[class.index() as usize].queue.len()
-    }
-
-    /// Number of queued drain requests (legacy view).
-    pub fn drain_queued(&self) -> usize {
-        self.queued_class(TrafficClass::Drain)
     }
 
     /// The virtual cost of serving a request: its payload, with metadata

@@ -22,7 +22,7 @@ use crate::backing::BackingStore;
 use crate::class::TrafficClass;
 use std::collections::BTreeMap;
 use themis_core::entity::JobMeta;
-use themis_core::request::{IoRequest, OpKind};
+use themis_core::request::IoRequest;
 use themis_fs::BurstBufferFs;
 
 /// The in-flight ledger of one traffic class on one server: class identity,
@@ -77,18 +77,12 @@ impl<T> ClassQueue<T> {
     }
 
     /// Records `target` in flight under `seq` and returns the policy-visible
-    /// request (`kind`, `bytes`) to feed to the engine. The caller checks
-    /// [`capacity`](Self::capacity) first.
-    pub fn admit(
-        &mut self,
-        seq: u64,
-        target: T,
-        kind: OpKind,
-        bytes: u64,
-        now_ns: u64,
-    ) -> IoRequest {
+    /// request to feed to the engine: `bytes` of the class's burst slot
+    /// ([`TrafficClassDef::burst`](crate::class::TrafficClassDef::burst)).
+    /// The caller checks [`capacity`](Self::capacity) first.
+    pub fn admit(&mut self, seq: u64, target: T, bytes: u64, now_ns: u64) -> IoRequest {
         self.inflight.insert(seq, (target, None));
-        IoRequest::new(seq, self.meta(), kind, bytes, now_ns)
+        IoRequest::new(seq, self.meta(), self.class.def().burst, bytes, now_ns)
     }
 
     /// The in-flight target admitted under `seq`.
@@ -176,18 +170,19 @@ pub trait ClassLifecycle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use themis_core::request::OpKind;
 
     #[test]
     fn ledger_walks_a_request_from_admission_to_landing() {
         let mut q: ClassQueue<&'static str> = ClassQueue::new(TrafficClass::Scrub, 3, 2);
         assert_eq!(q.meta(), TrafficClass::Scrub.meta(3));
         assert_eq!(q.capacity(), 2);
-        let r = q.admit(7, "a", OpKind::Read, 100, 5);
+        let r = q.admit(7, "a", 100, 5);
         assert_eq!(
             (r.seq, r.kind, r.bytes, r.arrival_ns),
             (7, OpKind::Read, 100, 5)
         );
-        q.admit(8, "b", OpKind::Read, 100, 5);
+        q.admit(8, "b", 100, 5);
         assert_eq!(q.capacity(), 0);
         // Admitted but not yet released: in flight, but nothing to wake for.
         assert_eq!(q.next_finish_ns(), None);
@@ -207,13 +202,13 @@ mod tests {
     fn due_entries_land_in_admission_order() {
         let mut q: ClassQueue<u32> = ClassQueue::new(TrafficClass::Drain, 0, 4);
         for (seq, target) in [(3, 30), (1, 10), (2, 20)] {
-            q.admit(seq, target, OpKind::Read, 1, 0);
+            q.admit(seq, target, 1, 0);
             q.dispatched(seq, 100 - seq);
         }
         let landed: Vec<u32> = std::iter::from_fn(|| q.pop_due(100)).collect();
         assert_eq!(landed, vec![10, 20, 30]);
         // A no-op request leaves without ever being charged.
-        q.admit(9, 90, OpKind::Read, 1, 0);
+        q.admit(9, 90, 1, 0);
         assert_eq!(q.remove(9), Some(90));
         assert!(q.is_empty());
     }

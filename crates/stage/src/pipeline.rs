@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 use themis_core::durability::DurabilitySpec;
 use themis_core::entity::JobMeta;
-use themis_core::request::{IoRequest, OpKind};
+use themis_core::request::IoRequest;
 use themis_device::DeviceConfig;
 use themis_fs::{BurstBufferFs, DirtyExtent, Extent};
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
@@ -292,7 +292,7 @@ impl DrainPipeline {
             self.replicate.admit(seq, target, now_ns)
         } else {
             let cost = target.cost;
-            self.queue.admit(seq, target, OpKind::Read, cost, now_ns)
+            self.queue.admit(seq, target, cost, now_ns)
         }
     }
 
@@ -625,7 +625,7 @@ impl ClassLifecycle for RestorePipeline {
         }
         let target = self.waiting.pop_front()?;
         let bytes = target.bytes.max(1);
-        Some(self.queue.admit(seq, target, OpKind::Write, bytes, now_ns))
+        Some(self.queue.admit(seq, target, bytes, now_ns))
     }
 
     fn dispatched(&mut self, seq: u64, finish_ns: u64) {
@@ -645,6 +645,7 @@ impl ClassLifecycle for RestorePipeline {
 mod tests {
     use super::*;
     use crate::backing::CapacityTier;
+    use themis_core::request::OpKind;
     use themis_fs::BurstBufferFs;
 
     #[test]

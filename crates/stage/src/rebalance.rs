@@ -27,7 +27,7 @@ use crate::class::TrafficClass;
 use crate::lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
 use crate::shard::{MigrationPlan, ShardedStore};
 use serde::{Deserialize, Serialize};
-use themis_core::request::{IoRequest, OpKind};
+use themis_core::request::IoRequest;
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
 
 /// A point-in-time snapshot of one server's rebalance state, reported
@@ -296,7 +296,7 @@ impl ClassLifecycle for RebalancePipeline {
             }
             let bytes = plan.bytes.max(1);
             self.requested_bytes.add(bytes);
-            return Some(self.queue.admit(seq, plan, OpKind::Write, bytes, now_ns));
+            return Some(self.queue.admit(seq, plan, bytes, now_ns));
         }
     }
 

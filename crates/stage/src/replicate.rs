@@ -37,7 +37,7 @@ use crate::lifecycle::ClassQueue;
 use crate::pipeline::InflightDrain;
 use serde::{Deserialize, Serialize};
 use themis_core::durability::DurabilitySpec;
-use themis_core::request::{IoRequest, OpKind};
+use themis_core::request::IoRequest;
 use themis_fs::DirtyExtent;
 use themis_telemetry::{Counter, MetricsRegistry, SeriesKey};
 
@@ -163,7 +163,7 @@ impl ReplicatePipeline {
     pub(crate) fn admit(&mut self, seq: u64, target: InflightDrain, now_ns: u64) -> IoRequest {
         let cost = target.cost;
         self.requested_bytes.add(cost);
-        self.queue.admit(seq, target, OpKind::Read, cost, now_ns)
+        self.queue.admit(seq, target, cost, now_ns)
     }
 
     /// Retires a copy that wrote nothing.
@@ -231,6 +231,7 @@ mod tests {
     use crate::pipeline::{DrainConfig, DrainPipeline};
     use themis_core::durability::DurabilityMode;
     use themis_core::entity::{JobId, UserId};
+    use themis_core::request::OpKind;
     use themis_fs::{BurstBufferFs, Writer};
 
     const MIB: usize = 1 << 20;

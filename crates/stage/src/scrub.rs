@@ -31,7 +31,7 @@ use crate::class::TrafficClass;
 use crate::lifecycle::{AdmitContext, ClassLifecycle, ClassQueue};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use themis_core::request::{IoRequest, OpKind};
+use themis_core::request::IoRequest;
 use themis_telemetry::{Counter, Gauge, MetricsRegistry, SeriesKey};
 
 /// A point-in-time snapshot of one server's scrub state, reported through
@@ -332,7 +332,7 @@ impl ClassLifecycle for ScrubPipeline {
                 stripe,
                 bytes,
             };
-            return Some(self.queue.admit(seq, target, OpKind::Read, bytes, now_ns));
+            return Some(self.queue.admit(seq, target, bytes, now_ns));
         }
     }
 
@@ -354,6 +354,7 @@ mod tests {
     use super::*;
     use crate::backing::{extent_checksum, CapacityTier};
     use crate::BackingStore;
+    use themis_core::request::OpKind;
     use themis_fs::BurstBufferFs;
 
     fn tier_with(extents: &[(&str, u64, usize)]) -> CapacityTier {

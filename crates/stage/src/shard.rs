@@ -443,11 +443,6 @@ impl ShardedStore {
         self.inner.read().replication
     }
 
-    /// Total child stores (including retired ones still holding extents).
-    pub fn child_count(&self) -> usize {
-        self.inner.read().children.len()
-    }
-
     /// Registers a new (empty) backend and returns its child index. The
     /// map is untouched — follow up with [`install_map`](Self::install_map)
     /// to route ranges at it.
