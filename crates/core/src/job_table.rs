@@ -189,14 +189,22 @@ impl JobTable {
     /// Unknown jobs are inserted as new active entries — this is how a server
     /// learns about a job the first time one of its clients connects.
     pub fn heartbeat(&mut self, meta: JobMeta, now_ns: u64) {
+        self.heartbeat_entry(meta, now_ns);
+    }
+
+    /// [`JobTable::heartbeat`], returning the entry it found or inserted so
+    /// a caller with more to record does not look the job up again.
+    fn heartbeat_entry(&mut self, meta: JobMeta, now_ns: u64) -> &mut JobEntry {
+        let floor = &mut self.active_heartbeat_floor_ns;
+        let revision = &mut self.revision;
         match self.entries.entry(meta.job) {
             std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(JobEntry::new(meta, now_ns));
-                self.active_heartbeat_floor_ns = self.active_heartbeat_floor_ns.min(now_ns);
-                self.revision = next_revision();
+                *floor = (*floor).min(now_ns);
+                *revision = next_revision();
+                slot.insert(JobEntry::new(meta, now_ns))
             }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
+            std::collections::btree_map::Entry::Occupied(slot) => {
+                let entry = slot.into_mut();
                 // A repeat heartbeat that only refreshes the liveness clock
                 // is not share-relevant; only metadata changes and
                 // inactive→active flips advance the revision.
@@ -206,11 +214,11 @@ impl JobTable {
                 entry.last_heartbeat_ns = entry.last_heartbeat_ns.max(now_ns);
                 // Only a revived entry can sit below the floor; an already
                 // active one was at or above it and has not moved down.
-                self.active_heartbeat_floor_ns =
-                    self.active_heartbeat_floor_ns.min(entry.last_heartbeat_ns);
+                *floor = (*floor).min(entry.last_heartbeat_ns);
                 if share_relevant {
-                    self.revision = next_revision();
+                    *revision = next_revision();
                 }
+                entry
             }
         }
     }
@@ -220,20 +228,18 @@ impl JobTable {
     /// Requests count as heartbeats: a job that is actively issuing I/O never
     /// times out even if its dedicated heartbeat thread stalls.
     pub fn observe_request(&mut self, meta: JobMeta, now_ns: u64) {
-        self.heartbeat(meta, now_ns);
         let viewpoint = self.viewpoint;
-        if let Some(e) = self.entries.get_mut(&meta.job) {
-            e.requests_seen += 1;
-            if let Some(v) = viewpoint {
-                // The viewpoint is validated against PRESENCE_CAPACITY when
-                // set, so the shift cannot wrap. A newly gained presence bit
-                // widens the job's server span (share-relevant); repeat
-                // requests from an already-recorded server are not.
-                let bit = 1u128 << v;
-                if e.presence_mask & bit == 0 {
-                    e.presence_mask |= bit;
-                    self.revision = next_revision();
-                }
+        let e = self.heartbeat_entry(meta, now_ns);
+        e.requests_seen += 1;
+        if let Some(v) = viewpoint {
+            // The viewpoint is validated against PRESENCE_CAPACITY when set,
+            // so the shift cannot wrap. A newly gained presence bit widens
+            // the job's server span (share-relevant); repeat requests from
+            // an already-recorded server are not.
+            let bit = 1u128 << v;
+            if e.presence_mask & bit == 0 {
+                e.presence_mask |= bit;
+                self.revision = next_revision();
             }
         }
     }

@@ -9,7 +9,7 @@
 use crate::core::{ServerConfig, ServerCore};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -171,6 +171,57 @@ fn now_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
+/// Where each in-flight request's reply goes: its connection and the
+/// request id that connection chose. A slab of slots with a LIFO free list,
+/// so a ticket is a slot index (low 32 bits) tagged with the slot's
+/// generation (high 32 bits). Freeing a slot bumps its generation, so a
+/// ticket redeemed twice, or one outlived by its slot, finds nothing — a
+/// reply can never reach the connection that reuses the slot.
+#[derive(Debug, Default)]
+struct ReplyRoute {
+    slots: Vec<RouteSlot>,
+    free: Vec<u32>,
+}
+
+#[derive(Debug)]
+struct RouteSlot {
+    generation: u32,
+    route: Option<(usize, u64)>,
+}
+
+impl ReplyRoute {
+    /// Records a route and returns the ticket that redeems it.
+    fn insert(&mut self, conn_id: usize, request_id: u64) -> u64 {
+        let index = match self.free.pop() {
+            Some(index) => index,
+            None => {
+                self.slots.push(RouteSlot {
+                    generation: 0,
+                    route: None,
+                });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let slot = &mut self.slots[index as usize];
+        slot.route = Some((conn_id, request_id));
+        u64::from(slot.generation) << 32 | u64::from(index)
+    }
+
+    /// Redeems `ticket`: its route, or `None` when the ticket is unknown or
+    /// stale.
+    fn remove(&mut self, ticket: u64) -> Option<(usize, u64)> {
+        let index = ticket as u32;
+        let slot = self.slots.get_mut(index as usize)?;
+        if u64::from(slot.generation) != ticket >> 32 {
+            return None;
+        }
+        let route = slot.route.take()?;
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(index);
+        Some(route)
+    }
+}
+
 /// One server thread. Each turn takes whatever the inbox holds, runs the
 /// core's [`ServerCore::turn`] (serve, λ round, expiry) and sends the
 /// replies it made ready. A turn that found nothing to do ends by
@@ -195,23 +246,18 @@ fn server_loop(
     // own requests from zero), so a route keyed by the raw id would collide
     // as soon as two clients talk to this server concurrently — one side's
     // reply would be misrouted and the other would stall until its timeout.
-    // The loop therefore re-tickets each request with a server-unique id
-    // before it enters the core and translates back when replying.
-    let mut next_ticket: u64 = 0;
-    let mut reply_route: HashMap<u64, (usize, u64)> = HashMap::new();
-    let mut ticket =
-        move |route: &mut HashMap<u64, (usize, u64)>, conn_id: usize, request_id: u64| {
-            let t = next_ticket;
-            next_ticket += 1;
-            route.insert(t, (conn_id, request_id));
-            t
-        };
+    // The loop therefore re-tickets each request with a ticket no other
+    // in-flight request holds before it enters the core, and translates
+    // back when replying.
+    let mut reply_route = ReplyRoute::default();
     let turns = core.metrics_registry().counter(
         SeriesKey::class(core.server_index(), "runtime"),
         "loop_turns",
     );
     // The message that cut the last turn's sleep short, if one did.
     let mut woken_by: Option<Inbound> = None;
+    // What the inbox held at the start of a turn, taken under one lock.
+    let mut arrived: VecDeque<Inbound> = VecDeque::new();
 
     loop {
         turns.inc();
@@ -219,8 +265,8 @@ fn server_loop(
         let mut did_work = false;
 
         // Everything that has arrived, the waker first.
-        let arrived = std::iter::from_fn(|| inbox.try_recv().ok());
-        for inbound in woken_by.take().into_iter().chain(arrived) {
+        inbox.drain_into(&mut arrived);
+        for inbound in woken_by.take().into_iter().chain(arrived.drain(..)) {
             did_work = true;
             let (conn_id, msg) = match inbound {
                 Inbound::Register(conn_id, endpoint) => {
@@ -275,7 +321,7 @@ fn server_loop(
                     meta,
                     op,
                 } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.submit(t, meta, op, now);
                 }
                 ClientMessage::Flush {
@@ -283,7 +329,7 @@ fn server_loop(
                     meta,
                     path,
                 } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.flush(t, meta, &path, now);
                 }
                 ClientMessage::StageIn {
@@ -291,38 +337,38 @@ fn server_loop(
                     meta,
                     path,
                 } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.stage_in(t, meta, &path, now);
                 }
                 ClientMessage::DrainStatus { request_id } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.drain_status(t);
                 }
                 ClientMessage::Scrub { request_id } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.scrub(t);
                 }
                 ClientMessage::ScrubStatus { request_id } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.scrub_status(t);
                 }
                 ClientMessage::RebalanceStatus { request_id } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.rebalance_status(t);
                 }
                 ClientMessage::ReplicateStatus { request_id } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.replicate_status(t);
                 }
                 ClientMessage::MetricsSnapshot { request_id } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.metrics_snapshot(t, now);
                 }
                 ClientMessage::TraceDump {
                     request_id,
                     max_events,
                 } => {
-                    let t = ticket(&mut reply_route, conn_id, request_id);
+                    let t = reply_route.insert(conn_id, request_id);
                     core.trace_dump(t, max_events);
                 }
             }
@@ -335,7 +381,7 @@ fn server_loop(
         // `Ok` carries an I/O reply, `Err` a staging one.
         let io = ready.into_iter().map(|r| (r.request_id, Ok(r.reply)));
         for (t, msg) in io.chain(stage.into_iter().map(|s| (s.request_id, Err(s.reply)))) {
-            if let Some((conn_id, request_id)) = reply_route.remove(&t) {
+            if let Some((conn_id, request_id)) = reply_route.remove(t) {
                 let msg = match msg {
                     Ok(reply) => ServerMessage::IoReply { request_id, reply },
                     Err(reply) => ServerMessage::Stage { request_id, reply },
@@ -663,6 +709,78 @@ mod tests {
             } => {}
             other => panic!("client b got {other:?}"),
         }
+
+        // Rounds of interleaved bursts with the same ids on both sides.
+        // At most five requests are ever in flight, so from the second
+        // round on every ticket reuses a slot, and the LIFO free list hands
+        // the slots out in another order than they were freed in.
+        for round in 0..6u64 {
+            let ids = [round * 10, round * 10 + 1, round * 10 + 2];
+            for &id in &ids {
+                a.send(ClientMessage::Io {
+                    request_id: id,
+                    meta: meta_a,
+                    op: FsOp::Mkdir {
+                        path: format!("/a/{id}"),
+                    },
+                });
+                if id != ids[1] {
+                    b.send(ClientMessage::Io {
+                        request_id: id,
+                        meta: meta_b,
+                        op: FsOp::Stat {
+                            path: "/missing".into(),
+                        },
+                    });
+                }
+            }
+            // Each side must get exactly its own ids back, with its own
+            // payloads, in whatever order they complete.
+            let mut got_a: Vec<u64> = (0..3)
+                .map(|_| match a.recv_timeout(Duration::from_secs(5)) {
+                    Some(ServerMessage::IoReply {
+                        request_id,
+                        reply: FsReply::Ok,
+                    }) => request_id,
+                    other => panic!("round {round}: client a got {other:?}"),
+                })
+                .collect();
+            let mut got_b: Vec<u64> = (0..2)
+                .map(|_| match b.recv_timeout(Duration::from_secs(5)) {
+                    Some(ServerMessage::IoReply {
+                        request_id,
+                        reply: FsReply::Error(_),
+                    }) => request_id,
+                    other => panic!("round {round}: client b got {other:?}"),
+                })
+                .collect();
+            got_a.sort_unstable();
+            got_b.sort_unstable();
+            assert_eq!(got_a, ids, "round {round}");
+            assert_eq!(got_b, [ids[0], ids[2]], "round {round}");
+        }
+        assert!(a.recv_timeout(Duration::from_millis(20)).is_none());
+        assert!(b.recv_timeout(Duration::from_millis(20)).is_none());
         dep.shutdown();
+    }
+
+    #[test]
+    fn a_stale_ticket_finds_nothing_and_leaves_the_slot_to_its_owner() {
+        let mut route = ReplyRoute::default();
+        let first = route.insert(1, 7);
+        let other = route.insert(2, 7);
+        assert_eq!(route.remove(first), Some((1, 7)));
+        assert_eq!(route.remove(first), None, "redeemed twice");
+        let reused = route.insert(3, 9);
+        assert_eq!(reused as u32, first as u32, "the freed slot is reused");
+        assert_ne!(reused, first, "under a new generation");
+        assert_eq!(route.remove(first), None, "a stale ticket");
+        assert_eq!(
+            route.remove(reused),
+            Some((3, 9)),
+            "the owner kept its slot"
+        );
+        assert_eq!(route.remove(other), Some((2, 7)));
+        assert_eq!(route.remove(u64::from(u32::MAX)), None, "no such slot");
     }
 }

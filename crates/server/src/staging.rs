@@ -2131,4 +2131,191 @@ mod tests {
             vec![0x22; 1 << 20]
         );
     }
+
+    /// Each class's device charge, spelled out apart from
+    /// [`TRAFFIC_CLASSES`](themis_stage::TRAFFIC_CLASSES): the burst slot,
+    /// the capacity-tier legs walked back to back, and whether they start
+    /// when the slot ends (they move what it read) or at release (they feed
+    /// it).
+    fn spelled_out_charge(class: TrafficClass) -> (OpKind, &'static [OpKind], bool) {
+        match class {
+            TrafficClass::Drain | TrafficClass::Replicate => (OpKind::Read, &[OpKind::Write], true),
+            TrafficClass::Restore => (OpKind::Write, &[OpKind::Read], false),
+            TrafficClass::Scrub => (OpKind::Read, &[OpKind::Read], false),
+            TrafficClass::Rebalance => (OpKind::Write, &[OpKind::Read, OpKind::Write], false),
+        }
+    }
+
+    /// A staged core polled at instants `GAP` apart, long enough for every
+    /// charge of one extent to finish in between. So each poll releases
+    /// class requests onto idle devices, and a finish a lifecycle holds
+    /// after the poll is one that poll charged.
+    struct ChargeWatch {
+        s: ServerCore,
+        t: u64,
+        /// Landings checked, per class pipeline.
+        checked: [u32; TrafficClass::COUNT],
+    }
+
+    const EXTENT: u64 = 1 << 20;
+    const GAP: u64 = 10_000_000;
+    /// Replicas a rebalance places: two new ones over three children.
+    const COPIES: u64 = 2;
+
+    impl ChargeWatch {
+        fn new(staging: StagingConfig) -> Self {
+            let mut s = staged_server(staging);
+            s.heartbeat(meta(1, 1), 0);
+            ChargeWatch {
+                s,
+                t: 0,
+                checked: [0; TrafficClass::COUNT],
+            }
+        }
+
+        /// Polls at the next instant and holds every class finish the poll
+        /// charged to the spelled-out charge of one extent (rebalance
+        /// writing `COPIES` replicas).
+        fn step(&mut self) -> Vec<ReadyReply> {
+            self.t += GAP;
+            let now = self.t;
+            let replies = self.s.poll(now);
+            let st = self.s.staging.as_ref().unwrap();
+            // Replicate shares the drain's pipeline and its charge.
+            for class in TrafficClass::ALL {
+                if class == TrafficClass::Replicate {
+                    continue;
+                }
+                let Some(finish) = st.lifecycle(class).next_finish_ns() else {
+                    continue;
+                };
+                let (burst, legs, after_burst) = spelled_out_charge(class);
+                let copies = if class == TrafficClass::Rebalance {
+                    COPIES
+                } else {
+                    1
+                };
+                let cost = |model: &DeviceModel, kind: OpKind, bytes: u64| {
+                    model.service_ns(&IoRequest::new(0, class.meta(0), kind, bytes, now))
+                };
+                let burst_finish = now + cost(self.s.device.model(), burst, EXTENT);
+                let mut at = if after_burst { burst_finish } else { now };
+                for &kind in legs {
+                    let bytes = match kind {
+                        OpKind::Write => EXTENT * copies,
+                        _ => EXTENT,
+                    };
+                    at += cost(st.backing_device.model(), kind, bytes);
+                }
+                assert_eq!(
+                    finish,
+                    burst_finish.max(at),
+                    "{class} released at {now} lands off its charge"
+                );
+                assert!(finish < now + GAP, "{class} outlives the gap");
+                self.checked[class as usize] += 1;
+            }
+            replies
+        }
+
+        fn until(&mut self, mut done: impl FnMut(&ServerCore) -> bool) {
+            while !done(&self.s) {
+                self.step();
+                assert!(
+                    self.t < 1_000 * GAP,
+                    "never got there: {:?} {:?} {:?}",
+                    self.s.drain_status_snapshot(),
+                    self.s.scrub_status_snapshot(),
+                    self.s.rebalance_status_snapshot()
+                );
+            }
+        }
+
+        fn submit(&mut self, request_id: u64, op: FsOp) {
+            self.s.submit(request_id, meta(1, 1), op, self.t);
+        }
+    }
+
+    /// Every class landing lands when its registry row says: the burst
+    /// slot, then the tier legs beside or after it, a write charged once
+    /// per copy it places. The landing time is all the row moves, so
+    /// without this only the simulator's pinned series would see a wrong
+    /// row.
+    #[test]
+    fn class_landings_are_charged_by_their_registry_row() {
+        let create = FsOp::CreateStriped {
+            path: "/x".into(),
+            stripe: themis_fs::StripeConfig::new(EXTENT, 1),
+        };
+        let write = FsOp::WriteAt {
+            path: "/x".into(),
+            offset: 0,
+            data: vec![0x5A; EXTENT as usize],
+        };
+
+        // Drain, scrub, rebalance and restore, over a sharded tier with an
+        // eviction watermark below one extent.
+        let mut staging = fast_staging();
+        staging.drain.high_watermark_bytes = EXTENT / 2;
+        staging.drain.low_watermark_bytes = 0;
+        staging.sharding = Some(themis_stage::ShardSpec {
+            map: "00-ff=0".into(),
+            replication: 1,
+            backends: vec![DeviceConfig::default(); 3],
+        });
+        let mut w = ChargeWatch::new(staging);
+        w.submit(1, create.clone());
+        w.submit(2, write.clone());
+        w.until(|s| {
+            let status = s.drain_status_snapshot().unwrap();
+            status.drained_bytes == EXTENT && status.evicted_bytes == EXTENT
+        });
+        w.s.scrub(3);
+        w.until(|s| s.scrub_status_snapshot().unwrap().scrubbed_extents == 1);
+        // Three copies over three children: the extent now owes a replica
+        // on both children it is not on.
+        let st = w.s.staging.as_ref().unwrap();
+        let map = themis_stage::ShardMap::parse("00-55=0,56-aa=1,ab-ff=2").unwrap();
+        st.backing
+            .as_sharded()
+            .unwrap()
+            .install_map(map, 3)
+            .unwrap();
+        w.until(|s| s.rebalance_status_snapshot().unwrap().migrated_extents == 1);
+        let status = w.s.rebalance_status_snapshot().unwrap();
+        assert_eq!(status.copies_written, COPIES, "{status:?}");
+        w.submit(
+            4,
+            FsOp::ReadAt {
+                path: "/x".into(),
+                offset: 0,
+                len: EXTENT,
+            },
+        );
+        let read = loop {
+            if let Some(r) = w.step().into_iter().find(|r| r.request_id == 4) {
+                break r;
+            }
+            assert!(w.t < 1_000 * GAP, "the read never ran");
+        };
+        assert!(matches!(&read.reply, FsReply::Data(d) if d.len() == EXTENT as usize));
+        let status = w.s.drain_status_snapshot().unwrap();
+        assert_eq!(status.restored_bytes, EXTENT, "{status:?}");
+        for class in [
+            TrafficClass::Drain,
+            TrafficClass::Scrub,
+            TrafficClass::Rebalance,
+            TrafficClass::Restore,
+        ] {
+            assert!(w.checked[class as usize] > 0, "no {class} landing checked");
+        }
+
+        // The durable copy: a `sync` write's ack waits for the replicate
+        // lane's landing.
+        let mut w = ChargeWatch::new(durable_staging(DurabilitySpec::new(DurabilityMode::Sync)));
+        w.submit(1, create);
+        w.submit(2, write);
+        w.until(|s| s.replicate_status_snapshot().unwrap().replicated_extents == 1);
+        assert!(w.checked[TrafficClass::Drain as usize] > 0);
+    }
 }

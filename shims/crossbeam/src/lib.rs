@@ -1,18 +1,24 @@
 //! Offline stand-in for the parts of `crossbeam` the workspace uses: an
 //! unbounded MPMC channel with cloneable senders *and* receivers, queue-depth
-//! inspection (`len`), `try_recv`, and `recv_timeout` — the surface
-//! `themis-net`'s endpoints and the server runtime rely on. Built on
-//! `Mutex<VecDeque>` + `Condvar`.
+//! inspection (`len`), `try_recv`, `recv_timeout` and a one-lock batch take
+//! (`drain_into`) — the surface `themis-net`'s endpoints and the server
+//! runtime rely on. Built on `Mutex<VecDeque>` + `Condvar`.
 //!
-//! The server loop's cost per request is mostly this channel's, and most of
-//! that was waking a peer that had only just gone to sleep. So a blocking
-//! receive backs off before it parks — a few `spin_loop` rounds, then
-//! `yield_now`, for at most [`channel::BACKOFF`] and never past the caller's
-//! timeout. A receiver that is handed a message every few microseconds
-//! therefore never sleeps, and its sender's notify finds nobody to wake. The
-//! back-off yields rather than spins so a waiting thread gives its core to
-//! whoever will produce the message (with more runnable threads than cores,
-//! a busy spin starves the producer).
+//! The server loop's cost per request is mostly this channel's, and two
+//! things make it: waking a peer that has gone to sleep, and the wake call
+//! itself. So a blocking receive backs off before it parks — a few
+//! `spin_loop` rounds, then `yield_now`, for at most [`channel::BACKOFF`] and
+//! never past the caller's timeout — and a send wakes only a receiver that
+//! is parked. The condvar's `notify_one` is not free when nobody waits: the
+//! futex condvar of Rust's std issues a `FUTEX_WAKE` system call on every
+//! call, measured at 215–246 ns on a 2-vCPU x86-64 host. Every receiver
+//! counts itself as parked under the queue lock before it waits, and a send
+//! reads that count under the same lock after it pushes, so a send that
+//! skips the notify can only see a receiver that has not checked the queue
+//! yet — and that one finds the message. The back-off yields rather than
+//! spins so a waiting thread gives its core to whoever will produce the
+//! message (with more runnable threads than cores, a busy spin starves the
+//! producer).
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -35,9 +41,8 @@ pub mod channel {
         ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
-        /// Receivers blocked on `ready`, counted under the queue lock, so a
-        /// test can send to a receiver it knows to be parked.
-        #[cfg(test)]
+        /// Receivers blocked on `ready`. Moved and read only under the queue
+        /// lock: a send notifies only while it is non-zero.
         parked: AtomicUsize,
     }
 
@@ -92,7 +97,6 @@ pub mod channel {
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
-            #[cfg(test)]
             parked: AtomicUsize::new(0),
         });
         (
@@ -154,12 +158,23 @@ pub mod channel {
 
     impl<T> Sender<T> {
         /// Enqueues `msg`, failing only when every receiver has been dropped.
+        /// Wakes a receiver only if one is parked: the count is read under
+        /// the lock the push took, and a receiver counts itself under that
+        /// lock before it waits, so no wake-up is lost.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
             if self.chan.receivers.load(Ordering::SeqCst) == 0 {
                 return Err(SendError(msg));
             }
-            self.chan.lock().push_back(msg);
-            self.chan.ready.notify_one();
+            let parked = {
+                let mut q = self.chan.lock();
+                q.push_back(msg);
+                self.chan.parked.load(Ordering::Relaxed)
+            };
+            if parked > 0 {
+                #[cfg(test)]
+                tests::NOTIFIES.with(|n| n.set(n.get() + 1));
+                self.chan.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -173,6 +188,18 @@ pub mod channel {
         /// Whether the queue is currently empty.
         pub fn is_empty(&self) -> bool {
             self.chan.lock().is_empty()
+        }
+
+        /// Moves every queued message to the back of `out`, in order, under
+        /// one lock. Into an empty `out` the two queues are swapped, so the
+        /// channel keeps `out`'s allocation.
+        pub fn drain_into(&self, out: &mut VecDeque<T>) {
+            let mut q = self.chan.lock();
+            if out.is_empty() {
+                std::mem::swap(&mut *q, out);
+            } else {
+                out.append(&mut q);
+            }
         }
 
         /// Non-blocking receive.
@@ -256,8 +283,9 @@ pub mod channel {
                     },
                     None => None,
                 };
-                #[cfg(test)]
-                self.chan.parked.fetch_add(1, Ordering::SeqCst);
+                // Counted before the wait releases the lock: a send that
+                // pushes after this point sees the count and notifies.
+                self.chan.parked.fetch_add(1, Ordering::Relaxed);
                 q = match wait {
                     Some(left) => {
                         self.chan
@@ -272,8 +300,7 @@ pub mod channel {
                         .wait(q)
                         .unwrap_or_else(PoisonError::into_inner),
                 };
-                #[cfg(test)]
-                self.chan.parked.fetch_sub(1, Ordering::SeqCst);
+                self.chan.parked.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
@@ -287,6 +314,12 @@ pub mod channel {
             /// Back-off rounds (spin or yield) taken by receives on this
             /// thread, so tests can tell a pure try from a wait.
             pub(super) static BACKOFF_ROUNDS: Cell<u64> = const { Cell::new(0) };
+            /// Condvar notifies issued by sends on this thread.
+            pub(super) static NOTIFIES: Cell<u64> = const { Cell::new(0) };
+        }
+
+        fn notifies() -> u64 {
+            NOTIFIES.with(Cell::get)
         }
 
         fn backoff_rounds() -> u64 {
@@ -294,14 +327,21 @@ pub mod channel {
         }
 
         /// Blocks until a receiver of `tx`'s channel is parked on the
-        /// condvar, so the caller's next send takes the notify path.
+        /// condvar, so the caller's next send takes the notify path. Panics
+        /// after 10 s: a receiver that never counts itself parked would
+        /// never be woken by a send.
         fn wait_until_parked<T>(tx: &Sender<T>) {
+            let t0 = Instant::now();
             // Read under the lock the count moves under: a receiver seen
             // here is already inside `wait`.
             while {
                 let _q = tx.chan.lock();
-                tx.chan.parked.load(Ordering::SeqCst) == 0
+                tx.chan.parked.load(Ordering::Relaxed) == 0
             } {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "no receiver ever counted itself parked"
+                );
                 std::thread::yield_now();
             }
         }
@@ -341,7 +381,8 @@ pub mod channel {
         /// its waiting modes: while the bursting senders run it is fed faster
         /// than it can park; sender 0 then waits for it to park before every
         /// hundredth message. A lost wake-up shows as the 10 s timeout, a
-        /// reordering as a gap in a sender's sequence.
+        /// reordering as a gap in a sender's sequence. The test's own sender
+        /// lives to the end, so a disconnect cannot wake a parked receiver.
         #[test]
         fn many_senders_lose_and_reorder_nothing_across_backoff_and_park() {
             const SENDERS: usize = 4;
@@ -360,20 +401,127 @@ pub mod channel {
                     })
                 })
                 .collect();
-            drop(tx);
             let mut next = [0u64; SENDERS];
             for _ in 0..SENDERS as u64 * PER_SENDER {
+                let timeout = Duration::from_secs(10);
+                let t0 = Instant::now();
                 let (s, i) = rx
-                    .recv_timeout(Duration::from_secs(10))
+                    .recv_timeout(timeout)
                     .expect("a message was sent but never woke the receiver");
+                assert!(t0.elapsed() < timeout, "a parked receive was never woken");
                 assert_eq!(i, next[s], "sender {s} was reordered");
                 next[s] += 1;
             }
             for t in senders {
                 t.join().unwrap();
             }
+            drop(tx);
             assert_eq!(next, [PER_SENDER; SENDERS]);
             assert_eq!(rx.recv(), Err(RecvError));
+        }
+
+        /// Three senders — one bursting, one pausing past the back-off, one
+        /// waiting for the receiver to park — against a receiver that
+        /// alternates a back-off-only wait (shorter than [`BACKOFF`], so it
+        /// never parks) with one that parks. With the wake gated on the
+        /// parked count, a count read at the wrong moment shows as a parked
+        /// receive that outlives its 10 s timeout; a reordering as a gap in
+        /// a sender's sequence. The test keeps a sender of its own until the
+        /// end, so no disconnect's `notify_all` can stand in for a lost
+        /// wake-up.
+        #[test]
+        fn gated_wake_loses_nothing_while_the_receiver_alternates_backoff_and_park() {
+            const SENDERS: usize = 3;
+            const PER_SENDER: u64 = 1_500;
+            let (tx, rx) = unbounded::<(usize, u64)>();
+            let senders: Vec<_> = (0..SENDERS)
+                .map(|s| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..PER_SENDER {
+                            match s {
+                                1 if i % 50 == 0 => std::thread::sleep(2 * BACKOFF),
+                                2 if i % 50 == 0 => wait_until_parked(&tx),
+                                _ => {}
+                            }
+                            tx.send((s, i)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            let mut next = [0u64; SENDERS];
+            let mut received = 0;
+            for attempt in 0u64.. {
+                if received == SENDERS as u64 * PER_SENDER {
+                    break;
+                }
+                let (s, i) = if attempt % 2 == 0 {
+                    match rx.recv_timeout(BACKOFF / 2) {
+                        Ok(m) => m,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(e) => panic!("disconnected with messages owed: {e:?}"),
+                    }
+                } else {
+                    let timeout = Duration::from_secs(10);
+                    let t0 = Instant::now();
+                    let got = rx.recv_timeout(timeout);
+                    assert!(t0.elapsed() < timeout, "a parked receive was never woken");
+                    got.expect("a message was sent but never woke the receiver")
+                };
+                assert_eq!(i, next[s], "sender {s} was reordered");
+                next[s] += 1;
+                received += 1;
+            }
+            for t in senders {
+                t.join().unwrap();
+            }
+            drop(tx);
+            assert_eq!(next, [PER_SENDER; SENDERS]);
+            assert_eq!(rx.recv(), Err(RecvError));
+        }
+
+        #[test]
+        fn a_send_notifies_only_a_parked_receiver() {
+            let (tx, rx) = unbounded();
+            let before = notifies();
+            for i in 0..100 {
+                tx.send(i).unwrap();
+            }
+            assert_eq!(notifies(), before, "nobody was parked");
+            for i in 0..100 {
+                assert_eq!(rx.try_recv(), Ok(i));
+            }
+            let waiter = std::thread::spawn(move || rx.recv());
+            wait_until_parked(&tx);
+            tx.send(100).unwrap();
+            // The counter is live: a parked receiver is notified.
+            assert_eq!(notifies(), before + 1);
+            assert_eq!(waiter.join().unwrap(), Ok(100));
+        }
+
+        #[test]
+        fn drain_into_takes_everything_in_order_between_try_recvs() {
+            let (tx, rx) = unbounded();
+            let mut out = VecDeque::new();
+            rx.drain_into(&mut out);
+            assert!(out.is_empty());
+            for i in 1..=3 {
+                tx.send(i).unwrap();
+            }
+            assert_eq!(rx.try_recv(), Ok(1));
+            rx.drain_into(&mut out);
+            assert_eq!(out, [2, 3]);
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            for i in 4..=6 {
+                tx.send(i).unwrap();
+            }
+            assert_eq!(rx.try_recv(), Ok(4));
+            // Into a non-empty queue: appended behind what it holds.
+            rx.drain_into(&mut out);
+            assert_eq!(out, [2, 3, 5, 6]);
+            assert!(rx.is_empty());
+            tx.send(7).unwrap();
+            assert_eq!(rx.recv(), Ok(7));
         }
 
         #[test]
